@@ -73,6 +73,11 @@ class GramLattice:
     _pivots: tuple[Fraction, ...] = field(
         default=(), repr=False, compare=False, hash=False
     )
+    # The reduced basis and enumeration data of latquot.enumeration,
+    # built on first use; a cache, not part of the lattice's value.
+    _context: object = field(
+        default=None, init=False, repr=False, compare=False, hash=False
+    )
 
     def __post_init__(self):
         gram = tuple(tuple(Fraction(x) for x in row) for row in self.gram)

@@ -1,10 +1,13 @@
 """Short-vector enumeration and the invariants built on it.
 
-Everything here is exact.  The enumeration walks the standard
-Fincke-Pohst tree over a Gram-Schmidt decomposition computed in rational
-arithmetic, and the interval of admissible integers at each level is
-obtained from integer square roots rather than floating-point ones, so
-no vector is ever lost to rounding.
+Everything here is exact.  Each lattice is LLL-reduced once; the reduced
+Gram matrix, scaled to integers, is turned into integral Gram-Schmidt
+data (leading minors and the coefficients they clear), and both are kept
+on the lattice object for every later listing.  The Fincke-Pohst tree
+then runs in integer arithmetic alone: the centre at each level is an
+integer over a known minor, the weight of each level an integer over one
+common denominator, and the admissible interval comes from an integer
+square root, so no vector is ever lost to rounding.
 
 A global node budget guards against runaway trees.  It can be overridden
 through the ``LATQUOT_NODE_BUDGET`` environment variable or per call.
@@ -19,7 +22,7 @@ from fractions import Fraction
 
 from .core import GramLattice, InvariantReport, LatVec, determinant
 from .errors import ResourceExceeded
-from .reduction import _gso, lll
+from .reduction import ReducedBasis, lll
 
 DEFAULT_NODE_BUDGET = 10**9
 
@@ -55,24 +58,6 @@ class ShellListing:
         return iter(self.vectors)
 
 
-def _floor_plus_sqrt(c: Fraction, q: Fraction) -> int:
-    """floor(c + sqrt(q)) for rationals, q >= 0, without floating point."""
-    # math.floor(sqrt(x)) equals isqrt(floor(x)) for rational x >= 0, so
-    # this starting guess is never above the answer and at most a couple
-    # of integers below it.
-    guess = math.floor(c) + math.isqrt(math.floor(q))
-
-    def ok(m: int) -> bool:
-        d = m - c
-        return d <= 0 or d * d <= q
-
-    while ok(guess + 1):
-        guess += 1
-    while not ok(guess):
-        guess -= 1
-    return guess
-
-
 class _Counter:
     __slots__ = ("nodes", "budget")
 
@@ -81,42 +66,129 @@ class _Counter:
         self.budget = budget
 
     def spend(self, amount: int = 1):
+        """Count ``amount`` nodes at once.
+
+        The walk stops as soon as the count passes the budget, and the
+        error names the node that crossed it, as when counting one by one.
+        """
         self.nodes += amount
         if self.nodes > self.budget:
-            raise ResourceExceeded(self.nodes, self.budget)
+            raise ResourceExceeded(self.budget + 1, self.budget)
 
 
-def _enumerate_gram(gram, bound: Fraction, counter: _Counter):
-    """Nonzero solutions of x G x^T <= bound, one per +- pair, unsorted.
+@dataclass(frozen=True)
+class _Context:
+    """One reduction of a lattice and the integer data its listings share.
 
-    Yields (norm, coords).  The representative kept from each pair has
-    its topmost nonzero coordinate positive; callers re-canonicalize
-    after mapping coordinates back to the original basis.
+    With ``A = scale * reduced Gram`` integral, ``minors[i]`` is the
+    i-th leading minor of ``A`` (``minors[0] == 1``) and ``lam[i][j] =
+    minors[j+1] * mu[i][j]`` for ``j < i`` are the integral Gram-Schmidt
+    coefficients (Cohen, GTM 138, Alg. 2.6.7).  A vector y then has
+
+        weight * scale * y G y^T = sum_i weights[i] * T_i^2,
+        T_i = minors[i+1] * y_i + sum_{j>i} lam[j][i] * y_j,
+
+    where ``weight`` is the lcm of ``minors[i] * minors[i+1]`` and
+    ``weights[i] = weight // (minors[i] * minors[i+1])``.
     """
-    n = len(gram)
-    b, mu = _gso(gram, n)
-    x = [0] * n
 
-    # centers[i] = sum over j > i of mu[j][i] * x[j], maintained on descent
-    def descend(level: int, used: Fraction, top_zero: bool):
-        if level < 0:
-            if not top_zero:
-                yield used, tuple(x)
+    reduced: ReducedBasis
+    scale: int
+    minors: tuple[int, ...]
+    lam: tuple[tuple[int, ...], ...]
+    weight: int
+    weights: tuple[int, ...]
+
+    @classmethod
+    def build(cls, reduced: ReducedBasis) -> "_Context":
+        gram = reduced.gram.gram
+        n = len(gram)
+        scale = 1
+        for row in gram:
+            for x in row:
+                scale = math.lcm(scale, x.denominator)
+        a = [[int(x * scale) for x in row] for row in gram]
+        d = [1] * (n + 1)
+        lam = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1):
+                u = a[i][j]
+                for k in range(j):
+                    u = (d[k + 1] * u - lam[i][k] * lam[j][k]) // d[k]
+                if j < i:
+                    lam[i][j] = u
+                else:
+                    d[i + 1] = u
+        weight = 1
+        for i in range(n):
+            weight = math.lcm(weight, d[i] * d[i + 1])
+        return cls(
+            reduced=reduced,
+            scale=scale,
+            minors=tuple(d),
+            lam=tuple(tuple(row) for row in lam),
+            weight=weight,
+            weights=tuple(weight // (d[i] * d[i + 1]) for i in range(n)),
+        )
+
+
+def _context(L: GramLattice) -> _Context:
+    """The lattice's reduction context, reducing it on first use only."""
+    ctx = L._context
+    if ctx is None:
+        ctx = _Context.build(lll(L))
+        object.__setattr__(L, "_context", ctx)
+    return ctx
+
+
+def _enumerate(ctx: _Context, bound: Fraction, counter: _Counter):
+    """Nonzero solutions of y G y^T <= bound, one per +- pair, unsorted.
+
+    Returns (numerator, coords) pairs, where the norm is numerator over
+    ``ctx.weight * ctx.scale`` and coords are in the original basis with
+    their first nonzero entry positive.  Levels are visited top down and
+    the integers of each level in increasing order.
+    """
+    n = len(ctx.minors) - 1
+    d, lam, w = ctx.minors, ctx.lam, ctx.weights
+    rows = ctx.reduced.transform
+    top = ctx.weight * ctx.scale * bound.numerator // bound.denominator
+    x = [0] * n
+    # partial[i] = sum over j >= i of x[j] * rows[j], in original coordinates
+    partial = [(0,) * n] * (n + 1)
+    out = []
+
+    def descend(level: int, used: int, top_zero: bool):
+        centre = 0
+        if not top_zero:
+            for j in range(level + 1, n):
+                centre += lam[j][level] * x[j]
+        dl, wl = d[level + 1], w[level]
+        # the values with wl * (dl * value + centre)^2 <= top - used
+        s = math.isqrt((top - used) // wl)
+        hi = (s - centre) // dl
+        lo = 0 if top_zero else -((s + centre) // dl)
+        if hi < lo:
             return
-        remaining = bound - used
-        center = sum(mu[j][level] * x[j] for j in range(level + 1, n))
-        radius2 = remaining / b[level]
-        hi = _floor_plus_sqrt(-center, radius2)
-        lo = 0 if top_zero else -_floor_plus_sqrt(center, radius2)
+        counter.spend(hi - lo + 1)
+        above = partial[level + 1]
+        row = rows[level]
+        if level == 0:
+            for value in range(lo, hi + 1):
+                if value or not top_zero:
+                    t = dl * value + centre
+                    v = tuple([p + value * r for p, r in zip(above, row)])
+                    out.append((used + wl * t * t, _canonical_sign(v)))
+            return
         for value in range(lo, hi + 1):
-            counter.spend()
             x[level] = value
-            step = value + center
-            yield from descend(level - 1, used + b[level] * step * step,
-                               top_zero and value == 0)
+            partial[level] = [p + value * r for p, r in zip(above, row)]
+            t = dl * value + centre
+            descend(level - 1, used + wl * t * t, top_zero and value == 0)
         x[level] = 0
 
-    yield from descend(n - 1, Fraction(0), True)
+    descend(n - 1, 0, True)
+    return out
 
 
 def _canonical_sign(v: tuple[int, ...]) -> tuple[int, ...]:
@@ -132,16 +204,19 @@ def _listing(L: GramLattice, bound: Fraction,
              budget: int | None = None) -> list[tuple[Fraction, LatVec]]:
     """Sorted (norm, coords) pairs for nonzero vectors of norm <= bound."""
     counter = _Counter(node_budget() if budget is None else budget)
-    red = lll(L)
-    rows = red.transform
-    out = []
-    for value, y in _enumerate_gram(red.gram.gram, bound, counter):
-        coords = tuple(
-            sum(y[i] * rows[i][j] for i in range(L.n)) for j in range(L.n)
-        )
-        out.append((value, _canonical_sign(coords)))
-    out.sort()
-    return out
+    ctx = _context(L)
+    pairs = _enumerate(ctx, Fraction(bound), counter)
+    pairs.sort()
+    # in place, with one Fraction per distinct norm, to keep the
+    # memory of a long listing at one list
+    denominator = ctx.weight * ctx.scale
+    norms: dict[int, Fraction] = {}
+    for i, (num, v) in enumerate(pairs):
+        value = norms.get(num)
+        if value is None:
+            value = norms[num] = Fraction(num, denominator)
+        pairs[i] = (value, v)
+    return pairs
 
 
 def vectors_up_to(L: GramLattice, bound: Fraction,
@@ -156,8 +231,8 @@ def vectors_up_to(L: GramLattice, bound: Fraction,
 
 def minimum(L: GramLattice, budget: int | None = None) -> tuple[Fraction, ShellListing]:
     """The minimum of the lattice together with all its minimal vectors."""
-    red = lll(L)
-    start = min(red.gram.gram[i][i] for i in range(L.n))
+    gram = _context(L).reduced.gram.gram
+    start = min(gram[i][i] for i in range(L.n))
     pairs = _listing(L, start, budget)
     best = pairs[0][0]
     shell = tuple(v for value, v in pairs if value == best)
@@ -190,8 +265,8 @@ def successive_minima(L: GramLattice, budget: int | None = None) -> Frame:
     smallest coordinate vector whose first nonzero coordinate is
     positive, so the output is deterministic.
     """
-    red = lll(L)
-    start = max(red.gram.gram[i][i] for i in range(L.n))
+    gram = _context(L).reduced.gram.gram
+    start = max(gram[i][i] for i in range(L.n))
     pairs = _listing(L, start, budget)
     add = _rank_tracker(L.n)
     vectors = []

@@ -20,10 +20,6 @@ def matmul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
-def matvec(rows, v):
-    return [sum(x * y for x, y in zip(row, v)) for row in rows]
-
-
 def det_int(rows: Sequence[Sequence[int]]) -> int:
     """Determinant of an integer matrix by fraction-free (Bareiss) elimination."""
     n = len(rows)

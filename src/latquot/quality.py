@@ -17,10 +17,9 @@ from itertools import combinations
 from typing import Sequence
 
 from .core import GramLattice, LatVec, Rational, determinant, norm
-from .enumeration import _Counter, _listing, node_budget, successive_minima
+from .enumeration import _context, _Counter, _listing, node_budget, successive_minima
 from .errors import NotGenerating, ResourceExceeded
 from .linalg import det_int, hnf_rows, is_primitive, smith_invariants
-from .reduction import lll
 
 __all__ = ["QualityReport", "hermite_Hb", "qb", "qg_upper_bound"]
 
@@ -68,7 +67,7 @@ def _search(L: GramLattice, budget: int | None):
     """
     n = L.n
     allowance = node_budget() if budget is None else budget
-    reduced = lll(L)
+    reduced = _context(L).reduced
     inc_prod = Fraction(1)
     for i in range(n):
         inc_prod *= reduced.gram.gram[i][i]

@@ -26,15 +26,11 @@ class ReducedBasis:
 
     ``transform`` holds the coordinate rows of the reduced basis written
     in the original basis, so ``gram.gram == U * G * U^T`` where ``U``
-    stacks the rows.  ``rows`` exposes them as lattice vectors.
+    stacks the rows.
     """
 
     gram: GramLattice
     transform: tuple[tuple[int, ...], ...]
-
-    @property
-    def rows(self) -> tuple[tuple[int, ...], ...]:
-        return self.transform
 
 
 def _gso(gram, n):
@@ -66,11 +62,24 @@ def lll(lattice: GramLattice, delta: Fraction = DELTA) -> ReducedBasis:
         for k in range(n):
             g[k][i] -= m * g[k][j]
 
-    def apply_swap(i, j):
-        r[i], r[j] = r[j], r[i]
-        g[i], g[j] = g[j], g[i]
+    def apply_swap(k):
+        # exchange basis vectors k-1 and k and update the Gram-Schmidt
+        # data in place (Cohen, GTM 138, Alg. 2.6.3, step SWAP)
+        r[k], r[k - 1] = r[k - 1], r[k]
+        g[k], g[k - 1] = g[k - 1], g[k]
         for row in g:
-            row[i], row[j] = row[j], row[i]
+            row[k], row[k - 1] = row[k - 1], row[k]
+        m = mu[k][k - 1]
+        big = b[k] + m * m * b[k - 1]
+        mu[k][k - 1] = m * b[k - 1] / big
+        b[k] = b[k - 1] * b[k] / big
+        b[k - 1] = big
+        for j in range(k - 1):
+            mu[k - 1][j], mu[k][j] = mu[k][j], mu[k - 1][j]
+        for i in range(k + 1, n):
+            t = mu[i][k]
+            mu[i][k] = mu[i][k - 1] - m * t
+            mu[i][k - 1] = t + mu[k][k - 1] * mu[i][k]
 
     b, mu = _gso(g, n)
     k = 1
@@ -85,8 +94,7 @@ def lll(lattice: GramLattice, delta: Fraction = DELTA) -> ReducedBasis:
         if b[k] >= (delta - mu[k][k - 1] ** 2) * b[k - 1]:
             k += 1
         else:
-            apply_swap(k, k - 1)
-            b, mu = _gso(g, n)
+            apply_swap(k)
             k = max(k - 1, 1)
 
     gram = tuple(tuple(x for x in row) for row in g)

@@ -2,13 +2,14 @@
 
 Everything here recomputes package results along a different code path:
 vector listings by coordinate boxes, Smith invariants by minor gcds,
-basis search by testing every candidate subset.  Slow on purpose; the
+basis search by testing every candidate subset, LLL by recomputing the
+Gram-Schmidt data from scratch after every swap.  Slow on purpose; the
 tests only feed these small instances.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd, isqrt
+from math import floor, gcd, isqrt
 
 from latquot.linalg import det_int, inverse_rational, rank_rational
 from latquot.core import qform
@@ -149,3 +150,52 @@ def minor_gcd_invariants(rows) -> list[int]:
         inv.append(g // prev)
         prev = g
     return inv
+
+
+def gram_schmidt(gram):
+    """Squared Gram-Schmidt norms b and coefficients mu of a Gram matrix."""
+    n = len(gram)
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    b = [Fraction(0)] * n
+    for i in range(n):
+        for j in range(i):
+            s = gram[i][j] - sum(mu[i][k] * mu[j][k] * b[k] for k in range(j))
+            mu[i][j] = s / b[j]
+        b[i] = gram[i][i] - sum(mu[i][k] ** 2 * b[k] for k in range(i))
+    return b, mu
+
+
+def reference_lll(gram, delta=Fraction(99, 100)):
+    """LLL on a Gram matrix that recomputes Gram-Schmidt after each swap.
+
+    Returns (reduced Gram rows, transform rows).  The swap and size
+    reduction decisions are those of the textbook algorithm, so an
+    exact implementation must reproduce both outputs entry for entry.
+    """
+    n = len(gram)
+    g = [[Fraction(x) for x in row] for row in gram]
+    r = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    b, mu = gram_schmidt(g)
+    k = 1
+    while k < n:
+        for j in range(k - 1, -1, -1):
+            m = floor(mu[k][j] + Fraction(1, 2))
+            if m:
+                r[k] = [x - m * y for x, y in zip(r[k], r[j])]
+                for c in range(n):
+                    g[k][c] -= m * g[j][c]
+                for c in range(n):
+                    g[c][k] -= m * g[c][j]
+                for l in range(j):
+                    mu[k][l] -= m * mu[j][l]
+                mu[k][j] -= m
+        if b[k] >= (delta - mu[k][k - 1] ** 2) * b[k - 1]:
+            k += 1
+        else:
+            r[k], r[k - 1] = r[k - 1], r[k]
+            g[k], g[k - 1] = g[k - 1], g[k]
+            for row in g:
+                row[k], row[k - 1] = row[k - 1], row[k]
+            b, mu = gram_schmidt(g)
+            k = max(k - 1, 1)
+    return [list(row) for row in g], [list(row) for row in r]

@@ -1,13 +1,16 @@
 """Shell listings and successive minima against the box oracle."""
 
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
+from latquot import enumeration
 from latquot.construct import centred_cubic, named, zn
 from latquot.core import GramLattice, norm
 from latquot.enumeration import (
+    _context,
     invariant_report,
     is_well_rounded,
     minimum,
@@ -17,24 +20,35 @@ from latquot.enumeration import (
 )
 from latquot.errors import ResourceExceeded
 from latquot.linalg import rank_rational
+from latquot.quality import qb
 from latquot.sampling import random_gram
+from latquot.watson import maximal_index
 from oracles import box_vectors, brute_minima, brute_minimum
 
 
 def test_listings_match_the_box_oracle():
     # Spread and dimension are kept small so the oracle box stays
-    # affordable; skew bases blow it up exponentially.
+    # affordable; skew bases blow it up exponentially.  Each integral
+    # instance also runs scaled by a non-integral rational, so that the
+    # kernel has to clear denominators.
     rand = random.Random(21)
     for _ in range(20):
         n = rand.randint(2, 4)
         L = random_gram(rand, n, spread=2)
         bound = Fraction(rand.randint(1, 2)) * min(L.gram[i][i] for i in range(n))
-        listing = vectors_up_to(L, bound)
-        expected = box_vectors(L.gram, bound)
-        assert len(listing.vectors) == len(expected)
-        got = [(norm(L, v), v) for v in listing.vectors]
-        assert set(got) == set(expected)
-        assert [x for x, _ in got] == sorted(x for x, _ in got)
+        c = Fraction(rand.randint(1, 9), rand.choice((2, 3, 5, 7)))
+        if c.denominator == 1:
+            c /= 11
+        scaled = L.scaled(c)
+        for lattice, limit in ((L, bound), (scaled, c * bound)):
+            listing = vectors_up_to(lattice, limit)
+            expected = box_vectors(lattice.gram, limit)
+            assert len(listing.vectors) == len(expected)
+            got = [(norm(lattice, v), v) for v in listing.vectors]
+            assert set(got) == set(expected)
+            assert [x for x, _ in got] == sorted(x for x, _ in got)
+        assert _context(scaled).scale > 1
+        assert vectors_up_to(scaled, c * bound).vectors == vectors_up_to(L, bound).vectors
 
 
 def test_minimum_matches_the_box_oracle():
@@ -78,6 +92,44 @@ def test_well_rounded_detection():
 
 
 def test_budget_exhaustion_raises():
+    L = named("E8").lattice
     with pytest.raises(ResourceExceeded) as err:
-        successive_minima(named("E8").lattice, budget=5)
-    assert err.value.budget == 5
+        successive_minima(L, budget=5)
+    assert (err.value.nodes, err.value.budget) == (6, 5)
+    # a reduction kept from an earlier call must not bypass the budget
+    successive_minima(L)
+    with pytest.raises(ResourceExceeded) as err:
+        successive_minima(L, budget=5)
+    assert (err.value.nodes, err.value.budget) == (6, 5)
+
+
+def test_the_cached_context_is_not_part_of_the_lattice_value():
+    L = centred_cubic(5)
+    twin = centred_cubic(5)
+    before = (repr(L), hash(L))
+    minimum(L)
+    assert L._context is not None and twin._context is None
+    assert (repr(L), hash(L)) == before
+    assert L == twin
+    copy = pickle.loads(pickle.dumps(L))
+    assert copy == L and hash(copy) == hash(L) and repr(copy) == repr(L)
+
+
+def test_each_lattice_is_reduced_once(monkeypatch):
+    calls = []
+    real = enumeration.lll
+
+    def counting(lattice, *args):
+        calls.append(lattice)
+        return real(lattice, *args)
+
+    monkeypatch.setattr(enumeration, "lll", counting)
+    L = named("D4").lattice
+    minimum(L)
+    assert len(calls) == 1
+    successive_minima(L)
+    vectors_up_to(L, 2)
+    is_well_rounded(L)
+    qb(L)
+    maximal_index(L)
+    assert calls == [L]

@@ -6,12 +6,12 @@ from fractions import Fraction
 import pytest
 
 from latquot.core import GramLattice, determinant
-from latquot.construct import named, zd_lift
+from latquot.construct import fixture_inventory, named, search_corpus, zd_lift
 from latquot.codes import c9
 from latquot.linalg import det_int, matmul, transpose
 from latquot.reduction import lll
-from latquot.sampling import random_gram
-from oracles import brute_minimum
+from latquot.sampling import perturbed, random_gram
+from oracles import brute_minimum, gram_schmidt, reference_lll
 
 
 def _random_instances(count, dims, seed):
@@ -39,20 +39,28 @@ def test_lovasz_and_size_reduction_hold():
     delta = Fraction(99, 100)
     for L in _random_instances(20, (2, 4), 13):
         red = lll(L)
-        g = red.gram.gram
         n = red.gram.n
-        mu = [[Fraction(0)] * n for _ in range(n)]
-        b = [Fraction(0)] * n
-        for i in range(n):
-            for j in range(i):
-                s = g[i][j] - sum(mu[i][k] * mu[j][k] * b[k] for k in range(j))
-                mu[i][j] = s / b[j]
-            b[i] = g[i][i] - sum(mu[i][k] ** 2 * b[k] for k in range(i))
+        b, mu = gram_schmidt(red.gram.gram)
         for i in range(n):
             for j in range(i):
                 assert abs(mu[i][j]) <= Fraction(1, 2)
         for k in range(1, n):
             assert b[k] >= (delta - mu[k][k - 1] ** 2) * b[k - 1]
+
+
+def test_lll_matches_the_from_scratch_reference():
+    # The in-place swap update must take exactly the decisions of the
+    # reference, which recomputes Gram-Schmidt after every swap.
+    lattices = list(fixture_inventory().values())
+    rand = random.Random(15)
+    for n in (6, 7, 8):
+        corpus = search_corpus(n)
+        lattices += [perturbed(rand, corpus[t % len(corpus)]) for t in range(8)]
+    for L in lattices:
+        red = lll(L)
+        gram, transform = reference_lll(L.gram)
+        assert [list(r) for r in red.transform] == transform, L.label
+        assert [list(r) for r in red.gram.gram] == gram, L.label
 
 
 def test_first_vector_obeys_the_lll_quality_bound():
