@@ -28,7 +28,7 @@ from .codes import (
 from .construct import search_corpus, zd_lift
 from .core import GramLattice, determinant, format_rational, load_lattice
 from .enumeration import is_well_rounded, minimum, successive_minima
-from .errors import LatquotError, MinimumDrops, ParseError, ResourceExceeded
+from .errors import LatquotError, MinimumDrops, ResourceExceeded
 from .quality import qb
 from .sampling import perturbed
 from .verify import DEFAULT_SEED, SUITES, run_suite
@@ -316,7 +316,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(str(exc), file=sys.stderr)
         return USAGE
-    except (ParseError, LatquotError, ValueError) as exc:
+    except (LatquotError, ValueError) as exc:
         print(str(exc), file=sys.stderr)
         return USAGE
 

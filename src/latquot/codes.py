@@ -11,7 +11,6 @@ entry in column j.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -77,10 +76,6 @@ def _mask(row) -> int:
         if x:
             out |= 1 << j
     return out
-
-
-def _unmask(mask: int, n: int) -> tuple[int, ...]:
-    return tuple((mask >> j) & 1 for j in range(n))
 
 
 def _binary_words(masks) -> list[int]:

@@ -15,7 +15,7 @@ from importlib import resources
 from typing import Sequence
 
 from .codes import Code, min_weight_support
-from .core import GramLattice, dump_lattice_text
+from .core import GramLattice
 from .enumeration import minimum
 from .errors import (
     CodeTooLight,
@@ -297,8 +297,8 @@ def fixture_path(name: str):
 def fixture_inventory() -> dict[str, GramLattice]:
     """Every bundled fixture, keyed by file stem, built from scratch.
 
-    Used both to (re)generate the fixture files and to check in the test
-    suite that the shipped files match the constructors exactly.
+    The test suite checks that the shipped files match these
+    constructors exactly.
     """
     from .codes import c8, c9, c10, c11, g12
 
@@ -320,16 +320,6 @@ def fixture_inventory() -> dict[str, GramLattice]:
         stem = name.lower().replace("^", "").replace("+", "plus")
         inv[stem] = named(name).lattice
     return inv
-
-
-def write_fixtures(directory) -> list[str]:
-    """Write every inventory lattice to ``directory`` as .lat text."""
-    written = []
-    for stem, lattice in sorted(fixture_inventory().items()):
-        path = directory / f"{stem}.lat"
-        path.write_text(dump_lattice_text(lattice), encoding="utf-8")
-        written.append(stem)
-    return written
 
 
 def search_corpus(n: int) -> list[GramLattice]:

@@ -19,6 +19,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .core import GramLattice, InvariantReport, LatVec, determinant
 from .errors import ResourceExceeded
@@ -101,24 +102,14 @@ class _Context:
 
     @classmethod
     def build(cls, reduced: ReducedBasis) -> "_Context":
-        gram = reduced.gram.gram
-        n = len(gram)
-        scale = 1
-        for row in gram:
-            for x in row:
-                scale = math.lcm(scale, x.denominator)
-        a = [[int(x * scale) for x in row] for row in gram]
-        d = [1] * (n + 1)
-        lam = [[0] * n for _ in range(n)]
+        scale, a = _integral(reduced.gram.gram)
+        n = len(a)
+        d = [1]
+        lam: list[list[int]] = []
         for i in range(n):
-            for j in range(i + 1):
-                u = a[i][j]
-                for k in range(j):
-                    u = (d[k + 1] * u - lam[i][k] * lam[j][k]) // d[k]
-                if j < i:
-                    lam[i][j] = u
-                else:
-                    d[i + 1] = u
+            row = _pivot_row(a[i][:i + 1], d, lam)
+            d.append(row.pop())
+            lam.append(row)
         weight = 1
         for i in range(n):
             weight = math.lcm(weight, d[i] * d[i + 1])
@@ -130,6 +121,46 @@ class _Context:
             weight=weight,
             weights=tuple(weight // (d[i] * d[i + 1]) for i in range(n)),
         )
+
+
+def _integral(gram) -> tuple[int, list[list[int]]]:
+    """The least positive ``scale`` making ``scale * gram`` integral, and that matrix."""
+    scale = 1
+    for row in gram:
+        for x in row:
+            scale = math.lcm(scale, Fraction(x).denominator)
+    return scale, [[int(x * scale) for x in row] for row in gram]
+
+
+def _times(v, cols) -> list[int]:
+    """The inner products of ``v`` with each of ``cols``: ``v * a`` for a symmetric ``a``."""
+    return [sum(map(mul, v, col)) for col in cols]
+
+
+def _dot(u, v) -> int:
+    """The inner product of two integer vectors."""
+    return sum(map(mul, u, v))
+
+
+def _pivot_row(products, minors, lam) -> list[int]:
+    """One fraction-free Gram-Schmidt row (Cohen, GTM 138, Alg. 2.6.7).
+
+    The vectors before the new one have integral Gram matrix with
+    leading minors ``minors`` (``minors[0] == 1``, all positive) and
+    coefficient rows ``lam``.  ``products`` holds the new vector's inner
+    products with each of them, then its own norm.  Returns the new
+    coefficients ``lam[k][:k]`` followed by the next leading minor,
+    which is positive exactly when the new vector is independent of the
+    others.  Costs O(k^2) integer operations and no Gram matrix.
+    """
+    k = len(products) - 1
+    row: list[int] = []
+    for j, u in enumerate(products):
+        other = lam[j] if j < k else row
+        for i in range(j):
+            u = (minors[i + 1] * u - row[i] * other[i]) // minors[i]
+        row.append(u)
+    return row
 
 
 def _context(L: GramLattice) -> _Context:
@@ -239,25 +270,6 @@ def minimum(L: GramLattice, budget: int | None = None) -> tuple[Fraction, ShellL
     return best, ShellListing(bound=best, vectors=shell)
 
 
-def _rank_tracker(n: int):
-    """Incremental exact rank over the rationals; add(v) reports growth."""
-    echelon: list[list[Fraction]] = []
-
-    def add(v) -> bool:
-        row = [Fraction(x) for x in v]
-        for basis in echelon:
-            lead = next(i for i, x in enumerate(basis) if x)
-            if row[lead]:
-                f = row[lead] / basis[lead]
-                row = [a - f * b for a, b in zip(row, basis)]
-        if any(row):
-            echelon.append(row)
-            return True
-        return False
-
-    return add
-
-
 def successive_minima(L: GramLattice, budget: int | None = None) -> Frame:
     """A frame of the successive minima.
 
@@ -268,11 +280,16 @@ def successive_minima(L: GramLattice, budget: int | None = None) -> Frame:
     gram = _context(L).reduced.gram.gram
     start = max(gram[i][i] for i in range(L.n))
     pairs = _listing(L, start, budget)
-    add = _rank_tracker(L.n)
-    vectors = []
+    _, a = _integral(L.gram)
+    vectors: list[LatVec] = []
     norms = []
+    minors, lam = [1], []
     for value, v in pairs:
-        if add(v):
+        va = _times(v, a)
+        row = _pivot_row([_dot(va, w) for w in vectors] + [_dot(va, v)], minors, lam)
+        if row[-1] > 0:
+            minors.append(row.pop())
+            lam.append(row)
             vectors.append(v)
             norms.append(value)
             if len(vectors) == L.n:

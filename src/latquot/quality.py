@@ -7,6 +7,13 @@ is shorter than the incumbent product allows, so a single enumeration
 yields the complete candidate pool, and partial selections are pruned
 by product bounds and by primitivity (a vector family extends to a
 basis if and only if its span is a primitive sublattice).
+
+Primitivity is read off a unimodular completion carried down the tree
+(Cohen, GTM 138, Sec. 2.4): a unimodular W with the chosen prefix times
+W unit lower triangular.  A candidate v extends the prefix of k vectors
+to a primitive family exactly when coordinates k..n-1 of v * W have gcd
+1, and pushing it clears those coordinates with extended-gcd column
+operations, so no Smith form runs inside the tree.
 """
 
 from __future__ import annotations
@@ -14,12 +21,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 from typing import Sequence
 
 from .core import GramLattice, LatVec, Rational, determinant, norm
-from .enumeration import _context, _Counter, _listing, node_budget, successive_minima
+from .enumeration import _context, _Counter, _listing, _times, node_budget, successive_minima
 from .errors import NotGenerating, ResourceExceeded
-from .linalg import det_int, hnf_rows, is_primitive, smith_invariants
+from .linalg import det_int, hnf_rows, identity_rows, smith_invariants
+from .linalg import is_primitive  # noqa: F401  uncalled; perfbench's tracer wraps this name
 
 __all__ = ["QualityReport", "hermite_Hb", "qb", "qg_upper_bound"]
 
@@ -57,6 +66,40 @@ def _generates(vecs, n: int) -> bool:
     return False
 
 
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with g = gcd(a, b) >= 0 and a*x + b*y = g."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return (a, x0, y0) if a >= 0 else (-a, -x0, -y0)
+
+
+def _cleared(cols, tail):
+    """The completion columns one level down, after pushing a vector with ``tail``.
+
+    Extended-gcd column operations on columns k..n-1 of W fold the tail
+    into column k and leave zeros in the others.  The pushed vector then
+    reads (*, +-1, 0, ..., 0) in the new W, and since column k never
+    enters a later test only the columns k+1..n-1 are returned.  Each step
+    has determinant 1, so W stays unimodular.
+    """
+    acc, g = cols[0], tail[0]
+    out = []
+    for c, t in zip(cols[1:], tail[1:]):
+        if t:
+            h, x, y = _xgcd(g, t)
+            p, q = g // h, t // h
+            out.append(tuple(p * b - q * a for a, b in zip(acc, c)))
+            acc = tuple(x * a + y * b for a, b in zip(acc, c))
+            g = h
+        else:
+            out.append(c)
+    return out
+
+
 def _search(L: GramLattice, budget: int | None):
     """Branch-and-bound for the minimal basis norm product.
 
@@ -64,6 +107,11 @@ def _search(L: GramLattice, budget: int | None):
     The node budget applies separately to each enumeration phase and to
     the search tree itself; exhausting it anywhere downgrades the result
     to an uncertified upper bound instead of raising.
+
+    Each tree level holds the columns k..n-1 of the completion W of its
+    prefix.  A candidate costs n - k inner products and one gcd; only a
+    candidate that passes pays for the column operations of the next
+    level, and the columns of a level are dropped when it returns.
     """
     n = L.n
     allowance = node_budget() if budget is None else budget
@@ -98,7 +146,8 @@ def _search(L: GramLattice, budget: int | None):
         counter.spend()
         if total < n or not _generates(vecs, n):
             return
-        def descend(start: int, prod: Fraction):
+
+        def descend(start: int, prod: Fraction, cols):
             k = len(chosen)
             if k == n:
                 best["prod"] = prod
@@ -116,14 +165,16 @@ def _search(L: GramLattice, budget: int | None):
                 counter.spend()
                 if prod * window >= best["prod"]:
                     break
-                chosen.append(vecs[i])
-                if is_primitive(chosen):
-                    descend(i + 1, prod * norms[i])
-                chosen.pop()
+                v = vecs[i]
+                tail = _times(v, cols)
+                if gcd(*tail) == 1:
+                    chosen.append(v)
+                    descend(i + 1, prod * norms[i], _cleared(cols, tail))
+                    chosen.pop()
                 if i + need < total:
                     window = window * norms[i + need] / norms[i]
 
-        descend(0, Fraction(1))
+        descend(0, Fraction(1), identity_rows(n))
 
     # Iterative deepening: a poor initial incumbent would force one huge
     # enumeration, so grow the candidate bound geometrically and let each

@@ -8,10 +8,10 @@ version pins down the exact instance.
 
 from __future__ import annotations
 
-import math
 import random
 
 from .core import GramLattice
+from .enumeration import _integral
 from .errors import NotPositiveDefinite
 from .linalg import det_int, identity_rows, matmul, transpose
 from .watson import CosetVector
@@ -82,11 +82,7 @@ def perturbed(rand: random.Random, L: GramLattice, magnitude: int = 1) -> GramLa
     that lose positive definiteness are retried with the perturbation
     halved toward zero; the unperturbed copy is the final fallback.
     """
-    scale = 1
-    for row in L.gram:
-        for x in row:
-            scale = math.lcm(scale, x.denominator)
-    base = [[int(x * scale) for x in row] for row in L.gram]
+    _, base = _integral(L.gram)
     n = L.n
     for attempt in range(24):
         m = magnitude if attempt < 12 else 0

@@ -8,7 +8,10 @@ and condition that constrain the norms of coset vectors.
 
 The central search is ``maximal_index``: the largest quotient order over
 all frames of successive minima, found by branch and bound over the
-shells of minimal vectors.
+shells of minimal vectors.  The search runs in integers: the Gram matrix
+is cleared of denominators once, each tree node carries the fraction-free
+Gram-Schmidt pivots of its prefix (Cohen, GTM 138, Alg. 2.6.7), and a
+candidate costs one new pivot row instead of a fresh Gram determinant.
 """
 
 from __future__ import annotations
@@ -18,10 +21,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .codes import Code
-from .core import HERMITE_POWER, GramLattice, Surd, determinant, inner, qform
-from .enumeration import Frame, _Counter, _listing, node_budget, successive_minima
+from .core import HERMITE_POWER, GramLattice, Surd, determinant, qform
+from .enumeration import Frame, _Counter, _dot, _integral, _listing, _pivot_row, _times
+from .enumeration import node_budget, successive_minima
 from .errors import DependentFrame, RepsDoNotGenerate, ResourceExceeded
-from .linalg import det_int, det_rational, matmul, smith_invariants, smith_with_transforms
+from .linalg import det_int, smith_invariants, smith_with_transforms
+from .linalg import det_rational, matmul  # noqa: F401  uncalled; perfbench's tracer wraps these names
 
 
 @dataclass(frozen=True)
@@ -215,34 +220,38 @@ def watson_index_bound(n: int) -> Surd:
     return Surd(HERMITE_POWER[n])
 
 
-def _gram_of(L: GramLattice, rows) -> list[list[Fraction]]:
-    product = matmul(rows, matmul(L.gram, list(zip(*rows))))
-    return [[Fraction(x) for x in row] for row in product]
-
-
-def _orthogonal_seed(L: GramLattice, pools):
+def _orthogonal_seed(pools):
     """Best-effort frame preferring pairwise orthogonal vectors.
 
     A pairwise orthogonal frame attains the Hadamard bound, so seeding
-    the search with one collapses the tree immediately.  Returns None
-    when the greedy pass dead-ends.
+    the search with one collapses the tree immediately.  ``pools`` holds
+    (vector, vector times the cleared Gram matrix) pairs; a candidate is
+    kept only if its pivot is positive, and preferred when its integral
+    inner products with the vectors already chosen all vanish.  Returns
+    None when the greedy pass dead-ends.
     """
     chosen: list[tuple[int, ...]] = []
+    minors, lam = [1], []
     for pool in pools:
         fallback = None
         pick = None
-        for v in pool:
-            if det_rational(_gram_of(L, chosen + [v])) <= 0:
+        for v, va in pool:
+            products = [_dot(va, w) for w in chosen]
+            row = _pivot_row(products + [_dot(va, v)], minors, lam)
+            if row[-1] <= 0:
                 continue
             if fallback is None:
-                fallback = v
-            if all(inner(L, v, w) == 0 for w in chosen):
-                pick = v
+                fallback = (v, row)
+            if not any(products):
+                pick = (v, row)
                 break
         pick = pick if pick is not None else fallback
         if pick is None:
             return None
-        chosen.append(pick)
+        v, row = pick
+        chosen.append(v)
+        minors.append(row.pop())
+        lam.append(row)
     return tuple(chosen)
 
 
@@ -255,59 +264,86 @@ def maximal_index(L: GramLattice, budget: int | None = None) -> IndexReport:
     is abandoned when the Hadamard bound on its completions cannot beat
     the incumbent.  If the node budget runs out the incumbent is
     returned with ``exhaustive=False``.
+
+    The Gram matrix is cleared of denominators once, as ``scale * G``,
+    and every pool vector is multiplied into it once.  Each tree node
+    carries the integral leading minors and Gram-Schmidt coefficients of
+    its prefix, so a candidate costs its k inner products with the prefix
+    and one fraction-free pivot row: the Gram determinant of the prefix
+    plus the candidate is the new minor over ``scale**(k+1)``.  The prune
+    and the ranking compare that minor with an integer threshold that is
+    exactly equivalent to the rational Hadamard test.
     """
     counter = _Counter(node_budget() if budget is None else budget)
     base = successive_minima(L)
     lam = base.norms
+    n = L.n
     wanted = set(lam)
     pairs = _listing(L, lam[-1])
-    shells: dict[Fraction, list[tuple[int, ...]]] = {}
+    scale, a = _integral(L.gram)
+    shells: dict[Fraction, list[tuple[tuple[int, ...], list[int]]]] = {}
     for value, v in pairs:
         if value in wanted:
-            shells.setdefault(value, []).append(v)
+            shells.setdefault(value, []).append((v, _times(v, a)))
     pools = [shells[value] for value in lam]
 
-    # product of the minima still to be placed, for the Hadamard prune
-    tail = [Fraction(1)] * (L.n + 1)
-    for i in range(L.n - 1, -1, -1):
+    # A prefix of k + 1 vectors with Gram determinant minor / scale**(k+1)
+    # survives the Hadamard prune exactly when
+    #   minor * tail[k+1] > index**2 * det(L) * scale**(k+1),
+    # with tail[k+1] the product of the minima still to be placed, i.e.
+    # when minor exceeds the floor kept in limits[k].
+    tail = [Fraction(1)] * (n + 1)
+    for i in range(n - 1, -1, -1):
         tail[i] = tail[i + 1] * lam[i]
-
     det_l = determinant(L)
-    best = {"index": abs(det_int(base.vectors)), "rows": base.vectors}
-    seed = _orthogonal_seed(L, pools)
+    room = [det_l * scale ** (k + 1) / tail[k + 1] for k in range(n)]
+    limits: list[int] = []
+
+    best = {"index": 0, "rows": base.vectors}
+
+    def improve(index: int, rows) -> None:
+        best["index"] = index
+        best["rows"] = rows
+        limits[:] = [math.floor(index**2 * x) for x in room]
+
+    improve(abs(det_int(base.vectors)), base.vectors)
+    seed = _orthogonal_seed(pools)
     if seed is not None:
         seed_index = abs(det_int(seed))
         if seed_index > best["index"]:
-            best["index"] = seed_index
-            best["rows"] = seed
+            improve(seed_index, seed)
     chosen: list[tuple[int, ...]] = []
+    minors, coeffs = [1], []
 
     def descend(k: int, last: int):
-        if k == L.n:
+        if k == n:
             index = abs(det_int(chosen))
             if index > best["index"]:
-                best["index"] = index
-                best["rows"] = tuple(chosen)
+                improve(index, tuple(chosen))
             return
         pool = pools[k]
         start = last + 1 if k and lam[k] == lam[k - 1] else 0
+        limit = limits[k]
         ranked = []
         for j in range(start, len(pool)):
             counter.spend()
-            trial = chosen + [pool[j]]
-            d = det_rational(_gram_of(L, trial))
-            if d <= 0:
+            v, va = pool[j]
+            row = _pivot_row([_dot(va, w) for w in chosen] + [_dot(va, v)], minors, coeffs)
+            minor = row[-1]
+            if minor <= 0 or minor <= limit:
                 continue
-            if d * tail[k + 1] <= best["index"] ** 2 * det_l:
-                continue
-            ranked.append((-d, j))
+            ranked.append((-minor, j, row))
         ranked.sort()
-        for negd, j in ranked:
-            if -negd * tail[k + 1] <= best["index"] ** 2 * det_l:
+        for negminor, j, row in ranked:
+            if -negminor <= limits[k]:
                 break
-            chosen.append(pool[j])
+            chosen.append(pool[j][0])
+            minors.append(-negminor)
+            coeffs.append(row[:-1])
             descend(k + 1, j)
             chosen.pop()
+            minors.pop()
+            coeffs.pop()
 
     exhaustive = True
     try:

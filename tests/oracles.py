@@ -1,7 +1,8 @@
 """Independent brute force reference implementations.
 
 Everything here recomputes package results along a different code path:
-vector listings by coordinate boxes, Smith invariants by minor gcds,
+ranks and inverses by Gaussian elimination over Q, vector listings by
+coordinate boxes, Smith invariants by minor gcds,
 basis search by testing every candidate subset, LLL by recomputing the
 Gram-Schmidt data from scratch after every swap.  Slow on purpose; the
 tests only feed these small instances.
@@ -11,8 +12,56 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import floor, gcd, isqrt
 
-from latquot.linalg import det_int, inverse_rational, rank_rational
+from latquot.linalg import det_int
 from latquot.core import qform
+
+
+def rank_rational(rows) -> int:
+    m = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    cols = len(m[0]) if m else 0
+    for col in range(cols):
+        pivot = None
+        for i in range(rank, len(m)):
+            if m[i][col]:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = 1 / m[rank][col]
+        for i in range(rank + 1, len(m)):
+            f = m[i][col] * inv
+            if f:
+                for j in range(col, cols):
+                    m[i][j] -= f * m[rank][j]
+        rank += 1
+        if rank == len(m):
+            break
+    return rank
+
+
+def inverse_rational(rows):
+    """Inverse of a square rational matrix; raises ZeroDivisionError if singular."""
+    n = len(rows)
+    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(rows)]
+    for col in range(n):
+        pivot = None
+        for i in range(col, n):
+            if m[i][col]:
+                pivot = i
+                break
+        if pivot is None:
+            raise ZeroDivisionError("matrix is singular")
+        m[col], m[pivot] = m[pivot], m[col]
+        inv = 1 / m[col][col]
+        m[col] = [x * inv for x in m[col]]
+        for i in range(n):
+            if i != col and m[i][col]:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[col])]
+    return [row[n:] for row in m]
 
 
 def _ceil_sqrt(x: Fraction) -> int:

@@ -19,11 +19,10 @@ from latquot.enumeration import (
     vectors_up_to,
 )
 from latquot.errors import ResourceExceeded
-from latquot.linalg import rank_rational
 from latquot.quality import qb
 from latquot.sampling import random_gram
 from latquot.watson import maximal_index
-from oracles import box_vectors, brute_minima, brute_minimum
+from oracles import box_vectors, brute_minima, brute_minimum, rank_rational
 
 
 def test_listings_match_the_box_oracle():

@@ -11,15 +11,13 @@ from latquot.linalg import (
     det_rational,
     hnf_rows,
     identity_rows,
-    inverse_rational,
     is_primitive,
     matmul,
-    rank_rational,
     smith_invariants,
     smith_with_transforms,
     transpose,
 )
-from oracles import minor_gcd_invariants
+from oracles import inverse_rational, minor_gcd_invariants, rank_rational
 
 small_matrix = st.integers(2, 4).flatmap(
     lambda n: st.lists(

@@ -2,17 +2,18 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from latquot.construct import centred_cubic, code_lift, named, zn
-from latquot.codes import c8
+from latquot.construct import centred_cubic, code_lift, named, search_corpus, zn
+from latquot.codes import c8, c9, c10
 from latquot.core import determinant, norm
-from latquot.enumeration import minimum
+from latquot.enumeration import _times, minimum, successive_minima, vectors_up_to
 from latquot.errors import NotGenerating
-from latquot.linalg import det_int
-from latquot.quality import hermite_Hb, qb, qg_upper_bound
-from latquot.sampling import random_gram
+from latquot.linalg import det_int, identity_rows, is_primitive
+from latquot.quality import _cleared, hermite_Hb, qb, qg_upper_bound
+from latquot.sampling import perturbed, random_gram
 from oracles import brute_Hb_product
 
 
@@ -77,3 +78,62 @@ def test_generating_set_bound():
         qg_upper_bound(zn(3), [[(2, 0, 0), (0, 1, 0), (0, 0, 1)]])
     with pytest.raises(ValueError):
         qg_upper_bound(zn(3), [])
+
+
+def test_the_completion_agrees_with_the_smith_form_test():
+    # Random prefixes drawn from short-vector listings of perturbed corpus
+    # lattices.  Every candidate is judged by the maintained completion
+    # and by a fresh Smith form; besides listed vectors the candidates
+    # include dependent ones (a prefix member, a sum of two) and
+    # imprimitive ones (twice a vector, a member plus twice a vector).
+    rand = random.Random(83)
+    judged = {True: 0, False: 0}
+    for n in range(4, 9):
+        for base in search_corpus(n):
+            L = perturbed(rand, base)
+            listing = list(vectors_up_to(L, successive_minima(L).norms[-1]).vectors)
+            chosen, cols = [], identity_rows(n)
+            for _ in range(4 * n):
+                if len(chosen) == n:
+                    break
+                u = rand.choice(listing)
+                candidates = rand.sample(listing, min(6, len(listing)))
+                candidates.append(tuple(2 * x for x in u))
+                if chosen:
+                    w = rand.choice(chosen)
+                    candidates.append(w)
+                    candidates.append(tuple(x + 2 * y for x, y in zip(w, u)))
+                    candidates.append(tuple(x + y for x, y in zip(w, rand.choice(chosen))))
+                passing = []
+                for v in candidates:
+                    tail = _times(v, cols)
+                    primitive = gcd(*tail) == 1
+                    assert primitive == is_primitive(chosen + [v])
+                    judged[primitive] += 1
+                    if primitive:
+                        passing.append((v, tail))
+                if not passing:
+                    continue
+                v, tail = rand.choice(passing)
+                chosen.append(v)
+                cols = _cleared(cols, tail)
+                # the prefix vanishes on the columns that are left
+                assert all(_times(w, cols) == [0] * len(cols) for w in chosen)
+            if len(chosen) == n:
+                assert abs(det_int(chosen)) == 1
+    assert min(judged.values()) > 100
+
+
+def test_basis_search_node_totals_are_pinned(node_tally):
+    # Totals of every node qb spends, listings included, as the search
+    # counted them when it tested primitivity by a Smith form per node.
+    cases = (
+        (named("A74").lattice, 22572),
+        (code_lift(c9()), 2304),
+        (code_lift(c10()), 41008),
+        (centred_cubic(9), 7657),
+    )
+    for L, nodes in cases:
+        node_tally[0] = 0
+        assert qb(L).certified
+        assert node_tally[0] == nodes, L.label

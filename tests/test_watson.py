@@ -8,9 +8,9 @@ import pytest
 from latquot.codes import c9, weight_distribution
 from latquot.construct import centred_cubic, named, zd_lift, zn
 from latquot.core import GramLattice, Surd, determinant, inner
-from latquot.enumeration import minimum
+from latquot.enumeration import _dot, _integral, _pivot_row, _times, minimum
 from latquot.errors import DependentFrame
-from latquot.linalg import det_int, hnf_rows, identity_rows, inverse_rational
+from latquot.linalg import det_int, det_rational, hnf_rows, identity_rows
 from latquot.sampling import random_coset, random_gram
 from latquot.watson import (
     CosetVector,
@@ -23,6 +23,7 @@ from latquot.watson import (
     watson_identity,
     watson_index_bound,
 )
+from oracles import gram_schmidt, inverse_rational
 
 
 def frame_gram(L, rows):
@@ -186,3 +187,61 @@ def test_budget_exhaustion_downgrades_to_a_lower_bound():
     assert not report.exhaustive
     assert report.max_index >= 1
     assert report.witness_structure.index == report.max_index
+
+
+def test_pivot_rows_match_the_rational_gram_determinant():
+    # Frames of random vectors in random lattices, half of them scaled by
+    # a non-integral rational so that the Gram matrix must be cleared;
+    # every other frame ends in a dependent vector.
+    rand = random.Random(71)
+    for trial in range(40):
+        n = rand.randint(2, 6)
+        L = random_gram(rand, n)
+        if trial % 2:
+            L = L.scaled(Fraction(rand.randint(1, 9), rand.choice((2, 3, 7))) / 5)
+        scale, a = _integral(L.gram)
+        assert scale > 1 if trial % 2 else scale == 1
+        assert [[Fraction(x, scale) for x in row] for row in a] == [list(r) for r in L.gram]
+        rows = [tuple(rand.randint(-3, 3) for _ in range(n)) for _ in range(rand.randint(1, n))]
+        if trial % 4 < 2:
+            rows.append(tuple(x - 2 * y for x, y in zip(rows[0], rows[-1])))
+        minors, lam = [1], []
+        for k, v in enumerate(rows):
+            va = _times(v, a)
+            row = _pivot_row([_dot(va, w) for w in rows[:k]] + [_dot(va, v)], minors, lam)
+            gram = [[inner(L, u, w) for w in rows[:k + 1]] for u in rows[:k + 1]]
+            assert Fraction(row[-1], scale ** (k + 1)) == det_rational(gram)
+            if row[-1] <= 0:
+                break
+            _, mu = gram_schmidt(gram)
+            assert [Fraction(row[j], minors[j + 1]) for j in range(k)] == mu[k][:k]
+            minors.append(row.pop())
+            lam.append(row)
+
+
+def test_maximal_index_is_invariant_under_scaling():
+    for name, c in (("E7", Fraction(3, 7)), ("A74", Fraction(5, 2)), ("D6+", Fraction(1, 6))):
+        L = named(name).lattice
+        plain, scaled = maximal_index(L), maximal_index(L.scaled(c))
+        assert scaled.max_index == plain.max_index
+        assert scaled.witness_frame.vectors == plain.witness_frame.vectors
+        assert scaled.witness_frame.norms == tuple(c * x for x in plain.witness_frame.norms)
+        assert scaled.witness_structure == plain.witness_structure
+        assert scaled.exhaustive and plain.exhaustive
+
+
+def test_the_d6plus_and_a7_frame_searches_run_to_exhaustion():
+    d6plus = maximal_index(named("D6+").lattice)
+    assert (d6plus.max_index, d6plus.exhaustive) == (2, True)
+    a7 = maximal_index(named("A7").lattice)
+    assert (a7.max_index, a7.exhaustive) == (1, True)
+    assert a7.witness_structure.invariant_factors == ()
+
+
+def test_frame_search_node_totals_are_pinned(node_tally):
+    # Totals of every node the call spends, listings included, as the
+    # search counted them when it rebuilt each candidate's Gram matrix.
+    for name, nodes in (("E8", 856), ("A74", 3647), ("E7", 419), ("D6+", 7072)):
+        node_tally[0] = 0
+        assert maximal_index(named(name).lattice).exhaustive
+        assert node_tally[0] == nodes, name
