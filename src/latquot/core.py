@@ -41,26 +41,62 @@ def validate(matrix: Sequence[Sequence[Fraction | int]]) -> tuple[Fraction, ...]
     the offending position or leading minor as witness.
     """
     n = len(matrix)
-    rows = [[Fraction(x) for x in row] for row in matrix]
-    for row in rows:
+    for row in matrix:
         if len(row) != n:
             raise DimensionMismatch("matrix is not square")
     for i in range(n):
         for j in range(i + 1, n):
-            if rows[i][j] != rows[j][i]:
+            if matrix[i][j] != matrix[j][i]:
                 raise NotSymmetric(i, j)
-    pivots = []
-    for i in range(n):
-        p = rows[i][i]
-        if p <= 0:
+    scale, a = _integral(matrix)
+    minors, _ = _leading_minors(a)
+    return tuple(Fraction(minors[i + 1], minors[i] * scale) for i in range(n))
+
+
+def _integral(gram) -> tuple[int, list[list[int]]]:
+    """The least positive ``scale`` making ``scale * gram`` integral, and that matrix."""
+    scale = 1
+    for row in gram:
+        for x in row:
+            scale = math.lcm(scale, x.denominator)
+    return scale, [[x.numerator * (scale // x.denominator) for x in row] for row in gram]
+
+
+def _pivot_row(products, minors, lam) -> list[int]:
+    """One fraction-free Gram-Schmidt row (Cohen, GTM 138, Alg. 2.6.7).
+
+    The vectors before the new one have integral Gram matrix with
+    leading minors ``minors`` (``minors[0] == 1``, all positive) and
+    coefficient rows ``lam``.  ``products`` holds the new vector's inner
+    products with each of them, then its own norm.  Returns the new
+    coefficients ``lam[k][:k]`` followed by the next leading minor,
+    which is positive exactly when the new vector is independent of the
+    others.  Costs O(k^2) integer operations and no Gram matrix.
+    """
+    k = len(products) - 1
+    row: list[int] = []
+    for j, u in enumerate(products):
+        other = lam[j] if j < k else row
+        for i in range(j):
+            u = (minors[i + 1] * u - row[i] * other[i]) // minors[i]
+        row.append(u)
+    return row
+
+
+def _leading_minors(a) -> tuple[list[int], list[list[int]]]:
+    """Leading minors ``d`` (``d[0] == 1``) and ``lam[i][j] = d[j+1] * mu[i][j]``, j < i.
+
+    ``a`` is an integral Gram matrix and mu its Gram-Schmidt coefficients.
+    Raises ``NotPositiveDefinite`` at the first minor that is not positive.
+    """
+    minors, lam = [1], []
+    for i in range(len(a)):
+        row = _pivot_row(a[i][:i + 1], minors, lam)
+        if row[-1] <= 0:
             raise NotPositiveDefinite(i + 1)
-        pivots.append(p)
-        for j in range(i + 1, n):
-            f = rows[j][i] / p
-            if f:
-                for k in range(i, n):
-                    rows[j][k] -= f * rows[i][k]
-    return tuple(pivots)
+        minors.append(row.pop())
+        lam.append(row)
+    return minors, lam
 
 
 @dataclass(frozen=True)
@@ -141,10 +177,7 @@ def inner(L: GramLattice, u: Sequence[int], v: Sequence[int]) -> Fraction:
 
 def determinant(L: GramLattice) -> Fraction:
     """Determinant of the Gram matrix (square of the covolume)."""
-    out = Fraction(1)
-    for p in L._pivots:
-        out *= p
-    return out
+    return math.prod(L._pivots, start=Fraction(1))
 
 
 @dataclass(frozen=True)

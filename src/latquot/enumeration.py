@@ -1,13 +1,14 @@
 """Short-vector enumeration and the invariants built on it.
 
-Everything here is exact.  Each lattice is LLL-reduced once; the reduced
-Gram matrix, scaled to integers, is turned into integral Gram-Schmidt
-data (leading minors and the coefficients they clear), and both are kept
-on the lattice object for every later listing.  The Fincke-Pohst tree
-then runs in integer arithmetic alone: the centre at each level is an
-integer over a known minor, the weight of each level an integer over one
-common denominator, and the admissible interval comes from an integer
-square root, so no vector is ever lost to rounding.
+Everything here is exact.  Each lattice is LLL-reduced once, in
+integers; the reduction hands over the integral Gram-Schmidt data of the
+reduced Gram matrix scaled to integers (leading minors and the
+coefficients they clear), kept on the lattice object for every later
+listing.  The Fincke-Pohst tree then runs in integer arithmetic alone:
+the centre at each level is an integer over a known minor, the weight of
+each level an integer over one common denominator, and the admissible
+interval comes from an integer square root, so no vector is ever lost
+to rounding.
 
 A global node budget guards against runaway trees.  It can be overridden
 through the ``LATQUOT_NODE_BUDGET`` environment variable or per call.
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .core import GramLattice, InvariantReport, LatVec, determinant
+from .core import GramLattice, InvariantReport, LatVec, _integral, _pivot_row, determinant
 from .errors import ResourceExceeded
 from .reduction import ReducedBasis, lll
 
@@ -81,10 +82,9 @@ class _Counter:
 class _Context:
     """One reduction of a lattice and the integer data its listings share.
 
-    With ``A = scale * reduced Gram`` integral, ``minors[i]`` is the
-    i-th leading minor of ``A`` (``minors[0] == 1``) and ``lam[i][j] =
-    minors[j+1] * mu[i][j]`` for ``j < i`` are the integral Gram-Schmidt
-    coefficients (Cohen, GTM 138, Alg. 2.6.7).  A vector y then has
+    ``scale``, ``minors`` and ``lam`` are the reduction's (see
+    ``ReducedBasis``), and ``original`` is ``scale`` times the lattice's
+    own Gram matrix, integral as well.  A vector y then has
 
         weight * scale * y G y^T = sum_i weights[i] * T_i^2,
         T_i = minors[i+1] * y_i + sum_{j>i} lam[j][i] * y_j,
@@ -94,6 +94,7 @@ class _Context:
     """
 
     reduced: ReducedBasis
+    original: tuple[tuple[int, ...], ...]
     scale: int
     minors: tuple[int, ...]
     lam: tuple[tuple[int, ...], ...]
@@ -101,35 +102,19 @@ class _Context:
     weights: tuple[int, ...]
 
     @classmethod
-    def build(cls, reduced: ReducedBasis) -> "_Context":
-        scale, a = _integral(reduced.gram.gram)
-        n = len(a)
-        d = [1]
-        lam: list[list[int]] = []
-        for i in range(n):
-            row = _pivot_row(a[i][:i + 1], d, lam)
-            d.append(row.pop())
-            lam.append(row)
-        weight = 1
-        for i in range(n):
-            weight = math.lcm(weight, d[i] * d[i + 1])
+    def build(cls, lattice: GramLattice, reduced: ReducedBasis) -> "_Context":
+        d = reduced.minors
+        n = len(d) - 1
+        weight = math.lcm(*(d[i] * d[i + 1] for i in range(n)))
         return cls(
             reduced=reduced,
-            scale=scale,
-            minors=tuple(d),
-            lam=tuple(tuple(row) for row in lam),
+            original=tuple(tuple(row) for row in _integral(lattice.gram)[1]),
+            scale=reduced.scale,
+            minors=d,
+            lam=reduced.lam,
             weight=weight,
             weights=tuple(weight // (d[i] * d[i + 1]) for i in range(n)),
         )
-
-
-def _integral(gram) -> tuple[int, list[list[int]]]:
-    """The least positive ``scale`` making ``scale * gram`` integral, and that matrix."""
-    scale = 1
-    for row in gram:
-        for x in row:
-            scale = math.lcm(scale, Fraction(x).denominator)
-    return scale, [[int(x * scale) for x in row] for row in gram]
 
 
 def _times(v, cols) -> list[int]:
@@ -142,32 +127,11 @@ def _dot(u, v) -> int:
     return sum(map(mul, u, v))
 
 
-def _pivot_row(products, minors, lam) -> list[int]:
-    """One fraction-free Gram-Schmidt row (Cohen, GTM 138, Alg. 2.6.7).
-
-    The vectors before the new one have integral Gram matrix with
-    leading minors ``minors`` (``minors[0] == 1``, all positive) and
-    coefficient rows ``lam``.  ``products`` holds the new vector's inner
-    products with each of them, then its own norm.  Returns the new
-    coefficients ``lam[k][:k]`` followed by the next leading minor,
-    which is positive exactly when the new vector is independent of the
-    others.  Costs O(k^2) integer operations and no Gram matrix.
-    """
-    k = len(products) - 1
-    row: list[int] = []
-    for j, u in enumerate(products):
-        other = lam[j] if j < k else row
-        for i in range(j):
-            u = (minors[i + 1] * u - row[i] * other[i]) // minors[i]
-        row.append(u)
-    return row
-
-
 def _context(L: GramLattice) -> _Context:
     """The lattice's reduction context, reducing it on first use only."""
     ctx = L._context
     if ctx is None:
-        ctx = _Context.build(lll(L))
+        ctx = _Context.build(L, lll(L))
         object.__setattr__(L, "_context", ctx)
     return ctx
 
@@ -231,21 +195,24 @@ def _canonical_sign(v: tuple[int, ...]) -> tuple[int, ...]:
     return v
 
 
-def _listing(L: GramLattice, bound: Fraction,
-             budget: int | None = None) -> list[tuple[Fraction, LatVec]]:
-    """Sorted (norm, coords) pairs for nonzero vectors of norm <= bound."""
+def _listing(L: GramLattice, bound: Fraction, budget: int | None = None,
+             numerators: bool = False) -> list[tuple[Fraction | int, LatVec]]:
+    """Sorted (norm, coords) pairs for nonzero vectors of norm <= bound.
+
+    With ``numerators`` each norm is its integer numerator over ``weight * scale``.
+    """
     counter = _Counter(node_budget() if budget is None else budget)
     ctx = _context(L)
     pairs = _enumerate(ctx, Fraction(bound), counter)
     pairs.sort()
-    # in place, with one Fraction per distinct norm, to keep the
+    # in place, with one object per distinct norm, to keep the
     # memory of a long listing at one list
     denominator = ctx.weight * ctx.scale
-    norms: dict[int, Fraction] = {}
+    norms: dict[int, Fraction | int] = {}
     for i, (num, v) in enumerate(pairs):
         value = norms.get(num)
         if value is None:
-            value = norms[num] = Fraction(num, denominator)
+            value = norms[num] = num if numerators else Fraction(num, denominator)
         pairs[i] = (value, v)
     return pairs
 
@@ -277,15 +244,15 @@ def successive_minima(L: GramLattice, budget: int | None = None) -> Frame:
     smallest coordinate vector whose first nonzero coordinate is
     positive, so the output is deterministic.
     """
-    gram = _context(L).reduced.gram.gram
+    ctx = _context(L)
+    gram = ctx.reduced.gram.gram
     start = max(gram[i][i] for i in range(L.n))
     pairs = _listing(L, start, budget)
-    _, a = _integral(L.gram)
     vectors: list[LatVec] = []
     norms = []
     minors, lam = [1], []
     for value, v in pairs:
-        va = _times(v, a)
+        va = _times(v, ctx.original)
         row = _pivot_row([_dot(va, w) for w in vectors] + [_dot(va, v)], minors, lam)
         if row[-1] > 0:
             minors.append(row.pop())
@@ -300,10 +267,7 @@ def successive_minima(L: GramLattice, budget: int | None = None) -> Frame:
 def minkowski_M(L: GramLattice, budget: int | None = None) -> Fraction:
     """Product of the successive minima divided by the determinant."""
     frame = successive_minima(L, budget)
-    product = Fraction(1)
-    for value in frame.norms:
-        product *= value
-    return product / determinant(L)
+    return math.prod(frame.norms) / determinant(L)
 
 
 def is_well_rounded(L: GramLattice, budget: int | None = None) -> bool:

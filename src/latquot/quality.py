@@ -18,6 +18,7 @@ operations, so no Smith form runs inside the tree.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -108,27 +109,29 @@ def _search(L: GramLattice, budget: int | None):
     the search tree itself; exhausting it anywhere downgrades the result
     to an uncertified upper bound instead of raising.
 
-    Each tree level holds the columns k..n-1 of the completion W of its
-    prefix.  A candidate costs n - k inner products and one gcd; only a
-    candidate that passes pays for the column operations of the next
-    level, and the columns of a level are dropped when it returns.
+    The tree runs in integers: listed norms are numerators over the
+    context's ``D = weight * scale``, a product of k of them is kept over
+    D^k and the incumbent over D^n, and a Fraction is made only when a
+    basis is recorded.  Each tree level holds the columns k..n-1 of the
+    completion W of its prefix.  A candidate costs n - k inner products
+    and one gcd; only a candidate that passes pays for the column
+    operations of the next level, and the columns of a level are dropped
+    when it returns.
     """
     n = L.n
     allowance = node_budget() if budget is None else budget
-    reduced = _context(L).reduced
-    inc_prod = Fraction(1)
-    for i in range(n):
-        inc_prod *= reduced.gram.gram[i][i]
+    ctx = _context(L)
+    reduced = ctx.reduced
+    denominator = ctx.weight * ctx.scale
+    inc_prod = math.prod(reduced.gram.gram[i][i] for i in range(n))
 
-    best = {"prod": inc_prod, "rows": reduced.transform}
+    best = {"num": int(inc_prod * denominator**n), "prod": inc_prod, "rows": reduced.transform}
 
     try:
         base = successive_minima(L, allowance)
     except ResourceExceeded:
         return inc_prod, best["rows"], False, None, None
-    floor_prod = Fraction(1)
-    for lam in base.norms:
-        floor_prod *= lam
+    floor_prod = math.prod(base.norms)
     if inc_prod == floor_prod:
         return inc_prod, best["rows"], True, None, floor_prod
 
@@ -147,10 +150,11 @@ def _search(L: GramLattice, budget: int | None):
         if total < n or not _generates(vecs, n):
             return
 
-        def descend(start: int, prod: Fraction, cols):
+        def descend(start: int, prod: int, cols):
             k = len(chosen)
             if k == n:
-                best["prod"] = prod
+                best["num"] = prod
+                best["prod"] = Fraction(prod, denominator**n)
                 best["rows"] = tuple(chosen)
                 return
             need = n - k
@@ -158,12 +162,12 @@ def _search(L: GramLattice, budget: int | None):
             # next `need` norms.  Slide that window along instead of
             # storing cumulative products, whose bit size would grow
             # linearly along a long listing and swamp memory.
-            window = Fraction(1)
+            window = 1
             for x in norms[start:start + need]:
                 window *= x
             for i in range(start, total - need + 1):
                 counter.spend()
-                if prod * window >= best["prod"]:
+                if prod * window >= best["num"]:
                     break
                 v = vecs[i]
                 tail = _times(v, cols)
@@ -172,9 +176,9 @@ def _search(L: GramLattice, budget: int | None):
                     descend(i + 1, prod * norms[i], _cleared(cols, tail))
                     chosen.pop()
                 if i + need < total:
-                    window = window * norms[i + need] / norms[i]
+                    window = window * norms[i + need] // norms[i]
 
-        descend(0, Fraction(1), identity_rows(n))
+        descend(0, 1, identity_rows(n))
 
     # Iterative deepening: a poor initial incumbent would force one huge
     # enumeration, so grow the candidate bound geometrically and let each
@@ -188,7 +192,7 @@ def _search(L: GramLattice, budget: int | None):
     try:
         while True:
             use_bound = min(bound, best["prod"] / lam_head)
-            pairs = _listing(L, use_bound, allowance)
+            pairs = _listing(L, use_bound, allowance, numerators=True)
             run_pass(pairs, _Counter(allowance))
             if use_bound >= best["prod"] / lam_head:
                 return best["prod"], best["rows"], True, None, floor_prod
@@ -217,10 +221,7 @@ def qb(L: GramLattice, budget: int | None = None) -> QualityReport:
     """Assemble M, Hb and their ratio Qb into one report."""
     prod, rows, certified, frontier, floor_prod = _search(L, budget)
     if floor_prod is None:
-        base = successive_minima(L)
-        floor_prod = Fraction(1)
-        for lam in base.norms:
-            floor_prod *= lam
+        floor_prod = math.prod(successive_minima(L).norms)
     if not certified and frontier is None:
         # nothing was searched, but the i-th member of any sorted basis
         # has norm at least the i-th successive minimum

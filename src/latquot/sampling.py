@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import random
 
-from .core import GramLattice
-from .enumeration import _integral
+from .core import GramLattice, _integral
 from .errors import NotPositiveDefinite
 from .linalg import det_int, identity_rows, matmul, transpose
 from .watson import CosetVector

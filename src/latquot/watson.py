@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .codes import Code
-from .core import HERMITE_POWER, GramLattice, Surd, determinant, qform
-from .enumeration import Frame, _Counter, _dot, _integral, _listing, _pivot_row, _times
+from .core import HERMITE_POWER, GramLattice, Surd, _pivot_row, determinant, qform
+from .enumeration import Frame, _context, _Counter, _dot, _listing, _times
 from .enumeration import node_budget, successive_minima
 from .errors import DependentFrame, RepsDoNotGenerate, ResourceExceeded
 from .linalg import det_int, smith_invariants, smith_with_transforms
@@ -265,14 +265,15 @@ def maximal_index(L: GramLattice, budget: int | None = None) -> IndexReport:
     the incumbent.  If the node budget runs out the incumbent is
     returned with ``exhaustive=False``.
 
-    The Gram matrix is cleared of denominators once, as ``scale * G``,
-    and every pool vector is multiplied into it once.  Each tree node
-    carries the integral leading minors and Gram-Schmidt coefficients of
-    its prefix, so a candidate costs its k inner products with the prefix
-    and one fraction-free pivot row: the Gram determinant of the prefix
-    plus the candidate is the new minor over ``scale**(k+1)``.  The prune
-    and the ranking compare that minor with an integer threshold that is
-    exactly equivalent to the rational Hadamard test.
+    The lattice's context holds the Gram matrix cleared of denominators,
+    as ``scale * G``, and every pool vector is multiplied into it once.
+    Each tree node carries the integral leading minors and Gram-Schmidt
+    coefficients of its prefix, so a candidate costs its k inner products
+    with the prefix and one fraction-free pivot row: the Gram determinant
+    of the prefix plus the candidate is the new minor over
+    ``scale**(k+1)``.  The prune and the ranking compare that minor with
+    an integer threshold that is exactly equivalent to the rational
+    Hadamard test.
     """
     counter = _Counter(node_budget() if budget is None else budget)
     base = successive_minima(L)
@@ -280,11 +281,11 @@ def maximal_index(L: GramLattice, budget: int | None = None) -> IndexReport:
     n = L.n
     wanted = set(lam)
     pairs = _listing(L, lam[-1])
-    scale, a = _integral(L.gram)
+    ctx = _context(L)
     shells: dict[Fraction, list[tuple[tuple[int, ...], list[int]]]] = {}
     for value, v in pairs:
         if value in wanted:
-            shells.setdefault(value, []).append((v, _times(v, a)))
+            shells.setdefault(value, []).append((v, _times(v, ctx.original)))
     pools = [shells[value] for value in lam]
 
     # A prefix of k + 1 vectors with Gram determinant minor / scale**(k+1)
@@ -296,7 +297,7 @@ def maximal_index(L: GramLattice, budget: int | None = None) -> IndexReport:
     for i in range(n - 1, -1, -1):
         tail[i] = tail[i + 1] * lam[i]
     det_l = determinant(L)
-    room = [det_l * scale ** (k + 1) / tail[k + 1] for k in range(n)]
+    room = [det_l * ctx.scale ** (k + 1) / tail[k + 1] for k in range(n)]
     limits: list[int] = []
 
     best = {"index": 0, "rows": base.vectors}

@@ -1,5 +1,6 @@
 """Shell listings and successive minima against the box oracle."""
 
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -7,8 +8,8 @@ from fractions import Fraction
 import pytest
 
 from latquot import enumeration
-from latquot.construct import centred_cubic, named, zn
-from latquot.core import GramLattice, norm
+from latquot.construct import centred_cubic, fixture_inventory, named, search_corpus, zn
+from latquot.core import GramLattice, _integral, _pivot_row, norm
 from latquot.enumeration import (
     _context,
     invariant_report,
@@ -20,7 +21,7 @@ from latquot.enumeration import (
 )
 from latquot.errors import ResourceExceeded
 from latquot.quality import qb
-from latquot.sampling import random_gram
+from latquot.sampling import perturbed, random_gram
 from latquot.watson import maximal_index
 from oracles import box_vectors, brute_minima, brute_minimum, rank_rational
 
@@ -132,3 +133,27 @@ def test_each_lattice_is_reduced_once(monkeypatch):
     qb(L)
     maximal_index(L)
     assert calls == [L]
+
+
+def test_the_context_takes_its_data_from_the_reduction():
+    # The integral reduction hands its minors and coefficients to the
+    # enumeration context; rebuilding them from the reduced Gram matrix
+    # row by row must give the same data.
+    lattices = list(fixture_inventory().values())
+    rand = random.Random(24)
+    for n in range(5, 9):
+        corpus = search_corpus(n)
+        lattices += [perturbed(rand, corpus[t % len(corpus)]) for t in range(6)]
+    for L in lattices:
+        ctx = _context(L)
+        scale, a = _integral(ctx.reduced.gram.gram)
+        minors, lam = [1], []
+        for i in range(L.n):
+            row = _pivot_row(a[i][:i + 1], minors, lam)
+            minors.append(row.pop())
+            lam.append(tuple(row))
+        weight = math.lcm(*(minors[i] * minors[i + 1] for i in range(L.n)))
+        assert (ctx.scale, ctx.minors, ctx.lam) == (scale, tuple(minors), tuple(lam)), L.label
+        assert ctx.weight == weight
+        assert ctx.weights == tuple(weight // (minors[i] * minors[i + 1]) for i in range(L.n))
+        assert ctx.original == tuple(map(tuple, _integral(L.gram)[1]))

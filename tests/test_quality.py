@@ -137,3 +137,21 @@ def test_basis_search_node_totals_are_pinned(node_tally):
         node_tally[0] = 0
         assert qb(L).certified
         assert node_tally[0] == nodes, L.label
+
+
+def test_qb_is_invariant_under_scaling(node_tally):
+    # Scaling the form by a non-integral rational changes the common
+    # denominator of the listed norms, over which the basis search keeps
+    # its integer products, and nothing else.
+    rand = random.Random(89)
+    lattices = [named("A74").lattice, code_lift(c9()), centred_cubic(6)]
+    lattices += [perturbed(rand, search_corpus(n)[t]) for n in range(4, 9) for t in range(2)]
+    for L in lattices:
+        c = Fraction(rand.randint(1, 40), rand.choice((7, 11, 13)))
+        scaled = L.scaled(c if c.denominator > 1 else c / 17)
+        seen = []
+        for lattice in (L, scaled):
+            node_tally[0] = 0
+            r = qb(lattice)
+            seen.append((r.M, r.Hb, r.Qb, r.best_basis, r.certified, r.frontier, node_tally[0]))
+        assert seen[0] == seen[1], L.label

@@ -49,18 +49,35 @@ def test_lovasz_and_size_reduction_hold():
 
 
 def test_lll_matches_the_from_scratch_reference():
-    # The in-place swap update must take exactly the decisions of the
-    # reference, which recomputes Gram-Schmidt after every swap.
+    # The integral reduction must take exactly the decisions of the
+    # reference, which recomputes a Fraction Gram-Schmidt after every
+    # swap: on the fixtures and perturbed corpus lattices, on copies
+    # scaled by a non-integral rational (so that denominators are
+    # cleared), at other reduction parameters, and on exact half-ties.
     lattices = list(fixture_inventory().values())
     rand = random.Random(15)
     for n in (6, 7, 8):
         corpus = search_corpus(n)
         lattices += [perturbed(rand, corpus[t % len(corpus)]) for t in range(8)]
+    scaled = []
     for L in lattices:
-        red = lll(L)
-        gram, transform = reference_lll(L.gram)
-        assert [list(r) for r in red.transform] == transform, L.label
-        assert [list(r) for r in red.gram.gram] == gram, L.label
+        c = Fraction(rand.randint(1, 40), rand.choice((7, 11, 13)))
+        scaled.append(L.scaled(c if c.denominator > 1 else c / 17))
+    ties = [GramLattice.from_rows(rows) for rows in (
+        [[2, 1], [1, 2]], [[2, -1], [-1, 2]], [[2, 1, 1], [1, 2, 1], [1, 1, 2]],
+        [[4, 2, -2], [2, 4, 1], [-2, 1, 4]])]
+    cases = [(L, Fraction(99, 100)) for L in lattices + scaled + ties]
+    for delta in (Fraction(51, 100), Fraction(3, 4), Fraction(999, 1000)):
+        cases += [(L, delta) for L in lattices[::2] + scaled[1::2] + ties]
+    for L, delta in cases:
+        red = lll(L, delta)
+        gram, transform = reference_lll(L.gram, delta)
+        assert [list(r) for r in red.transform] == transform, (L.label, delta)
+        assert [list(r) for r in red.gram.gram] == gram, (L.label, delta)
+    assert all(lll(L).scale > 1 for L in scaled)
+    # mu = 1/2 rounds up, mu = -1/2 stays
+    assert lll(ties[0]).transform == ((1, 0), (-1, 1))
+    assert lll(ties[1]).transform == ((1, 0), (0, 1))
 
 
 def test_first_vector_obeys_the_lll_quality_bound():

@@ -7,8 +7,8 @@ import pytest
 
 from latquot.codes import c9, weight_distribution
 from latquot.construct import centred_cubic, named, zd_lift, zn
-from latquot.core import GramLattice, Surd, determinant, inner
-from latquot.enumeration import _dot, _integral, _pivot_row, _times, minimum
+from latquot.core import GramLattice, Surd, _integral, _pivot_row, determinant, inner
+from latquot.enumeration import _dot, _times, minimum
 from latquot.errors import DependentFrame
 from latquot.linalg import det_int, det_rational, hnf_rows, identity_rows
 from latquot.sampling import random_coset, random_gram
