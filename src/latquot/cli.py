@@ -26,7 +26,7 @@ from .codes import (
     weight_distribution,
 )
 from .construct import search_corpus, zd_lift
-from .core import GramLattice, determinant, format_rational, load_lattice
+from .core import determinant, format_rational, load_lattice
 from .enumeration import is_well_rounded, minimum, successive_minima
 from .errors import LatquotError, MinimumDrops, ResourceExceeded
 from .quality import qb
@@ -35,10 +35,6 @@ from .verify import DEFAULT_SEED, SUITES, run_suite
 from .watson import CosetVector, maximal_index, watson_condition, watson_identity
 
 PASS, FAIL, USAGE, BUDGET = 0, 1, 2, 3
-
-
-def _load(path: str) -> GramLattice:
-    return load_lattice(path)
 
 
 def _emit(data, as_json: bool, lines) -> None:
@@ -50,7 +46,7 @@ def _emit(data, as_json: bool, lines) -> None:
 
 
 def cmd_info(args) -> int:
-    lattice = _load(args.file)
+    lattice = load_lattice(args.file)
     frame = successive_minima(lattice, args.budget)
     report = qb(lattice, args.budget)
     idx = maximal_index(lattice, args.budget)
@@ -208,7 +204,7 @@ def _parse_coset(text: str) -> CosetVector:
 
 
 def cmd_watson(args) -> int:
-    lattice = _load(args.file)
+    lattice = load_lattice(args.file)
     coset = _parse_coset(args.coset)
     if coset.n != lattice.n:
         print(f"coset has {coset.n} coefficients for a rank "
@@ -313,10 +309,7 @@ def main(argv=None) -> int:
     except ResourceExceeded as exc:
         print(str(exc), file=sys.stderr)
         return BUDGET
-    except FileNotFoundError as exc:
-        print(str(exc), file=sys.stderr)
-        return USAGE
-    except (LatquotError, ValueError) as exc:
+    except (FileNotFoundError, LatquotError, ValueError) as exc:
         print(str(exc), file=sys.stderr)
         return USAGE
 

@@ -16,6 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 
+from .enumeration import _Counter, node_budget
 from .errors import CodeTooLight, ParseError, ResourceExceeded
 from .linalg import smith_invariants
 
@@ -135,32 +136,47 @@ def min_weight_support(c: Code) -> tuple[int, int, bool]:
     return w, size, size == c.n
 
 
+def _rref2(masks) -> tuple[list[int], list[int]]:
+    """Reduced row echelon form over GF(2) of rows given as bit masks.
+
+    Returns the pivot columns in ascending order and the nonzero reduced
+    rows, the row with pivot ``pivots[i]`` at position i; the number of
+    pivots is the rank.
+    """
+    rows = list(masks)
+    pivots: list[int] = []
+    for col in range(max(rows, default=0).bit_length()):
+        bit = 1 << col
+        top = len(pivots)
+        found = next((i for i in range(top, len(rows)) if rows[i] & bit), None)
+        if found is None:
+            continue
+        rows[top], rows[found] = rows[found], rows[top]
+        for i in range(len(rows)):
+            if i != top and rows[i] & bit:
+                rows[i] ^= rows[top]
+        pivots.append(col)
+    return pivots, rows[:len(pivots)]
+
+
 @lru_cache(maxsize=None)
 def _gl2(k: int) -> tuple[tuple[int, ...], ...]:
-    """All invertible k x k binary matrices, as tuples of row masks."""
-    out = []
-    for rows in product(range(1, 1 << k), repeat=k):
-        seen = list(rows)
-        rank = 0
-        for col in range(k):
-            pivot = next((i for i in range(rank, k) if seen[i] >> col & 1), None)
-            if pivot is None:
-                continue
-            seen[rank], seen[pivot] = seen[pivot], seen[rank]
-            for i in range(k):
-                if i != rank and seen[i] >> col & 1:
-                    seen[i] ^= seen[rank]
-            rank += 1
-        if rank == k:
-            out.append(rows)
-    return tuple(out)
+    """GL(k, 2), each matrix given by its action on columns in F_2^k.
+
+    Entry v of a table is the image of the column v, bit i of the image
+    being the parity of row i of the matrix against v.
+    """
+    return tuple(
+        tuple(sum(((row & v).bit_count() & 1) << i for i, row in enumerate(rows))
+              for v in range(1 << k))
+        for rows in product(range(1, 1 << k), repeat=k)
+        if len(_rref2(rows)[0]) == k
+    )
 
 
-def _column_signature(cols, transform) -> tuple[int, ...]:
-    return tuple(sorted(
-        sum(((row & col).bit_count() & 1) << i for i, row in enumerate(transform))
-        for col in cols
-    ))
+def _orbit(cols, k: int) -> set[tuple[int, ...]]:
+    """The GL(k, 2) orbit of a column multiset, as sorted tuples."""
+    return {tuple(sorted(t[c] for c in cols)) for t in _gl2(k)}
 
 
 def canonical_form(c: Code) -> tuple[int, ...]:
@@ -174,7 +190,7 @@ def canonical_form(c: Code) -> tuple[int, ...]:
     if c.d != 2:
         raise ValueError("canonical forms are defined for binary codes only")
     cols = [sum(c.gen[i][j] << i for i in range(c.k)) for j in range(c.n)]
-    return min(_column_signature(cols, t) for t in _gl2(c.k))
+    return min(_orbit(cols, c.k))
 
 
 def equivalent(a: Code, b: Code) -> bool:
@@ -196,62 +212,43 @@ def classify_binary(n: int, k: int, min_w: int,
     """All binary [n, k] codes with full support and weight >= min_w.
 
     One representative per column-permutation class, each presented by
-    its canonical column multiset.  Enumeration runs over generator
-    matrices in reduced row echelon form, which visits every code
-    exactly once.
+    its canonical column multiset, in ascending order of that multiset.
+    Such a code is a multiset of n nonzero columns in F_2^k, up to
+    GL(k, 2) (Slepian, BSTJ 35, 1956), so the walk runs over the
+    non-decreasing column sequences.  A branch is cut as soon as some
+    nonzero functional, whose weight is that of a codeword, can no
+    longer reach ``max(min_w, 1)`` with the columns left; weight 1 for
+    every functional is exactly rank k.  The first member of each orbit
+    the walk completes marks the whole orbit as seen.  The budget counts
+    the nodes of the walk, the pruned ones included.
     """
     if n > 12 or k > 4:
         raise ValueError("classification supported for n <= 12, k <= 4")
-    from .enumeration import node_budget
-
-    limit = node_budget() if budget is None else budget
-    pivot_sets = list(combinations(range(n), k))
-    total = 0
-    plans = []
-    for pivots in pivot_sets:
-        pivot_mask = 0
-        for p in pivots:
-            pivot_mask |= 1 << p
-        free = [
-            [j for j in range(p + 1, n) if not (pivot_mask >> j) & 1]
-            for p in pivots
-        ]
-        count = 1 << sum(len(f) for f in free)
-        total += count
-        plans.append((pivots, free, count))
-    if total > limit:
-        raise ResourceExceeded(total, limit)
-
-    full = (1 << n) - 1
+    counter = _Counter(node_budget() if budget is None else budget)
+    target = max(min_w, 1)
+    parities = [[(f & v).bit_count() & 1 for f in range(1, 1 << k)]
+                for v in range(1 << k)]
+    cols: list[int] = []
     seen: set[tuple[int, ...]] = set()
-    for pivots, free, count in plans:
-        base = [1 << p for p in pivots]
-        widths = [len(f) for f in free]
-        for packed in range(count):
-            rows = []
-            shift = 0
-            for i in range(k):
-                row = base[i]
-                bits = (packed >> shift) & ((1 << widths[i]) - 1)
-                for t, col in enumerate(free[i]):
-                    if (bits >> t) & 1:
-                        row |= 1 << col
-                rows.append(row)
-                shift += widths[i]
-            support = 0
-            for row in rows:
-                support |= row
-            if support != full:
-                continue
-            if min(w.bit_count() for w in _binary_words(rows)) < min_w:
-                continue
-            cols = [
-                sum(((rows[i] >> j) & 1) << i for i in range(k))
-                for j in range(n)
-            ]
-            sig = min(_column_signature(cols, t) for t in _gl2(k))
-            seen.add(sig)
-    return [_code_from_signature(sig, n, k) for sig in sorted(seen)]
+    found: list[tuple[int, ...]] = []
+
+    def walk(weights: list[int]) -> None:
+        counter.spend()
+        if min(weights) + n - len(cols) < target:
+            return
+        if len(cols) == n:
+            if tuple(cols) not in seen:
+                orbit = _orbit(cols, k)
+                seen.update(orbit)
+                found.append(min(orbit))
+            return
+        for v in range(cols[-1] if cols else 1, 1 << k):
+            cols.append(v)
+            walk([w + p for w, p in zip(weights, parities[v])])
+            cols.pop()
+
+    walk([0] * ((1 << k) - 1))
+    return [_code_from_signature(sig, n, k) for sig in sorted(found)]
 
 
 def code_qb_bound(c: Code) -> Fraction:
@@ -264,20 +261,7 @@ def code_qb_bound(c: Code) -> Fraction:
         raise CodeTooLight("minimum weight below 4")
     best = None
     for combo in combinations(words, c.k):
-        rows = list(combo)
-        rank = 0
-        for col in range(c.n):
-            pivot = next(
-                (i for i in range(rank, c.k) if rows[i] >> col & 1), None
-            )
-            if pivot is None:
-                continue
-            rows[rank], rows[pivot] = rows[pivot], rows[rank]
-            for i in range(c.k):
-                if i != rank and rows[i] >> col & 1:
-                    rows[i] ^= rows[rank]
-            rank += 1
-        if rank < c.k:
+        if len(_rref2(combo)[0]) < c.k:
             continue
         p = 1
         for w in combo:

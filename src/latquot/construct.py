@@ -14,7 +14,7 @@ from fractions import Fraction
 from importlib import resources
 from typing import Sequence
 
-from .codes import Code, min_weight_support
+from .codes import Code, _rref2, min_weight_support
 from .core import GramLattice
 from .enumeration import minimum
 from .errors import (
@@ -64,24 +64,6 @@ def centred_cubic(n: int) -> GramLattice:
     return GramLattice.from_rows(gram, label=f"C{n}")
 
 
-def _rref2(rows: Sequence[Sequence[int]], n: int) -> tuple[list[int], list[list[int]]]:
-    """Reduced row echelon form over GF(2); returns (pivot columns, rows)."""
-    work = [[x & 1 for x in r] for r in rows]
-    pivots: list[int] = []
-    top = 0
-    for col in range(n):
-        for i in range(top, len(work)):
-            if work[i][col]:
-                work[top], work[i] = work[i], work[top]
-                for j in range(len(work)):
-                    if j != top and work[j][col]:
-                        work[j] = [a ^ b for a, b in zip(work[j], work[top])]
-                pivots.append(col)
-                top += 1
-                break
-    return pivots, work[:top]
-
-
 def code_lift(c: Code) -> GramLattice:
     """The lift of a binary code C: the lattice generated by Z^n and C/2.
 
@@ -96,7 +78,7 @@ def code_lift(c: Code) -> GramLattice:
     w, _, _ = min_weight_support(c)
     if w < 4:
         raise CodeTooLight(f"minimum weight {w} < 4 lifts below the unit sphere")
-    pivots, rows = _rref2(c.gen, c.n)
+    pivots, rows = _rref2(c.masks())
     free = [j for j in range(c.n) if j not in pivots]
     m = len(free)
     size = m + len(rows)
@@ -104,10 +86,10 @@ def code_lift(c: Code) -> GramLattice:
     for a in range(m):
         gram[a][a] = Fraction(1)
         for i, r in enumerate(rows):
-            gram[a][m + i] = gram[m + i][a] = Fraction(r[free[a]], 2)
+            gram[a][m + i] = gram[m + i][a] = Fraction(r >> free[a] & 1, 2)
     for i, r in enumerate(rows):
         for j, s in enumerate(rows):
-            gram[m + i][m + j] = Fraction(sum(x * y for x, y in zip(r, s)), 4)
+            gram[m + i][m + j] = Fraction((r & s).bit_count(), 4)
     return GramLattice.from_rows(gram, label=f"lift [{c.n},{c.k}]")
 
 

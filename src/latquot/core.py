@@ -310,10 +310,7 @@ def parse_lattice_text(text: str) -> GramLattice:
             label = line[1:].strip() or None
         else:
             raise ParseError(extra + 1, f"unexpected trailing content {line!r}")
-    try:
-        return GramLattice(n, tuple(rows), label)
-    except (NotSymmetric, NotPositiveDefinite, DimensionMismatch):
-        raise
+    return GramLattice(n, tuple(rows), label)
 
 
 def dump_lattice_text(L: GramLattice) -> str:

@@ -4,11 +4,13 @@ Everything here recomputes package results along a different code path:
 ranks and inverses by Gaussian elimination over Q, vector listings by
 coordinate boxes, Smith invariants by minor gcds,
 basis search by testing every candidate subset, LLL by recomputing the
-Gram-Schmidt data from scratch after every swap.  Slow on purpose; the
+Gram-Schmidt data from scratch after every swap, binary code classes by
+walking every generator matrix in echelon form.  Slow on purpose; the
 tests only feed these small instances.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 from math import floor, gcd, isqrt
 
@@ -248,3 +250,72 @@ def reference_lll(gram, delta=Fraction(99, 100)):
             b, mu = gram_schmidt(g)
             k = max(k - 1, 1)
     return [list(row) for row in g], [list(row) for row in r]
+
+
+def _gf2_rank(rows) -> int:
+    rows, rank = list(rows), 0
+    while rows:
+        pivot = rows.pop()
+        if pivot:
+            rank += 1
+            low = pivot & -pivot
+            rows = [r ^ pivot if r & low else r for r in rows]
+    return rank
+
+
+@lru_cache(maxsize=None)
+def _echelon_classes(n, k):
+    """Least column multiset and minimum weight of every full-support
+    binary [n, k] code, one entry per generator matrix in reduced row
+    echelon form; each orbit is computed once and cached by its members.
+    """
+    transforms = [rows for rows in product(range(1, 1 << k), repeat=k)
+                  if _gf2_rank(rows) == k]
+    least = {}
+    out = []
+    full = (1 << n) - 1
+    for pivots in combinations(range(n), k):
+        free = [[j for j in range(p + 1, n) if j not in pivots] for p in pivots]
+        for bits in product(*(product((0, 1), repeat=len(f)) for f in free)):
+            rows = [
+                (1 << p) | sum(b << j for b, j in zip(row_bits, f))
+                for p, f, row_bits in zip(pivots, free, bits)
+            ]
+            support = 0
+            for row in rows:
+                support |= row
+            if support != full:
+                continue
+            words = {0}
+            for row in rows:
+                words |= {w ^ row for w in words}
+            cols = tuple(sorted(
+                sum((rows[i] >> j & 1) << i for i in range(k)) for j in range(n)
+            ))
+            if cols not in least:
+                orbit = {
+                    tuple(sorted(
+                        sum(((row & col).bit_count() & 1) << i for i, row in enumerate(t))
+                        for col in cols
+                    ))
+                    for t in transforms
+                }
+                least.update(dict.fromkeys(orbit, min(orbit)))
+            out.append((min(w.bit_count() for w in words if w), least[cols]))
+    return out
+
+
+def reference_classify_binary(n, k, min_w):
+    """Full-support binary [n, k] codes of weight >= min_w, one per class.
+
+    Walks every generator matrix in reduced row echelon form, which
+    visits every code exactly once, and presents each class by its least
+    sorted column multiset over GL(k, 2), in ascending order.
+    """
+    from latquot.codes import Code
+
+    classes = sorted({sig for w, sig in _echelon_classes(n, k) if w >= min_w})
+    return [
+        Code(d=2, n=n, k=k, gen=tuple(tuple(c >> i & 1 for c in sig) for i in range(k)))
+        for sig in classes
+    ]

@@ -24,6 +24,7 @@ from latquot.codes import (
     weight_distribution,
 )
 from latquot.errors import CodeTooLight, ParseError, ResourceExceeded
+from oracles import reference_classify_binary
 
 
 def test_code_validation():
@@ -137,8 +138,30 @@ def test_classification_counts_and_distributions():
             assert min_weight_support(rep)[2]
 
 
+def test_classification_matches_the_echelon_reference():
+    grid = [(n, k, w) for k in (1, 2, 3) for n in range(k, 9) for w in range(n + 1)]
+    grid += [(9, 2, 5), (10, 2, 5), (8, 3, 4), (6, 4, 2)]
+    assert any(w == 0 for _, _, w in grid)
+    for n, k, w in grid:
+        assert classify_binary(n, k, w) == reference_classify_binary(n, k, w), (n, k, w)
+
+
+def test_the_paper_long_codes_are_the_only_classes():
+    (eleven,) = classify_binary(11, 3, 6)
+    assert equivalent(eleven, c11())
+    (twelve,) = classify_binary(12, 4, 6)
+    assert equivalent(twelve, g12())
+
+
+def test_classification_node_totals_are_pinned(node_tally):
+    for args, nodes in (((10, 2, 5), 202), ((9, 3, 4), 5179)):
+        node_tally[0] = 0
+        classify_binary(*args)
+        assert node_tally[0] == nodes, args
+
+
 def test_classification_respects_the_budget():
-    with pytest.raises(ResourceExceeded):
+    with pytest.raises(ResourceExceeded, match=r"\(11 > 10\)"):
         classify_binary(10, 2, 5, budget=10)
     with pytest.raises(ValueError):
         classify_binary(13, 2, 5)
