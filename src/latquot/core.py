@@ -106,6 +106,8 @@ class GramLattice:
     n: int
     gram: Matrix
     label: str | None = None
+    # The pivots of ``validate``.  Computed on construction unless the
+    # caller already holds them exactly (``reduction.lll`` does).
     _pivots: tuple[Fraction, ...] = field(
         default=(), repr=False, compare=False, hash=False
     )
@@ -116,15 +118,17 @@ class GramLattice:
     )
 
     def __post_init__(self):
-        gram = tuple(tuple(Fraction(x) for x in row) for row in self.gram)
+        gram = tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in row)
+                     for row in self.gram)
         if self.n != len(gram):
             raise DimensionMismatch("declared rank does not match matrix size")
         object.__setattr__(self, "gram", gram)
-        object.__setattr__(self, "_pivots", validate(gram))
+        if not self._pivots:
+            object.__setattr__(self, "_pivots", validate(gram))
 
     @classmethod
     def from_rows(cls, rows, label: str | None = None) -> "GramLattice":
-        return cls(len(rows), tuple(tuple(Fraction(x) for x in r) for r in rows), label)
+        return cls(len(rows), rows, label)
 
     def scaled(self, c: Fraction | int) -> "GramLattice":
         """The same lattice with the quadratic form multiplied by ``c > 0``."""

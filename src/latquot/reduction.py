@@ -93,9 +93,10 @@ def lll(lattice: GramLattice, delta: Fraction = DELTA) -> ReducedBasis:
         k = max(k - 1, 1)
 
     gram = tuple(tuple(Fraction(x, scale) for x in row) for row in g)
+    pivots = tuple(Fraction(d[i + 1], d[i] * scale) for i in range(n))
     label = f"{lattice.label} (reduced)" if lattice.label else ""
     return ReducedBasis(
-        gram=GramLattice(n=n, gram=gram, label=label),
+        gram=GramLattice(n=n, gram=gram, label=label, _pivots=pivots),
         transform=tuple(tuple(row) for row in r),
         scale=scale,
         minors=tuple(d),

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 
-from .core import GramLattice, _integral
+from .core import GramLattice, _integral, _leading_minors
 from .errors import NotPositiveDefinite
 from .linalg import det_int, identity_rows, matmul, transpose
 from .watson import CosetVector
@@ -40,19 +40,34 @@ def random_gram(rand: random.Random, n: int, spread: int = 3) -> GramLattice:
     return GramLattice.from_rows(gram, label=f"random{n}")
 
 
-def random_unimodular(rand: random.Random, n: int, steps: int = 12) -> list[list[int]]:
-    """A random determinant +-1 matrix built from elementary row moves."""
-    u = identity_rows(n)
+def _moves(rand: random.Random, n: int, steps: int = 12) -> list[tuple[int, int, int, bool]]:
+    """The elementary moves ``(i, j, c, swap)`` of one random unimodular matrix.
+
+    Move ``(i, j, c, swap)`` adds ``c`` times row ``j`` to row ``i``, then
+    exchanges the two rows if ``swap``.  Rank 1 draws nothing.
+    """
     if n == 1:
-        return u
+        return []
+    moves = []
     for _ in range(steps):
         i, j = rand.sample(range(n), 2)
         c = rand.choice((-2, -1, 1, 2))
-        for col in range(n):
-            u[i][col] += c * u[j][col]
-        if rand.random() < 0.5:
-            u[i], u[j] = u[j], u[i]
-    return u
+        moves.append((i, j, c, rand.random() < 0.5))
+    return moves
+
+
+def _apply(moves, a: list[list[int]]) -> list[list[int]]:
+    """``u * a``, in place, for the matrix ``u`` that ``moves`` build from the identity."""
+    for i, j, c, swap in moves:
+        a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+        if swap:
+            a[i], a[j] = a[j], a[i]
+    return a
+
+
+def random_unimodular(rand: random.Random, n: int, steps: int = 12) -> list[list[int]]:
+    """A random determinant +-1 matrix built from elementary row moves."""
+    return _apply(_moves(rand, n, steps), identity_rows(n))
 
 
 def conjugate(L: GramLattice, u) -> GramLattice:
@@ -77,23 +92,28 @@ def perturbed(rand: random.Random, L: GramLattice, magnitude: int = 1) -> GramLa
 
     The Gram matrix is scaled to clear denominators, a random symmetric
     integer matrix with entries in [-magnitude, magnitude] is added, and
-    the result is conjugated by a random unimodular matrix.  Candidates
-    that lose positive definiteness are retried with the perturbation
-    halved toward zero; the unperturbed copy is the final fallback.
+    the result is conjugated by a random unimodular matrix.  A candidate
+    that is not positive definite is drawn again with the same magnitude,
+    up to 12 times in all; after that the noise is zero, so the result is
+    a conjugated copy of L itself.  Unimodular congruence preserves
+    definiteness, so each candidate is tested before it is conjugated and
+    only the accepted one is conjugated.
     """
     _, base = _integral(L.gram)
     n = L.n
-    for attempt in range(24):
+    for attempt in range(13):
+        # the 13th candidate is base itself, which is positive definite,
+        # but its zero-width draws still advance the generator
         m = magnitude if attempt < 12 else 0
-        noise = [[0] * n for _ in range(n)]
+        cand = [row[:] for row in base]
         for i in range(n):
             for j in range(i, n):
-                noise[i][j] = noise[j][i] = rand.randint(-m, m)
-        cand = [[base[i][j] + noise[i][j] for j in range(n)] for i in range(n)]
-        u = random_unimodular(rand, n)
-        gram = matmul(matmul(u, cand), transpose(u))
+                cand[i][j] = cand[j][i] = base[i][j] + rand.randint(-m, m)
+        moves = _moves(rand, n)
         try:
-            return GramLattice.from_rows(gram, label=f"perturbed {L.label}")
+            _leading_minors(cand)
         except NotPositiveDefinite:
             continue
-    return GramLattice.from_rows(base, label=L.label)
+        # u * cand * u^T, which is u * (u * cand)^T as cand is symmetric
+        gram = _apply(moves, transpose(_apply(moves, cand)))
+        return GramLattice.from_rows(gram, label=f"perturbed {L.label}")

@@ -5,7 +5,9 @@ ranks and inverses by Gaussian elimination over Q, vector listings by
 coordinate boxes, Smith invariants by minor gcds,
 basis search by testing every candidate subset, LLL by recomputing the
 Gram-Schmidt data from scratch after every swap, binary code classes by
-walking every generator matrix in echelon form.  Slow on purpose; the
+walking every generator matrix in echelon form, construction witnesses
+from their definitions, and the random lattice models by conjugating
+every candidate with matrix products.  Slow on purpose; the
 tests only feed these small instances.
 """
 
@@ -14,8 +16,9 @@ from functools import lru_cache
 from itertools import combinations, product
 from math import floor, gcd, isqrt
 
-from latquot.linalg import det_int
-from latquot.core import qform
+from latquot.linalg import det_int, identity_rows, matmul, transpose
+from latquot.core import GramLattice, qform
+from latquot.errors import NotPositiveDefinite
 
 
 def rank_rational(rows) -> int:
@@ -214,6 +217,81 @@ def gram_schmidt(gram):
             mu[i][j] = s / b[j]
         b[i] = gram[i][i] - sum(mu[i][k] ** 2 * b[k] for k in range(i))
     return b, mu
+
+
+def reference_validate(matrix):
+    """What constructing a lattice on ``matrix`` must report, by definition.
+
+    ``("square",)`` if some row has the wrong length; ``("symmetric", (i,
+    j))`` for the first entry above the diagonal, in row order, that
+    differs from its mirror; ``("definite", k)`` for the order of the
+    first leading principal minor that is not positive; otherwise
+    ``("pivots", b)`` with b the squared Gram-Schmidt norms.
+    """
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        return ("square",)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if matrix[i][j] != matrix[j][i]:
+                return ("symmetric", (i, j))
+    g = [[Fraction(x) for x in row] for row in matrix]
+    b, mu = [], []
+    for i in range(n):
+        mu.append([])
+        for j in range(i):
+            s = g[i][j] - sum(mu[i][k] * mu[j][k] * b[k] for k in range(j))
+            mu[i].append(s / b[j])
+        # earlier pivots are positive, so this one has the sign of minor i + 1
+        pivot = g[i][i] - sum(mu[i][k] ** 2 * b[k] for k in range(i))
+        if pivot <= 0:
+            return ("definite", i + 1)
+        b.append(pivot)
+    return ("pivots", tuple(b))
+
+
+def reference_random_unimodular(rand, n, steps=12):
+    """``sampling.random_unimodular`` as first written: each move applied as it is drawn."""
+    u = identity_rows(n)
+    if n == 1:
+        return u
+    for _ in range(steps):
+        i, j = rand.sample(range(n), 2)
+        c = rand.choice((-2, -1, 1, 2))
+        for col in range(n):
+            u[i][col] += c * u[j][col]
+        if rand.random() < 0.5:
+            u[i], u[j] = u[j], u[i]
+    return u
+
+
+def reference_perturbed(rand, L, magnitude=1):
+    """``sampling.perturbed`` as first written.
+
+    Every candidate is conjugated by two matrix products and rejected
+    only when constructing its lattice fails; after 12 noisy attempts
+    the noise is zero, and the last fallback is never reached.
+    """
+    scale = 1
+    for row in L.gram:
+        for x in row:
+            scale = scale * x.denominator // gcd(scale, x.denominator)
+    base = [[int(x * scale) for x in row] for row in L.gram]
+    n = L.n
+    for attempt in range(24):
+        m = magnitude if attempt < 12 else 0
+        noise = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                noise[i][j] = noise[j][i] = rand.randint(-m, m)
+        cand = [[base[i][j] + noise[i][j] for j in range(n)] for i in range(n)]
+        u = reference_random_unimodular(rand, n)
+        gram = matmul(matmul(u, cand), transpose(u))
+        try:
+            return GramLattice.from_rows(gram, label=f"perturbed {L.label}")
+        except NotPositiveDefinite:
+            continue
+    return GramLattice.from_rows(base, label=L.label)
 
 
 def reference_lll(gram, delta=Fraction(99, 100)):

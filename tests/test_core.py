@@ -1,5 +1,6 @@
 """Gram matrix container, parsing, and exact scalar types."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,8 @@ from latquot.core import (
     parse_lattice_text,
     qform,
 )
-from latquot.errors import NotPositiveDefinite, NotSymmetric, ParseError
+from latquot.errors import DimensionMismatch, NotPositiveDefinite, NotSymmetric, ParseError
+from oracles import reference_validate
 
 
 def test_hermite_powers_match_the_known_table():
@@ -38,6 +40,9 @@ def test_from_rows_normalizes_entries_to_fractions():
     assert L.n == 2
     assert L.gram[0][1] == Fraction(1)
     assert L.label == "demo"
+    mixed = GramLattice.from_rows([[2, Fraction(1, 2)], ["1/2", "3"]])
+    assert mixed.gram == ((2, Fraction(1, 2)), (Fraction(1, 2), 3))
+    assert all(type(x) is Fraction for row in mixed.gram for x in row)
 
 
 def test_asymmetric_matrix_is_rejected():
@@ -53,6 +58,35 @@ def test_indefinite_matrix_is_rejected():
 def test_semidefinite_matrix_is_rejected():
     with pytest.raises(NotPositiveDefinite):
         GramLattice.from_rows([[1, 1], [1, 1]])
+
+
+def test_construction_witnesses_match_their_definitions():
+    rand = random.Random(31)
+    seen = set()
+    for _ in range(600):
+        n = rand.randint(1, 5)
+        m = [[Fraction(rand.randint(-4, 4), rand.randint(1, 3)) for _ in range(n)]
+             for _ in range(n)]
+        if rand.random() < 0.7:
+            for i in range(n):
+                for j in range(i):
+                    m[i][j] = m[j][i]
+        if rand.random() < 0.5:
+            for i in range(n):
+                m[i][i] += rand.randint(0, 6)
+        if rand.random() < 0.05:
+            m[rand.randrange(n)].pop()
+        try:
+            got = ("pivots", GramLattice.from_rows(m)._pivots)
+        except DimensionMismatch:
+            got = ("square",)
+        except NotSymmetric as exc:
+            got = ("symmetric", exc.position)
+        except NotPositiveDefinite as exc:
+            got = ("definite", exc.minor)
+        assert got == reference_validate(m), m
+        seen.add(got[0])
+    assert seen == {"pivots", "square", "symmetric", "definite"}
 
 
 def test_qform_norm_inner_agree():

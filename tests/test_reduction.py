@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from latquot.core import GramLattice, determinant
+from latquot.core import GramLattice, determinant, validate
 from latquot.construct import fixture_inventory, named, search_corpus, zd_lift
 from latquot.codes import c9
 from latquot.linalg import det_int, matmul, transpose
@@ -78,6 +78,21 @@ def test_lll_matches_the_from_scratch_reference():
     # mu = 1/2 rounds up, mu = -1/2 stays
     assert lll(ties[0]).transform == ((1, 0), (-1, 1))
     assert lll(ties[1]).transform == ((1, 0), (0, 1))
+
+
+def test_the_reduced_lattice_carries_the_pivots_of_its_gram_matrix():
+    # lll hands the reduced lattice pivots made from its own minors
+    # instead of validating it again: they must be validate's pivots,
+    # also on copies scaled by a non-integral rational
+    lattices = list(fixture_inventory().values())
+    for n in range(4, 11):
+        lattices += search_corpus(n)
+    rand = random.Random(16)
+    lattices += [L.scaled(Fraction(2 * rand.randint(1, 20) + 1, rand.choice((2, 6, 10))))
+                 for L in lattices]
+    for L in lattices:
+        reduced = lll(L).gram
+        assert reduced._pivots == validate(reduced.gram), L.label
 
 
 def test_first_vector_obeys_the_lll_quality_bound():

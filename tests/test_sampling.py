@@ -3,7 +3,7 @@
 import math
 import random
 
-from latquot.construct import centred_cubic, zn
+from latquot.construct import centred_cubic, search_corpus, zn
 from latquot.core import determinant
 from latquot.linalg import det_int
 from latquot.sampling import (
@@ -14,6 +14,7 @@ from latquot.sampling import (
     random_gram,
     random_unimodular,
 )
+from oracles import reference_perturbed, reference_random_unimodular
 
 
 def test_same_seed_same_stream():
@@ -72,3 +73,44 @@ def test_perturbed_stays_positive_definite():
             moved = perturbed(rand, L)
             assert moved.n == L.n
             assert determinant(moved) > 0
+
+
+def test_random_unimodular_matches_the_reference_draw_for_draw():
+    for n in range(1, 11):
+        rand, ref = random.Random(n), random.Random(n)
+        for _ in range(5):
+            assert random_unimodular(rand, n) == reference_random_unimodular(ref, n)
+            assert rand.getstate() == ref.getstate()
+
+
+class _CountingRandom(random.Random):
+    """A generator that counts its zero-width ``randint`` draws."""
+
+    zero_draws = 0
+
+    def randint(self, a, b):
+        self.zero_draws += a == b == 0
+        return super().randint(a, b)
+
+
+def test_perturbed_matches_the_reference_draw_for_draw():
+    # The reference conjugates every candidate by matrix products and
+    # rejects it by constructing its lattice; the sampler tests the
+    # candidate first and conjugates only the accepted one.  Lattices,
+    # labels and the generator state must agree after every draw, also
+    # when every noisy attempt fails and the zero-noise one is taken.
+    fallbacks = 0
+    for n in range(1, 11):
+        corpus = search_corpus(n)
+        for seed in (1, 2, 3):
+            for magnitude in (0, 1, 2):
+                rand, ref = _CountingRandom(seed), random.Random(seed)
+                for t in range(6):
+                    L = corpus[t % len(corpus)]
+                    got = perturbed(rand, L, magnitude)
+                    want = reference_perturbed(ref, L, magnitude)
+                    assert (got.gram, got.label) == (want.gram, want.label), (n, seed, t)
+                    assert rand.getstate() == ref.getstate(), (n, seed, t)
+                if magnitude:
+                    fallbacks += rand.zero_draws > 0
+    assert fallbacks > 0
