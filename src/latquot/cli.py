@@ -27,7 +27,7 @@ from .codes import (
 )
 from .construct import search_corpus, zd_lift
 from .core import determinant, format_rational, load_lattice
-from .enumeration import is_well_rounded, minimum, successive_minima
+from .enumeration import invariant_report, is_well_rounded, minimum, successive_minima
 from .errors import LatquotError, MinimumDrops, ResourceExceeded
 from .quality import qb
 from .sampling import perturbed
@@ -50,17 +50,14 @@ def cmd_info(args) -> int:
     frame = successive_minima(lattice, args.budget)
     report = qb(lattice, args.budget)
     idx = maximal_index(lattice, args.budget)
-    det = determinant(lattice)
-    low = frame.norms[0]
-    gamma_power = low ** lattice.n / det
-    _, shell = minimum(lattice, args.budget)
+    basic = invariant_report(lattice, args.budget)
     data = {
         "label": lattice.label,
         "n": lattice.n,
-        "min": format_rational(low),
-        "det": format_rational(det),
-        "gamma_power": format_rational(gamma_power),
-        "s": len(shell.vectors),
+        "min": format_rational(basic.min),
+        "det": format_rational(basic.det),
+        "gamma_power": format_rational(basic.gamma_n_power),
+        "s": basic.s,
         "minima": [format_rational(x) for x in frame.norms],
         "iota": idx.max_index,
         "iota_exhaustive": idx.exhaustive,

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 
-from .enumeration import _Counter, node_budget
+from .enumeration import _Counter
 from .errors import CodeTooLight, ParseError, ResourceExceeded
 from .linalg import smith_invariants
 
@@ -224,7 +224,7 @@ def classify_binary(n: int, k: int, min_w: int,
     """
     if n > 12 or k > 4:
         raise ValueError("classification supported for n <= 12, k <= 4")
-    counter = _Counter(node_budget() if budget is None else budget)
+    counter = _Counter(budget)
     target = max(min_w, 1)
     parities = [[(f & v).bit_count() & 1 for f in range(1, 1 << k)]
                 for v in range(1 << k)]

@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DimensionMismatch, NotPositiveDefinite, NotSymmetric, ParseError
 
@@ -33,11 +33,25 @@ HERMITE_POWER = {
 }
 
 
-def validate(matrix: Sequence[Sequence[Fraction | int]]) -> tuple[Fraction, ...]:
+class IntegralForm(NamedTuple):
+    """The Gram matrix cleared of denominators, with its fraction-free pivots.
+
+    ``gram`` is ``scale * G`` for the least positive integer ``scale``
+    making it integral; ``minors`` and ``lam`` are its leading minors and
+    cleared Gram-Schmidt coefficients as ``_leading_minors`` defines them.
+    """
+
+    scale: int
+    gram: tuple[tuple[int, ...], ...]
+    minors: tuple[int, ...]
+    lam: tuple[tuple[int, ...], ...]
+
+
+def validate(matrix: Sequence[Sequence[Fraction | int]]) -> IntegralForm:
     """Check that ``matrix`` is a symmetric positive definite square matrix.
 
-    Returns the pivots of the symmetric (LDL) elimination; their product is
-    the determinant.  Raises ``NotSymmetric`` or ``NotPositiveDefinite`` with
+    Returns its integral form, whose last minor over ``scale**n`` is the
+    determinant.  Raises ``NotSymmetric`` or ``NotPositiveDefinite`` with
     the offending position or leading minor as witness.
     """
     n = len(matrix)
@@ -49,8 +63,8 @@ def validate(matrix: Sequence[Sequence[Fraction | int]]) -> tuple[Fraction, ...]
             if matrix[i][j] != matrix[j][i]:
                 raise NotSymmetric(i, j)
     scale, a = _integral(matrix)
-    minors, _ = _leading_minors(a)
-    return tuple(Fraction(minors[i + 1], minors[i] * scale) for i in range(n))
+    minors, lam = _leading_minors(a)
+    return IntegralForm(scale, tuple(map(tuple, a)), tuple(minors), tuple(map(tuple, lam)))
 
 
 def _integral(gram) -> tuple[int, list[list[int]]]:
@@ -106,14 +120,14 @@ class GramLattice:
     n: int
     gram: Matrix
     label: str | None = None
-    # The pivots of ``validate``.  Computed on construction unless the
-    # caller already holds them exactly (``reduction.lll`` does).
-    _pivots: tuple[Fraction, ...] = field(
-        default=(), repr=False, compare=False, hash=False
+    # The integral form of ``validate``.  Computed on construction unless
+    # the caller already holds it exactly (``reduction.lll`` does).
+    _form: IntegralForm | None = field(
+        default=None, repr=False, compare=False, hash=False
     )
-    # The reduced basis and enumeration data of latquot.enumeration,
-    # built on first use; a cache, not part of the lattice's value.
-    _context: object = field(
+    # The LLL reduction of latquot.enumeration, made on first use; a
+    # cache, not part of the lattice's value.
+    _reduced: object = field(
         default=None, init=False, repr=False, compare=False, hash=False
     )
 
@@ -123,8 +137,8 @@ class GramLattice:
         if self.n != len(gram):
             raise DimensionMismatch("declared rank does not match matrix size")
         object.__setattr__(self, "gram", gram)
-        if not self._pivots:
-            object.__setattr__(self, "_pivots", validate(gram))
+        if self._form is None:
+            object.__setattr__(self, "_form", validate(gram))
 
     @classmethod
     def from_rows(cls, rows, label: str | None = None) -> "GramLattice":
@@ -140,21 +154,26 @@ class GramLattice:
         )
 
 
-def qform(gram: Matrix, v: Sequence[Fraction | int]) -> Fraction:
-    """Evaluate the quadratic form of ``gram`` at a rational vector."""
-    if len(v) != len(gram):
-        raise DimensionMismatch("vector length does not match matrix size")
+def _bilinear(gram: Matrix, u: Sequence[Fraction | int], v: Sequence[Fraction | int]) -> Fraction:
+    """``u * gram * v^T``, skipping zero coordinates."""
     total = Fraction(0)
-    for i, vi in enumerate(v):
-        if not vi:
+    for i, ui in enumerate(u):
+        if not ui:
             continue
         row = gram[i]
         acc = Fraction(0)
         for j, vj in enumerate(v):
             if vj:
                 acc += row[j] * vj
-        total += vi * acc
+        total += ui * acc
     return total
+
+
+def qform(gram: Matrix, v: Sequence[Fraction | int]) -> Fraction:
+    """Evaluate the quadratic form of ``gram`` at a rational vector."""
+    if len(v) != len(gram):
+        raise DimensionMismatch("vector length does not match matrix size")
+    return _bilinear(gram, v, v)
 
 
 def norm(L: GramLattice, v: Sequence[int]) -> Fraction:
@@ -166,22 +185,12 @@ def inner(L: GramLattice, u: Sequence[int], v: Sequence[int]) -> Fraction:
     """Inner product of two lattice vectors given by coordinates."""
     if len(u) != L.n or len(v) != L.n:
         raise DimensionMismatch("vector length does not match lattice rank")
-    total = Fraction(0)
-    for i, ui in enumerate(u):
-        if not ui:
-            continue
-        row = L.gram[i]
-        acc = Fraction(0)
-        for j, vj in enumerate(v):
-            if vj:
-                acc += row[j] * vj
-        total += ui * acc
-    return total
+    return _bilinear(L.gram, u, v)
 
 
 def determinant(L: GramLattice) -> Fraction:
     """Determinant of the Gram matrix (square of the covolume)."""
-    return math.prod(L._pivots, start=Fraction(1))
+    return Fraction(L._form.minors[-1], L._form.scale**L.n)
 
 
 @dataclass(frozen=True)

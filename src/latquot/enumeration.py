@@ -1,14 +1,16 @@
 """Short-vector enumeration and the invariants built on it.
 
 Everything here is exact.  Each lattice is LLL-reduced once, in
-integers; the reduction hands over the integral Gram-Schmidt data of the
-reduced Gram matrix scaled to integers (leading minors and the
-coefficients they clear), kept on the lattice object for every later
-listing.  The Fincke-Pohst tree then runs in integer arithmetic alone:
+integers, and the reduction is kept on the lattice object for every
+later listing.  The reduced lattice carries its integral form (the Gram
+matrix scaled to integers, its leading minors and the coefficients they
+clear), and the Fincke-Pohst tree runs on it in integer arithmetic alone:
 the centre at each level is an integer over a known minor, the weight of
 each level an integer over one common denominator, and the admissible
 interval comes from an integer square root, so no vector is ever lost
-to rounding.
+to rounding.  Listings carry each norm as its integer numerator over
+one denominator per lattice; callers turn into fractions only the norms
+they keep.
 
 A global node budget guards against runaway trees.  It can be overridden
 through the ``LATQUOT_NODE_BUDGET`` environment variable or per call.
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .core import GramLattice, InvariantReport, LatVec, _integral, _pivot_row, determinant
+from .core import GramLattice, InvariantReport, LatVec, _pivot_row, determinant
 from .errors import ResourceExceeded
 from .reduction import ReducedBasis, lll
 
@@ -63,9 +65,9 @@ class ShellListing:
 class _Counter:
     __slots__ = ("nodes", "budget")
 
-    def __init__(self, budget: int):
+    def __init__(self, budget: int | None):
         self.nodes = 0
-        self.budget = budget
+        self.budget = node_budget() if budget is None else budget
 
     def spend(self, amount: int = 1):
         """Count ``amount`` nodes at once.
@@ -78,13 +80,10 @@ class _Counter:
             raise ResourceExceeded(self.budget + 1, self.budget)
 
 
-@dataclass(frozen=True)
-class _Context:
-    """One reduction of a lattice and the integer data its listings share.
+def _weights(minors) -> tuple[int, list[int]]:
+    """The common ``weight`` of the levels and each level's share of it.
 
-    ``scale``, ``minors`` and ``lam`` are the reduction's (see
-    ``ReducedBasis``), and ``original`` is ``scale`` times the lattice's
-    own Gram matrix, integral as well.  A vector y then has
+    For an integral form ``(scale, _, minors, lam)`` of G, a vector y has
 
         weight * scale * y G y^T = sum_i weights[i] * T_i^2,
         T_i = minors[i+1] * y_i + sum_{j>i} lam[j][i] * y_j,
@@ -92,29 +91,9 @@ class _Context:
     where ``weight`` is the lcm of ``minors[i] * minors[i+1]`` and
     ``weights[i] = weight // (minors[i] * minors[i+1])``.
     """
-
-    reduced: ReducedBasis
-    original: tuple[tuple[int, ...], ...]
-    scale: int
-    minors: tuple[int, ...]
-    lam: tuple[tuple[int, ...], ...]
-    weight: int
-    weights: tuple[int, ...]
-
-    @classmethod
-    def build(cls, lattice: GramLattice, reduced: ReducedBasis) -> "_Context":
-        d = reduced.minors
-        n = len(d) - 1
-        weight = math.lcm(*(d[i] * d[i + 1] for i in range(n)))
-        return cls(
-            reduced=reduced,
-            original=tuple(tuple(row) for row in _integral(lattice.gram)[1]),
-            scale=reduced.scale,
-            minors=d,
-            lam=reduced.lam,
-            weight=weight,
-            weights=tuple(weight // (d[i] * d[i + 1]) for i in range(n)),
-        )
+    pairs = [minors[i] * minors[i + 1] for i in range(len(minors) - 1)]
+    weight = math.lcm(*pairs)
+    return weight, [weight // x for x in pairs]
 
 
 def _times(v, cols) -> list[int]:
@@ -127,27 +106,34 @@ def _dot(u, v) -> int:
     return sum(map(mul, u, v))
 
 
-def _context(L: GramLattice) -> _Context:
-    """The lattice's reduction context, reducing it on first use only."""
-    ctx = L._context
-    if ctx is None:
-        ctx = _Context.build(L, lll(L))
-        object.__setattr__(L, "_context", ctx)
-    return ctx
+def _reduction(L: GramLattice) -> ReducedBasis:
+    """The lattice's LLL reduction, made on first use only."""
+    reduced = L._reduced
+    if reduced is None:
+        reduced = lll(L)
+        object.__setattr__(L, "_reduced", reduced)
+    return reduced
 
 
-def _enumerate(ctx: _Context, bound: Fraction, counter: _Counter):
+def _denominator(L: GramLattice) -> int:
+    """The denominator ``weight * scale`` of the norm numerators in ``L``'s listings."""
+    form = _reduction(L).gram._form
+    return _weights(form.minors)[0] * form.scale
+
+
+def _enumerate(reduced: ReducedBasis, bound: Fraction, counter: _Counter):
     """Nonzero solutions of y G y^T <= bound, one per +- pair, unsorted.
 
     Returns (numerator, coords) pairs, where the norm is numerator over
-    ``ctx.weight * ctx.scale`` and coords are in the original basis with
-    their first nonzero entry positive.  Levels are visited top down and
-    the integers of each level in increasing order.
+    ``weight * scale`` (see ``_weights``) and coords are in the original
+    basis with their first nonzero entry positive.  Levels are visited
+    top down and the integers of each level in increasing order.
     """
-    n = len(ctx.minors) - 1
-    d, lam, w = ctx.minors, ctx.lam, ctx.weights
-    rows = ctx.reduced.transform
-    top = ctx.weight * ctx.scale * bound.numerator // bound.denominator
+    scale, _, d, lam = reduced.gram._form
+    n = len(d) - 1
+    weight, w = _weights(d)
+    rows = reduced.transform
+    top = weight * scale * bound.numerator // bound.denominator
     x = [0] * n
     # partial[i] = sum over j >= i of x[j] * rows[j], in original coordinates
     partial = [(0,) * n] * (n + 1)
@@ -195,25 +181,20 @@ def _canonical_sign(v: tuple[int, ...]) -> tuple[int, ...]:
     return v
 
 
-def _listing(L: GramLattice, bound: Fraction, budget: int | None = None,
-             numerators: bool = False) -> list[tuple[Fraction | int, LatVec]]:
+def _listing(L: GramLattice, bound: Fraction,
+             budget: int | None = None) -> list[tuple[int, LatVec]]:
     """Sorted (norm, coords) pairs for nonzero vectors of norm <= bound.
 
-    With ``numerators`` each norm is its integer numerator over ``weight * scale``.
+    Each norm is its integer numerator over ``_denominator(L)``.
     """
-    counter = _Counter(node_budget() if budget is None else budget)
-    ctx = _context(L)
-    pairs = _enumerate(ctx, Fraction(bound), counter)
+    counter = _Counter(budget)
+    pairs = _enumerate(_reduction(L), Fraction(bound), counter)
     pairs.sort()
     # in place, with one object per distinct norm, to keep the
     # memory of a long listing at one list
-    denominator = ctx.weight * ctx.scale
-    norms: dict[int, Fraction | int] = {}
+    norms: dict[int, int] = {}
     for i, (num, v) in enumerate(pairs):
-        value = norms.get(num)
-        if value is None:
-            value = norms[num] = num if numerators else Fraction(num, denominator)
-        pairs[i] = (value, v)
+        pairs[i] = (norms.setdefault(num, num), v)
     return pairs
 
 
@@ -229,11 +210,12 @@ def vectors_up_to(L: GramLattice, bound: Fraction,
 
 def minimum(L: GramLattice, budget: int | None = None) -> tuple[Fraction, ShellListing]:
     """The minimum of the lattice together with all its minimal vectors."""
-    gram = _context(L).reduced.gram.gram
+    gram = _reduction(L).gram.gram
     start = min(gram[i][i] for i in range(L.n))
     pairs = _listing(L, start, budget)
-    best = pairs[0][0]
-    shell = tuple(v for value, v in pairs if value == best)
+    top = pairs[0][0]
+    shell = tuple(v for value, v in pairs if value == top)
+    best = Fraction(top, _denominator(L))
     return best, ShellListing(bound=best, vectors=shell)
 
 
@@ -244,15 +226,15 @@ def successive_minima(L: GramLattice, budget: int | None = None) -> Frame:
     smallest coordinate vector whose first nonzero coordinate is
     positive, so the output is deterministic.
     """
-    ctx = _context(L)
-    gram = ctx.reduced.gram.gram
+    gram = _reduction(L).gram.gram
     start = max(gram[i][i] for i in range(L.n))
     pairs = _listing(L, start, budget)
+    a = L._form.gram
     vectors: list[LatVec] = []
     norms = []
     minors, lam = [1], []
     for value, v in pairs:
-        va = _times(v, ctx.original)
+        va = _times(v, a)
         row = _pivot_row([_dot(va, w) for w in vectors] + [_dot(va, v)], minors, lam)
         if row[-1] > 0:
             minors.append(row.pop())
@@ -261,7 +243,8 @@ def successive_minima(L: GramLattice, budget: int | None = None) -> Frame:
             norms.append(value)
             if len(vectors) == L.n:
                 break
-    return Frame(vectors=tuple(vectors), norms=tuple(norms))
+    denominator = _denominator(L)
+    return Frame(vectors=tuple(vectors), norms=tuple(Fraction(x, denominator) for x in norms))
 
 
 def minkowski_M(L: GramLattice, budget: int | None = None) -> Fraction:

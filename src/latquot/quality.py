@@ -26,7 +26,7 @@ from math import gcd
 from typing import Sequence
 
 from .core import GramLattice, LatVec, Rational, determinant, norm
-from .enumeration import _context, _Counter, _listing, _times, node_budget, successive_minima
+from .enumeration import _Counter, _denominator, _listing, _reduction, _times, successive_minima
 from .errors import NotGenerating, ResourceExceeded
 from .linalg import det_int, hnf_rows, identity_rows, smith_invariants
 from .linalg import is_primitive  # noqa: F401  uncalled; perfbench's tracer wraps this name
@@ -110,7 +110,7 @@ def _search(L: GramLattice, budget: int | None):
     to an uncertified upper bound instead of raising.
 
     The tree runs in integers: listed norms are numerators over the
-    context's ``D = weight * scale``, a product of k of them is kept over
+    lattice's ``D = _denominator(L)``, a product of k of them is kept over
     D^k and the incumbent over D^n, and a Fraction is made only when a
     basis is recorded.  Each tree level holds the columns k..n-1 of the
     completion W of its prefix.  A candidate costs n - k inner products
@@ -119,16 +119,14 @@ def _search(L: GramLattice, budget: int | None):
     when it returns.
     """
     n = L.n
-    allowance = node_budget() if budget is None else budget
-    ctx = _context(L)
-    reduced = ctx.reduced
-    denominator = ctx.weight * ctx.scale
+    reduced = _reduction(L)
+    denominator = _denominator(L)
     inc_prod = math.prod(reduced.gram.gram[i][i] for i in range(n))
 
     best = {"num": int(inc_prod * denominator**n), "prod": inc_prod, "rows": reduced.transform}
 
     try:
-        base = successive_minima(L, allowance)
+        base = successive_minima(L, budget)
     except ResourceExceeded:
         return inc_prod, best["rows"], False, None, None
     floor_prod = math.prod(base.norms)
@@ -192,8 +190,8 @@ def _search(L: GramLattice, budget: int | None):
     try:
         while True:
             use_bound = min(bound, best["prod"] / lam_head)
-            pairs = _listing(L, use_bound, allowance, numerators=True)
-            run_pass(pairs, _Counter(allowance))
+            pairs = _listing(L, use_bound, budget)
+            run_pass(pairs, _Counter(budget))
             if use_bound >= best["prod"] / lam_head:
                 return best["prod"], best["rows"], True, None, floor_prod
             done = use_bound

@@ -1,12 +1,14 @@
 """LLL reduction carried out on Gram matrices in exact integer arithmetic.
 
 The lattice never appears through an embedding; every step works on the
-Gram matrix, cleared of denominators once, and maintains an integer
-change of basis, the leading minors and the Gram-Schmidt coefficients
-they clear (Cohen, GTM 138, Alg. 2.6.7).  With the reduction parameter
-close to 1 the diagonal of the reduced Gram matrix gives useful upper
-bounds on the successive minima, and the product of its entries bounds
-the minimal basis norm product from above.
+integral form that construction computed (the Gram matrix cleared of
+denominators, its leading minors and the Gram-Schmidt coefficients they
+clear; Cohen, GTM 138, Alg. 2.6.7) and maintains an integer change of
+basis.  The reduced lattice receives the final form instead of being
+validated again.  With the reduction parameter close to 1 the diagonal
+of the reduced Gram matrix gives useful upper bounds on the successive
+minima, and the product of its entries bounds the minimal basis norm
+product from above.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import GramLattice, _integral, _leading_minors
+from .core import GramLattice, IntegralForm
 
 #: Default reduction parameter.  Anything in (1/4, 1) works; a value
 #: close to 1 gives the strongest bases at a modest cost in swaps.
@@ -27,17 +29,12 @@ class ReducedBasis:
 
     ``transform`` holds the coordinate rows of the reduced basis written
     in the original basis, so ``gram.gram == U * G * U^T`` where ``U``
-    stacks the rows.  ``scale`` is the least positive integer making
-    ``A = scale * gram.gram`` integral (and the original Gram matrix, as
-    U is unimodular); ``minors`` and ``lam`` are those of ``A`` as
-    ``core._leading_minors`` defines them.
+    stacks the rows.  The reduced lattice carries its integral form, with
+    the scale of the original's, as U is unimodular.
     """
 
     gram: GramLattice
     transform: tuple[tuple[int, ...], ...]
-    scale: int
-    minors: tuple[int, ...]
-    lam: tuple[tuple[int, ...], ...]
 
 
 def lll(lattice: GramLattice, delta: Fraction = DELTA) -> ReducedBasis:
@@ -53,9 +50,9 @@ def lll(lattice: GramLattice, delta: Fraction = DELTA) -> ReducedBasis:
         raise ValueError("delta must lie strictly between 1/4 and 1")
     p, q = delta.numerator, delta.denominator
     n = lattice.n
-    scale, g = _integral(lattice.gram)
+    scale, g, d, lam = lattice._form
+    g, d, lam = [list(row) for row in g], list(d), [list(row) for row in lam]
     r = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    d, lam = _leading_minors(g)
 
     k = 1
     while k < n:
@@ -93,12 +90,9 @@ def lll(lattice: GramLattice, delta: Fraction = DELTA) -> ReducedBasis:
         k = max(k - 1, 1)
 
     gram = tuple(tuple(Fraction(x, scale) for x in row) for row in g)
-    pivots = tuple(Fraction(d[i + 1], d[i] * scale) for i in range(n))
+    form = IntegralForm(scale, tuple(map(tuple, g)), tuple(d), tuple(map(tuple, lam)))
     label = f"{lattice.label} (reduced)" if lattice.label else ""
     return ReducedBasis(
-        gram=GramLattice(n=n, gram=gram, label=label, _pivots=pivots),
+        gram=GramLattice(n=n, gram=gram, label=label, _form=form),
         transform=tuple(tuple(row) for row in r),
-        scale=scale,
-        minors=tuple(d),
-        lam=tuple(tuple(row) for row in lam),
     )

@@ -10,16 +10,14 @@ from __future__ import annotations
 
 import random
 
-from .core import GramLattice, _integral, _leading_minors
+from .core import GramLattice, _leading_minors
 from .errors import NotPositiveDefinite
-from .linalg import det_int, identity_rows, matmul, transpose
+from .linalg import det_int, matmul, transpose
 from .watson import CosetVector
 
 __all__ = [
     "random_basis",
     "random_gram",
-    "random_unimodular",
-    "conjugate",
     "random_coset",
     "perturbed",
 ]
@@ -65,17 +63,6 @@ def _apply(moves, a: list[list[int]]) -> list[list[int]]:
     return a
 
 
-def random_unimodular(rand: random.Random, n: int, steps: int = 12) -> list[list[int]]:
-    """A random determinant +-1 matrix built from elementary row moves."""
-    return _apply(_moves(rand, n, steps), identity_rows(n))
-
-
-def conjugate(L: GramLattice, u) -> GramLattice:
-    """The same lattice presented on the transformed basis u."""
-    gram = matmul(matmul(u, [list(r) for r in L.gram]), transpose(u))
-    return GramLattice.from_rows(gram, label=L.label)
-
-
 def random_coset(rand: random.Random, n: int, dmax: int = 5) -> CosetVector:
     """A valid coset vector: order exactly d with balanced coefficients."""
     while True:
@@ -99,13 +86,13 @@ def perturbed(rand: random.Random, L: GramLattice, magnitude: int = 1) -> GramLa
     definiteness, so each candidate is tested before it is conjugated and
     only the accepted one is conjugated.
     """
-    _, base = _integral(L.gram)
+    base = L._form.gram
     n = L.n
     for attempt in range(13):
         # the 13th candidate is base itself, which is positive definite,
         # but its zero-width draws still advance the generator
         m = magnitude if attempt < 12 else 0
-        cand = [row[:] for row in base]
+        cand = [list(row) for row in base]
         for i in range(n):
             for j in range(i, n):
                 cand[i][j] = cand[j][i] = base[i][j] + rand.randint(-m, m)

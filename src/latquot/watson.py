@@ -22,8 +22,7 @@ from fractions import Fraction
 
 from .codes import Code
 from .core import HERMITE_POWER, GramLattice, Surd, _pivot_row, determinant, qform
-from .enumeration import Frame, _context, _Counter, _dot, _listing, _times
-from .enumeration import node_budget, successive_minima
+from .enumeration import Frame, _Counter, _denominator, _dot, _listing, _times, successive_minima
 from .errors import DependentFrame, RepsDoNotGenerate, ResourceExceeded
 from .linalg import det_int, smith_invariants, smith_with_transforms
 from .linalg import det_rational, matmul  # noqa: F401  uncalled; perfbench's tracer wraps these names
@@ -265,8 +264,9 @@ def maximal_index(L: GramLattice, budget: int | None = None) -> IndexReport:
     the incumbent.  If the node budget runs out the incumbent is
     returned with ``exhaustive=False``.
 
-    The lattice's context holds the Gram matrix cleared of denominators,
-    as ``scale * G``, and every pool vector is multiplied into it once.
+    The lattice's integral form holds the Gram matrix cleared of
+    denominators, as ``scale * G``, and every pool vector is multiplied
+    into it once.
     Each tree node carries the integral leading minors and Gram-Schmidt
     coefficients of its prefix, so a candidate costs its k inner products
     with the prefix and one fraction-free pivot row: the Gram determinant
@@ -275,18 +275,20 @@ def maximal_index(L: GramLattice, budget: int | None = None) -> IndexReport:
     an integer threshold that is exactly equivalent to the rational
     Hadamard test.
     """
-    counter = _Counter(node_budget() if budget is None else budget)
+    counter = _Counter(budget)
     base = successive_minima(L)
     lam = base.norms
     n = L.n
-    wanted = set(lam)
-    pairs = _listing(L, lam[-1])
-    ctx = _context(L)
-    shells: dict[Fraction, list[tuple[tuple[int, ...], list[int]]]] = {}
-    for value, v in pairs:
+    scale, a, _, _ = L._form
+    # shells are keyed by the listing's norm numerators
+    denominator = _denominator(L)
+    keys = [int(value * denominator) for value in lam]
+    wanted = set(keys)
+    shells: dict[int, list[tuple[tuple[int, ...], list[int]]]] = {}
+    for value, v in _listing(L, lam[-1]):
         if value in wanted:
-            shells.setdefault(value, []).append((v, _times(v, ctx.original)))
-    pools = [shells[value] for value in lam]
+            shells.setdefault(value, []).append((v, _times(v, a)))
+    pools = [shells[key] for key in keys]
 
     # A prefix of k + 1 vectors with Gram determinant minor / scale**(k+1)
     # survives the Hadamard prune exactly when
@@ -297,7 +299,7 @@ def maximal_index(L: GramLattice, budget: int | None = None) -> IndexReport:
     for i in range(n - 1, -1, -1):
         tail[i] = tail[i + 1] * lam[i]
     det_l = determinant(L)
-    room = [det_l * ctx.scale ** (k + 1) / tail[k + 1] for k in range(n)]
+    room = [det_l * scale ** (k + 1) / tail[k + 1] for k in range(n)]
     limits: list[int] = []
 
     best = {"index": 0, "rows": base.vectors}

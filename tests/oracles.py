@@ -9,6 +9,10 @@ walking every generator matrix in echelon form, construction witnesses
 from their definitions, and the random lattice models by conjugating
 every candidate with matrix products.  Slow on purpose; the
 tests only feed these small instances.
+
+``random_unimodular`` and ``conjugate`` are test helpers rather than
+references: they draw unimodular matrices the way the sampler does and
+present a lattice on a new basis.
 """
 
 from fractions import Fraction
@@ -19,6 +23,7 @@ from math import floor, gcd, isqrt
 from latquot.linalg import det_int, identity_rows, matmul, transpose
 from latquot.core import GramLattice, qform
 from latquot.errors import NotPositiveDefinite
+from latquot.sampling import _apply, _moves
 
 
 def rank_rational(rows) -> int:
@@ -250,8 +255,19 @@ def reference_validate(matrix):
     return ("pivots", tuple(b))
 
 
+def random_unimodular(rand, n, steps=12):
+    """A random determinant +-1 matrix built from the sampler's elementary row moves."""
+    return _apply(_moves(rand, n, steps), identity_rows(n))
+
+
+def conjugate(L, u):
+    """The same lattice presented on the transformed basis u."""
+    gram = matmul(matmul(u, [list(r) for r in L.gram]), transpose(u))
+    return GramLattice.from_rows(gram, label=L.label)
+
+
 def reference_random_unimodular(rand, n, steps=12):
-    """``sampling.random_unimodular`` as first written: each move applied as it is drawn."""
+    """The sampler's unimodular draw as first written: each move applied as it is drawn."""
     u = identity_rows(n)
     if n == 1:
         return u

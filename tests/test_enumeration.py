@@ -3,15 +3,17 @@
 import math
 import pickle
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from latquot import enumeration
 from latquot.construct import centred_cubic, fixture_inventory, named, search_corpus, zn
-from latquot.core import GramLattice, _integral, _pivot_row, norm
+from latquot.core import GramLattice, _integral, _pivot_row, determinant, norm, validate
 from latquot.enumeration import (
-    _context,
+    _reduction,
+    _weights,
     invariant_report,
     is_well_rounded,
     minimum,
@@ -47,7 +49,7 @@ def test_listings_match_the_box_oracle():
             got = [(norm(lattice, v), v) for v in listing.vectors]
             assert set(got) == set(expected)
             assert [x for x, _ in got] == sorted(x for x, _ in got)
-        assert _context(scaled).scale > 1
+        assert _reduction(scaled).gram._form.scale > 1
         assert vectors_up_to(scaled, c * bound).vectors == vectors_up_to(L, bound).vectors
 
 
@@ -108,11 +110,17 @@ def test_the_cached_context_is_not_part_of_the_lattice_value():
     twin = centred_cubic(5)
     before = (repr(L), hash(L))
     minimum(L)
-    assert L._context is not None and twin._context is None
+    assert L._reduced is not None and twin._reduced is None
     assert (repr(L), hash(L)) == before
     assert L == twin
     copy = pickle.loads(pickle.dumps(L))
     assert copy == L and hash(copy) == hash(L) and repr(copy) == repr(L)
+    # the integral form travels with the lattice, pickling included,
+    # but is not part of its value either
+    assert copy._form == L._form == validate(L.gram)
+    assert determinant(copy) == determinant(L)
+    other = GramLattice(L.n, L.gram, L.label, _form=validate(zn(5).gram))
+    assert other == L and hash(other) == hash(L) and repr(other) == repr(L)
 
 
 def test_each_lattice_is_reduced_once(monkeypatch):
@@ -135,9 +143,38 @@ def test_each_lattice_is_reduced_once(monkeypatch):
     assert calls == [L]
 
 
+def test_each_lattice_clears_its_denominators_once(monkeypatch):
+    # Construction computes the integral form; reduction, listings and
+    # the searches read it from the lattice and never clear a Gram
+    # matrix or eliminate it again.
+    calls = []
+
+    def counting(name, real):
+        def wrapped(*args):
+            calls.append(name)
+            return real(*args)
+        return wrapped
+
+    L = named("D4").lattice
+    for module in [m for name, m in sys.modules.items() if name.startswith("latquot")]:
+        for name in ("_integral", "_leading_minors"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    GramLattice.from_rows(L.gram)
+    assert sorted(calls) == ["_integral", "_leading_minors"]
+    calls.clear()
+    minimum(L)
+    successive_minima(L)
+    vectors_up_to(L, 2)
+    is_well_rounded(L)
+    qb(L)
+    maximal_index(L)
+    assert calls == []
+
+
 def test_the_context_takes_its_data_from_the_reduction():
     # The integral reduction hands its minors and coefficients to the
-    # enumeration context; rebuilding them from the reduced Gram matrix
+    # reduced lattice; rebuilding them from the reduced Gram matrix
     # row by row must give the same data.
     lattices = list(fixture_inventory().values())
     rand = random.Random(24)
@@ -145,15 +182,16 @@ def test_the_context_takes_its_data_from_the_reduction():
         corpus = search_corpus(n)
         lattices += [perturbed(rand, corpus[t % len(corpus)]) for t in range(6)]
     for L in lattices:
-        ctx = _context(L)
-        scale, a = _integral(ctx.reduced.gram.gram)
+        form = _reduction(L).gram._form
+        scale, a = _integral(_reduction(L).gram.gram)
         minors, lam = [1], []
         for i in range(L.n):
             row = _pivot_row(a[i][:i + 1], minors, lam)
             minors.append(row.pop())
             lam.append(tuple(row))
         weight = math.lcm(*(minors[i] * minors[i + 1] for i in range(L.n)))
-        assert (ctx.scale, ctx.minors, ctx.lam) == (scale, tuple(minors), tuple(lam)), L.label
-        assert ctx.weight == weight
-        assert ctx.weights == tuple(weight // (minors[i] * minors[i + 1]) for i in range(L.n))
-        assert ctx.original == tuple(map(tuple, _integral(L.gram)[1]))
+        assert form == (scale, tuple(map(tuple, a)), tuple(minors), tuple(lam)), L.label
+        assert _weights(form.minors) == (
+            weight, [weight // (minors[i] * minors[i + 1]) for i in range(L.n)])
+        assert L._form.scale == scale
+        assert L._form.gram == tuple(map(tuple, _integral(L.gram)[1]))

@@ -74,15 +74,15 @@ def test_lll_matches_the_from_scratch_reference():
         gram, transform = reference_lll(L.gram, delta)
         assert [list(r) for r in red.transform] == transform, (L.label, delta)
         assert [list(r) for r in red.gram.gram] == gram, (L.label, delta)
-    assert all(lll(L).scale > 1 for L in scaled)
+    assert all(lll(L).gram._form.scale > 1 for L in scaled)
     # mu = 1/2 rounds up, mu = -1/2 stays
     assert lll(ties[0]).transform == ((1, 0), (-1, 1))
     assert lll(ties[1]).transform == ((1, 0), (0, 1))
 
 
 def test_the_reduced_lattice_carries_the_pivots_of_its_gram_matrix():
-    # lll hands the reduced lattice pivots made from its own minors
-    # instead of validating it again: they must be validate's pivots,
+    # lll hands the reduced lattice the integral form it ends with
+    # instead of validating it again: it must be validate's form,
     # also on copies scaled by a non-integral rational
     lattices = list(fixture_inventory().values())
     for n in range(4, 11):
@@ -92,7 +92,7 @@ def test_the_reduced_lattice_carries_the_pivots_of_its_gram_matrix():
                  for L in lattices]
     for L in lattices:
         reduced = lll(L).gram
-        assert reduced._pivots == validate(reduced.gram), L.label
+        assert reduced._form == validate(reduced.gram), L.label
 
 
 def test_first_vector_obeys_the_lll_quality_bound():

