@@ -8,6 +8,15 @@ yields the complete candidate pool, and partial selections are pruned
 by product bounds and by primitivity (a vector family extends to a
 basis if and only if its span is a primitive sublattice).
 
+The search is certified once its incumbent reaches a proven lower
+bound, even if trees are left.  Besides the product of the successive
+minima, each listing yields a parity bound: a basis of L maps to a basis
+of L/2L = F_2^n, so its product is at least the least product of class
+minima over the bases of L/2L.  Those bases form a matroid, so one greedy
+walk over the sorted listing finds that product.  The bound settles the
+well-rounded code lifts, whose trees would otherwise walk the n-subsets
+of their minimal vectors.
+
 Primitivity is read off a unimodular completion carried down the tree
 (Cohen, GTM 138, Sec. 2.4): a unimodular W with the chosen prefix times
 W unit lower triangular.  A candidate v extends the prefix of k vectors
@@ -25,6 +34,7 @@ from itertools import combinations
 from math import gcd
 from typing import Sequence
 
+from .codes import _insert2
 from .core import GramLattice, LatVec, Rational, determinant, norm
 from .enumeration import _Counter, _denominator, _listing, _reduction, _times, successive_minima
 from .errors import NotGenerating, ResourceExceeded
@@ -101,6 +111,28 @@ def _cleared(cols, tail):
     return out
 
 
+def _parity_bound(pairs, n: int, missing: int) -> int:
+    """A lower bound on the norm product of every basis, over D^n.
+
+    A basis of L maps to a basis of L/2L, so its product is at least the
+    least product of class minima over the bases of L/2L, which a greedy
+    walk finds because those bases form a matroid.  ``pairs`` is a
+    sorted listing in L's own coordinates, so a vector's class is its
+    coordinate parities; the walk multiplies the norms of the vectors
+    that raise the GF(2) rank.  A class without a listed vector has
+    minimum above the listing's bound, and each such factor counts as
+    ``missing``, that bound's numerator rounded down.
+    """
+    rows: dict[int, int] = {}
+    product = 1
+    for value, v in pairs:
+        if _insert2(rows, sum((x & 1) << i for i, x in enumerate(v))):
+            product *= value
+            if len(rows) == n:
+                return product
+    return product * missing ** (n - len(rows))
+
+
 def _search(L: GramLattice, budget: int | None):
     """Branch-and-bound for the minimal basis norm product.
 
@@ -135,8 +167,12 @@ def _search(L: GramLattice, budget: int | None):
 
     chosen: list[LatVec] = []
 
-    def run_pass(pairs, counter) -> None:
-        """Exhaust all bases drawn from the listed candidates."""
+    def run_pass(pairs, counter, target: int) -> bool:
+        """Exhaust all bases drawn from the listed candidates.
+
+        Returns True as soon as a recorded basis reaches ``target``, a
+        lower bound on every basis product over D^n.
+        """
         norms = [p[0] for p in pairs]
         vecs = [p[1] for p in pairs]
         total = len(pairs)
@@ -146,15 +182,15 @@ def _search(L: GramLattice, budget: int | None):
         # of the stacked listing settles it up front.
         counter.spend()
         if total < n or not _generates(vecs, n):
-            return
+            return False
 
-        def descend(start: int, prod: int, cols):
+        def descend(start: int, prod: int, cols) -> bool:
             k = len(chosen)
             if k == n:
                 best["num"] = prod
                 best["prod"] = Fraction(prod, denominator**n)
                 best["rows"] = tuple(chosen)
-                return
+                return prod <= target
             need = n - k
             # The cheapest completion from index i is the product of the
             # next `need` norms.  Slide that window along instead of
@@ -171,36 +207,45 @@ def _search(L: GramLattice, budget: int | None):
                 tail = _times(v, cols)
                 if gcd(*tail) == 1:
                     chosen.append(v)
-                    descend(i + 1, prod * norms[i], _cleared(cols, tail))
+                    settled = descend(i + 1, prod * norms[i], _cleared(cols, tail))
                     chosen.pop()
+                    if settled:
+                        return True
                 if i + need < total:
                     window = window * norms[i + need] // norms[i]
+            return False
 
-        descend(0, 1, identity_rows(n))
+        return descend(0, 1, identity_rows(n))
 
     # Iterative deepening: a poor initial incumbent would force one huge
     # enumeration, so grow the candidate bound geometrically and let each
     # pass tighten the incumbent first.  Certification happens on the
     # pass whose listing provably covers every member of any basis that
     # would beat the incumbent (the other n-1 members cost at least
-    # prod(lam_i, i < n), so members are bounded by the quotient below).
+    # prod(lam_i, i < n), so members are bounded by the quotient below),
+    # or as soon as the incumbent reaches the lower bound ``target``: the
+    # larger of the minima product and the parity bound of the listing.
     bound = base.norms[-1]
     lam_head = floor_prod / base.norms[-1]
     done = Fraction(0)
+    target = int(floor_prod * denominator**n)
     try:
         while True:
             use_bound = min(bound, best["prod"] / lam_head)
             pairs = _listing(L, use_bound, budget)
-            run_pass(pairs, _Counter(budget))
-            if use_bound >= best["prod"] / lam_head:
+            missing = use_bound.numerator * denominator // use_bound.denominator
+            target = max(target, _parity_bound(pairs, n, missing))
+            if (best["num"] <= target or run_pass(pairs, _Counter(budget), target)
+                    or use_bound >= best["prod"] / lam_head):
                 return best["prod"], best["rows"], True, None, floor_prod
             done = use_bound
             bound = use_bound * 2
     except ResourceExceeded:
         # Passes up to `done` were exhaustive, so any basis still beating
         # the incumbent owns a vector longer than that, plus n-1 more no
-        # shorter than the first n-1 successive minima.
-        frontier = max(floor_prod, min(best["prod"], done * lam_head))
+        # shorter than the first n-1 successive minima.  The target of
+        # the last complete listing bounds every basis.
+        frontier = max(min(best["prod"], done * lam_head), Fraction(target, denominator**n))
         return best["prod"], best["rows"], False, frontier, floor_prod
 
 

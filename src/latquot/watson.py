@@ -320,7 +320,9 @@ def maximal_index(L: GramLattice, budget: int | None = None) -> IndexReport:
 
     def descend(k: int, last: int):
         if k == n:
-            index = abs(det_int(chosen))
+            # minors[n] = det(C scale G C^T) and the lattice's own minor
+            # is det(scale G), so their ratio is det(C)^2
+            index = math.isqrt(minors[n] // L._form.minors[n])
             if index > best["index"]:
                 improve(index, tuple(chosen))
             return

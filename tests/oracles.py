@@ -2,13 +2,14 @@
 
 Everything here recomputes package results along a different code path:
 ranks and inverses by Gaussian elimination over Q, vector listings by
-coordinate boxes, Smith invariants by minor gcds,
-basis search by testing every candidate subset, LLL by recomputing the
-Gram-Schmidt data from scratch after every swap, binary code classes by
-walking every generator matrix in echelon form, construction witnesses
-from their definitions, and the random lattice models by conjugating
-every candidate with matrix products.  Slow on purpose; the
-tests only feed these small instances.
+coordinate boxes, the class minima of L/2L by one covering box on the
+reference LLL basis and the least product over their bases by trying
+every subset, Smith invariants by minor gcds, basis search by testing
+every candidate subset, LLL by recomputing the Gram-Schmidt data from
+scratch after every swap, binary code classes by walking every generator
+matrix in echelon form, construction witnesses from their definitions,
+and the random lattice models by conjugating every candidate with matrix
+products.  Slow on purpose; the tests only feed these small instances.
 
 ``random_unimodular`` and ``conjugate`` are test helpers rather than
 references: they draw unimodular matrices the way the sampler does and
@@ -189,6 +190,57 @@ def brute_Hb_product(gram) -> tuple[Fraction, tuple]:
 
     walk(0, [], Fraction(1))
     return state["best"], state["witness"]
+
+
+def parity_cover(gram) -> Fraction:
+    """A norm up to which every class of L/2L holds a vector.
+
+    A class with parities c holds every vector with coordinates in
+    {-1, 0, 1} that is nonzero exactly where c is odd; the cover is the
+    largest, over the classes, of the least norm among those vectors.
+    """
+    least = {}
+    for coords in product((-1, 0, 1), repeat=len(gram)):
+        if any(coords):
+            key = tuple(x % 2 for x in coords)
+            value = qform(gram, coords)
+            if key not in least or value < least[key]:
+                least[key] = value
+    return max(least.values())
+
+
+def class_minima_mod2(gram) -> dict[tuple[int, ...], Fraction]:
+    """The least norm in each nonzero class of L/2L, keyed by coordinate parities.
+
+    The box runs on the reference LLL basis, whose box is small, and
+    each listed vector is mapped back to the given basis.
+    """
+    reduced, rows = reference_lll(gram)
+    minima = {}
+    for value, y in box_vectors(reduced, parity_cover(reduced)):
+        coords = [sum(a * row[j] for a, row in zip(y, rows)) for j in range(len(gram))]
+        minima.setdefault(tuple(x % 2 for x in coords), value)
+    return minima
+
+
+def parity_product(gram) -> Fraction:
+    """Least product of class minima over the F_2-bases of L/2L.
+
+    Tries every n-subset of the nonzero classes, so only small ranks are
+    affordable.
+    """
+    n = len(gram)
+    minima = class_minima_mod2(gram)
+    best = None
+    for combo in combinations(minima, n):
+        if _gf2_rank([sum(b << i for i, b in enumerate(c)) for c in combo]) < n:
+            continue
+        prod = Fraction(1)
+        for c in combo:
+            prod *= minima[c]
+        if best is None or prod < best:
+            best = prod
+    return best
 
 
 def minor_gcd_invariants(rows) -> list[int]:

@@ -8,6 +8,8 @@ import pytest
 from latquot.codes import (
     Code,
     WeightDistribution,
+    _insert2,
+    _rref2,
     c8,
     c9,
     c10,
@@ -24,7 +26,7 @@ from latquot.codes import (
     weight_distribution,
 )
 from latquot.errors import CodeTooLight, ParseError, ResourceExceeded
-from oracles import reference_classify_binary
+from oracles import _gf2_rank, reference_classify_binary
 
 
 def test_code_validation():
@@ -165,6 +167,22 @@ def test_classification_respects_the_budget():
         classify_binary(10, 2, 5, budget=10)
     with pytest.raises(ValueError):
         classify_binary(13, 2, 5)
+
+
+def test_the_gf2_echelon_form_against_the_rank_oracle():
+    rand = random.Random(29)
+    for _ in range(400):
+        masks = [rand.getrandbits(rand.randint(0, 12)) for _ in range(rand.randint(0, 8))]
+        rows: dict[int, int] = {}
+        for i, m in enumerate(masks):
+            assert _insert2(rows, m) == (_gf2_rank(masks[:i + 1]) > _gf2_rank(masks[:i]))
+        pivots, reduced = _rref2(masks)
+        assert pivots == sorted(pivots)
+        assert len(pivots) == _gf2_rank(masks) == _gf2_rank(reduced + masks)
+        for p, row in zip(pivots, reduced):
+            # the pivot is the row's lowest bit and no other row has it
+            assert row & -row == 1 << p
+            assert sum(r >> p & 1 for r in reduced) == 1
 
 
 def test_basis_product_bounds():

@@ -2,19 +2,23 @@
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from latquot import quality
 from latquot.construct import centred_cubic, code_lift, named, search_corpus, zn
-from latquot.codes import c8, c9, c10
+from latquot.codes import c8, c9, c10, classify_binary, code_qb_bound, g12
 from latquot.core import determinant, norm
-from latquot.enumeration import _times, minimum, successive_minima, vectors_up_to
+from latquot.enumeration import _denominator, _listing, _times, minimum, successive_minima, vectors_up_to
 from latquot.errors import NotGenerating
 from latquot.linalg import det_int, identity_rows, is_primitive
-from latquot.quality import _cleared, hermite_Hb, qb, qg_upper_bound
+from latquot.quality import _cleared, _parity_bound, hermite_Hb, qb, qg_upper_bound
 from latquot.sampling import perturbed, random_gram
-from oracles import brute_Hb_product
+from oracles import brute_Hb_product, conjugate, parity_cover, parity_product, random_unimodular
 
 
 def test_hermite_product_matches_the_oracle():
@@ -65,7 +69,9 @@ def test_budget_downgrades_to_an_upper_bound():
     report = qb(centred_cubic(8), budget=200)
     assert not report.certified
     assert report.frontier is not None
-    assert report.frontier <= report.Hb
+    # 4 is the frontier of the search without the parity bound; taking
+    # that bound into account may only raise it
+    assert 4 <= report.frontier <= report.Hb
     # the reported value is still a witnessed upper bound
     assert abs(det_int(report.best_basis)) == 1
 
@@ -125,13 +131,14 @@ def test_the_completion_agrees_with_the_smith_form_test():
 
 
 def test_basis_search_node_totals_are_pinned(node_tally):
-    # Totals of every node qb spends, listings included, as the search
-    # counted them when it tested primitivity by a Smith form per node.
+    # Totals of every node qb spends, listings included.  The search ends
+    # as soon as its incumbent reaches the parity bound from L/2L.
     cases = (
-        (named("A74").lattice, 22572),
-        (code_lift(c9()), 2304),
-        (code_lift(c10()), 41008),
-        (centred_cubic(9), 7657),
+        (named("A74").lattice, 356),
+        (code_lift(c9()), 1189),
+        (code_lift(c10()), 1716),
+        (centred_cubic(9), 7000),
+        (code_lift(g12()), 6320),
     )
     for L, nodes in cases:
         node_tally[0] = 0
@@ -155,3 +162,72 @@ def test_qb_is_invariant_under_scaling(node_tally):
             r = qb(lattice)
             seen.append((r.M, r.Hb, r.Qb, r.best_basis, r.certified, r.frontier, node_tally[0]))
         assert seen[0] == seen[1], L.label
+
+
+def _copies(rand, L):
+    """L, a scaled copy and a conjugated copy, each with the factor its norms carry."""
+    c = Fraction(rand.randint(1, 40), rand.choice((3, 7, 11)))
+    return ((L, 1), (L.scaled(c), c), (conjugate(L, random_unimodular(rand, L.n)), 1))
+
+
+def test_the_parity_bound_matches_the_class_minima_oracle():
+    # The bound is an invariant of the lattice, so the oracle runs on the
+    # given basis only: its box would blow up on a conjugated one.
+    rand = random.Random(97)
+    lattices = [zn(4), centred_cubic(4), named("D4").lattice]
+    lattices += [random_gram(rand, rand.randint(2, 4), spread=2) for _ in range(12)]
+    for base in lattices:
+        n = base.n
+        expected = parity_product(base.gram)
+        cover = parity_cover(base.gram)
+        for L, c in _copies(rand, base):
+            # the listing reaches full rank, so the missing factor, here
+            # 0, never enters
+            got = _parity_bound(_listing(L, cover * c), n, 0)
+            assert Fraction(got, _denominator(L) ** n) == expected * c**n, base.label
+
+
+@lru_cache(maxsize=None)
+def _searched_lattices():
+    """Lattices whose basis search mostly runs at least one pass."""
+    codes = [c for n in range(4, 10) for k in (1, 2, 3) for c in classify_binary(n, k, 4)]
+    pool = [code_lift(c) for c in codes] + [centred_cubic(n) for n in range(4, 10)]
+    pool += [named(x).lattice for x in ("A73", "A74", "A7^2", "A5^3", "E7", "D6+")]
+    return pool
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32), st.integers(0, 2))
+def test_the_parity_bound_never_exceeds_the_optimum(seed, copy):
+    rand = random.Random(seed)
+    L, _ = _copies(rand, rand.choice(_searched_lattices()))[copy]
+    bounds = []
+
+    def recording(pairs, n, missing):
+        bounds.append(_parity_bound(pairs, n, missing))
+        return bounds[-1]
+
+    with patch.object(quality, "_parity_bound", recording):
+        report = qb(L)
+    assert report.certified
+    optimum = report.Hb * determinant(L)
+    assert all(Fraction(b, _denominator(L) ** L.n) <= optimum for b in bounds)
+    # With the parity bound at 0 only the minima product can end the
+    # search early.  Where it then finishes within a small budget, every
+    # field of the report agrees.
+    with patch.object(quality, "_parity_bound", lambda pairs, n, missing: 0):
+        exhaustive = qb(L, budget=20000)
+    assert not exhaustive.certified or exhaustive == report
+
+
+def test_small_code_lifts_are_certified_at_the_code_bound():
+    # At rank 8 and above most of these lifts are well-rounded with all
+    # minima 1.  Without the parity bound the search walks the n-subsets
+    # of their minimal vectors, and 22 of them stay uncertified after
+    # 2*10**6 nodes.
+    codes = [c for n in range(4, 11) for k in range(1, 5) for c in classify_binary(n, k, 4)]
+    assert len(codes) == 85
+    for c in codes:
+        report = qb(code_lift(c))
+        assert report.certified, c
+        assert report.Qb == code_qb_bound(c), c
