@@ -130,6 +130,12 @@ class GramLattice:
     _reduced: object = field(
         default=None, init=False, repr=False, compare=False, hash=False
     )
+    # The minima ball of latquot.enumeration: the listing at the radius
+    # successive_minima uses, its node cost and its frame, made on first
+    # use; a cache, not part of the lattice's value.
+    _ball: object = field(
+        default=None, init=False, repr=False, compare=False, hash=False
+    )
 
     def __post_init__(self):
         gram = tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in row)

@@ -12,6 +12,14 @@ to rounding.  Listings carry each norm as its integer numerator over
 one denominator per lattice; callers turn into fractions only the norms
 they keep.
 
+Each lattice also keeps its minima ball: the listing at the radius
+``successive_minima`` uses, the largest diagonal entry of the reduced
+Gram matrix, with the nodes that listing cost and the frame chosen from
+it.  ``successive_minima``, ``is_well_rounded``, ``qb`` and
+``maximal_index`` all list that ball, and it is enumerated once.  A
+reuse spends the nodes the listing cost, so every result, node total and
+budget failure is what a fresh lattice would give, whatever ran before.
+
 A global node budget guards against runaway trees.  It can be overridden
 through the ``LATQUOT_NODE_BUDGET`` environment variable or per call.
 """
@@ -23,6 +31,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
+from typing import Sequence
 
 from .core import GramLattice, InvariantReport, LatVec, _pivot_row, determinant
 from .errors import ResourceExceeded
@@ -60,6 +69,15 @@ class ShellListing:
 
     def __iter__(self):
         return iter(self.vectors)
+
+
+@dataclass
+class _Ball:
+    """A lattice's minima ball: its sorted listing, the nodes it cost, its frame."""
+
+    pairs: tuple[tuple[int, LatVec], ...]
+    nodes: int
+    frame: Frame | None = None
 
 
 class _Counter:
@@ -113,6 +131,12 @@ def _reduction(L: GramLattice) -> ReducedBasis:
         reduced = lll(L)
         object.__setattr__(L, "_reduced", reduced)
     return reduced
+
+
+def _radius(L: GramLattice) -> Fraction:
+    """The radius of the minima ball: the largest diagonal entry of the reduced Gram matrix."""
+    gram = _reduction(L).gram.gram
+    return max(gram[i][i] for i in range(L.n))
 
 
 def _denominator(L: GramLattice) -> int:
@@ -169,6 +193,9 @@ def _enumerate(reduced: ReducedBasis, bound: Fraction, counter: _Counter):
         x[level] = 0
 
     descend(n - 1, 0, True)
+    # ``descend`` refers to itself, so the cycle would keep ``out`` alive
+    # until the next full collection; break it to free a dropped listing
+    descend = None
     return out
 
 
@@ -182,19 +209,33 @@ def _canonical_sign(v: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _listing(L: GramLattice, bound: Fraction,
-             budget: int | None = None) -> list[tuple[int, LatVec]]:
+             budget: int | None = None) -> Sequence[tuple[int, LatVec]]:
     """Sorted (norm, coords) pairs for nonzero vectors of norm <= bound.
 
-    Each norm is its integer numerator over ``_denominator(L)``.
+    Each norm is its integer numerator over ``_denominator(L)``.  The
+    listing at ``_radius(L)`` is the minima ball: the first complete one
+    is kept on the lattice as a tuple with the nodes it cost, and a later
+    request spends those nodes in one step and returns the same tuple.
+    When they exceed the budget the tree is walked again instead, so the
+    request stops at the node where a fresh walk stops.
     """
+    bound = Fraction(bound)
     counter = _Counter(budget)
-    pairs = _enumerate(_reduction(L), Fraction(bound), counter)
+    at_radius = bound == _radius(L)
+    ball = L._ball
+    if at_radius and ball is not None and ball.nodes <= counter.budget:
+        counter.spend(ball.nodes)
+        return ball.pairs
+    pairs = _enumerate(_reduction(L), bound, counter)
     pairs.sort()
     # in place, with one object per distinct norm, to keep the
     # memory of a long listing at one list
     norms: dict[int, int] = {}
     for i, (num, v) in enumerate(pairs):
         pairs[i] = (norms.setdefault(num, num), v)
+    if at_radius:
+        pairs = tuple(pairs)
+        object.__setattr__(L, "_ball", _Ball(pairs, counter.nodes))
     return pairs
 
 
@@ -224,11 +265,14 @@ def successive_minima(L: GramLattice, budget: int | None = None) -> Frame:
 
     Ties at each minimum are broken toward the lexicographically
     smallest coordinate vector whose first nonzero coordinate is
-    positive, so the output is deterministic.
+    positive, so the output is deterministic.  The frame is chosen from
+    the minima ball once and kept with it; a later call spends the
+    ball's nodes again and returns the kept frame.
     """
-    gram = _reduction(L).gram.gram
-    start = max(gram[i][i] for i in range(L.n))
-    pairs = _listing(L, start, budget)
+    pairs = _listing(L, _radius(L), budget)
+    ball = L._ball
+    if ball.frame is not None:
+        return ball.frame
     a = L._form.gram
     vectors: list[LatVec] = []
     norms = []
@@ -244,7 +288,8 @@ def successive_minima(L: GramLattice, budget: int | None = None) -> Frame:
             if len(vectors) == L.n:
                 break
     denominator = _denominator(L)
-    return Frame(vectors=tuple(vectors), norms=tuple(Fraction(x, denominator) for x in norms))
+    ball.frame = Frame(vectors=tuple(vectors), norms=tuple(Fraction(x, denominator) for x in norms))
+    return ball.frame
 
 
 def minkowski_M(L: GramLattice, budget: int | None = None) -> Fraction:

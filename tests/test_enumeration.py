@@ -12,6 +12,7 @@ from latquot import enumeration
 from latquot.construct import centred_cubic, fixture_inventory, named, search_corpus, zn
 from latquot.core import GramLattice, _integral, _pivot_row, determinant, norm, validate
 from latquot.enumeration import (
+    _radius,
     _reduction,
     _weights,
     invariant_report,
@@ -111,6 +112,8 @@ def test_the_cached_context_is_not_part_of_the_lattice_value():
     before = (repr(L), hash(L))
     minimum(L)
     assert L._reduced is not None and twin._reduced is None
+    successive_minima(L)
+    assert L._ball is not None and L._ball.frame is not None and twin._ball is None
     assert (repr(L), hash(L)) == before
     assert L == twin
     copy = pickle.loads(pickle.dumps(L))
@@ -121,6 +124,8 @@ def test_the_cached_context_is_not_part_of_the_lattice_value():
     assert determinant(copy) == determinant(L)
     other = GramLattice(L.n, L.gram, L.label, _form=validate(zn(5).gram))
     assert other == L and hash(other) == hash(L) and repr(other) == repr(L)
+    # so does the minima ball, outside the value like the reduction
+    assert copy._ball == L._ball and copy._ball is not L._ball
 
 
 def test_each_lattice_is_reduced_once(monkeypatch):
@@ -141,6 +146,65 @@ def test_each_lattice_is_reduced_once(monkeypatch):
     qb(L)
     maximal_index(L)
     assert calls == [L]
+
+
+def test_each_lattice_lists_its_minima_ball_once(monkeypatch):
+    bounds = []
+    real = enumeration._enumerate
+
+    def counting(reduced, bound, counter):
+        bounds.append(bound)
+        return real(reduced, bound, counter)
+
+    monkeypatch.setattr(enumeration, "_enumerate", counting)
+    L = GramLattice.from_rows(named("D4").lattice.gram)
+    rho = _radius(L)
+    frame = successive_minima(L)
+    qb(L)
+    assert is_well_rounded(L)
+    maximal_index(L)
+    assert len(vectors_up_to(L, rho)) == 12
+    assert successive_minima(L) is frame
+    assert bounds == [rho]
+
+
+def _outcome(call, L, budget, tally):
+    """What ``call`` returns or raises on ``L``, with the nodes it spent."""
+    tally[0] = 0
+    try:
+        result = call(L, budget)
+    except ResourceExceeded as err:
+        result = ("raised", err.nodes, err.budget, str(err))
+    return result, tally[0]
+
+
+def test_a_kept_ball_does_not_change_any_call(node_tally):
+    # Every call on a lattice that already holds its minima ball returns,
+    # spends and raises exactly what it does on a fresh copy, at the
+    # default budget and at budgets that stop it in every phase.  The
+    # frame search gets 20,000 nodes in place of the default, which some
+    # of these lattices would spend for minutes; its minima and listing
+    # still run at the default.
+    calls = (
+        successive_minima,
+        qb,
+        is_well_rounded,
+        lambda L, budget: maximal_index(L, 20000 if budget is None else budget),
+        lambda L, budget: vectors_up_to(L, _radius(L), budget),
+        minkowski_M,
+    )
+    rand = random.Random(13)
+    lattices = list(fixture_inventory().values())
+    for n in range(4, 9):
+        corpus = search_corpus(n)
+        lattices += [perturbed(rand, corpus[t % len(corpus)]) for t in range(3)]
+    for L in lattices:
+        for budget in (5, 50, None, 500, 5, None):
+            for call in calls:
+                fresh = GramLattice(L.n, L.gram, L.label)
+                kept = _outcome(call, L, budget, node_tally)
+                assert kept == _outcome(call, fresh, budget, node_tally), (L.label, budget)
+        assert L._ball is not None
 
 
 def test_each_lattice_clears_its_denominators_once(monkeypatch):

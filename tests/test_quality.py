@@ -146,6 +146,24 @@ def test_basis_search_node_totals_are_pinned(node_tally):
         assert node_tally[0] == nodes, L.label
 
 
+def test_the_basis_search_runs_past_its_first_basis(node_tally):
+    # Without the parity bound the search certifies only by exhausting
+    # its tree or by reaching the minima product, so these totals are
+    # those of a search that keeps descending after its first complete
+    # basis; one that stopped there would spend far fewer nodes.
+    cases = (
+        (named("A74").lattice, 22572),
+        (code_lift(c9()), 2304),
+        (code_lift(c10()), 41008),
+        (centred_cubic(9), 7657),
+    )
+    with patch.object(quality, "_parity_bound", lambda *args: 0):
+        for L, nodes in cases:
+            node_tally[0] = 0
+            assert qb(L).certified
+            assert node_tally[0] == nodes, L.label
+
+
 def test_qb_is_invariant_under_scaling(node_tally):
     # Scaling the form by a non-integral rational changes the common
     # denominator of the listed norms, over which the basis search keeps
