@@ -8,9 +8,17 @@ clear), and the Fincke-Pohst tree runs on it in integer arithmetic alone:
 the centre at each level is an integer over a known minor, the weight of
 each level an integer over one common denominator, and the admissible
 interval comes from an integer square root, so no vector is ever lost
-to rounding.  Listings carry each norm as its integer numerator over
-one denominator per lattice; callers turn into fractions only the norms
-they keep.
+to rounding.  A parent tests each child's interval before it builds the
+child's vector or calls it, and hands the centres of the lower levels
+down, one list per child, adding the level's multiples of its basis row
+and coefficients, which are made once per listing; the leaves are listed
+in the loop over level 1.  A leaf tuple is built from a list, whose
+length is known: from a bare ``map``, CPython would allocate it at a
+guessed length and shrink it, and the freed tuples would raise the peak
+memory.  Leaves are bucketed by norm, so a listing is sorted one norm at
+a time and its pairs share one int per norm.  Listings carry each norm
+as its integer numerator over one denominator per lattice; callers turn
+into fractions only the norms they keep.
 
 Each lattice also keeps its minima ball: the listing at the radius
 ``successive_minima`` uses, the largest diagonal entry of the reduced
@@ -28,9 +36,11 @@ from __future__ import annotations
 
 import math
 import os
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from math import isqrt
+from operator import add, mul, neg
 from typing import Sequence
 
 from .core import GramLattice, InvariantReport, LatVec, _pivot_row, determinant
@@ -145,11 +155,23 @@ def _denominator(L: GramLattice) -> int:
     return _weights(form.minors)[0] * form.scale
 
 
-def _enumerate(reduced: ReducedBasis, bound: Fraction, counter: _Counter):
-    """Nonzero solutions of y G y^T <= bound, one per +- pair, unsorted.
+class _Multiples(dict):
+    """``value -> [value * x for x in row]``, each made on first use."""
 
-    Returns (numerator, coords) pairs, where the norm is numerator over
-    ``weight * scale`` (see ``_weights``) and coords are in the original
+    def __init__(self, row):
+        self.row = row
+
+    def __missing__(self, value):
+        out = self[value] = [value * x for x in self.row]
+        return out
+
+
+def _enumerate(reduced: ReducedBasis, bound: Fraction,
+               counter: _Counter) -> dict[int, list[LatVec]]:
+    """Nonzero solutions of y G y^T <= bound, one per +- pair, bucketed by norm.
+
+    Returns a dict from each norm numerator, over ``weight * scale`` (see
+    ``_weights``), to the unsorted coords of its vectors, in the original
     basis with their first nonzero entry positive.  Levels are visited
     top down and the integers of each level in increasing order.
     """
@@ -158,54 +180,63 @@ def _enumerate(reduced: ReducedBasis, bound: Fraction, counter: _Counter):
     weight, w = _weights(d)
     rows = reduced.transform
     top = weight * scale * bound.numerator // bound.denominator
-    x = [0] * n
-    # partial[i] = sum over j >= i of x[j] * rows[j], in original coordinates
-    partial = [(0,) * n] * (n + 1)
-    out = []
+    spend = counter.spend
+    zero = (0,) * n
+    buckets: defaultdict[int, list[LatVec]] = defaultdict(list)
+    vsteps = [_Multiples(row) for row in rows]
+    csteps = [_Multiples(coeffs) for coeffs in lam]
+    d1, w0, leaf_steps = d[1], w[0], vsteps[0]
 
-    def descend(level: int, used: int, top_zero: bool):
-        centre = 0
-        if not top_zero:
-            for j in range(level + 1, n):
-                centre += lam[j][level] * x[j]
+    def descend(level, lo, hi, used, cen, above, top_zero):
+        # The values [lo, hi] of ``level`` >= 1, already spent, below the
+        # y_j of the levels j above: ``above`` is sum y_j * rows[j],
+        # ``used`` their weight and ``cen[i] = sum lam[j][i] * y_j``.
         dl, wl = d[level + 1], w[level]
-        # the values with wl * (dl * value + centre)^2 <= top - used
-        s = math.isqrt((top - used) // wl)
-        hi = (s - centre) // dl
-        lo = 0 if top_zero else -((s + centre) // dl)
-        if hi < lo:
-            return
-        counter.spend(hi - lo + 1)
-        above = partial[level + 1]
-        row = rows[level]
-        if level == 0:
-            for value in range(lo, hi + 1):
-                if value or not top_zero:
-                    t = dl * value + centre
-                    v = tuple([p + value * r for p, r in zip(above, row)])
-                    out.append((used + wl * t * t, _canonical_sign(v)))
-            return
+        dc, wc, coeff, cc = d[level], w[level - 1], lam[level][-1], cen[level - 1]
+        steps, coeff_steps = vsteps[level], csteps[level]
+        t = dl * lo + cen[level]
         for value in range(lo, hi + 1):
-            x[level] = value
-            partial[level] = [p + value * r for p, r in zip(above, row)]
-            t = dl * value + centre
-            descend(level - 1, used + wl * t * t, top_zero and value == 0)
-        x[level] = 0
+            # the child's values z: wc * (dc * z + centre)^2 <= top - u
+            u = used + wl * t * t
+            t += dl
+            centre = cc + value * coeff
+            s = isqrt((top - u) // wc)
+            child_hi = (s - centre) // dc
+            zero_above = top_zero and not value
+            child_lo = 0 if zero_above else -((s + centre) // dc)
+            if child_hi < child_lo:
+                continue
+            spend(child_hi - child_lo + 1)
+            v = list(map(add, above, steps[value])) if value else above
+            if level > 1:
+                descend(level - 1, child_lo, child_hi, u,
+                        list(map(add, cen, coeff_steps[value])) if value else cen, v, zero_above)
+                continue
+            # the leaves v + y * rows[0], skipping the zero vector; each
+            # tuple is built from a list, see the module docstring
+            t0 = d1 * child_lo + centre
+            for y in range(child_lo, child_hi + 1):
+                if y or not zero_above:
+                    leaf = tuple(list(map(add, v, leaf_steps[y])))
+                    if leaf < zero:
+                        leaf = tuple(list(map(neg, leaf)))
+                    buckets[u + w0 * t0 * t0].append(leaf)
+                t0 += d1
 
-    descend(n - 1, 0, True)
-    # ``descend`` refers to itself, so the cycle would keep ``out`` alive
-    # until the next full collection; break it to free a dropped listing
-    descend = None
-    return out
-
-
-def _canonical_sign(v: tuple[int, ...]) -> tuple[int, ...]:
-    for entry in v:
-        if entry > 0:
-            return v
-        if entry < 0:
-            return tuple(-x for x in v)
-    return v
+    hi = isqrt(top // w[n - 1]) // d[n]
+    spend(hi + 1)
+    try:
+        if n > 1:
+            descend(n - 1, 0, hi, 0, [0] * n, [0] * n, True)
+        else:
+            # a rank 1 lattice is reduced by the identity
+            for y in range(1, hi + 1):
+                buckets[w0 * (d1 * y) ** 2].append((y,))
+    finally:
+        # ``descend`` refers to itself; break the cycle so that a dropped
+        # listing is freed at once, not at the next full collection
+        descend = None
+    return buckets
 
 
 def _listing(L: GramLattice, bound: Fraction,
@@ -226,13 +257,13 @@ def _listing(L: GramLattice, bound: Fraction,
     if at_radius and ball is not None and ball.nodes <= counter.budget:
         counter.spend(ball.nodes)
         return ball.pairs
-    pairs = _enumerate(_reduction(L), bound, counter)
-    pairs.sort()
-    # in place, with one object per distinct norm, to keep the
-    # memory of a long listing at one list
-    norms: dict[int, int] = {}
-    for i, (num, v) in enumerate(pairs):
-        pairs[i] = (norms.setdefault(num, num), v)
+    buckets = _enumerate(_reduction(L), bound, counter)
+    # norm by norm, so each pair shares its norm's one int object
+    pairs = []
+    for num in sorted(buckets):
+        vectors = buckets.pop(num)
+        vectors.sort()
+        pairs += [(num, v) for v in vectors]
     if at_radius:
         pairs = tuple(pairs)
         object.__setattr__(L, "_ball", _Ball(pairs, counter.nodes))

@@ -215,7 +215,12 @@ def _search(L: GramLattice, budget: int | None):
                     window = window * norms[i + need] // norms[i]
             return False
 
-        return descend(0, 1, identity_rows(n))
+        try:
+            return descend(0, 1, identity_rows(n))
+        finally:
+            # ``descend`` refers to itself; break the cycle so the pass's
+            # lists are freed on return
+            descend = None
 
     # Iterative deepening: a poor initial incumbent would force one huge
     # enumeration, so grow the candidate bound geometrically and let each

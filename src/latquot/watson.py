@@ -355,6 +355,9 @@ def maximal_index(L: GramLattice, budget: int | None = None) -> IndexReport:
         descend(0, -1)
     except ResourceExceeded:
         exhaustive = False
+    # ``descend`` refers to itself; break the cycle so the pools are
+    # freed on return
+    descend = None
 
     rows = best["rows"]
     frame = Frame(vectors=rows, norms=lam)

@@ -8,8 +8,10 @@ every subset, Smith invariants by minor gcds, basis search by testing
 every candidate subset, LLL by recomputing the Gram-Schmidt data from
 scratch after every swap, binary code classes by walking every generator
 matrix in echelon form, construction witnesses from their definitions,
-and the random lattice models by conjugating every candidate with matrix
-products.  Slow on purpose; the tests only feed these small instances.
+the random lattice models by conjugating every candidate with matrix
+products, and short-vector listings by the Fincke-Pohst kernel as first
+written (a centre loop per node, a sign test per leaf, one sort).  Slow
+on purpose; the tests only feed these small instances.
 
 ``random_unimodular`` and ``conjugate`` are test helpers rather than
 references: they draw unimodular matrices the way the sampler does and
@@ -19,10 +21,12 @@ present a lattice on a new basis.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
+import math
 from math import floor, gcd, isqrt
 
 from latquot.linalg import det_int, identity_rows, matmul, transpose
 from latquot.core import GramLattice, qform
+from latquot.enumeration import _weights
 from latquot.errors import NotPositiveDefinite
 from latquot.sampling import _apply, _moves
 
@@ -465,3 +469,67 @@ def reference_classify_binary(n, k, min_w):
         Code(d=2, n=n, k=k, gen=tuple(tuple(c >> i & 1 for c in sig) for i in range(k)))
         for sig in classes
     ]
+
+
+def reference_enumerate(reduced, bound: Fraction, counter):
+    """``enumeration._enumerate`` as first written, pairs unsorted in one list.
+
+    Nonzero solutions of y G y^T <= bound, one per +- pair.  Returns
+    (numerator, coords) pairs, where the norm is numerator over
+    ``weight * scale`` (see ``_weights``) and coords are in the original
+    basis with their first nonzero entry positive.  Levels are visited
+    top down and the integers of each level in increasing order.
+    """
+    scale, _, d, lam = reduced.gram._form
+    n = len(d) - 1
+    weight, w = _weights(d)
+    rows = reduced.transform
+    top = weight * scale * bound.numerator // bound.denominator
+    x = [0] * n
+    # partial[i] = sum over j >= i of x[j] * rows[j], in original coordinates
+    partial = [(0,) * n] * (n + 1)
+    out = []
+
+    def descend(level: int, used: int, top_zero: bool):
+        centre = 0
+        if not top_zero:
+            for j in range(level + 1, n):
+                centre += lam[j][level] * x[j]
+        dl, wl = d[level + 1], w[level]
+        # the values with wl * (dl * value + centre)^2 <= top - used
+        s = math.isqrt((top - used) // wl)
+        hi = (s - centre) // dl
+        lo = 0 if top_zero else -((s + centre) // dl)
+        if hi < lo:
+            return
+        counter.spend(hi - lo + 1)
+        above = partial[level + 1]
+        row = rows[level]
+        if level == 0:
+            for value in range(lo, hi + 1):
+                if value or not top_zero:
+                    t = dl * value + centre
+                    v = tuple([p + value * r for p, r in zip(above, row)])
+                    out.append((used + wl * t * t, _canonical_sign(v)))
+            return
+        for value in range(lo, hi + 1):
+            x[level] = value
+            partial[level] = [p + value * r for p, r in zip(above, row)]
+            t = dl * value + centre
+            descend(level - 1, used + wl * t * t, top_zero and value == 0)
+        x[level] = 0
+
+    descend(n - 1, 0, True)
+    # ``descend`` refers to itself, so the cycle would keep ``out`` alive
+    # until the next full collection; break it to free a dropped listing
+    descend = None
+    return out
+
+
+def _canonical_sign(v: tuple[int, ...]) -> tuple[int, ...]:
+    for entry in v:
+        if entry > 0:
+            return v
+        if entry < 0:
+            return tuple(-x for x in v)
+    return v

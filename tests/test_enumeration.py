@@ -1,5 +1,6 @@
 """Shell listings and successive minima against the box oracle."""
 
+import gc
 import math
 import pickle
 import random
@@ -26,7 +27,7 @@ from latquot.errors import ResourceExceeded
 from latquot.quality import qb
 from latquot.sampling import perturbed, random_gram
 from latquot.watson import maximal_index
-from oracles import box_vectors, brute_minima, brute_minimum, rank_rational
+from oracles import box_vectors, brute_minima, brute_minimum, rank_rational, reference_enumerate
 
 
 def test_listings_match_the_box_oracle():
@@ -259,3 +260,89 @@ def test_the_context_takes_its_data_from_the_reduction():
             weight, [weight // (minors[i] * minors[i + 1]) for i in range(L.n)])
         assert L._form.scale == scale
         assert L._form.gram == tuple(map(tuple, _integral(L.gram)[1]))
+
+
+def _kernel_corpus():
+    """Fixtures, centred cubics, perturbed corpus lattices and random forms, plain and scaled."""
+    lattices = list(fixture_inventory().values()) + [centred_cubic(n) for n in range(4, 10)]
+    rand = random.Random(25)
+    for n in range(4, 11):
+        corpus = search_corpus(n)
+        lattices += [perturbed(rand, corpus[t % len(corpus)]) for t in range(3)]
+    for n in range(1, 7):
+        lattices += [random_gram(rand, n) for _ in range(4)]
+    return lattices + [L.scaled(Fraction(3, 7)) for L in lattices]
+
+
+def _stops_at(kernel, reduced, bound, budget):
+    """The (nodes, budget) of the error ``kernel`` raises under ``budget``."""
+    with pytest.raises(ResourceExceeded) as err:
+        kernel(reduced, bound, enumeration._Counter(budget))
+    return err.value.nodes, err.value.budget
+
+
+def test_the_kernel_matches_the_reference_kernel():
+    # The kernel prunes each child in its parent, carries the centres
+    # down and buckets its leaves by norm; the kernel it replaced walks
+    # the same tree.  Both must list the same pairs for the same nodes,
+    # and stop at the same node one short of the total.  The largest of
+    # these listings is liftc12 at 3, 9,472 vectors.
+    for L in _kernel_corpus():
+        reduced = _reduction(L)
+        rho = _radius(L)
+        for bound in (rho, 3 * rho / 2, 2 * rho):
+            counter = enumeration._Counter(None)
+            expected = sorted(reference_enumerate(reduced, bound, counter))
+            nodes = counter.nodes
+            fresh = GramLattice(L.n, L.gram, L.label)
+            pairs = enumeration._listing(fresh, bound)
+            assert list(pairs) == expected, (L.label, bound)
+            # one int object per distinct norm
+            assert len({id(x) for x, _ in pairs}) == len({x for x, _ in pairs})
+            counter = enumeration._Counter(None)
+            enumeration._enumerate(reduced, bound, counter)
+            assert counter.nodes == nodes, (L.label, bound)
+            assert (_stops_at(enumeration._enumerate, reduced, bound, nodes - 1)
+                    == _stops_at(reference_enumerate, reduced, bound, nodes - 1)
+                    == (nodes, nodes - 1)), (L.label, bound)
+
+
+def test_listing_node_totals_are_pinned(node_tally):
+    lift12 = fixture_inventory()["liftc12"]
+    cases = (
+        (lift12, 3, 30379, 9472),
+        (centred_cubic(9), 4, 5494, 1690),
+        (GramLattice.from_rows([[Fraction(3, 2)]]), 7, 3, 2),
+        # bounds below the minimum
+        (named("E8").lattice, Fraction(3, 2), 107, 0),
+        (lift12, Fraction(1, 2), 26, 0),
+    )
+    for L, bound, nodes, count in cases:
+        node_tally[0] = 0
+        listing = vectors_up_to(GramLattice(L.n, L.gram, L.label), bound)
+        assert (node_tally[0], len(listing)) == (nodes, count), (L.label, bound)
+    assert vectors_up_to(GramLattice.from_rows([[Fraction(3, 2)]]), 7).vectors == ((1,), (2,))
+
+
+def test_calls_leave_no_reference_cycles():
+    # A search or listing frees what it built when it returns, rather
+    # than at the next cyclic collection: with the collector off, each
+    # call leaves nothing for it to find.  The frame search runs under a
+    # small budget, so its stopped runs are covered too.
+    calls = (
+        qb,
+        lambda L: maximal_index(L, 20000),
+        lambda L: vectors_up_to(L, 3 * _radius(L) / 2),
+    )
+    lattices = list(fixture_inventory().values())
+    for call in calls:
+        call(GramLattice.from_rows(lattices[0].gram))
+    gc.collect()
+    gc.disable()
+    try:
+        for L in lattices:
+            for call in calls:
+                call(GramLattice(L.n, L.gram, L.label))
+                assert gc.collect() == 0, L.label
+    finally:
+        gc.enable()
