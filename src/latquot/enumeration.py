@@ -24,9 +24,12 @@ Each lattice also keeps its minima ball: the listing at the radius
 ``successive_minima`` uses, the largest diagonal entry of the reduced
 Gram matrix, with the nodes that listing cost and the frame chosen from
 it.  ``successive_minima``, ``is_well_rounded``, ``qb`` and
-``maximal_index`` all list that ball, and it is enumerated once.  A
-reuse spends the nodes the listing cost, so every result, node total and
-budget failure is what a fresh lattice would give, whatever ran before.
+``maximal_index`` all list that ball, and it is enumerated once: the
+basis search of ``qb`` makes it its first deepening pass, and the frame
+search reads its shells from the ball its own ``successive_minima`` call
+has just paid for.  A reuse spends the nodes the listing cost, so every
+result, node total and budget failure is what a fresh lattice would
+give, whatever ran before.
 
 A global node budget guards against runaway trees.  It can be overridden
 through the ``LATQUOT_NODE_BUDGET`` environment variable or per call.

@@ -6,7 +6,10 @@ branch-and-bound over short vectors: every member of an optimal basis
 is shorter than the incumbent product allows, so a single enumeration
 yields the complete candidate pool, and partial selections are pruned
 by product bounds and by primitivity (a vector family extends to a
-basis if and only if its span is a primitive sublattice).
+basis if and only if its span is a primitive sublattice).  The search
+deepens through listings at growing bounds, and the first of them is
+the lattice's kept minima ball, so a search that settles there lists
+no vector beyond the ball ``successive_minima`` has already paid for.
 
 The search is certified once its incumbent reaches a proven lower
 bound, even if trees are left.  Besides the product of the successive
@@ -36,7 +39,7 @@ from typing import Sequence
 
 from .codes import _insert2
 from .core import GramLattice, LatVec, Rational, determinant, norm
-from .enumeration import _Counter, _denominator, _listing, _reduction, _times, successive_minima
+from .enumeration import _Counter, _denominator, _listing, _radius, _reduction, _times, successive_minima
 from .errors import NotGenerating, ResourceExceeded
 from .linalg import det_int, hnf_rows, identity_rows, smith_invariants
 from .linalg import is_primitive  # noqa: F401  uncalled; perfbench's tracer wraps this name
@@ -223,14 +226,17 @@ def _search(L: GramLattice, budget: int | None):
             descend = None
 
     # Iterative deepening: a poor initial incumbent would force one huge
-    # enumeration, so grow the candidate bound geometrically and let each
-    # pass tighten the incumbent first.  Certification happens on the
+    # enumeration, so grow the candidate bound geometrically from the
+    # minima ball's radius and let each pass tighten the incumbent first.
+    # The first pass is the kept ball itself: the i-th smallest diagonal
+    # entry of the reduced Gram matrix is at least lam_i, so the clamp
+    # below starts at or above the radius.  Certification happens on the
     # pass whose listing provably covers every member of any basis that
     # would beat the incumbent (the other n-1 members cost at least
     # prod(lam_i, i < n), so members are bounded by the quotient below),
     # or as soon as the incumbent reaches the lower bound ``target``: the
     # larger of the minima product and the parity bound of the listing.
-    bound = base.norms[-1]
+    bound = _radius(L)
     lam_head = floor_prod / base.norms[-1]
     done = Fraction(0)
     target = int(floor_prod * denominator**n)

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .codes import Code
 from .core import HERMITE_POWER, GramLattice, Surd, _pivot_row, determinant, qform
-from .enumeration import Frame, _Counter, _denominator, _dot, _listing, _times, successive_minima
+from .enumeration import Frame, _Counter, _denominator, _dot, _times, successive_minima
 from .errors import DependentFrame, RepsDoNotGenerate, ResourceExceeded
 from .linalg import det_int, smith_invariants, smith_with_transforms
 from .linalg import det_rational, matmul  # noqa: F401  uncalled; perfbench's tracer wraps these names
@@ -224,30 +224,27 @@ def _orthogonal_seed(pools):
 
     A pairwise orthogonal frame attains the Hadamard bound, so seeding
     the search with one collapses the tree immediately.  ``pools`` holds
-    (vector, vector times the cleared Gram matrix) pairs; a candidate is
-    kept only if its pivot is positive, and preferred when its integral
-    inner products with the vectors already chosen all vanish.  Returns
-    None when the greedy pass dead-ends.
+    (vector, vector times the cleared Gram matrix) pairs.  Each position
+    takes the first vector whose integral inner products with the vectors
+    already chosen all vanish: it is independent of them, so its pivot is
+    positive, and its pivot row is built only once it is picked.  Failing
+    that, it takes the first vector with a positive pivot.  Returns None
+    when the greedy pass dead-ends.
     """
     chosen: list[tuple[int, ...]] = []
     minors, lam = [1], []
     for pool in pools:
-        fallback = None
-        pick = None
         for v, va in pool:
-            products = [_dot(va, w) for w in chosen]
-            row = _pivot_row(products + [_dot(va, v)], minors, lam)
-            if row[-1] <= 0:
-                continue
-            if fallback is None:
-                fallback = (v, row)
-            if not any(products):
-                pick = (v, row)
+            if not any(_dot(va, w) for w in chosen):
+                row = _pivot_row([0] * len(chosen) + [_dot(va, v)], minors, lam)
                 break
-        pick = pick if pick is not None else fallback
-        if pick is None:
-            return None
-        v, row = pick
+        else:
+            for v, va in pool:
+                row = _pivot_row([_dot(va, w) for w in chosen] + [_dot(va, v)], minors, lam)
+                if row[-1] > 0:
+                    break
+            else:
+                return None
         chosen.append(v)
         minors.append(row.pop())
         lam.append(row)
@@ -280,12 +277,16 @@ def maximal_index(L: GramLattice, budget: int | None = None) -> IndexReport:
     lam = base.norms
     n = L.n
     scale, a, _, _ = L._form
-    # shells are keyed by the listing's norm numerators
+    # The shells come from the minima ball ``successive_minima`` has
+    # just listed, keyed by its norm numerators: the ball reaches past
+    # lam[-1] and is sorted as a listing at lam[-1] would be.
     denominator = _denominator(L)
     keys = [int(value * denominator) for value in lam]
     wanted = set(keys)
     shells: dict[int, list[tuple[tuple[int, ...], list[int]]]] = {}
-    for value, v in _listing(L, lam[-1]):
+    for value, v in L._ball.pairs:
+        if value > keys[-1]:
+            break
         if value in wanted:
             shells.setdefault(value, []).append((v, _times(v, a)))
     pools = [shells[key] for key in keys]

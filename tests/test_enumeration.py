@@ -10,7 +10,8 @@ from fractions import Fraction
 import pytest
 
 from latquot import enumeration
-from latquot.construct import centred_cubic, fixture_inventory, named, search_corpus, zn
+from latquot.codes import c9, c10
+from latquot.construct import centred_cubic, code_lift, fixture_inventory, named, search_corpus, zn
 from latquot.core import GramLattice, _integral, _pivot_row, determinant, norm, validate
 from latquot.enumeration import (
     _radius,
@@ -167,6 +168,16 @@ def test_each_lattice_lists_its_minima_ball_once(monkeypatch):
     assert len(vectors_up_to(L, rho)) == 12
     assert successive_minima(L) is frame
     assert bounds == [rho]
+    # The basis search deepens from the ball and the frame search reads
+    # its shells from it, also where lam_n lies below rho or more than
+    # one pass runs.
+    cases = [(qb, L) for L in (centred_cubic(9), code_lift(c9()), code_lift(c10()), named("A74").lattice)]
+    cases += [(maximal_index, named(name).lattice) for name in ("A73", "A74")]
+    for call, lattice in cases:
+        bounds.clear()
+        fresh = GramLattice.from_rows(lattice.gram)
+        call(fresh)
+        assert bounds == [_radius(fresh)], (call.__name__, lattice.label)
 
 
 def _outcome(call, L, budget, tally):
