@@ -1,0 +1,237 @@
+"""The search machinery of ``watson.maximal_index`` over frames of successive minima.
+
+A pool holds the vectors of one successive-minimum norm as (vector,
+vector times the cleared Gram matrix) pairs, and a frame takes its k-th
+vector from the pool of lam_k.  Three tools work on the pools:
+``_orthogonal_seed``, a greedy frame that prefers orthogonal vectors;
+``_kernels``, the kernels of the functionals mod p that hold a frame,
+which decide whether p can divide a frame's index; and ``_first_frame``,
+the frame tree, which finds the first frame of index at least m in one
+fixed order.  Everything is exact: independence and Gram determinants
+come from fraction-free pivot rows (Cohen, GTM 138, Alg. 2.6.7).
+"""
+
+from __future__ import annotations
+
+from functools import reduce
+from itertools import product
+from operator import and_, mul, or_
+
+from .core import _pivot_row
+from .enumeration import _Counter, _dot
+
+
+def _orthogonal_seed(pools):
+    """Best-effort frame preferring pairwise orthogonal vectors.
+
+    A pairwise orthogonal frame attains the Hadamard bound, and a seed
+    that reaches the bound settles ``maximal_index`` with no search at
+    all.  ``pools`` holds (vector, vector times the cleared Gram matrix)
+    pairs.  Each position takes the first vector whose integral inner
+    products with the vectors already chosen all vanish: it is
+    independent of them, so its pivot is positive, and its pivot row is
+    built only once it is picked.  Failing that, it takes the first
+    vector with a positive pivot.  Returns None when the greedy pass
+    dead-ends.
+    """
+    chosen: list[tuple[int, ...]] = []
+    minors, lam = [1], []
+    for pool in pools:
+        for v, va in pool:
+            if not any(_dot(va, w) for w in chosen):
+                row = _pivot_row([0] * len(chosen) + [_dot(va, v)], minors, lam)
+                break
+        else:
+            for v, va in pool:
+                row = _pivot_row([_dot(va, w) for w in chosen] + [_dot(va, v)], minors, lam)
+                if row[-1] > 0:
+                    break
+            else:
+                return None
+        chosen.append(v)
+        minors.append(row.pop())
+        lam.append(row)
+    return tuple(chosen)
+
+
+def _primes(m: int) -> list[int]:
+    """The prime divisors of ``m``, in increasing order."""
+    out, p = [], 2
+    while p * p <= m:
+        if m % p == 0:
+            out.append(p)
+            while m % p == 0:
+                m //= p
+        p += 1
+    if m > 1:
+        out.append(m)
+    return out
+
+
+def _holds_frame(kernel: int, vectors, spans) -> bool:
+    """Whether the pool vectors whose bits ``kernel`` sets contain a frame of the minima.
+
+    ``vectors`` holds the pool as (vector, vector times the cleared Gram
+    matrix) pairs, shell after shell, and ``spans`` the (start, stop,
+    count) of each shell: its slice of the pool and how many of the
+    successive minima take its norm.  Independent sets form a matroid,
+    so a greedy pass that takes each vector independent of those already
+    taken, in norm order, finds such a frame whenever one exists: the
+    set holds one exactly when every shell adds its count.  A shell
+    fails as soon as more of its vectors are dependent than it can spare.
+    """
+    chosen: list[tuple[int, ...]] = []
+    minors, lam = [1], []
+    for start, stop, count in spans:
+        spare = ((kernel >> start) & ((1 << (stop - start)) - 1)).bit_count() - count
+        if spare < 0:
+            return False
+        for t in range(start, stop):
+            if kernel >> t & 1:
+                v, va = vectors[t]
+                row = _pivot_row([_dot(va, w) for w in chosen] + [_dot(va, v)], minors, lam)
+                if row[-1] > 0:
+                    chosen.append(v)
+                    minors.append(row.pop())
+                    lam.append(row)
+                    count -= 1
+                    if not count:
+                        break
+                else:
+                    spare -= 1
+                    if spare < 0:
+                        return False
+    return True
+
+
+def _kernels(p: int, vectors, spans, counter: _Counter) -> list[int]:
+    """The pool kernels of the functionals L -> Z/p whose kernel holds a frame.
+
+    Each kernel is a bit mask over ``vectors`` (see ``_holds_frame``),
+    one per distinct mask.  An empty list proves that p divides the index
+    of no frame, since p divides [L:F] exactly when F lies in the kernel
+    of a nonzero functional mod p.  A functional is its values on the
+    basis, up to a unit, so there are (p^n - 1)/(p - 1) of them, each
+    counted as one node.  They are met in the middle: the values on the
+    first n // 2 coordinates and on the rest each get a table that lists,
+    for every residue r, the pool vectors on which that half takes r, so
+    a functional's kernel is the union over r of head[-r] & tail[r], a
+    few integer operations whatever the pool's size.  A kernel with fewer
+    than n vectors is dropped before the greedy test.
+    """
+    n = len(vectors[0][0])
+    h = n // 2
+    residues = [[x % p for x in v] for v, _ in vectors]
+
+    def tables(lo, hi, partials):
+        out = []
+        for g in partials:
+            table = [0] * p
+            for t, r in enumerate(residues):
+                table[sum(map(mul, g, r[lo:hi])) % p] |= 1 << t
+            out.append(table)
+        return out
+
+    def units(k):
+        # nonzero partial functionals whose first nonzero value is 1
+        return [(0,) * i + (1,) + rest for i in range(k) for rest in product(range(p), repeat=k - i - 1)]
+
+    # each head table re-indexed by -r mod p, so its entry r pairs with
+    # the tail tables' entry r
+    heads = [table[:1] + table[:0:-1] for table in tables(0, h, units(h))]
+    tails = tables(h, n, product(range(p), repeat=n - h))
+    pairs = [(head, tails) for head in heads]
+    # the functionals that vanish on the head coordinates
+    pairs.append(([(1 << len(vectors)) - 1] + [0] * (p - 1), tables(h, n, units(n - h))))
+    seen: set[int] = set()
+    found = []
+    for head, rest in pairs:
+        counter.spend(len(rest))
+        for tail in rest:
+            kernel = reduce(or_, map(and_, head, tail))
+            if kernel.bit_count() < n or kernel in seen:
+                continue
+            seen.add(kernel)
+            if _holds_frame(kernel, vectors, spans):
+                found.append(kernel)
+    return found
+
+
+def _first_frame(m: int, pools, offsets, lam, room, marks, counter: _Counter):
+    """The first frame of index at least ``m`` in the frame tree's order, or None.
+
+    The tree fills position k with a vector of ``pools[k]``, equal norms
+    in strictly increasing pool order, and takes a node's children by
+    decreasing leading minor, then by pool order.  That order depends on
+    the prefix alone, so a prune that cuts only subtrees holding no frame
+    of index at least m leaves the first such frame where it was.  Two
+    prunes qualify.  The Hadamard bound: with the Gram matrix cleared as
+    ``scale * G``, a prefix of k + 1 vectors with Gram determinant
+    minor / scale**(k+1) has completions of index m only if
+    minor * tail[k+1] >= m**2 * det(L) * scale**(k+1), with tail[k+1]
+    the product of the minima still to place, i.e. when minor >= m**2 *
+    room[k] for ``room[k] = det(L) * scale**(k+1) / tail[k+1]``.  The
+    kernels: when ``marks`` is given, the entry of the j-th vector of
+    ``pools[k]``, ``marks[offsets[k] + j]``, holds for each prime p of m
+    whose kernels are known the bits of the kernels it lies in, and a
+    prefix survives only while it lies in one common kernel per prime.
+    Each leading minor computed is counted as a node.  Every leaf has
+    index at least m.
+    """
+    n = len(pools)
+    # minor > limits[k] exactly when minor >= m**2 * room[k]
+    limits = [-(-m * m * x.numerator // x.denominator) - 1 for x in room]
+    chosen: list[tuple[int, ...]] = []
+    minors, coeffs = [1], []
+    spend = counter.spend
+
+    def descend(k: int, last: int, live):
+        if k == n:
+            return tuple(chosen)
+        pool, offset = pools[k], offsets[k]
+        start = last + 1 if k and lam[k] == lam[k - 1] else 0
+        limit = limits[k]
+        ranked = []
+        for j in range(start, len(pool)):
+            mark = None
+            if live is not None:
+                mark = tuple(map(and_, live, marks[offset + j]))
+                if not all(mark):
+                    continue
+            spend()
+            v, va = pool[j]
+            row = _pivot_row([_dot(va, w) for w in chosen] + [_dot(va, v)], minors, coeffs)
+            if row[-1] > limit:
+                ranked.append((-row[-1], j, row, mark))
+        ranked.sort()
+        for negminor, j, row, mark in ranked:
+            chosen.append(pool[j][0])
+            minors.append(-negminor)
+            coeffs.append(row[:-1])
+            found = descend(k + 1, j, mark)
+            if found is not None:
+                return found
+            chosen.pop()
+            minors.pop()
+            coeffs.pop()
+        return None
+
+    # every kernel holds a vector, so the union of the marks is all of them
+    live = None if marks is None else tuple(reduce(or_, column) for column in zip(*marks))
+    try:
+        return descend(0, -1, live)
+    finally:
+        # ``descend`` refers to itself; break the cycle so the pools are
+        # freed on return
+        descend = None
+
+
+def _marks(kernels: list[list[int]], size: int) -> list[tuple[int, ...]]:
+    """Per pool vector, one int per prime: the bits of that prime's kernels holding the vector."""
+    marks = [[0] * len(kernels) for _ in range(size)]
+    for slot, masks in enumerate(kernels):
+        for i, kernel in enumerate(masks):
+            for t in range(size):
+                if kernel >> t & 1:
+                    marks[t][slot] |= 1 << i
+    return [tuple(x) for x in marks]

@@ -7,11 +7,22 @@ coset representatives, the associated code over Z/dZ, and the identity
 and condition that constrain the norms of coset vectors.
 
 The central search is ``maximal_index``: the largest quotient order over
-all frames of successive minima, found by branch and bound over the
-shells of minimal vectors.  The search runs in integers: the Gram matrix
-is cleared of denominators once, each tree node carries the fraction-free
-Gram-Schmidt pivots of its prefix (Cohen, GTM 138, Alg. 2.6.7), and a
-candidate costs one new pivot row instead of a fresh Gram determinant.
+all frames of successive minima.  It is decided over the candidate
+orders m up to the Hadamard bound H = floor(sqrt(prod lam_i / det L)),
+largest first, and stops at once when a greedy frame already reaches H.
+A prime p divides [L:F] exactly when F lies in the kernel of a nonzero
+functional L -> Z/p, so when no such kernel holds a frame every multiple
+of p is ruled out; the larger candidates are cheaper to rule out with a
+frame tree that only looks for frames of index at least m.  The tree is
+also the witness finder: its children are ordered by their prefix alone,
+and its prunes only cut subtrees without a frame of a candidate index,
+so the witness is the first frame of maximal index in one fixed order,
+the frame a plain branch and bound returns.  The seed, the functionals
+and the tree live in ``latquot.frames``.  They run in integers: the Gram
+matrix is cleared of denominators once, each tree node carries the
+fraction-free Gram-Schmidt pivots of its prefix (Cohen, GTM 138, Alg.
+2.6.7), and a candidate costs one new pivot row instead of a fresh Gram
+determinant.
 """
 
 from __future__ import annotations
@@ -21,9 +32,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .codes import Code
-from .core import HERMITE_POWER, GramLattice, Surd, _pivot_row, determinant, qform
-from .enumeration import Frame, _Counter, _denominator, _dot, _times, successive_minima
+from .core import HERMITE_POWER, GramLattice, Surd, determinant, qform
+from .enumeration import Frame, _Counter, _denominator, _times, successive_minima
 from .errors import DependentFrame, RepsDoNotGenerate, ResourceExceeded
+from .frames import _first_frame, _kernels, _marks, _orthogonal_seed, _primes
 from .linalg import det_int, smith_invariants, smith_with_transforms
 from .linalg import det_rational, matmul  # noqa: F401  uncalled; perfbench's tracer wraps these names
 
@@ -219,61 +231,39 @@ def watson_index_bound(n: int) -> Surd:
     return Surd(HERMITE_POWER[n])
 
 
-def _orthogonal_seed(pools):
-    """Best-effort frame preferring pairwise orthogonal vectors.
-
-    A pairwise orthogonal frame attains the Hadamard bound, so seeding
-    the search with one collapses the tree immediately.  ``pools`` holds
-    (vector, vector times the cleared Gram matrix) pairs.  Each position
-    takes the first vector whose integral inner products with the vectors
-    already chosen all vanish: it is independent of them, so its pivot is
-    positive, and its pivot row is built only once it is picked.  Failing
-    that, it takes the first vector with a positive pivot.  Returns None
-    when the greedy pass dead-ends.
-    """
-    chosen: list[tuple[int, ...]] = []
-    minors, lam = [1], []
-    for pool in pools:
-        for v, va in pool:
-            if not any(_dot(va, w) for w in chosen):
-                row = _pivot_row([0] * len(chosen) + [_dot(va, v)], minors, lam)
-                break
-        else:
-            for v, va in pool:
-                row = _pivot_row([_dot(va, w) for w in chosen] + [_dot(va, v)], minors, lam)
-                if row[-1] > 0:
-                    break
-            else:
-                return None
-        chosen.append(v)
-        minors.append(row.pop())
-        lam.append(row)
-    return tuple(chosen)
-
-
 def maximal_index(L: GramLattice, budget: int | None = None) -> IndexReport:
     """Largest index of a sublattice spanned by a frame of successive minima.
 
-    Branch and bound: positions are filled with vectors of the exact
-    successive-minimum norm, equal-norm positions draw from a shared
-    shell with strictly increasing listing order, and a partial choice
-    is abandoned when the Hadamard bound on its completions cannot beat
-    the incumbent.  If the node budget runs out the incumbent is
-    returned with ``exhaustive=False``.
+    Every frame F has [L:F] <= H, the Hadamard bound floor(sqrt(prod
+    lam_i / det L)).  The incumbent is the frame of ``successive_minima``
+    or, when it beats that, the frame of ``_orthogonal_seed``; when it
+    reaches H the search is over before it starts.  Otherwise the index
+    is decided over the candidates m in (incumbent, H], largest first.
+    A candidate m is ruled out by a frame-tree walk that finds no frame
+    of index at least m, and with it every larger one, or by a prime p
+    of m whose functionals mod p hold no frame in their kernels
+    (``_kernels``), and with it every multiple of p.  The largest
+    candidate left is the index once the tree finds a frame there: a
+    frame of index at least m has index m, since every larger candidate
+    is ruled out.  The method for each candidate follows one fixed cost
+    rule.  While m has a prime whose kernels are unknown, the tree gets
+    an allowance of n nodes for each of the (p^n - 1)/(p - 1) functionals
+    of the least such prime p, about the pivot rows a functional's greedy
+    test takes.  When the tree spends its allowance, p is settled by its
+    functionals and m is tried again, now with the kernels of p as a
+    prune.
 
-    The lattice's integral form holds the Gram matrix cleared of
-    denominators, as ``scale * G``, and every pool vector is multiplied
-    into it once.
-    Each tree node carries the integral leading minors and Gram-Schmidt
-    coefficients of its prefix, so a candidate costs its k inner products
-    with the prefix and one fraction-free pivot row: the Gram determinant
-    of the prefix plus the candidate is the new minor over
-    ``scale**(k+1)``.  The prune and the ranking compare that minor with
-    an integer threshold that is exactly equivalent to the rational
-    Hadamard test.
+    The witness is the one the plain branch and bound has always
+    returned: the incumbent when it reaches the index, and otherwise the
+    first frame of maximal index in the tree's fixed order
+    (``_first_frame``), which every sound prune leaves in place.
+
+    The listing honours ``budget``, and the functionals and tree nodes of
+    the search spend a budget of their own; an allowance spent counts
+    against it too.  If that runs out the incumbent is returned with
+    ``exhaustive=False``.
     """
-    counter = _Counter(budget)
-    base = successive_minima(L)
+    base = successive_minima(L, budget)
     lam = base.norms
     n = L.n
     scale, a, _, _ = L._form
@@ -290,81 +280,68 @@ def maximal_index(L: GramLattice, budget: int | None = None) -> IndexReport:
         if value in wanted:
             shells.setdefault(value, []).append((v, _times(v, a)))
     pools = [shells[key] for key in keys]
+    # the whole pool in one list, shell after shell, so that a bit mask
+    # over it is a set of pool vectors
+    vectors: list[tuple[tuple[int, ...], list[int]]] = []
+    spans, starts = [], {}
+    for key, shell in shells.items():
+        starts[key] = len(vectors)
+        spans.append((len(vectors), len(vectors) + len(shell), keys.count(key)))
+        vectors += shell
+    offsets = [starts[key] for key in keys]
 
-    # A prefix of k + 1 vectors with Gram determinant minor / scale**(k+1)
-    # survives the Hadamard prune exactly when
-    #   minor * tail[k+1] > index**2 * det(L) * scale**(k+1),
-    # with tail[k+1] the product of the minima still to be placed, i.e.
-    # when minor exceeds the floor kept in limits[k].
     tail = [Fraction(1)] * (n + 1)
     for i in range(n - 1, -1, -1):
         tail[i] = tail[i + 1] * lam[i]
     det_l = determinant(L)
     room = [det_l * scale ** (k + 1) / tail[k + 1] for k in range(n)]
-    limits: list[int] = []
+    hadamard = math.isqrt(math.floor(tail[0] / det_l))
 
-    best = {"index": 0, "rows": base.vectors}
-
-    def improve(index: int, rows) -> None:
-        best["index"] = index
-        best["rows"] = rows
-        limits[:] = [math.floor(index**2 * x) for x in room]
-
-    improve(abs(det_int(base.vectors)), base.vectors)
+    incumbent, best_rows = abs(det_int(base.vectors)), base.vectors
     seed = _orthogonal_seed(pools)
     if seed is not None:
         seed_index = abs(det_int(seed))
-        if seed_index > best["index"]:
-            improve(seed_index, seed)
-    chosen: list[tuple[int, ...]] = []
-    minors, coeffs = [1], []
+        if seed_index > incumbent:
+            incumbent, best_rows = seed_index, seed
 
-    def descend(k: int, last: int):
-        if k == n:
-            # minors[n] = det(C scale G C^T) and the lattice's own minor
-            # is det(scale G), so their ratio is det(C)^2
-            index = math.isqrt(minors[n] // L._form.minors[n])
-            if index > best["index"]:
-                improve(index, tuple(chosen))
-            return
-        pool = pools[k]
-        start = last + 1 if k and lam[k] == lam[k - 1] else 0
-        limit = limits[k]
-        ranked = []
-        for j in range(start, len(pool)):
-            counter.spend()
-            v, va = pool[j]
-            row = _pivot_row([_dot(va, w) for w in chosen] + [_dot(va, v)], minors, coeffs)
-            minor = row[-1]
-            if minor <= 0 or minor <= limit:
-                continue
-            ranked.append((-minor, j, row))
-        ranked.sort()
-        for negminor, j, row in ranked:
-            if -negminor <= limits[k]:
-                break
-            chosen.append(pool[j][0])
-            minors.append(-negminor)
-            coeffs.append(row[:-1])
-            descend(k + 1, j)
-            chosen.pop()
-            minors.pop()
-            coeffs.pop()
-
+    counter = _Counter(budget)
+    candidates = list(range(hadamard, incumbent, -1))
+    kernels: dict[int, list[int]] = {}
     exhaustive = True
     try:
-        descend(0, -1)
+        while candidates:
+            m = candidates[0]
+            primes = _primes(m)
+            known = [kernels[p] for p in primes if p in kernels]
+            marks = _marks(known, len(vectors)) if known else None
+            unknown = [p for p in primes if p not in kernels]
+            full = counter.budget
+            if unknown:
+                p = unknown[0]
+                allowance = (p**n - 1) // (p - 1) * n
+                counter.budget = min(full, counter.nodes + allowance)
+            try:
+                rows = _first_frame(m, pools, offsets, lam, room, marks, counter)
+            except ResourceExceeded:
+                counter.budget = full
+                if counter.nodes > full:
+                    raise
+                kernels[p] = _kernels(p, vectors, spans, counter)
+                if not kernels[p]:
+                    candidates = [c for c in candidates if c % p]
+                continue
+            counter.budget = full
+            if rows is not None:
+                best_rows = rows
+                break
+            candidates.pop(0)
     except ResourceExceeded:
         exhaustive = False
-    # ``descend`` refers to itself; break the cycle so the pools are
-    # freed on return
-    descend = None
 
-    rows = best["rows"]
-    frame = Frame(vectors=rows, norms=lam)
-    structure = quotient_structure(L, rows)
+    frame = Frame(vectors=best_rows, norms=lam)
+    structure = quotient_structure(L, best_rows)
     return IndexReport(
-        max_index=best["index"],
+        max_index=structure.index,
         witness_frame=frame,
         witness_structure=structure,
         exhaustive=exhaustive,

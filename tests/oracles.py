@@ -25,9 +25,11 @@ import math
 from math import floor, gcd, isqrt
 
 from latquot.linalg import det_int, identity_rows, matmul, transpose
-from latquot.core import GramLattice, qform
-from latquot.enumeration import _weights
-from latquot.errors import NotPositiveDefinite
+from latquot.core import GramLattice, _pivot_row, determinant, qform
+from latquot.enumeration import Frame, _Counter, _denominator, _dot, _times, _weights, successive_minima
+from latquot.errors import NotPositiveDefinite, ResourceExceeded
+from latquot.frames import _orthogonal_seed
+from latquot.watson import IndexReport, quotient_structure
 from latquot.sampling import _apply, _moves
 
 
@@ -533,3 +535,125 @@ def _canonical_sign(v: tuple[int, ...]) -> tuple[int, ...]:
         if entry < 0:
             return tuple(-x for x in v)
     return v
+
+
+def reference_maximal_index(L: GramLattice, budget: int | None = None) -> IndexReport:
+    """``watson.maximal_index`` as a plain branch and bound, as first written.
+
+    Largest index of a sublattice spanned by a frame of successive minima.
+
+    Branch and bound: positions are filled with vectors of the exact
+    successive-minimum norm, equal-norm positions draw from a shared
+    shell with strictly increasing listing order, and a partial choice
+    is abandoned when the Hadamard bound on its completions cannot beat
+    the incumbent.  If the node budget runs out the incumbent is
+    returned with ``exhaustive=False``.
+
+    The lattice's integral form holds the Gram matrix cleared of
+    denominators, as ``scale * G``, and every pool vector is multiplied
+    into it once.
+    Each tree node carries the integral leading minors and Gram-Schmidt
+    coefficients of its prefix, so a candidate costs its k inner products
+    with the prefix and one fraction-free pivot row: the Gram determinant
+    of the prefix plus the candidate is the new minor over
+    ``scale**(k+1)``.  The prune and the ranking compare that minor with
+    an integer threshold that is exactly equivalent to the rational
+    Hadamard test.
+    """
+    counter = _Counter(budget)
+    base = successive_minima(L)
+    lam = base.norms
+    n = L.n
+    scale, a, _, _ = L._form
+    # The shells come from the minima ball ``successive_minima`` has
+    # just listed, keyed by its norm numerators: the ball reaches past
+    # lam[-1] and is sorted as a listing at lam[-1] would be.
+    denominator = _denominator(L)
+    keys = [int(value * denominator) for value in lam]
+    wanted = set(keys)
+    shells: dict[int, list[tuple[tuple[int, ...], list[int]]]] = {}
+    for value, v in L._ball.pairs:
+        if value > keys[-1]:
+            break
+        if value in wanted:
+            shells.setdefault(value, []).append((v, _times(v, a)))
+    pools = [shells[key] for key in keys]
+
+    # A prefix of k + 1 vectors with Gram determinant minor / scale**(k+1)
+    # survives the Hadamard prune exactly when
+    #   minor * tail[k+1] > index**2 * det(L) * scale**(k+1),
+    # with tail[k+1] the product of the minima still to be placed, i.e.
+    # when minor exceeds the floor kept in limits[k].
+    tail = [Fraction(1)] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        tail[i] = tail[i + 1] * lam[i]
+    det_l = determinant(L)
+    room = [det_l * scale ** (k + 1) / tail[k + 1] for k in range(n)]
+    limits: list[int] = []
+
+    best = {"index": 0, "rows": base.vectors}
+
+    def improve(index: int, rows) -> None:
+        best["index"] = index
+        best["rows"] = rows
+        limits[:] = [math.floor(index**2 * x) for x in room]
+
+    improve(abs(det_int(base.vectors)), base.vectors)
+    seed = _orthogonal_seed(pools)
+    if seed is not None:
+        seed_index = abs(det_int(seed))
+        if seed_index > best["index"]:
+            improve(seed_index, seed)
+    chosen: list[tuple[int, ...]] = []
+    minors, coeffs = [1], []
+
+    def descend(k: int, last: int):
+        if k == n:
+            # minors[n] = det(C scale G C^T) and the lattice's own minor
+            # is det(scale G), so their ratio is det(C)^2
+            index = math.isqrt(minors[n] // L._form.minors[n])
+            if index > best["index"]:
+                improve(index, tuple(chosen))
+            return
+        pool = pools[k]
+        start = last + 1 if k and lam[k] == lam[k - 1] else 0
+        limit = limits[k]
+        ranked = []
+        for j in range(start, len(pool)):
+            counter.spend()
+            v, va = pool[j]
+            row = _pivot_row([_dot(va, w) for w in chosen] + [_dot(va, v)], minors, coeffs)
+            minor = row[-1]
+            if minor <= 0 or minor <= limit:
+                continue
+            ranked.append((-minor, j, row))
+        ranked.sort()
+        for negminor, j, row in ranked:
+            if -negminor <= limits[k]:
+                break
+            chosen.append(pool[j][0])
+            minors.append(-negminor)
+            coeffs.append(row[:-1])
+            descend(k + 1, j)
+            chosen.pop()
+            minors.pop()
+            coeffs.pop()
+
+    exhaustive = True
+    try:
+        descend(0, -1)
+    except ResourceExceeded:
+        exhaustive = False
+    # ``descend`` refers to itself; break the cycle so the pools are
+    # freed on return
+    descend = None
+
+    rows = best["rows"]
+    frame = Frame(vectors=rows, norms=lam)
+    structure = quotient_structure(L, rows)
+    return IndexReport(
+        max_index=best["index"],
+        witness_frame=frame,
+        witness_structure=structure,
+        exhaustive=exhaustive,
+    )

@@ -6,12 +6,12 @@ from fractions import Fraction
 import pytest
 
 from latquot.codes import c9, weight_distribution
-from latquot.construct import centred_cubic, named, zd_lift, zn
+from latquot.construct import centred_cubic, fixture_inventory, named, search_corpus, zd_lift, zn
 from latquot.core import GramLattice, Surd, _integral, _pivot_row, determinant, inner
 from latquot.enumeration import _dot, _times, minimum
-from latquot.errors import DependentFrame
+from latquot.errors import DependentFrame, ResourceExceeded
 from latquot.linalg import det_int, det_rational, hnf_rows, identity_rows
-from latquot.sampling import random_coset, random_gram
+from latquot.sampling import perturbed, random_coset, random_gram
 from latquot.watson import (
     CosetVector,
     QuotientStructure,
@@ -23,7 +23,7 @@ from latquot.watson import (
     watson_identity,
     watson_index_bound,
 )
-from oracles import gram_schmidt, inverse_rational
+from oracles import gram_schmidt, inverse_rational, reference_maximal_index
 
 
 def frame_gram(L, rows):
@@ -183,10 +183,15 @@ def test_a74_code_extraction_round_trip():
 
 
 def test_budget_exhaustion_downgrades_to_a_lower_bound():
-    report = maximal_index(named("E7").lattice, budget=3)
+    # A74's minima ball costs 126 nodes and its frame search 581 more, so
+    # at budget 300 the listing completes and the search stops short.
+    report = maximal_index(named("A74").lattice, budget=300)
     assert not report.exhaustive
     assert report.max_index >= 1
     assert report.witness_structure.index == report.max_index
+    # the listing honours the budget too: E7's ball costs 178 nodes
+    with pytest.raises(ResourceExceeded):
+        maximal_index(named("E7").lattice, budget=3)
 
 
 def test_pivot_rows_match_the_rational_gram_determinant():
@@ -238,10 +243,52 @@ def test_the_d6plus_and_a7_frame_searches_run_to_exhaustion():
     assert a7.witness_structure.invariant_factors == ()
 
 
+def test_a8_is_decided_exhaustively(node_tally):
+    # The Hadamard bound allows index 5; the tree rules out 5, and the
+    # functionals mod 2 and mod 3 hold no frame in their kernels.  The
+    # node total is pinned here rather than with the others, so that the
+    # longest decision among them runs once.
+    report = maximal_index(named("A8").lattice)
+    assert (report.max_index, report.exhaustive) == (1, True)
+    assert report.witness_structure.invariant_factors == ()
+    assert node_tally[0] == 48937
+
+
+def _reference_corpus():
+    """Every fixture but A7, each also scaled, and 12 perturbed corpus lattices per rank 3-7."""
+    fixtures = [L for name, L in sorted(fixture_inventory().items()) if name != "a7"]
+    lattices = fixtures + [L.scaled(Fraction(3, 7)) for L in fixtures]
+    rand = random.Random(17)
+    for n in range(3, 8):
+        corpus = search_corpus(n)
+        lattices += [perturbed(rand, corpus[t % len(corpus)]) for t in range(12)]
+    return lattices
+
+
+def test_the_frame_search_matches_the_reference_search():
+    # The decision over candidate indices returns the plain branch and
+    # bound's index, quotient and witness frame.  It may settle a case
+    # that the reference leaves open at the budget, never the reverse:
+    # here three perturbed A7 and two perturbed D7, where the reference
+    # spends its 200,000 nodes and the decision under 40,000.
+    settled = 0
+    for L in _reference_corpus():
+        expected = reference_maximal_index(L, 200_000)
+        report = maximal_index(L, 200_000)
+        assert report.max_index == expected.max_index, L.label
+        assert report.witness_structure == expected.witness_structure, L.label
+        assert report.witness_frame == expected.witness_frame, L.label
+        assert report.exhaustive or not expected.exhaustive, L.label
+        settled += report.exhaustive and not expected.exhaustive
+    assert settled == 5
+
+
 def test_frame_search_node_totals_are_pinned(node_tally):
     # Totals of every node the call spends, the minima ball's listing
     # included; the shells are read from that ball, not listed again.
-    for name, nodes in (("E8", 488), ("A74", 3569), ("E7", 241), ("D6+", 7014)):
+    # A8's is pinned in test_a8_is_decided_exhaustively.
+    for name, nodes in (("E8", 368), ("A74", 707), ("E7", 178), ("D6+", 842),
+                        ("A5^3", 106), ("A7", 9853)):
         node_tally[0] = 0
         assert maximal_index(named(name).lattice).exhaustive
         assert node_tally[0] == nodes, name
