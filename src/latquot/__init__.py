@@ -6,181 +6,81 @@ product M, their ratio Q_b = H_b / M, the maximal index of a family of
 minimal vectors together with the quotient group it generates, and the
 closed form bounds that control these quantities in low rank.  All of
 it is exact: no floats, every certificate is a rational identity.
+
+Importing the package loads no submodule.  Each public name and each
+submodule is imported on first access (PEP 562), so a program that uses
+only the searches never compiles the code classification, the bounds or
+the verification suites.
 """
 
-from .bounds import (
-    BoundContext,
-    context_from,
-    conjectured_bound,
-    crude_bound,
-    hermite_Hb_bound,
-    index3_psi_bound,
-    index3_sum_identity,
-    index4_m5_bound,
-    norm_e_index2_bound,
-    step_bound,
-    tuvw_bounds,
-    vdw_bound,
-)
-from .codes import (
-    Code,
-    WeightDistribution,
-    canonical_form,
-    classify_binary,
-    code_qb_bound,
-    dump_code_text,
-    equivalent,
-    min_weight_support,
-    parse_code_text,
-    weight_distribution,
-)
-from .construct import (
-    NamedLattice,
-    centred_cubic,
-    code_lift,
-    fixture_inventory,
-    fixture_path,
-    named,
-    search_corpus,
-    zd_lift,
-    zn,
-)
-from .core import (
-    HERMITE_POWER,
-    GramLattice,
-    InvariantReport,
-    Surd,
-    determinant,
-    dump_lattice_json,
-    dump_lattice_text,
-    inner,
-    load_lattice,
-    norm,
-    parse_lattice_json,
-    parse_lattice_text,
-    qform,
-)
-from .enumeration import (
-    Frame,
-    ShellListing,
-    invariant_report,
-    is_well_rounded,
-    minimum,
-    minkowski_M,
-    node_budget,
-    successive_minima,
-    vectors_up_to,
-)
-from .errors import (
-    CodeTooLight,
-    DimensionMismatch,
-    LatquotError,
-    MinimumDrops,
-    NotGenerating,
-    NotPositiveDefinite,
-    NotSymmetric,
-    ParseError,
-    ResourceExceeded,
-    UnknownLattice,
-)
-from .quality import QualityReport, hermite_Hb, qb, qg_upper_bound
-from .reduction import ReducedBasis, lll
-from .verify import VerificationCase, run_suite
-from .watson import (
-    CosetVector,
-    IndexReport,
-    QuotientStructure,
-    extract_code,
-    maximal_index,
-    quotient_generators,
-    quotient_structure,
-    watson_condition,
-    watson_identity,
-    watson_index_bound,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundContext",
-    "Code",
-    "CodeTooLight",
-    "CosetVector",
-    "DimensionMismatch",
-    "Frame",
-    "GramLattice",
-    "HERMITE_POWER",
-    "IndexReport",
-    "InvariantReport",
-    "LatquotError",
-    "MinimumDrops",
-    "NamedLattice",
-    "NotGenerating",
-    "NotPositiveDefinite",
-    "NotSymmetric",
-    "ParseError",
-    "QualityReport",
-    "QuotientStructure",
-    "ReducedBasis",
-    "ResourceExceeded",
-    "ShellListing",
-    "Surd",
-    "UnknownLattice",
-    "VerificationCase",
-    "WeightDistribution",
-    "canonical_form",
-    "centred_cubic",
-    "classify_binary",
-    "code_lift",
-    "code_qb_bound",
-    "conjectured_bound",
-    "context_from",
-    "crude_bound",
-    "determinant",
-    "dump_code_text",
-    "dump_lattice_json",
-    "dump_lattice_text",
-    "equivalent",
-    "extract_code",
-    "fixture_inventory",
-    "fixture_path",
-    "hermite_Hb",
-    "hermite_Hb_bound",
-    "index3_psi_bound",
-    "index3_sum_identity",
-    "index4_m5_bound",
-    "inner",
-    "invariant_report",
-    "is_well_rounded",
-    "lll",
-    "load_lattice",
-    "maximal_index",
-    "min_weight_support",
-    "minimum",
-    "minkowski_M",
-    "named",
-    "node_budget",
-    "norm",
-    "norm_e_index2_bound",
-    "parse_code_text",
-    "parse_lattice_json",
-    "parse_lattice_text",
-    "qb",
-    "qform",
-    "qg_upper_bound",
-    "quotient_generators",
-    "quotient_structure",
-    "run_suite",
-    "search_corpus",
-    "step_bound",
-    "successive_minima",
-    "tuvw_bounds",
-    "vdw_bound",
-    "vectors_up_to",
-    "watson_condition",
-    "watson_identity",
-    "watson_index_bound",
-    "weight_distribution",
-    "zd_lift",
-    "zn",
-]
+# submodule -> the public names it defines
+_EXPORTS = {
+    "bounds": (
+        "BoundContext", "conjectured_bound", "context_from", "crude_bound",
+        "hermite_Hb_bound", "index3_psi_bound", "index3_sum_identity",
+        "index4_m5_bound", "norm_e_index2_bound", "step_bound", "tuvw_bounds",
+        "vdw_bound",
+    ),
+    "codes": (
+        "Code", "WeightDistribution", "canonical_form", "classify_binary",
+        "code_qb_bound", "dump_code_text", "equivalent", "min_weight_support",
+        "parse_code_text", "weight_distribution",
+    ),
+    "construct": (
+        "NamedLattice", "centred_cubic", "code_lift", "fixture_inventory",
+        "fixture_path", "named", "search_corpus", "zd_lift", "zn",
+    ),
+    "core": (
+        "GramLattice", "HERMITE_POWER", "InvariantReport", "Surd",
+        "determinant", "dump_lattice_json", "dump_lattice_text", "inner",
+        "load_lattice", "norm", "parse_lattice_json", "parse_lattice_text",
+        "qform",
+    ),
+    "enumeration": (
+        "Frame", "ShellListing", "invariant_report", "is_well_rounded",
+        "minimum", "minkowski_M", "node_budget", "successive_minima",
+        "vectors_up_to",
+    ),
+    "errors": (
+        "CodeTooLight", "DimensionMismatch", "LatquotError", "MinimumDrops",
+        "NotGenerating", "NotPositiveDefinite", "NotSymmetric", "ParseError",
+        "ResourceExceeded", "UnknownLattice",
+    ),
+    "quality": (
+        "QualityReport", "hermite_Hb", "qb", "qg_upper_bound",
+    ),
+    "reduction": (
+        "ReducedBasis", "lll",
+    ),
+    "verify": (
+        "VerificationCase", "run_suite",
+    ),
+    "watson": (
+        "CosetVector", "IndexReport", "QuotientStructure", "extract_code",
+        "maximal_index", "quotient_generators", "quotient_structure",
+        "watson_condition", "watson_identity", "watson_index_bound",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = frozenset(_EXPORTS) | {"cli", "frames", "linalg", "sampling"}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return import_module(f".{name}", __name__)
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | _SUBMODULES | set(_HOME))

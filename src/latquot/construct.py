@@ -12,9 +12,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .codes import Code, _rref2, min_weight_support
 from .core import GramLattice
 from .enumeration import minimum
 from .errors import (
@@ -23,7 +22,10 @@ from .errors import (
     MinimumDrops,
     UnknownLattice,
 )
-from .linalg import hnf_rows, identity_rows, matmul, transpose
+from .linalg import _rref2, hnf_rows, identity_rows, matmul, transpose
+
+if TYPE_CHECKING:
+    from .codes import Code
 
 __all__ = [
     "NamedLattice",
@@ -73,6 +75,8 @@ def code_lift(c: Code) -> GramLattice:
     weight below 4 would lift to a lattice of minimum below 1 and are
     rejected.
     """
+    from .codes import min_weight_support
+
     if c.d != 2:
         raise ValueError("code_lift expects a binary code")
     w, _, _ = min_weight_support(c)

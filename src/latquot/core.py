@@ -136,6 +136,11 @@ class GramLattice:
     _ball: object = field(
         default=None, init=False, repr=False, compare=False, hash=False
     )
+    # The listing ``minimum`` makes, at the least diagonal entry of the
+    # reduced Gram matrix, with its node cost, kept the same way.
+    _least: object = field(
+        default=None, init=False, repr=False, compare=False, hash=False
+    )
 
     def __post_init__(self):
         gram = tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in row)
@@ -267,9 +272,6 @@ class Surd:
         if self.is_rational():
             return hash(self.as_rational())
         return hash(("surd", self.radicand))
-
-    def __float__(self):
-        return math.sqrt(float(self.radicand))
 
     def __repr__(self):
         return f"sqrt({self.radicand})"

@@ -10,15 +10,19 @@ each level an integer over one common denominator, and the admissible
 interval comes from an integer square root, so no vector is ever lost
 to rounding.  A parent tests each child's interval before it builds the
 child's vector or calls it, and hands the centres of the lower levels
-down, one list per child, adding the level's multiples of its basis row
-and coefficients, which are made once per listing; the leaves are listed
-in the loop over level 1.  A leaf tuple is built from a list, whose
-length is known: from a bare ``map``, CPython would allocate it at a
-guessed length and shrink it, and the freed tuples would raise the peak
-memory.  Leaves are bucketed by norm, so a listing is sorted one norm at
-a time and its pairs share one int per norm.  Listings carry each norm
-as its integer numerator over one denominator per lattice; callers turn
-into fractions only the norms they keep.
+down, one list per child, adding the level's multiples of its
+coefficients, which are made once per listing; the leaves are listed in
+the loop over level 1.  Each partial vector and each leaf is one int
+that holds the coordinates in fixed-width fields, so a step down the
+tree is one integer addition and a leaf's sign is one comparison.  The
+width comes from a bound on every coordinate the tree can reach, proved
+from the form in O(n^2) integer operations; it is 8 or 16 bits on the
+bundled fixtures.  Leaves are bucketed by norm, and each bucket is sorted
+as ints, which is the order of their coordinates, and decoded to tuples
+once, in place.  So a listing is sorted one norm at a time and its pairs
+share one int per norm.  Listings carry each norm as its integer
+numerator over one denominator per lattice; callers turn into fractions
+only the norms they keep.
 
 Each lattice also keeps its minima ball: the listing at the radius
 ``successive_minima`` uses, the largest diagonal entry of the reduced
@@ -29,7 +33,8 @@ basis search of ``qb`` makes it its first deepening pass, and the frame
 search reads its shells from the ball its own ``successive_minima`` call
 has just paid for.  A reuse spends the nodes the listing cost, so every
 result, node total and budget failure is what a fresh lattice would
-give, whatever ran before.
+give, whatever ran before.  The listing ``minimum`` makes, at the least
+diagonal entry, is kept and charged the same way.
 
 A global node budget guards against runaway trees.  It can be overridden
 through the ``LATQUOT_NODE_BUDGET`` environment variable or per call.
@@ -39,11 +44,13 @@ from __future__ import annotations
 
 import math
 import os
+import struct
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from operator import add, mul, neg
+from itertools import repeat
+from operator import add, lshift, mul
 from typing import Sequence
 
 from .core import GramLattice, InvariantReport, LatVec, _pivot_row, determinant
@@ -86,7 +93,7 @@ class ShellListing:
 
 @dataclass
 class _Ball:
-    """A lattice's minima ball: its sorted listing, the nodes it cost, its frame."""
+    """A kept listing: its sorted pairs, the nodes it cost and, for the minima ball, its frame."""
 
     pairs: tuple[tuple[int, LatVec], ...]
     nodes: int
@@ -152,6 +159,12 @@ def _radius(L: GramLattice) -> Fraction:
     return max(gram[i][i] for i in range(L.n))
 
 
+def _least(L: GramLattice) -> Fraction:
+    """The radius ``minimum`` lists to: the least diagonal entry of the reduced Gram matrix."""
+    gram = _reduction(L).gram.gram
+    return min(gram[i][i] for i in range(L.n))
+
+
 def _denominator(L: GramLattice) -> int:
     """The denominator ``weight * scale`` of the norm numerators in ``L``'s listings."""
     form = _reduction(L).gram._form
@@ -169,34 +182,80 @@ class _Multiples(dict):
         return out
 
 
+# struct codes of the signed fields up to 64 bits, by width
+_FIELD_CODES = {8: "b", 16: "h", 32: "i", 64: "q"}
+
+
+def _coordinate_bound(reduced: ReducedBasis, w: list[int], top: int) -> int:
+    """A bound C on |x_i| for every coordinate x_i of every vector ``_enumerate`` visits.
+
+    ``w`` and ``top`` are the level weights and the bound over ``weight *
+    scale``, as in ``_enumerate``.  Level j of the tree admits the y_j
+    with |d[j+1] * y_j + centre_j| at most isqrt(top // w[j]), and
+    |centre_j| is at most the sum over k > j of |lam[k][j]| * Y[k]; so
+    every y_j is bounded by Y[j], and every coordinate of sum y_j *
+    rows[j] by C = max_i sum_j Y[j] * |rows[j][i]|.  O(n^2) integer
+    operations.
+    """
+    _, _, d, lam = reduced.gram._form
+    n = len(d) - 1
+    reach = [0] * n  # reach[j]: the bound on |centre_j| from the levels above j
+    coords = [0] * n
+    for j in reversed(range(n)):
+        y = (isqrt(top // w[j]) + reach[j]) // d[j + 1]
+        if y:
+            reach = [r + y * abs(x) for r, x in zip(reach, lam[j])]
+            coords = [c + y * abs(x) for c, x in zip(coords, reduced.transform[j])]
+    return max(coords)
+
+
+def _field_width(bound: int) -> int:
+    """The least of 8, 16, 32 and 64, else of the multiples of 64, above ``bound``'s bit length."""
+    bits = bound.bit_length() + 1  # with the sign
+    for width in _FIELD_CODES:
+        if bits <= width:
+            return width
+    return -(-bits // 64) * 64
+
+
 def _enumerate(reduced: ReducedBasis, bound: Fraction,
                counter: _Counter) -> dict[int, list[LatVec]]:
     """Nonzero solutions of y G y^T <= bound, one per +- pair, bucketed by norm.
 
     Returns a dict from each norm numerator, over ``weight * scale`` (see
-    ``_weights``), to the unsorted coords of its vectors, in the original
+    ``_weights``), to the sorted coords of its vectors, in the original
     basis with their first nonzero entry positive.  Levels are visited
     top down and the integers of each level in increasing order.
+
+    Partial vectors and leaves are packed ints: coordinate i sits in
+    field n-1-i of W bits, offset by 2^(W-1), where W is the least width
+    whose signed fields hold ``_coordinate_bound``.  So adding a multiple
+    of a packed row adds the coordinates, the packed zero vector compares
+    above exactly the vectors whose first nonzero coordinate is positive,
+    and the order of packed ints is the lexicographic order of their
+    coordinates.
     """
     scale, _, d, lam = reduced.gram._form
     n = len(d) - 1
     weight, w = _weights(d)
-    rows = reduced.transform
     top = weight * scale * bound.numerator // bound.denominator
+    width = _field_width(_coordinate_bound(reduced, w, top))
+    shifts = range(width * (n - 1), -1, -width)
+    zero = sum(map(lshift, repeat(1 << (width - 1), n), shifts))
+    twice = 2 * zero
+    rows = [sum(map(lshift, row, shifts)) for row in reduced.transform]
     spend = counter.spend
-    zero = (0,) * n
-    buckets: defaultdict[int, list[LatVec]] = defaultdict(list)
-    vsteps = [_Multiples(row) for row in rows]
+    buckets: defaultdict[int, list] = defaultdict(list)
     csteps = [_Multiples(coeffs) for coeffs in lam]
-    d1, w0, leaf_steps = d[1], w[0], vsteps[0]
+    d1, w0, row0 = d[1], w[0], rows[0]
 
     def descend(level, lo, hi, used, cen, above, top_zero):
         # The values [lo, hi] of ``level`` >= 1, already spent, below the
-        # y_j of the levels j above: ``above`` is sum y_j * rows[j],
+        # y_j of the levels j above: ``above`` is zero + sum y_j * rows[j],
         # ``used`` their weight and ``cen[i] = sum lam[j][i] * y_j``.
         dl, wl = d[level + 1], w[level]
         dc, wc, coeff, cc = d[level], w[level - 1], lam[level][-1], cen[level - 1]
-        steps, coeff_steps = vsteps[level], csteps[level]
+        row, coeff_steps = rows[level], csteps[level]
         t = dl * lo + cen[level]
         for value in range(lo, hi + 1):
             # the child's values z: wc * (dc * z + centre)^2 <= top - u
@@ -210,35 +269,48 @@ def _enumerate(reduced: ReducedBasis, bound: Fraction,
             if child_hi < child_lo:
                 continue
             spend(child_hi - child_lo + 1)
-            v = list(map(add, above, steps[value])) if value else above
+            v = above + value * row
             if level > 1:
                 descend(level - 1, child_lo, child_hi, u,
                         list(map(add, cen, coeff_steps[value])) if value else cen, v, zero_above)
                 continue
-            # the leaves v + y * rows[0], skipping the zero vector; each
-            # tuple is built from a list, see the module docstring
+            # the leaves v + y * rows[0]; below an all-zero prefix the
+            # first, y = 0, is the zero vector
+            if zero_above:
+                child_lo = 1
             t0 = d1 * child_lo + centre
-            for y in range(child_lo, child_hi + 1):
-                if y or not zero_above:
-                    leaf = tuple(list(map(add, v, leaf_steps[y])))
-                    if leaf < zero:
-                        leaf = tuple(list(map(neg, leaf)))
-                    buckets[u + w0 * t0 * t0].append(leaf)
+            leaf = v + child_lo * row0
+            for _ in range(child_lo, child_hi + 1):
+                buckets[u + w0 * t0 * t0].append(leaf if leaf > zero else twice - leaf)
                 t0 += d1
+                leaf += row0
 
     hi = isqrt(top // w[n - 1]) // d[n]
     spend(hi + 1)
     try:
         if n > 1:
-            descend(n - 1, 0, hi, 0, [0] * n, [0] * n, True)
+            descend(n - 1, 0, hi, 0, [0] * n, zero, True)
         else:
-            # a rank 1 lattice is reduced by the identity
             for y in range(1, hi + 1):
-                buckets[w0 * (d1 * y) ** 2].append((y,))
+                buckets[w0 * (d1 * y) ** 2].append(zero + y * row0)
     finally:
         # ``descend`` refers to itself; break the cycle so that a dropped
         # listing is freed at once, not at the next full collection
         descend = None
+    # Each field of ``p ^ zero`` holds its coordinate in two's complement.
+    size = n * width // 8
+    if width in _FIELD_CODES:
+        decode = struct.Struct(f">{n}{_FIELD_CODES[width]}").unpack
+    else:
+        step = width // 8
+
+        def decode(raw):
+            return tuple([int.from_bytes(raw[i:i + step], "big", signed=True)
+                          for i in range(0, size, step)])
+    for vectors in buckets.values():
+        vectors.sort()
+        for k, p in enumerate(vectors):
+            vectors[k] = decode((p ^ zero).to_bytes(size, "big"))
     return buckets
 
 
@@ -246,30 +318,29 @@ def _listing(L: GramLattice, bound: Fraction,
              budget: int | None = None) -> Sequence[tuple[int, LatVec]]:
     """Sorted (norm, coords) pairs for nonzero vectors of norm <= bound.
 
-    Each norm is its integer numerator over ``_denominator(L)``.  The
-    listing at ``_radius(L)`` is the minima ball: the first complete one
-    is kept on the lattice as a tuple with the nodes it cost, and a later
+    Each norm is its integer numerator over ``_denominator(L)``.  Two
+    listings are kept on the lattice: the minima ball, at ``_radius(L)``,
+    and the listing of ``minimum``, at ``_least(L)``.  The first complete
+    one of each is kept as a tuple with the nodes it cost, and a later
     request spends those nodes in one step and returns the same tuple.
     When they exceed the budget the tree is walked again instead, so the
     request stops at the node where a fresh walk stops.
     """
     bound = Fraction(bound)
     counter = _Counter(budget)
-    at_radius = bound == _radius(L)
-    ball = L._ball
-    if at_radius and ball is not None and ball.nodes <= counter.budget:
-        counter.spend(ball.nodes)
-        return ball.pairs
+    slot = "_ball" if bound == _radius(L) else "_least" if bound == _least(L) else None
+    kept = None if slot is None else getattr(L, slot)
+    if kept is not None and kept.nodes <= counter.budget:
+        counter.spend(kept.nodes)
+        return kept.pairs
     buckets = _enumerate(_reduction(L), bound, counter)
     # norm by norm, so each pair shares its norm's one int object
     pairs = []
     for num in sorted(buckets):
-        vectors = buckets.pop(num)
-        vectors.sort()
-        pairs += [(num, v) for v in vectors]
-    if at_radius:
+        pairs += [(num, v) for v in buckets.pop(num)]
+    if slot is not None:
         pairs = tuple(pairs)
-        object.__setattr__(L, "_ball", _Ball(pairs, counter.nodes))
+        object.__setattr__(L, slot, _Ball(pairs, counter.nodes))
     return pairs
 
 
@@ -284,10 +355,13 @@ def vectors_up_to(L: GramLattice, bound: Fraction,
 
 
 def minimum(L: GramLattice, budget: int | None = None) -> tuple[Fraction, ShellListing]:
-    """The minimum of the lattice together with all its minimal vectors."""
-    gram = _reduction(L).gram.gram
-    start = min(gram[i][i] for i in range(L.n))
-    pairs = _listing(L, start, budget)
+    """The minimum of the lattice together with all its minimal vectors.
+
+    The listing runs to the least diagonal entry of the reduced Gram
+    matrix and is kept on the lattice; a later call spends its nodes
+    again (see ``_listing``).
+    """
+    pairs = _listing(L, _least(L), budget)
     top = pairs[0][0]
     shell = tuple(v for value, v in pairs if value == top)
     best = Fraction(top, _denominator(L))

@@ -1,4 +1,4 @@
-"""Exact integer and rational matrix helpers."""
+"""Exact matrix helpers over Q, Z and GF(2); GF(2) rows are bit masks."""
 
 from __future__ import annotations
 
@@ -211,3 +211,38 @@ def hnf_rows(rows: Sequence[Sequence[int]]) -> list[list[int]]:
                 work[i] = [a - q * b for a, b in zip(work[i], work[top])]
         top += 1
     return work[:top]
+
+
+def _insert2(rows: dict[int, int], mask: int) -> bool:
+    """Add one row to a reduced echelon form over GF(2); whether the rank rose.
+
+    ``rows`` maps the pivot bit of each reduced row, its lowest set bit,
+    to the row, and no row has a bit at another row's pivot.  The mask
+    is reduced against every row; a nonzero remainder becomes a row with
+    its lowest bit as pivot, and that bit is cleared from the others.
+    """
+    for pivot, row in rows.items():
+        if mask & pivot:
+            mask ^= row
+    if not mask:
+        return False
+    low = mask & -mask
+    for pivot, row in rows.items():
+        if row & low:
+            rows[pivot] = row ^ mask
+    rows[low] = mask
+    return True
+
+
+def _rref2(masks) -> tuple[list[int], list[int]]:
+    """Reduced row echelon form over GF(2) of rows given as bit masks.
+
+    Returns the pivot columns in ascending order and the nonzero reduced
+    rows, the row with pivot ``pivots[i]`` at position i; the number of
+    pivots is the rank.
+    """
+    rows: dict[int, int] = {}
+    for mask in masks:
+        _insert2(rows, mask)
+    pivots = sorted(rows)
+    return [p.bit_length() - 1 for p in pivots], [rows[p] for p in pivots]

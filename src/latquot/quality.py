@@ -37,11 +37,19 @@ from itertools import combinations
 from math import gcd
 from typing import Sequence
 
-from .codes import _insert2
 from .core import GramLattice, LatVec, Rational, determinant, norm
-from .enumeration import _Counter, _denominator, _listing, _radius, _reduction, _times, successive_minima
+from .enumeration import (
+    Frame,
+    _Counter,
+    _denominator,
+    _listing,
+    _radius,
+    _reduction,
+    _times,
+    successive_minima,
+)
 from .errors import NotGenerating, ResourceExceeded
-from .linalg import det_int, hnf_rows, identity_rows, smith_invariants
+from .linalg import _insert2, det_int, hnf_rows, identity_rows, smith_invariants
 from .linalg import is_primitive  # noqa: F401  uncalled; perfbench's tracer wraps this name
 
 __all__ = ["QualityReport", "hermite_Hb", "qb", "qg_upper_bound"]
@@ -136,10 +144,12 @@ def _parity_bound(pairs, n: int, missing: int) -> int:
     return product * missing ** (n - len(rows))
 
 
-def _search(L: GramLattice, budget: int | None):
+def _search(L: GramLattice, budget: int | None, base: Frame | None):
     """Branch-and-bound for the minimal basis norm product.
 
-    Returns (product, rows, certified, frontier product, minima product).
+    ``base`` is the frame of successive minima, or None when listing it
+    ran out of budget; then the reduced basis is returned, uncertified.
+    Returns (product, rows, certified, frontier product).
     The node budget applies separately to each enumeration phase and to
     the search tree itself; exhausting it anywhere downgrades the result
     to an uncertified upper bound instead of raising.
@@ -160,13 +170,11 @@ def _search(L: GramLattice, budget: int | None):
 
     best = {"num": int(inc_prod * denominator**n), "prod": inc_prod, "rows": reduced.transform}
 
-    try:
-        base = successive_minima(L, budget)
-    except ResourceExceeded:
-        return inc_prod, best["rows"], False, None, None
+    if base is None:
+        return inc_prod, best["rows"], False, None
     floor_prod = math.prod(base.norms)
     if inc_prod == floor_prod:
-        return inc_prod, best["rows"], True, None, floor_prod
+        return inc_prod, best["rows"], True, None
 
     chosen: list[LatVec] = []
 
@@ -248,7 +256,7 @@ def _search(L: GramLattice, budget: int | None):
             target = max(target, _parity_bound(pairs, n, missing))
             if (best["num"] <= target or run_pass(pairs, _Counter(budget), target)
                     or use_bound >= best["prod"] / lam_head):
-                return best["prod"], best["rows"], True, None, floor_prod
+                return best["prod"], best["rows"], True, None
             done = use_bound
             bound = use_bound * 2
     except ResourceExceeded:
@@ -257,7 +265,7 @@ def _search(L: GramLattice, budget: int | None):
         # shorter than the first n-1 successive minima.  The target of
         # the last complete listing bounds every basis.
         frontier = max(min(best["prod"], done * lam_head), Fraction(target, denominator**n))
-        return best["prod"], best["rows"], False, frontier, floor_prod
+        return best["prod"], best["rows"], False, frontier
 
 
 def hermite_Hb(L: GramLattice, budget: int | None = None):
@@ -265,21 +273,27 @@ def hermite_Hb(L: GramLattice, budget: int | None = None):
 
     Returns (value, basis rows, certified).  When the node budget runs
     out the value is still a true upper bound with a valid witness, only
-    the certificate flag drops.
+    the certificate flag drops, also when the successive minima cannot
+    be listed within the budget.
     """
-    prod, rows, certified, _, _ = _search(L, budget)
+    try:
+        base = successive_minima(L, budget)
+    except ResourceExceeded:
+        base = None
+    prod, rows, certified, _ = _search(L, budget, base)
     return prod / determinant(L), rows, certified
 
 
 def qb(L: GramLattice, budget: int | None = None) -> QualityReport:
-    """Assemble M, Hb and their ratio Qb into one report."""
-    prod, rows, certified, frontier, floor_prod = _search(L, budget)
-    if floor_prod is None:
-        floor_prod = math.prod(successive_minima(L).norms)
-    if not certified and frontier is None:
-        # nothing was searched, but the i-th member of any sorted basis
-        # has norm at least the i-th successive minimum
-        frontier = floor_prod
+    """Assemble M, Hb and their ratio Qb into one report.
+
+    M needs the successive minima, so when they cannot be listed within
+    the budget this raises ``ResourceExceeded``; a search that runs out
+    later returns an uncertified report with its ``frontier``.
+    """
+    base = successive_minima(L, budget)
+    prod, rows, certified, frontier = _search(L, budget, base)
+    floor_prod = math.prod(base.norms)
     det = determinant(L)
     return QualityReport(
         M=floor_prod / det,

@@ -30,14 +30,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .codes import Code
 from .core import HERMITE_POWER, GramLattice, Surd, determinant, qform
 from .enumeration import Frame, _Counter, _denominator, _times, successive_minima
 from .errors import DependentFrame, RepsDoNotGenerate, ResourceExceeded
 from .frames import _first_frame, _kernels, _marks, _orthogonal_seed, _primes
 from .linalg import det_int, smith_invariants, smith_with_transforms
 from .linalg import det_rational, matmul  # noqa: F401  uncalled; perfbench's tracer wraps these names
+
+if TYPE_CHECKING:
+    from .codes import Code
 
 
 @dataclass(frozen=True)
@@ -169,6 +172,8 @@ def extract_code(L: GramLattice, frame, coset_reps) -> Code:
     Raises RepsDoNotGenerate if the representatives fail to generate the
     quotient of the lattice by the frame.
     """
+    from .codes import Code
+
     rows = _frame_rows(frame)
     reps = list(coset_reps)
     if not reps:

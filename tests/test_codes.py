@@ -8,8 +8,6 @@ import pytest
 from latquot.codes import (
     Code,
     WeightDistribution,
-    _insert2,
-    _rref2,
     c8,
     c9,
     c10,
@@ -26,6 +24,7 @@ from latquot.codes import (
     weight_distribution,
 )
 from latquot.errors import CodeTooLight, ParseError, ResourceExceeded
+from latquot.linalg import _insert2, _rref2
 from oracles import _gf2_rank, reference_classify_binary
 
 

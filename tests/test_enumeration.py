@@ -180,6 +180,30 @@ def test_each_lattice_lists_its_minima_ball_once(monkeypatch):
         assert bounds == [_radius(fresh)], (call.__name__, lattice.label)
 
 
+def test_minimum_keeps_its_listing(monkeypatch, node_tally):
+    # ``minimum`` lists to the least diagonal entry, below the radius of
+    # the ball here, and keeps that listing: three reports make one
+    # enumeration, and each spends the nodes it cost.
+    bounds = []
+    real = enumeration._enumerate
+
+    def counting(reduced, bound, counter):
+        bounds.append(bound)
+        return real(reduced, bound, counter)
+
+    monkeypatch.setattr(enumeration, "_enumerate", counting)
+    L = centred_cubic(9)
+    reports, spent = [], []
+    for _ in range(3):
+        node_tally[0] = 0
+        reports.append(invariant_report(L))
+        spent.append(node_tally[0])
+    assert bounds == [1] and _radius(L) > 1
+    assert reports[0] == reports[1] == reports[2]
+    assert reports[0].s == 9
+    assert spent[0] == spent[1] == spent[2] > 0
+
+
 def _outcome(call, L, budget, tally):
     """What ``call`` returns or raises on ``L``, with the nodes it spent."""
     tally[0] = 0
@@ -199,6 +223,7 @@ def test_a_kept_ball_does_not_change_any_call(node_tally):
     # still run at the default.
     calls = (
         successive_minima,
+        minimum,
         qb,
         is_well_rounded,
         lambda L, budget: maximal_index(L, 20000 if budget is None else budget),
@@ -292,13 +317,71 @@ def _stops_at(kernel, reduced, bound, budget):
     return err.value.nodes, err.value.budget
 
 
+def _skewed(c):
+    """Z^2 in a basis where the vectors of norm 2 or less have coordinates (1, c + {-1, 0, 1})."""
+    return GramLattice.from_rows([[1 + c * c, -c], [-c, 1]], label=f"skewed {c}")
+
+
+def _conjugated_z3(k):
+    """Z^3 in the basis U = [[1, k, 0], [0, 1, 0], [k + 1, 0, 1]]; U^-1 holds k * (k + 1)."""
+    u = [[1, k, 0], [0, 1, 0], [k + 1, 0, 1]]
+    gram = [[sum(a * b for a, b in zip(x, y)) for y in u] for x in u]
+    return GramLattice.from_rows(gram, label=f"Z3 conjugated by {k}")
+
+
+# A3 in a skewed basis.  Listed to norm 4, it reaches the coordinate 222,
+# the bound itself; without the centres' reach the bound would be 188.
+SKEWED_A3 = ((474, -81, -1492), (-81, 14, 250), (-1492, 250, 4852))
+
+# The largest coordinate of each field width, and the least one past it.
+# Listed to norm 2, each skewed lattice reaches +-c, its bound itself.
+BOUNDARIES = ((127, 8), (128, 16), (32767, 16), (32768, 32),
+              (2**63 - 1, 64), (2**63, 128))
+
+
+def _width_corpus():
+    """Lattices whose listings reach their coordinate bound, fill each field width or pass 2^64."""
+    skewed = [_skewed(sign * (c - 1)) for c, _ in BOUNDARIES for sign in (1, -1)]
+    return skewed + [GramLattice.from_rows(SKEWED_A3), _conjugated_z3(2**70 + 3)]
+
+
+def _coordinate_bound(L, bound):
+    reduced = _reduction(L)
+    form = reduced.gram._form
+    weight, w = _weights(form.minors)
+    bound = Fraction(bound)
+    top = weight * form.scale * bound.numerator // bound.denominator
+    return enumeration._coordinate_bound(reduced, w, top)
+
+
+def _reach(L, bound):
+    """The largest |coordinate| listed up to ``bound``."""
+    return max(abs(x) for v in vectors_up_to(L, bound).vectors for x in v)
+
+
+def test_the_field_width_is_the_least_that_holds_the_proven_bound():
+    for c, width in BOUNDARIES:
+        assert enumeration._field_width(c) == width
+        for sign in (1, -1):
+            L = _skewed(sign * (c - 1))
+            assert _coordinate_bound(L, 2) == c, L.label
+            assert (1, sign * c) in vectors_up_to(L, 2).vectors
+    assert _coordinate_bound(GramLattice.from_rows(SKEWED_A3), 4) == 222 == _reach(
+        GramLattice.from_rows(SKEWED_A3), 4)
+    wide = _conjugated_z3(2**70 + 3)
+    assert enumeration._field_width(_coordinate_bound(wide, 2)) == 192
+    assert _reach(wide, 2) > 2**128
+
+
 def test_the_kernel_matches_the_reference_kernel():
     # The kernel prunes each child in its parent, carries the centres
-    # down and buckets its leaves by norm; the kernel it replaced walks
-    # the same tree.  Both must list the same pairs for the same nodes,
-    # and stop at the same node one short of the total.  The largest of
-    # these listings is liftc12 at 3, 9,472 vectors.
-    for L in _kernel_corpus():
+    # down, packs each partial vector into one int and buckets its
+    # leaves by norm; the kernel it replaced walks the same tree on
+    # coordinate tuples.  Both must list the same pairs for the same
+    # nodes, and stop at the same node one short of the total.  The
+    # largest of these listings is liftc12 at 3, 9,472 vectors; the
+    # lattices of ``_width_corpus`` fill each field width and pass 2^64.
+    for L in _kernel_corpus() + _width_corpus():
         reduced = _reduction(L)
         rho = _radius(L)
         for bound in (rho, 3 * rho / 2, 2 * rho):
@@ -308,6 +391,9 @@ def test_the_kernel_matches_the_reference_kernel():
             fresh = GramLattice(L.n, L.gram, L.label)
             pairs = enumeration._listing(fresh, bound)
             assert list(pairs) == expected, (L.label, bound)
+            # the proven bound holds every listed coordinate
+            reach = max((abs(x) for _, v in pairs for x in v), default=0)
+            assert reach <= _coordinate_bound(L, bound), (L.label, bound)
             # one int object per distinct norm
             assert len({id(x) for x, _ in pairs}) == len({x for x, _ in pairs})
             counter = enumeration._Counter(None)

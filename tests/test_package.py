@@ -1,0 +1,65 @@
+"""The package namespace and the README's quick start."""
+
+import importlib
+import os
+import pkgutil
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import latquot
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_importing_the_compute_modules_leaves_the_rest_unimported():
+    # ``import latquot`` loads no submodule, and the modules behind the
+    # searches import neither the code classification, the closed form
+    # bounds nor the verification suites.
+    script = (
+        "import sys\n"
+        "import latquot, latquot.quality, latquot.watson, latquot.enumeration\n"
+        "import latquot.construct, latquot.sampling\n"
+        "print(sorted(m for m in ('latquot.bounds', 'latquot.verify', 'latquot.codes')"
+        " if m in sys.modules))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          check=True, cwd=ROOT, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert done.stdout.strip() == "[]"
+
+
+def test_the_lazy_namespace_serves_every_public_name():
+    namespace = {}
+    exec("from latquot import *", namespace)
+    assert all(namespace[name] is getattr(latquot, name) for name in latquot.__all__)
+    submodules = {info.name for info in pkgutil.iter_modules(latquot.__path__)}
+    for name in submodules:
+        assert getattr(latquot, name) is importlib.import_module(f"latquot.{name}")
+    assert set(latquot.__all__) | submodules <= set(dir(latquot))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        latquot.no_such_name
+
+
+def test_the_readme_quick_start_runs_and_states_its_values():
+    # Each expression line of the block states its value in a comment.
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace: dict = {}
+    stated = []
+    for line in block.splitlines():
+        code, _, comment = line.partition("#")
+        code = code.strip()
+        if not code:
+            continue
+        try:
+            expression = compile(code, "README.md", "eval")
+        except SyntaxError:
+            exec(code, namespace)
+            continue
+        expected = eval(comment.split(":")[0], {"Fraction": Fraction})
+        assert eval(expression, namespace) == expected, code
+        stated.append(expected)
+    assert stated == [Fraction(3, 2), True, Fraction(9, 4), 4, (2, 2)]

@@ -12,9 +12,9 @@ from hypothesis import given, settings, strategies as st
 from latquot import quality
 from latquot.construct import centred_cubic, code_lift, named, search_corpus, zn
 from latquot.codes import c8, c9, c10, classify_binary, code_qb_bound, g12
-from latquot.core import determinant, norm
+from latquot.core import GramLattice, determinant, norm
 from latquot.enumeration import _denominator, _listing, _times, minimum, successive_minima, vectors_up_to
-from latquot.errors import NotGenerating
+from latquot.errors import NotGenerating, ResourceExceeded
 from latquot.linalg import det_int, identity_rows, is_primitive
 from latquot.quality import _cleared, _parity_bound, hermite_Hb, qb, qg_upper_bound
 from latquot.sampling import perturbed, random_gram
@@ -66,14 +66,44 @@ def test_witness_is_a_basis_with_the_reported_product():
 
 
 def test_budget_downgrades_to_an_upper_bound():
-    report = qb(centred_cubic(8), budget=200)
+    # The minima of this lift fit in the budget and its basis search does
+    # not.  The parity bound would certify the lift in its first pass, so
+    # it is set to 0 here.
+    L = code_lift(c10())
+    with patch.object(quality, "_parity_bound", lambda pairs, n, missing: 0):
+        report = qb(L, budget=2000)
     assert not report.certified
     assert report.frontier is not None
-    # 4 is the frontier of the search without the parity bound; taking
-    # that bound into account may only raise it
-    assert 4 <= report.frontier <= report.Hb
+    # 16 is the frontier of the search without the parity bound
+    assert report.M <= report.frontier == 16 < report.Hb == 42
     # the reported value is still a witnessed upper bound
     assert abs(det_int(report.best_basis)) == 1
+    prod = Fraction(1)
+    for v in report.best_basis:
+        prod *= norm(L, v)
+    assert prod == report.Hb * determinant(L)
+
+
+def test_qb_raises_at_the_budget_its_minima_exceed(node_tally):
+    # M needs the successive minima, so where they cannot be listed
+    # within the budget qb raises at that budget.  It stops where the
+    # listing alone stops, and lists nothing again at the default.
+    for L, budget in ((code_lift(c10()), 50), (centred_cubic(8), 200)):
+        node_tally[0] = 0
+        with pytest.raises(ResourceExceeded) as alone:
+            successive_minima(GramLattice(L.n, L.gram, L.label), budget)
+        spent = node_tally[0]
+        node_tally[0] = 0
+        with pytest.raises(ResourceExceeded) as err:
+            qb(L, budget)
+        assert (err.value.nodes, err.value.budget) == (alone.value.nodes, budget) == (budget + 1, budget)
+        assert node_tally[0] == spent
+        # hermite_Hb still downgrades: the reduced basis, uncertified
+        node_tally[0] = 0
+        value, rows, certified = hermite_Hb(L, budget)
+        assert node_tally[0] == spent and not certified
+        assert abs(det_int(rows)) == 1
+        assert value >= hermite_Hb(L)[0]
 
 
 def test_generating_set_bound():
