@@ -85,7 +85,11 @@ def hermite_Hb_bound(n: int) -> Fraction:
 
 
 def vdw_bound(n: int) -> Fraction:
-    """(5/4)^(n-4), the general upper bound on Q_b in dimension n >= 4."""
+    """(5/4)^(n-4), which ``verify`` pins at n = 8 as 625/256.
+
+    It is no upper bound on Q_b in every rank: code lifts certify 2401/256
+    at n = 14 ([14, 4, 7]) and 16 at n = 15 ([15, 4, 8]).
+    """
     if n < 4:
         raise ValueError("defined for n >= 4")
     return Fraction(5, 4) ** (n - 4)

@@ -121,7 +121,7 @@ class GramLattice:
     gram: Matrix
     label: str | None = None
     # The integral form of ``validate``.  Computed on construction unless
-    # the caller already holds it exactly (``reduction.lll`` does).
+    # the caller already holds it exactly (``ReducedBasis.gram`` does).
     _form: IntegralForm | None = field(
         default=None, repr=False, compare=False, hash=False
     )

@@ -2,9 +2,10 @@
 
 Everything here is exact.  Each lattice is LLL-reduced once, in
 integers, and the reduction is kept on the lattice object for every
-later listing.  The reduced lattice carries its integral form (the Gram
-matrix scaled to integers, its leading minors and the coefficients they
-clear), and the Fincke-Pohst tree runs on it in integer arithmetic alone:
+later listing.  The reduction carries the pivots of the reduced Gram
+matrix scaled to integers (its leading minors and the coefficients they
+clear) and its diagonal, but builds the matrix itself only on request,
+and the Fincke-Pohst tree runs on the pivots in integer arithmetic alone:
 the centre at each level is an integer over a known minor, the weight of
 each level an integer over one common denominator, and the admissible
 interval comes from an integer square root, so no vector is ever lost
@@ -26,15 +27,16 @@ only the norms they keep.
 
 Each lattice also keeps its minima ball: the listing at the radius
 ``successive_minima`` uses, the largest diagonal entry of the reduced
-Gram matrix, with the nodes that listing cost and the frame chosen from
-it.  ``successive_minima``, ``is_well_rounded``, ``qb`` and
-``maximal_index`` all list that ball, and it is enumerated once: the
-basis search of ``qb`` makes it its first deepening pass, and the frame
-search reads its shells from the ball its own ``successive_minima`` call
-has just paid for.  A reuse spends the nodes the listing cost, so every
-result, node total and budget failure is what a fresh lattice would
-give, whatever ran before.  The listing ``minimum`` makes, at the least
-diagonal entry, is kept and charged the same way.
+Gram matrix, with the nodes that listing cost and the frame an integer
+echelon on coordinates chooses from it.  ``successive_minima``,
+``is_well_rounded``, ``qb`` and ``maximal_index`` all list that ball,
+and it is enumerated once: the basis search of ``qb`` makes it its first
+deepening pass, and the frame search reads its shells from the ball its
+own ``successive_minima`` call has just paid for.  A reuse spends the
+nodes the listing cost, so every result, node total and budget failure
+is what a fresh lattice would give, whatever ran before.  The listing
+``minimum`` makes, at the least diagonal entry, is kept and charged the
+same way.
 
 A global node budget guards against runaway trees.  It can be overridden
 through the ``LATQUOT_NODE_BUDGET`` environment variable or per call.
@@ -49,13 +51,14 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from itertools import repeat
+from itertools import islice, repeat
 from operator import add, lshift, mul
 from typing import Sequence
 
-from .core import GramLattice, InvariantReport, LatVec, _pivot_row, determinant
+from .core import GramLattice, InvariantReport, LatVec, determinant
 from .errors import ResourceExceeded
-from .reduction import ReducedBasis, lll
+from .linalg import _insert
+from .reduction import ReducedBasis, _weights, lll
 
 DEFAULT_NODE_BUDGET = 10**9
 
@@ -118,22 +121,6 @@ class _Counter:
             raise ResourceExceeded(self.budget + 1, self.budget)
 
 
-def _weights(minors) -> tuple[int, list[int]]:
-    """The common ``weight`` of the levels and each level's share of it.
-
-    For an integral form ``(scale, _, minors, lam)`` of G, a vector y has
-
-        weight * scale * y G y^T = sum_i weights[i] * T_i^2,
-        T_i = minors[i+1] * y_i + sum_{j>i} lam[j][i] * y_j,
-
-    where ``weight`` is the lcm of ``minors[i] * minors[i+1]`` and
-    ``weights[i] = weight // (minors[i] * minors[i+1])``.
-    """
-    pairs = [minors[i] * minors[i + 1] for i in range(len(minors) - 1)]
-    weight = math.lcm(*pairs)
-    return weight, [weight // x for x in pairs]
-
-
 def _times(v, cols) -> list[int]:
     """The inner products of ``v`` with each of ``cols``: ``v * a`` for a symmetric ``a``."""
     return [sum(map(mul, v, col)) for col in cols]
@@ -155,20 +142,17 @@ def _reduction(L: GramLattice) -> ReducedBasis:
 
 def _radius(L: GramLattice) -> Fraction:
     """The radius of the minima ball: the largest diagonal entry of the reduced Gram matrix."""
-    gram = _reduction(L).gram.gram
-    return max(gram[i][i] for i in range(L.n))
+    return Fraction(max(_reduction(L).diagonal), L._form.scale)
 
 
 def _least(L: GramLattice) -> Fraction:
     """The radius ``minimum`` lists to: the least diagonal entry of the reduced Gram matrix."""
-    gram = _reduction(L).gram.gram
-    return min(gram[i][i] for i in range(L.n))
+    return Fraction(min(_reduction(L).diagonal), L._form.scale)
 
 
 def _denominator(L: GramLattice) -> int:
     """The denominator ``weight * scale`` of the norm numerators in ``L``'s listings."""
-    form = _reduction(L).gram._form
-    return _weights(form.minors)[0] * form.scale
+    return _weights(_reduction(L).minors)[0] * L._form.scale
 
 
 class _Multiples(dict):
@@ -197,7 +181,7 @@ def _coordinate_bound(reduced: ReducedBasis, w: list[int], top: int) -> int:
     rows[j] by C = max_i sum_j Y[j] * |rows[j][i]|.  O(n^2) integer
     operations.
     """
-    _, _, d, lam = reduced.gram._form
+    d, lam = reduced.minors, reduced.lam
     n = len(d) - 1
     reach = [0] * n  # reach[j]: the bound on |centre_j| from the levels above j
     coords = [0] * n
@@ -235,7 +219,7 @@ def _enumerate(reduced: ReducedBasis, bound: Fraction,
     and the order of packed ints is the lexicographic order of their
     coordinates.
     """
-    scale, _, d, lam = reduced.gram._form
+    scale, d, lam = reduced.scale, reduced.minors, reduced.lam
     n = len(d) - 1
     weight, w = _weights(d)
     top = weight * scale * bound.numerator // bound.denominator
@@ -373,30 +357,20 @@ def successive_minima(L: GramLattice, budget: int | None = None) -> Frame:
 
     Ties at each minimum are broken toward the lexicographically
     smallest coordinate vector whose first nonzero coordinate is
-    positive, so the output is deterministic.  The frame is chosen from
-    the minima ball once and kept with it; a later call spends the
-    ball's nodes again and returns the kept frame.
+    positive, so the output is deterministic.  A vector of the minima
+    ball joins the frame when it is independent of those before it, as
+    an integer echelon on coordinates tells.  The frame is chosen once
+    and kept with the ball; a later call spends the ball's nodes again
+    and returns the kept frame.
     """
     pairs = _listing(L, _radius(L), budget)
     ball = L._ball
     if ball.frame is not None:
         return ball.frame
-    a = L._form.gram
-    vectors: list[LatVec] = []
-    norms = []
-    minors, lam = [1], []
-    for value, v in pairs:
-        va = _times(v, a)
-        row = _pivot_row([_dot(va, w) for w in vectors] + [_dot(va, v)], minors, lam)
-        if row[-1] > 0:
-            minors.append(row.pop())
-            lam.append(row)
-            vectors.append(v)
-            norms.append(value)
-            if len(vectors) == L.n:
-                break
+    echelon: dict[int, list[int]] = {}
+    values, vectors = zip(*islice(((x, v) for x, v in pairs if _insert(echelon, v)), L.n))
     denominator = _denominator(L)
-    ball.frame = Frame(vectors=tuple(vectors), norms=tuple(Fraction(x, denominator) for x in norms))
+    ball.frame = Frame(vectors=vectors, norms=tuple(Fraction(x, denominator) for x in values))
     return ball.frame
 
 

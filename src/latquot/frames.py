@@ -7,8 +7,9 @@ vector from the pool of lam_k.  Three tools work on the pools:
 ``_kernels``, the kernels of the functionals mod p that hold a frame,
 which decide whether p can divide a frame's index; and ``_first_frame``,
 the frame tree, which finds the first frame of index at least m in one
-fixed order.  Everything is exact: independence and Gram determinants
-come from fraction-free pivot rows (Cohen, GTM 138, Alg. 2.6.7).
+fixed order.  Everything is exact: independence comes from an integer
+echelon on coordinates (``linalg._insert``) and Gram determinants from
+fraction-free pivot rows (Cohen, GTM 138, Alg. 2.6.7).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from operator import and_, mul, or_
 
 from .core import _pivot_row
 from .enumeration import _Counter, _dot
+from .linalg import _insert
 
 
 def _orthogonal_seed(pools):
@@ -28,29 +30,24 @@ def _orthogonal_seed(pools):
     that reaches the bound settles ``maximal_index`` with no search at
     all.  ``pools`` holds (vector, vector times the cleared Gram matrix)
     pairs.  Each position takes the first vector whose integral inner
-    products with the vectors already chosen all vanish: it is
-    independent of them, so its pivot is positive, and its pivot row is
-    built only once it is picked.  Failing that, it takes the first
-    vector with a positive pivot.  Returns None when the greedy pass
-    dead-ends.
+    products with the vectors already chosen all vanish, which makes it
+    independent of them.  Failing that, it takes the first vector
+    independent of them.  Returns None when the greedy pass dead-ends.
     """
     chosen: list[tuple[int, ...]] = []
-    minors, lam = [1], []
+    echelon: dict[int, list[int]] = {}
     for pool in pools:
         for v, va in pool:
             if not any(_dot(va, w) for w in chosen):
-                row = _pivot_row([0] * len(chosen) + [_dot(va, v)], minors, lam)
+                _insert(echelon, v)
                 break
         else:
-            for v, va in pool:
-                row = _pivot_row([_dot(va, w) for w in chosen] + [_dot(va, v)], minors, lam)
-                if row[-1] > 0:
+            for v, _ in pool:
+                if _insert(echelon, v):
                     break
             else:
                 return None
         chosen.append(v)
-        minors.append(row.pop())
-        lam.append(row)
     return tuple(chosen)
 
 
@@ -80,20 +77,14 @@ def _holds_frame(kernel: int, vectors, spans) -> bool:
     set holds one exactly when every shell adds its count.  A shell
     fails as soon as more of its vectors are dependent than it can spare.
     """
-    chosen: list[tuple[int, ...]] = []
-    minors, lam = [1], []
+    echelon: dict[int, list[int]] = {}
     for start, stop, count in spans:
         spare = ((kernel >> start) & ((1 << (stop - start)) - 1)).bit_count() - count
         if spare < 0:
             return False
         for t in range(start, stop):
             if kernel >> t & 1:
-                v, va = vectors[t]
-                row = _pivot_row([_dot(va, w) for w in chosen] + [_dot(va, v)], minors, lam)
-                if row[-1] > 0:
-                    chosen.append(v)
-                    minors.append(row.pop())
-                    lam.append(row)
+                if _insert(echelon, vectors[t][0]):
                     count -= 1
                     if not count:
                         break

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
 
@@ -231,6 +232,27 @@ def _insert2(rows: dict[int, int], mask: int) -> bool:
         if row & low:
             rows[pivot] = row ^ mask
     rows[low] = mask
+    return True
+
+
+def _insert(rows: dict[int, list[int]], v: Sequence[int]) -> bool:
+    """Add one integer row to an echelon form over Q; whether the rank rose.
+
+    The integer counterpart of ``_insert2``: ``rows`` maps the pivot
+    column of each row to the row, and each row is zero at the pivots of
+    the rows inserted before it.  So reducing ``v`` against the rows in
+    that order, without fractions, clears every pivot, and a nonzero
+    remainder, divided by its content, becomes a row with its first
+    nonzero column as pivot.
+    """
+    for col, row in rows.items():
+        x = v[col]
+        if x:
+            v = [row[col] * a - x * b for a, b in zip(v, row)]
+    g = gcd(*v)
+    if not g:
+        return False
+    rows[next(i for i, x in enumerate(v) if x)] = [x // g for x in v]
     return True
 
 

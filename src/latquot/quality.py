@@ -166,14 +166,16 @@ def _search(L: GramLattice, budget: int | None, base: Frame | None):
     n = L.n
     reduced = _reduction(L)
     denominator = _denominator(L)
-    inc_prod = math.prod(reduced.gram.gram[i][i] for i in range(n))
+    inc_num = math.prod(reduced.diagonal)
+    inc_prod = Fraction(inc_num, reduced.scale**n)
 
-    best = {"num": int(inc_prod * denominator**n), "prod": inc_prod, "rows": reduced.transform}
+    best = {"num": inc_num * (denominator // reduced.scale)**n, "prod": inc_prod,
+            "rows": reduced.transform}
 
     if base is None:
         return inc_prod, best["rows"], False, None
-    floor_prod = math.prod(base.norms)
-    if inc_prod == floor_prod:
+    target = math.prod(x.numerator * (denominator // x.denominator) for x in base.norms)
+    if best["num"] == target:
         return inc_prod, best["rows"], True, None
 
     chosen: list[LatVec] = []
@@ -245,9 +247,8 @@ def _search(L: GramLattice, budget: int | None, base: Frame | None):
     # or as soon as the incumbent reaches the lower bound ``target``: the
     # larger of the minima product and the parity bound of the listing.
     bound = _radius(L)
-    lam_head = floor_prod / base.norms[-1]
+    lam_head = Fraction(target, denominator**n) / base.norms[-1]
     done = Fraction(0)
-    target = int(floor_prod * denominator**n)
     try:
         while True:
             use_bound = min(bound, best["prod"] / lam_head)

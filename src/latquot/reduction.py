@@ -4,41 +4,75 @@ The lattice never appears through an embedding; every step works on the
 integral form that construction computed (the Gram matrix cleared of
 denominators, its leading minors and the Gram-Schmidt coefficients they
 clear; Cohen, GTM 138, Alg. 2.6.7) and maintains an integer change of
-basis.  The reduced lattice receives the final form instead of being
-validated again.  With the reduction parameter close to 1 the diagonal
-of the reduced Gram matrix gives useful upper bounds on the successive
+basis.  The decisions read only the minors and the coefficients, so only
+they and the transform are kept up to date.  The diagonal of the reduced
+Gram matrix is read off the final pivots, and the reduced Gram matrix
+itself is built only when it is asked for.  With the reduction parameter
+close to 1 that diagonal gives useful upper bounds on the successive
 minima, and the product of its entries bounds the minimal basis norm
 product from above.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .core import GramLattice, IntegralForm
+from .linalg import matmul, transpose
 
 #: Default reduction parameter.  Anything in (1/4, 1) works; a value
 #: close to 1 gives the strongest bases at a modest cost in swaps.
 DELTA = Fraction(99, 100)
 
 
+def _weights(minors) -> tuple[int, list[int]]:
+    """The common ``weight`` of the levels and each level's share of it.
+
+    For an integral form ``(scale, _, minors, lam)`` of G, a vector y has
+
+        weight * scale * y G y^T = sum_i weights[i] * T_i^2,
+        T_i = minors[i+1] * y_i + sum_{j>i} lam[j][i] * y_j,
+
+    where ``weight`` is the lcm of ``minors[i] * minors[i+1]`` and
+    ``weights[i] = weight // (minors[i] * minors[i+1])``.
+    """
+    pairs = [minors[i] * minors[i + 1] for i in range(len(minors) - 1)]
+    weight = math.lcm(*pairs)
+    return weight, [weight // x for x in pairs]
+
+
 @dataclass(frozen=True)
 class ReducedBasis:
-    """Outcome of a reduction: the reduced lattice and the basis change.
+    """Outcome of a reduction: the basis change and the pivots of the reduced form.
 
-    ``transform`` holds the coordinate rows of the reduced basis written
-    in the original basis, so ``gram.gram == U * G * U^T`` where ``U``
-    stacks the rows.  The reduced lattice carries its integral form, with
-    the scale of the original's, as U is unimodular.
+    ``transform`` stacks the coordinate rows U of the reduced basis in
+    the original basis.  ``minors``, ``lam`` and ``diagonal`` are the
+    leading minors, cleared coefficients and diagonal of ``scale * U G
+    U^T``, whose ``scale`` is the original's, as U is unimodular.
+    ``gram``, the reduced lattice with that integral form, is built from
+    the original's form on first access.
     """
 
-    gram: GramLattice
     transform: tuple[tuple[int, ...], ...]
+    scale: int
+    minors: tuple[int, ...]
+    lam: tuple[tuple[int, ...], ...]
+    diagonal: tuple[int, ...]
+    _source: tuple = field(repr=False, compare=False)  # (scale * G, reduced label)
+
+    @cached_property
+    def gram(self) -> GramLattice:
+        a, label = self._source
+        g = tuple(map(tuple, matmul(matmul(self.transform, a), transpose(self.transform))))
+        return GramLattice(len(g), tuple(tuple(Fraction(x, self.scale) for x in row) for row in g),
+                           label, IntegralForm(self.scale, g, self.minors, self.lam))
 
 
 def lll(lattice: GramLattice, delta: Fraction = DELTA) -> ReducedBasis:
-    """Reduce the standard basis of the lattice, returning Gram and transform.
+    """Reduce the standard basis of the lattice, returning its pivots and transform.
 
     The decisions are the textbook ones, taken in integers: with
     ``mu = lam / d``, the nearest integer to mu is ``(2 lam + d) // (2 d)``,
@@ -50,8 +84,8 @@ def lll(lattice: GramLattice, delta: Fraction = DELTA) -> ReducedBasis:
         raise ValueError("delta must lie strictly between 1/4 and 1")
     p, q = delta.numerator, delta.denominator
     n = lattice.n
-    scale, g, d, lam = lattice._form
-    g, d, lam = [list(row) for row in g], list(d), [list(row) for row in lam]
+    scale, a, d, lam = lattice._form
+    d, lam = list(d), [list(row) for row in lam]
     r = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
     k = 1
@@ -61,12 +95,9 @@ def lll(lattice: GramLattice, delta: Fraction = DELTA) -> ReducedBasis:
             dj = d[j + 1]
             m = (2 * lk[j] + dj) // (2 * dj)
             if m:
-                # basis vector k -= m * basis vector j, in the transform,
-                # the Gram rows and columns, and the coefficients
+                # basis vector k -= m * basis vector j, in the transform
+                # and the coefficients
                 r[k] = [x - m * y for x, y in zip(r[k], r[j])]
-                g[k] = [x - m * y for x, y in zip(g[k], g[j])]
-                for row in g:
-                    row[k] -= m * row[j]
                 lk[:j] = [x - m * y for x, y in zip(lk, lam[j])]
                 lk[j] -= m * dj
         t = lk[k - 1]
@@ -76,9 +107,6 @@ def lll(lattice: GramLattice, delta: Fraction = DELTA) -> ReducedBasis:
         # exchange basis vectors k-1 and k (Alg. 2.6.7, step SWAPI);
         # every division below is exact
         r[k], r[k - 1] = r[k - 1], r[k]
-        g[k], g[k - 1] = g[k - 1], g[k]
-        for row in g:
-            row[k], row[k - 1] = row[k - 1], row[k]
         lam[k - 1], lam[k] = lk[:k - 1], lam[k - 1] + [t]
         big = (d[k - 1] * d[k + 1] + t * t) // d[k]
         for i in range(k + 1, n):
@@ -89,10 +117,10 @@ def lll(lattice: GramLattice, delta: Fraction = DELTA) -> ReducedBasis:
         d[k] = big
         k = max(k - 1, 1)
 
-    gram = tuple(tuple(Fraction(x, scale) for x in row) for row in g)
-    form = IntegralForm(scale, tuple(map(tuple, g)), tuple(d), tuple(map(tuple, lam)))
+    # scale * G_kk of the reduced basis, from _weights at y = e_k
+    weight, w = _weights(d)
+    diagonal = tuple((w[k] * d[k + 1] ** 2 + sum(x * c * c for x, c in zip(w, lam[k]))) // weight
+                     for k in range(n))
     label = f"{lattice.label} (reduced)" if lattice.label else ""
-    return ReducedBasis(
-        gram=GramLattice(n=n, gram=gram, label=label, _form=form),
-        transform=tuple(tuple(row) for row in r),
-    )
+    return ReducedBasis(tuple(map(tuple, r)), scale, tuple(d), tuple(map(tuple, lam)),
+                        diagonal, (a, label))

@@ -86,7 +86,7 @@ def _case(cid: str, claim: str, expected, computed, skipped: bool = False):
     return VerificationCase(cid, claim, expected, computed, status)
 
 
-def suite_identities(seed: int = DEFAULT_SEED, trials: int = 200):
+def suite_identities(seed: int = DEFAULT_SEED, trials: int = 200, budget: int | None = None):
     """Randomized identity checks plus the equality-case instances."""
     rand = random.Random(seed)
     cases = []
@@ -130,7 +130,7 @@ def suite_identities(seed: int = DEFAULT_SEED, trials: int = 200):
         [[1 if i == j else Fraction(1, 6) for j in range(6)] for i in range(6)]
     )
     lift3 = zd_lift(Code(d=3, n=6, k=1, gen=((1,) * 6,)), base=base3)
-    rep3 = maximal_index(lift3)
+    rep3 = maximal_index(lift3, budget)
     cases.append(_case(
         "id-condition-d3",
         "order 3 all ones coset in rank 6 meets A = 2d with full support",
@@ -148,7 +148,7 @@ def suite_identities(seed: int = DEFAULT_SEED, trials: int = 200):
         [[1 if i == j else Fraction(1, 4) for j in range(8)] for i in range(8)]
     )
     lift4 = zd_lift(Code(d=4, n=8, k=1, gen=((1,) * 8,)), base=base4)
-    rep4 = maximal_index(lift4)
+    rep4 = maximal_index(lift4, budget)
     cases.append(_case(
         "id-condition-d4",
         "order 4 all ones coset in rank 8 meets A = 2d with full support",
@@ -226,7 +226,7 @@ def suite_dim7(budget: int | None = None):
     return cases
 
 
-def suite_codes():
+def suite_codes(budget: int | None = None):
     """Classification counts and the two distinguished longer codes."""
     cases = []
     expected = {
@@ -236,7 +236,7 @@ def suite_codes():
         (10, 2, 5): (5, ["5^2·10", "5·6·9", "5·7·8", "6^2·8", "6·7^2"]),
     }
     for (n, k, w), (count, dists) in expected.items():
-        found = classify_binary(n, k, w)
+        found = classify_binary(n, k, w, budget)
         got = sorted(str(weight_distribution(c)) for c in found)
         word = "class" if count == 1 else "classes"
         cases.append(_case(
@@ -267,7 +267,7 @@ def suite_codes():
     return cases
 
 
-def _lift12_certificate():
+def _lift12_certificate(budget: int | None = None):
     """Exact value of H_b for the rank 12 lift, from its structure.
 
     The construction basis splits as eight unit vectors and four rows of
@@ -302,7 +302,7 @@ def _lift12_certificate():
     det = determinant(lattice)
     if det != Fraction(1, 256):
         return None
-    low, _ = minimum(lattice)
+    low, _ = minimum(lattice, budget)
     if low != 1:
         return None
     return witness / det
@@ -368,20 +368,20 @@ def suite_all(seed: int = DEFAULT_SEED, trials: int = 200,
     cases.append(_case(
         "q-lift12-certificate",
         "the rank 12 lift has H_b exactly 1296 by the basis splitting argument",
-        Fraction(1296), _lift12_certificate(),
+        Fraction(1296), _lift12_certificate(budget),
     ))
 
-    cases.extend(suite_identities(seed, trials))
+    cases.extend(suite_identities(seed, trials, budget))
     cases.extend(suite_dim7(budget))
-    cases.extend(suite_codes())
+    cases.extend(suite_codes(budget))
     return cases
 
 
 SUITES = {
     "all": lambda seed, trials, budget: suite_all(seed, trials, budget),
     "dim7": lambda seed, trials, budget: suite_dim7(budget),
-    "codes": lambda seed, trials, budget: suite_codes(),
-    "identities": lambda seed, trials, budget: suite_identities(seed, trials),
+    "codes": lambda seed, trials, budget: suite_codes(budget),
+    "identities": lambda seed, trials, budget: suite_identities(seed, trials, budget),
 }
 
 

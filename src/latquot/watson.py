@@ -253,8 +253,8 @@ def maximal_index(L: GramLattice, budget: int | None = None) -> IndexReport:
     is ruled out.  The method for each candidate follows one fixed cost
     rule.  While m has a prime whose kernels are unknown, the tree gets
     an allowance of n nodes for each of the (p^n - 1)/(p - 1) functionals
-    of the least such prime p, about the pivot rows a functional's greedy
-    test takes.  When the tree spends its allowance, p is settled by its
+    of the least such prime p, about the rows a functional's greedy test
+    inserts.  When the tree spends its allowance, p is settled by its
     functionals and m is tried again, now with the kernels of p as a
     prune.
 

@@ -9,9 +9,10 @@ every candidate subset, LLL by recomputing the Gram-Schmidt data from
 scratch after every swap, binary code classes by walking every generator
 matrix in echelon form, construction witnesses from their definitions,
 the random lattice models by conjugating every candidate with matrix
-products, and short-vector listings by the Fincke-Pohst kernel as first
-written (a centre loop per node, a sign test per leaf, one sort).  Slow
-on purpose; the tests only feed these small instances.
+products, short-vector listings by the Fincke-Pohst kernel as first
+written (a centre loop per node, a sign test per leaf, one sort), and
+frames of successive minima by fraction-free pivot rows over the Gram
+matrix.  Slow on purpose; the tests only feed these small instances.
 
 ``random_unimodular`` and ``conjugate`` are test helpers rather than
 references: they draw unimodular matrices the way the sampler does and
@@ -26,7 +27,9 @@ from math import floor, gcd, isqrt
 
 from latquot.linalg import det_int, identity_rows, matmul, transpose
 from latquot.core import GramLattice, _pivot_row, determinant, qform
-from latquot.enumeration import Frame, _Counter, _denominator, _dot, _times, _weights, successive_minima
+from latquot.enumeration import (
+    Frame, _Counter, _denominator, _dot, _listing, _radius, _times, _weights, successive_minima,
+)
 from latquot.errors import NotPositiveDefinite, ResourceExceeded
 from latquot.frames import _orthogonal_seed
 from latquot.watson import IndexReport, quotient_structure
@@ -526,6 +529,32 @@ def reference_enumerate(reduced, bound: Fraction, counter):
     # until the next full collection; break it to free a dropped listing
     descend = None
     return out
+
+
+def reference_frame(L: GramLattice) -> Frame:
+    """The frame of successive minima, chosen by pivot rows over the Gram matrix.
+
+    Walks the minima ball in listing order and takes each vector whose
+    fraction-free pivot row (Cohen, GTM 138, Alg. 2.6.7) against the
+    vectors already taken ends in a positive minor, until n are taken.
+    """
+    pairs = _listing(L, _radius(L))
+    a = L._form.gram
+    vectors = []
+    norms = []
+    minors, lam = [1], []
+    for value, v in pairs:
+        va = _times(v, a)
+        row = _pivot_row([_dot(va, w) for w in vectors] + [_dot(va, v)], minors, lam)
+        if row[-1] > 0:
+            minors.append(row.pop())
+            lam.append(row)
+            vectors.append(v)
+            norms.append(value)
+            if len(vectors) == L.n:
+                break
+    denominator = _denominator(L)
+    return Frame(vectors=tuple(vectors), norms=tuple(Fraction(x, denominator) for x in norms))
 
 
 def _canonical_sign(v: tuple[int, ...]) -> tuple[int, ...]:

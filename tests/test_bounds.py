@@ -19,10 +19,12 @@ from latquot.bounds import (
     tuvw_bounds,
     vdw_bound,
 )
-from latquot.construct import zn
+from latquot.codes import Code
+from latquot.construct import code_lift, zn
 from latquot.core import norm, qform
 from latquot.enumeration import successive_minima
 from latquot.linalg import identity_rows
+from latquot.quality import qb
 from latquot.sampling import random_coset, random_gram
 from latquot.watson import CosetVector
 
@@ -40,6 +42,17 @@ def test_general_quality_bound():
     assert vdw_bound(8) == Fraction(625, 256)
     with pytest.raises(ValueError):
         vdw_bound(3)
+
+
+def test_code_lifts_certify_quality_above_the_vdw_formula():
+    # (5/4)^(n-4) is no upper bound on Q_b in every rank: the lifts of
+    # the simplex code [15, 4, 8] (all 15 nonzero columns of F_2^4) and
+    # of its puncturing [14, 4, 7] have certified Q_b above it.
+    for columns, expected in ((range(2, 16), Fraction(2401, 256)), (range(1, 16), Fraction(16))):
+        gen = tuple(tuple(c >> i & 1 for c in columns) for i in range(4))
+        report = qb(code_lift(Code(d=2, n=len(columns), k=4, gen=gen)))
+        assert report.certified and report.Qb == expected
+        assert report.Qb > vdw_bound(len(columns))
 
 
 def test_conjectured_quality_bound():

@@ -26,9 +26,12 @@ from latquot.enumeration import (
 )
 from latquot.errors import ResourceExceeded
 from latquot.quality import qb
+from latquot.reduction import lll
 from latquot.sampling import perturbed, random_gram
 from latquot.watson import maximal_index
-from oracles import box_vectors, brute_minima, brute_minimum, rank_rational, reference_enumerate
+from oracles import (
+    box_vectors, brute_minima, brute_minimum, rank_rational, reference_enumerate, reference_frame,
+)
 
 
 def test_listings_match_the_box_oracle():
@@ -443,3 +446,39 @@ def test_calls_leave_no_reference_cycles():
                 assert gc.collect() == 0, L.label
     finally:
         gc.enable()
+
+
+def test_the_echelon_frame_matches_the_pivot_row_reference():
+    # The frame takes each ball vector that raises the rank of an integer
+    # echelon on coordinates; the reference tests the same vectors by
+    # pivot rows over the Gram matrix.  Both must pick the same frame,
+    # also where the short vectors are dependent (A9^2, D6+, A5^3).
+    lattices = list(fixture_inventory().values())
+    lattices += [L.scaled(Fraction(3, 7)) for L in lattices]
+    for seed in (1, 2, 3):
+        rand = random.Random(seed)
+        for n in range(2, 11):
+            corpus = search_corpus(n)
+            lattices += [perturbed(rand, corpus[t % len(corpus)]) for t in range(len(corpus))]
+        lattices += [random_gram(rand, n) for n in range(2, 7)]
+    lattices += [named(name).lattice for name in ("A9^2", "D6+", "A5^3")]
+    for L in lattices:
+        expected = reference_frame(GramLattice(L.n, L.gram, L.label))
+        assert successive_minima(L) == expected, L.label
+
+
+def test_the_searches_read_only_the_pivots_of_the_reduction():
+    # qb, is_well_rounded and maximal_index read the reduction's minors,
+    # coefficients and diagonal; none of them builds the reduced Gram
+    # matrix.  The diagonal read off the pivots is that matrix's.
+    lattices = list(fixture_inventory().values())
+    for L in lattices + [L.scaled(Fraction(3, 7)) for L in lattices]:
+        qb(L)
+        is_well_rounded(L)
+        maximal_index(L)
+        reduced = _reduction(L)
+        assert "gram" not in vars(reduced), L.label
+        gram = lll(L).gram
+        assert [Fraction(x, reduced.scale) for x in reduced.diagonal] == [
+            gram.gram[i][i] for i in range(L.n)], L.label
+        assert reduced.gram == gram and reduced.gram._form == gram._form, L.label

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from latquot.errors import ResourceExceeded
 from latquot.verify import (
     SUITES,
     VerificationCase,
@@ -52,3 +53,16 @@ def test_to_dict_stringifies_values():
 
 def test_dimension_twelve_certificate():
     assert _lift12_certificate() == 1296
+
+
+def test_the_budget_reaches_every_suite():
+    # At 4000 nodes the rank 8 order 4 instance is not decided, so its
+    # case is skipped instead of passed; the codes suite and the rank 12
+    # certificate stop at the budget instead of ignoring it.
+    cases = {c.id: c for c in run_suite("identities", trials=5, budget=4000)}
+    assert cases["id-quotient-d4"].status == "skipped"
+    assert cases["id-quotient-d3"].status == "pass"
+    with pytest.raises(ResourceExceeded):
+        run_suite("codes", budget=10)
+    with pytest.raises(ResourceExceeded):
+        _lift12_certificate(budget=10)
