@@ -224,7 +224,12 @@ def classify_binary(n: int, k: int, min_w: int,
             walk([w + p for w, p in zip(weights, parities[v])])
             cols.pop()
 
-    walk([0] * ((1 << k) - 1))
+    try:
+        walk([0] * ((1 << k) - 1))
+    finally:
+        # ``walk`` refers to itself; break the cycle so ``seen`` and
+        # ``found`` are freed on return
+        walk = None
     return [_code_from_signature(sig, n, k) for sig in sorted(found)]
 
 

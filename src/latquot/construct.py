@@ -114,8 +114,10 @@ def zd_lift(c: Code, base: GramLattice | None = None) -> GramLattice:
         raise DimensionMismatch("base lattice rank does not match code length")
     stacked = [[c.d * x for x in row] for row in identity_rows(c.n)]
     stacked += [list(row) for row in c.gen]
-    basis = [[Fraction(x, c.d) for x in row] for row in hnf_rows(stacked)]
-    gram = matmul(matmul(basis, [list(r) for r in ambient.gram]), transpose(basis))
+    # the basis is H/d for the Hermite form H: its Gram matrix is H (scale G) H^T / (scale d^2)
+    h = hnf_rows(stacked)
+    g = matmul(matmul(h, ambient._form.gram), transpose(h))
+    gram = [[Fraction(x, ambient._form.scale * c.d**2) for x in row] for row in g]
     lifted = GramLattice.from_rows(gram, label=f"lift [{c.n},{c.k}] mod {c.d}")
     floor, _ = minimum(ambient)
     got, _ = minimum(lifted)

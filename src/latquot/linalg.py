@@ -1,9 +1,15 @@
-"""Exact matrix helpers over Q, Z and GF(2); GF(2) rows are bit masks."""
+"""Exact matrix helpers over Q, Z and GF(2); GF(2) rows are bit masks.
+
+Each ring has one elimination: ``_insert`` builds an echelon form over Q
+a row at a time, ``_hermite`` the Hermite normal form over Z, on which
+``hnf_rows``, ``det_int`` and the Smith form stand, and ``_insert2`` a
+reduced echelon form over GF(2).
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 from typing import Sequence
 
 
@@ -18,30 +24,6 @@ def transpose(rows):
 def matmul(a, b):
     bt = list(zip(*b))
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
-def det_int(rows: Sequence[Sequence[int]]) -> int:
-    """Determinant of an integer matrix by fraction-free (Bareiss) elimination."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
 
 
 def det_rational(rows) -> Fraction:
@@ -69,112 +51,55 @@ def det_rational(rows) -> Fraction:
     return det
 
 
-def _smith(rows: list[list[int]], want_transforms: bool):
-    """Diagonalize an integer matrix by unimodular row and column operations."""
-    a = [list(r) for r in rows]
-    nrows = len(a)
-    ncols = len(a[0]) if a else 0
-    u = identity_rows(nrows) if want_transforms else None
-    v = identity_rows(ncols) if want_transforms else None
-
-    def row_op(i, j, f):
-        # row i -= f * row j
-        a[i] = [x - f * y for x, y in zip(a[i], a[j])]
-        if u is not None:
-            u[i] = [x - f * y for x, y in zip(u[i], u[j])]
-
-    def col_op(i, j, f):
-        # col i -= f * col j
-        for r in a:
-            r[i] -= f * r[j]
-        if v is not None:
-            for r in v:
-                r[i] -= f * r[j]
-
-    def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        if u is not None:
-            u[i], u[j] = u[j], u[i]
-
-    def col_swap(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        if v is not None:
-            for r in v:
-                r[i], r[j] = r[j], r[i]
-
-    t = 0
-    while t < min(nrows, ncols):
-        # find a pivot of smallest absolute value in the remaining block
-        pivot = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                if a[i][j] and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        row_swap(t, pivot[0])
-        col_swap(t, pivot[1])
-        while True:
-            dirty = False
-            for i in range(t + 1, nrows):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    row_op(i, t, q)
-                    if a[i][t]:
-                        row_swap(t, i)
-                    dirty = True
-            for j in range(t + 1, ncols):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    col_op(j, t, q)
-                    if a[t][j]:
-                        col_swap(t, j)
-                    dirty = True
-            if not dirty:
-                break
-        # make sure the pivot divides the rest of the block
-        p = a[t][t]
-        culprit = None
-        for i in range(t + 1, nrows):
-            for j in range(t + 1, ncols):
-                if a[i][j] % p:
-                    culprit = i
-                    break
-            if culprit is not None:
-                break
-        if culprit is not None:
-            row_op(t, culprit, -1)
-            continue
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            if u is not None:
-                u[t] = [-x for x in u[t]]
-        t += 1
-    diag = [a[i][i] for i in range(min(nrows, ncols)) if a[i][i]]
-    return diag, u, v
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with g = gcd(a, b) >= 0 and a*x + b*y = g."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return (a, x0, y0) if a >= 0 else (-a, -x0, -y0)
 
 
-def smith_invariants(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Nonzero invariant factors of an integer matrix, in divisibility order."""
-    diag, _, _ = _smith([list(r) for r in rows], want_transforms=False)
-    return tuple(diag)
+def _hermite(work: list[list[int]], u: list[list[int]] | None = None) -> tuple[int, int]:
+    """Bring the rows to the Hermite normal form of ``hnf_rows``, in place.
 
-
-def smith_with_transforms(rows: Sequence[Sequence[int]]):
-    """Invariant factors together with unimodular U, V such that U*A*V is diagonal."""
-    diag, u, v = _smith([list(r) for r in rows], want_transforms=True)
-    return tuple(diag), u, v
-
-
-def is_primitive(rows: Sequence[Sequence[int]]) -> bool:
-    """Whether the rows span a primitive (saturated) sublattice of Z^n.
-
-    Equivalent to all invariant factors being 1; in particular the rows
-    must be independent.
+    Returns the rank r, the number of nonzero rows, which come first, and
+    det U = +-1 for the moves U, each row swap and negation flipping it.
+    With ``u`` given each move is applied to its rows too, so ``u`` = I
+    comes back as U.
     """
-    inv = smith_invariants(rows)
-    return len(inv) == len(rows) and all(d == 1 for d in inv)
+    mats = (work,) if u is None else (work, u)
+    top, sign = 0, 1
+    for col in range(len(work[0]) if work else 0):
+        while True:
+            live = [i for i in range(top, len(work)) if work[i][col]]
+            if len(live) <= 1:
+                break
+            head = min(live, key=lambda i: abs(work[i][col]))
+            for i in live:
+                if i != head:
+                    q = work[i][col] // work[head][col]
+                    for m in mats:
+                        m[i] = [a - q * b for a, b in zip(m[i], m[head])]
+        if not live:
+            continue
+        if live[0] != top:
+            for m in mats:
+                m[top], m[live[0]] = m[live[0]], m[top]
+            sign = -sign
+        if work[top][col] < 0:
+            for m in mats:
+                m[top] = [-a for a in m[top]]
+            sign = -sign
+        for i in range(top):
+            q = work[i][col] // work[top][col]
+            if q:
+                for m in mats:
+                    m[i] = [a - q * b for a, b in zip(m[i], m[top])]
+        top += 1
+    return top, sign
 
 
 def hnf_rows(rows: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -186,32 +111,71 @@ def hnf_rows(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     Z^n generated by the input rows.
     """
     work = [list(r) for r in rows]
-    if not work:
-        return []
-    n = len(work[0])
-    top = 0
-    for col in range(n):
-        while True:
-            live = [i for i in range(top, len(work)) if work[i][col]]
-            if len(live) <= 1:
-                break
-            head = min(live, key=lambda i: abs(work[i][col]))
-            for i in live:
-                if i == head:
-                    continue
-                q = work[i][col] // work[head][col]
-                work[i] = [a - q * b for a, b in zip(work[i], work[head])]
-        if not live:
-            continue
-        work[top], work[live[0]] = work[live[0]], work[top]
-        if work[top][col] < 0:
-            work[top] = [-a for a in work[top]]
-        for i in range(top):
-            q = work[i][col] // work[top][col]
-            if q:
-                work[i] = [a - q * b for a, b in zip(work[i], work[top])]
-        top += 1
-    return work[:top]
+    rank, _ = _hermite(work)
+    return work[:rank]
+
+
+def det_int(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix: det U times the product of the pivots of H = U·A."""
+    work = [list(r) for r in rows]
+    rank, sign = _hermite(work)
+    return sign * prod(work[i][i] for i in range(rank)) if rank == len(work) else 0
+
+
+def _smith(a: list[list[int]], u=None, vt=None) -> list[int]:
+    """Nonzero invariant factors of an integer matrix, in divisibility order.
+
+    Row and column Hermite forms alternate until ``a`` is diagonal (Kannan
+    and Bachem, SIAM J. Comput. 8, 1979), then each pair of diagonal
+    entries becomes its gcd and lcm.  Row moves go to the rows of ``u`` and
+    column moves to the rows of ``vt``: from ``u`` = ``vt`` = I, U·A·V is
+    the diagonal for V = ``vt``^T.
+    """
+    m, moves, other = a, u, vt
+    while True:
+        rank, _ = _hermite(m, moves)
+        if not any(any(row[i + 1:]) for i, row in enumerate(m)):
+            break
+        m, moves, other = transpose(m), other, moves
+    d = [m[i][i] for i in range(rank)]
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            p, q = d[i], d[j]
+            if q % p == 0:
+                continue
+            g, x, y = _xgcd(p, q)
+            d[i], d[j] = g, p // g * q
+            if u is not None:
+                # row i += row j, columns (i, j) times [[x, -q/g], [y, p/g]],
+                # then row j -= (q y / g) row i: diag(p, q) becomes diag(g, pq/g)
+                u[i] = [s + t for s, t in zip(u[i], u[j])]
+                u[j] = [t - q // g * y * s for s, t in zip(u[i], u[j])]
+                vt[i], vt[j] = ([x * s + y * t for s, t in zip(vt[i], vt[j])],
+                                [p // g * t - q // g * s for s, t in zip(vt[i], vt[j])])
+    return d
+
+
+def smith_invariants(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Nonzero invariant factors of an integer matrix, in divisibility order."""
+    return tuple(_smith([list(r) for r in rows]))
+
+
+def smith_with_transforms(rows: Sequence[Sequence[int]]):
+    """Invariant factors together with unimodular U, V such that U*A*V is diagonal."""
+    a = [list(r) for r in rows]
+    u = identity_rows(len(a))
+    vt = identity_rows(len(a[0]) if a else 0)
+    return tuple(_smith(a, u, vt)), u, transpose(vt)
+
+
+def is_primitive(rows: Sequence[Sequence[int]]) -> bool:
+    """Whether the rows span a primitive (saturated) sublattice of Z^n.
+
+    Equivalent to all invariant factors being 1; in particular the rows
+    must be independent.
+    """
+    inv = smith_invariants(rows)
+    return len(inv) == len(rows) and all(d == 1 for d in inv)
 
 
 def _insert2(rows: dict[int, int], mask: int) -> bool:

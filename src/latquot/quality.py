@@ -49,7 +49,7 @@ from .enumeration import (
     successive_minima,
 )
 from .errors import NotGenerating, ResourceExceeded
-from .linalg import _insert2, det_int, hnf_rows, identity_rows, smith_invariants
+from .linalg import _insert2, _xgcd, det_int, hnf_rows, identity_rows, smith_invariants
 from .linalg import is_primitive  # noqa: F401  uncalled; perfbench's tracer wraps this name
 
 __all__ = ["QualityReport", "hermite_Hb", "qb", "qg_upper_bound"]
@@ -86,17 +86,6 @@ def _generates(vecs, n: int) -> bool:
         if len(state) == n and all(state[i][i] == 1 for i in range(n)):
             return True
     return False
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with g = gcd(a, b) >= 0 and a*x + b*y = g."""
-    x0, y0, x1, y1 = 1, 0, 0, 1
-    while b:
-        q, r = divmod(a, b)
-        a, b = b, r
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return (a, x0, y0) if a >= 0 else (-a, -x0, -y0)
 
 
 def _cleared(cols, tail):

@@ -139,11 +139,11 @@ def quotient_structure(L: GramLattice, frame) -> QuotientStructure:
     rows = _frame_rows(frame)
     if len(rows) != L.n:
         raise DependentFrame("frame must contain n vectors")
-    index = abs(det_int(rows))
-    if index == 0:
+    invariants = smith_invariants(rows)
+    if len(invariants) < L.n:
         raise DependentFrame("frame vectors are dependent")
-    factors = tuple(f for f in smith_invariants(rows) if f > 1)
-    return QuotientStructure(invariant_factors=factors, index=index)
+    factors = tuple(f for f in invariants if f > 1)
+    return QuotientStructure(invariant_factors=factors, index=math.prod(invariants))
 
 
 def quotient_generators(L: GramLattice, frame) -> list[CosetVector]:
@@ -154,9 +154,9 @@ def quotient_generators(L: GramLattice, frame) -> list[CosetVector]:
     ``watson_identity`` or ``extract_code``.
     """
     rows = _frame_rows(frame)
-    if abs(det_int(rows)) == 0:
-        raise DependentFrame("frame vectors are dependent")
     diag, u, _ = smith_with_transforms(rows)
+    if len(diag) < L.n:
+        raise DependentFrame("frame vectors are dependent")
     out = []
     for i, d in enumerate(diag):
         if d > 1:

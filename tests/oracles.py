@@ -1,7 +1,8 @@
 """Independent brute force reference implementations.
 
 Everything here recomputes package results along a different code path:
-ranks and inverses by Gaussian elimination over Q, vector listings by
+ranks and inverses by Gaussian elimination over Q, integer determinants
+by fraction-free (Bareiss) elimination, vector listings by
 coordinate boxes, the class minima of L/2L by one covering box on the
 reference LLL basis and the least product over their bases by trying
 every subset, Smith invariants by minor gcds, basis search by testing
@@ -25,7 +26,7 @@ from itertools import combinations, product
 import math
 from math import floor, gcd, isqrt
 
-from latquot.linalg import det_int, identity_rows, matmul, transpose
+from latquot.linalg import identity_rows, matmul, transpose
 from latquot.core import GramLattice, _pivot_row, determinant, qform
 from latquot.enumeration import (
     Frame, _Counter, _denominator, _dot, _listing, _radius, _times, _weights, successive_minima,
@@ -34,6 +35,30 @@ from latquot.errors import NotPositiveDefinite, ResourceExceeded
 from latquot.frames import _orthogonal_seed
 from latquot.watson import IndexReport, quotient_structure
 from latquot.sampling import _apply, _moves
+
+
+def det_int(rows) -> int:
+    """Determinant of an integer matrix by fraction-free (Bareiss) elimination."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    m = [list(r) for r in rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
 
 
 def rank_rational(rows) -> int:

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from latquot import enumeration
-from latquot.codes import c9, c10
+from latquot.codes import c9, c10, classify_binary
 from latquot.construct import centred_cubic, code_lift, fixture_inventory, named, search_corpus, zn
 from latquot.core import GramLattice, _integral, _pivot_row, determinant, norm, validate
 from latquot.enumeration import (
@@ -428,7 +428,8 @@ def test_calls_leave_no_reference_cycles():
     # A search or listing frees what it built when it returns, rather
     # than at the next cyclic collection: with the collector off, each
     # call leaves nothing for it to find.  The frame search runs under a
-    # small budget, so its stopped runs are covered too.
+    # small budget, so its stopped runs are covered too, and a binary
+    # code classification, whose walk is recursive, runs once.
     calls = (
         qb,
         lambda L: maximal_index(L, 20000),
@@ -444,6 +445,8 @@ def test_calls_leave_no_reference_cycles():
             for call in calls:
                 call(GramLattice(L.n, L.gram, L.label))
                 assert gc.collect() == 0, L.label
+        classify_binary(10, 3, 4)
+        assert gc.collect() == 0, "classify_binary"
     finally:
         gc.enable()
 

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from latquot.linalg import (
     det_int,
@@ -25,6 +25,20 @@ small_matrix = st.integers(2, 4).flatmap(
         min_size=n, max_size=n,
     )
 )
+
+# Inputs on which a Smith form that reduces only the pivot row and
+# column lets the other entries grow without bound (past 980 bits by the
+# fourth pivot of the 7 x 7 frame); invariants (1, 1, 1, 1, 3, 110292)
+# and (1, 1, 1, 1, 1, 2, 32634).
+STALL_6 = [
+    [-2, 5, 4, -8, -5, 6], [2, 7, 0, 3, -7, 9], [4, -5, 7, -2, 4, 6],
+    [-7, 9, 2, 8, 7, -4], [-8, -3, -3, -9, 2, -2], [-2, 7, 7, 4, 8, 4],
+]
+STALL_7 = [
+    [41, -1, 20, 0, -47, 3, -1], [2, 3, -41, 2, 2, 2, 0], [1, -2, -2, 2, -1, 0, -22],
+    [0, 3, 1, 0, -1, 0, -1], [0, 0, 1, 2, 1, 3, -2], [0, 3, 3, 1, 0, 1, -1],
+    [3, -22, -31, -2, -1, 3, 3],
+]
 
 
 def test_det_int_matches_rational_determinant():
@@ -52,6 +66,8 @@ def test_inverse_rational_inverts():
 
 @settings(max_examples=60, deadline=None)
 @given(small_matrix)
+@example(STALL_6)
+@example(STALL_7)
 def test_smith_invariants_match_minor_gcds(rows):
     assert list(smith_invariants(rows)) == minor_gcd_invariants(rows) or (
         rank_rational([list(r) for r in rows]) == 0
@@ -60,10 +76,13 @@ def test_smith_invariants_match_minor_gcds(rows):
 
 def test_smith_transforms_diagonalize():
     rand = random.Random(7)
+    cases = []
     for _ in range(25):
         m = rand.randint(1, 4)
         n = rand.randint(1, 4)
-        rows = [[rand.randint(-5, 5) for _ in range(n)] for _ in range(m)]
+        cases.append([[rand.randint(-5, 5) for _ in range(n)] for _ in range(m)])
+    for rows in cases + [STALL_6, STALL_7]:
+        m, n = len(rows), len(rows[0])
         inv, u, v = smith_with_transforms(rows)
         assert abs(det_int(u)) == 1
         assert abs(det_int(v)) == 1
