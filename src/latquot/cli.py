@@ -28,7 +28,7 @@ from .codes import (
 from .construct import search_corpus, zd_lift
 from .core import determinant, format_rational, load_lattice
 from .enumeration import invariant_report, is_well_rounded, minimum, successive_minima
-from .errors import LatquotError, MinimumDrops, ResourceExceeded
+from .errors import CodeTooLight, LatquotError, MinimumDrops, ResourceExceeded
 from .quality import qb
 from .sampling import perturbed
 from .verify import DEFAULT_SEED, SUITES, run_suite
@@ -114,11 +114,15 @@ def cmd_classify(args) -> int:
     rows = []
     for code in found:
         w, support, full = min_weight_support(code)
+        try:
+            bound = format_rational(code_qb_bound(code))
+        except CodeTooLight:
+            bound = None  # the lift of a code of weight below 4 is not defined
         rows.append({
             "distribution": str(weight_distribution(code)),
             "min_weight": w,
             "generator": [list(r) for r in code.gen],
-            "qb_bound": format_rational(code_qb_bound(code)),
+            "qb_bound": bound,
         })
     rows.sort(key=lambda r: r["distribution"])
     data = {"n": args.n, "k": args.k, "min_weight": args.w,
@@ -128,7 +132,7 @@ def cmd_classify(args) -> int:
              f"full support: {len(found)} {word}"]
     for row in rows:
         lines.append(f"  {row['distribution']:<12} min weight {row['min_weight']}"
-                     f"  Q_b bound {row['qb_bound']}")
+                     f"  Q_b bound {row['qb_bound'] or 'undefined'}")
     _emit(data, args.json, lines)
     return PASS
 
@@ -297,9 +301,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "n", None) is not None and args.command == "search":
+    if args.command == "search":
         if not 4 <= args.n <= 10:
             print("search supports ranks 4 through 10", file=sys.stderr)
+            return USAGE
+        if args.trials < 1:
+            print("search needs at least 1 trial", file=sys.stderr)
             return USAGE
     try:
         return args.func(args)

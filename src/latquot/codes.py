@@ -14,11 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import product
 
 from .enumeration import _Counter
 from .errors import CodeTooLight, ParseError, ResourceExceeded
-from .linalg import _rref2, smith_invariants
+from .linalg import _insert2, _rref2, smith_invariants
 
 WORD_LIMIT = 10**7
 
@@ -199,8 +199,8 @@ def classify_binary(n: int, k: int, min_w: int,
     the walk completes marks the whole orbit as seen.  The budget counts
     the nodes of the walk, the pruned ones included.
     """
-    if n > 12 or k > 4:
-        raise ValueError("classification supported for n <= 12, k <= 4")
+    if n > 12 or not 1 <= k <= 4:
+        raise ValueError("classification supported for 1 <= k <= 4, n <= 12")
     counter = _Counter(budget)
     target = max(min_w, 1)
     parities = [[(f & v).bit_count() & 1 for f in range(1, 1 << k)]
@@ -234,22 +234,22 @@ def classify_binary(n: int, k: int, min_w: int,
 
 
 def code_qb_bound(c: Code) -> Fraction:
-    """Minimum of wt(a_1)...wt(a_k)/4^k over bases of a binary code."""
+    """Minimum of wt(a_1)...wt(a_k)/4^k over bases of a binary code.
+
+    The bases of the code form a matroid, so one greedy walk finds the
+    least product: over the nonzero words sorted by (weight, mask), it
+    multiplies the weights of the words that raise the GF(2) rank.
+    """
     if c.d != 2:
         raise ValueError("the bound is defined for binary codes only")
-    words = _binary_words(c.masks())
-    weights = {w: w.bit_count() for w in words}
-    if min(weights.values()) < 4:
+    words = sorted((w.bit_count(), w) for w in _binary_words(c.masks()))
+    if words[0][0] < 4:
         raise CodeTooLight("minimum weight below 4")
-    best = None
-    for combo in combinations(words, c.k):
-        if len(_rref2(combo)[0]) < c.k:
-            continue
-        p = 1
-        for w in combo:
-            p *= weights[w]
-        if best is None or p < best:
-            best = p
+    rows: dict[int, int] = {}
+    best = 1
+    for weight, w in words:
+        if _insert2(rows, w):
+            best *= weight
     return Fraction(best, 4**c.k)
 
 

@@ -120,11 +120,8 @@ class GramLattice:
     n: int
     gram: Matrix
     label: str | None = None
-    # The integral form of ``validate``.  Computed on construction unless
-    # the caller already holds it exactly (``ReducedBasis.gram`` does).
-    _form: IntegralForm | None = field(
-        default=None, repr=False, compare=False, hash=False
-    )
+    # The integral form of ``validate``, computed on construction.
+    _form: IntegralForm = field(init=False, repr=False, compare=False, hash=False)
     # The LLL reduction of latquot.enumeration, made on first use; a
     # cache, not part of the lattice's value.
     _reduced: object = field(
@@ -148,8 +145,7 @@ class GramLattice:
         if self.n != len(gram):
             raise DimensionMismatch("declared rank does not match matrix size")
         object.__setattr__(self, "gram", gram)
-        if self._form is None:
-            object.__setattr__(self, "_form", validate(gram))
+        object.__setattr__(self, "_form", validate(gram))
 
     @classmethod
     def from_rows(cls, rows, label: str | None = None) -> "GramLattice":
@@ -356,6 +352,8 @@ def parse_lattice_json(text: str) -> GramLattice:
         rows = tuple(tuple(parse_rational(str(x)) for x in row) for row in gram)
     except (ValueError, TypeError) as exc:
         raise ParseError(1, f"bad gram entry: {exc}")
+    if not rows:
+        raise ParseError(1, "rank must be at least 1")
     return GramLattice(n, rows, data.get("label"))
 
 

@@ -49,7 +49,7 @@ from .enumeration import (
     successive_minima,
 )
 from .errors import NotGenerating, ResourceExceeded
-from .linalg import _insert2, _xgcd, det_int, hnf_rows, identity_rows, smith_invariants
+from .linalg import _insert, _insert2, _xgcd, hnf_rows, identity_rows
 from .linalg import is_primitive  # noqa: F401  uncalled; perfbench's tracer wraps this name
 
 __all__ = ["QualityReport", "hermite_Hb", "qb", "qg_upper_bound"]
@@ -300,8 +300,9 @@ def qg_upper_bound(L: GramLattice, generating_sets: Sequence[Sequence[LatVec]]) 
 
     For each set that generates the lattice, take the worst (largest)
     norm product over independent n-element subfamilies; the bound is
-    the best of those, divided by det.  Sets that fail the Smith-form
-    generation check raise NotGenerating.
+    the best of those, divided by det.  ``_generates`` decides generation
+    and the echelon form over Q independence.  Sets that do not generate
+    raise NotGenerating.
     """
     n = L.n
     det = determinant(L)
@@ -309,13 +310,12 @@ def qg_upper_bound(L: GramLattice, generating_sets: Sequence[Sequence[LatVec]]) 
         raise ValueError("at least one generating set is required")
     best: Fraction | None = None
     for idx, vs in enumerate(generating_sets):
-        rows = [list(v) for v in vs]
-        inv = smith_invariants(rows)
-        if len(inv) != n or any(d != 1 for d in inv):
+        if not _generates(vs, n):
             raise NotGenerating(f"set {idx} does not generate the lattice")
         worst: Fraction | None = None
         for combo in combinations(vs, n):
-            if det_int(combo) == 0:
+            echelon: dict[int, list[int]] = {}
+            if not all(_insert(echelon, v) for v in combo):
                 continue
             prod = Fraction(1)
             for v in combo:

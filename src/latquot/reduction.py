@@ -6,22 +6,20 @@ denominators, its leading minors and the Gram-Schmidt coefficients they
 clear; Cohen, GTM 138, Alg. 2.6.7) and maintains an integer change of
 basis.  The decisions read only the minors and the coefficients, so only
 they and the transform are kept up to date.  The diagonal of the reduced
-Gram matrix is read off the final pivots, and the reduced Gram matrix
-itself is built only when it is asked for.  With the reduction parameter
-close to 1 that diagonal gives useful upper bounds on the successive
-minima, and the product of its entries bounds the minimal basis norm
-product from above.
+Gram matrix is read off the final pivots; the reduced Gram matrix itself
+is never built, as enumeration reads only the pivots.  With the
+reduction parameter close to 1 that diagonal gives useful upper bounds
+on the successive minima, and the product of its entries bounds the
+minimal basis norm product from above.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
-from .core import GramLattice, IntegralForm
-from .linalg import matmul, transpose
+from .core import GramLattice
 
 #: Default reduction parameter.  Anything in (1/4, 1) works; a value
 #: close to 1 gives the strongest bases at a modest cost in swaps.
@@ -52,8 +50,6 @@ class ReducedBasis:
     the original basis.  ``minors``, ``lam`` and ``diagonal`` are the
     leading minors, cleared coefficients and diagonal of ``scale * U G
     U^T``, whose ``scale`` is the original's, as U is unimodular.
-    ``gram``, the reduced lattice with that integral form, is built from
-    the original's form on first access.
     """
 
     transform: tuple[tuple[int, ...], ...]
@@ -61,14 +57,6 @@ class ReducedBasis:
     minors: tuple[int, ...]
     lam: tuple[tuple[int, ...], ...]
     diagonal: tuple[int, ...]
-    _source: tuple = field(repr=False, compare=False)  # (scale * G, reduced label)
-
-    @cached_property
-    def gram(self) -> GramLattice:
-        a, label = self._source
-        g = tuple(map(tuple, matmul(matmul(self.transform, a), transpose(self.transform))))
-        return GramLattice(len(g), tuple(tuple(Fraction(x, self.scale) for x in row) for row in g),
-                           label, IntegralForm(self.scale, g, self.minors, self.lam))
 
 
 def lll(lattice: GramLattice, delta: Fraction = DELTA) -> ReducedBasis:
@@ -84,7 +72,7 @@ def lll(lattice: GramLattice, delta: Fraction = DELTA) -> ReducedBasis:
         raise ValueError("delta must lie strictly between 1/4 and 1")
     p, q = delta.numerator, delta.denominator
     n = lattice.n
-    scale, a, d, lam = lattice._form
+    scale, _, d, lam = lattice._form
     d, lam = list(d), [list(row) for row in lam]
     r = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
@@ -121,6 +109,4 @@ def lll(lattice: GramLattice, delta: Fraction = DELTA) -> ReducedBasis:
     weight, w = _weights(d)
     diagonal = tuple((w[k] * d[k + 1] ** 2 + sum(x * c * c for x, c in zip(w, lam[k]))) // weight
                      for k in range(n))
-    label = f"{lattice.label} (reduced)" if lattice.label else ""
-    return ReducedBasis(tuple(map(tuple, r)), scale, tuple(d), tuple(map(tuple, lam)),
-                        diagonal, (a, label))
+    return ReducedBasis(tuple(map(tuple, r)), scale, tuple(d), tuple(map(tuple, lam)), diagonal)

@@ -12,7 +12,7 @@ import random
 
 from .core import GramLattice, _leading_minors
 from .errors import NotPositiveDefinite
-from .linalg import det_int, matmul, transpose
+from .linalg import _insert, matmul, transpose
 from .watson import CosetVector
 
 __all__ = [
@@ -27,7 +27,9 @@ def random_basis(rand: random.Random, n: int, spread: int = 3) -> list[list[int]
     """A nonsingular integer matrix with entries in [-spread, spread]."""
     while True:
         rows = [[rand.randint(-spread, spread) for _ in range(n)] for _ in range(n)]
-        if det_int(rows):
+        echelon: dict[int, list[int]] = {}
+        # nonsingular: each row raises the rank of the echelon form over Q
+        if all(_insert(echelon, row) for row in rows):
             return rows
 
 

@@ -7,13 +7,15 @@ coordinate boxes, the class minima of L/2L by one covering box on the
 reference LLL basis and the least product over their bases by trying
 every subset, Smith invariants by minor gcds, basis search by testing
 every candidate subset, LLL by recomputing the Gram-Schmidt data from
-scratch after every swap, binary code classes by walking every generator
-matrix in echelon form, construction witnesses from their definitions,
-the random lattice models by conjugating every candidate with matrix
-products, short-vector listings by the Fincke-Pohst kernel as first
-written (a centre loop per node, a sign test per leaf, one sort), and
-frames of successive minima by fraction-free pivot rows over the Gram
-matrix.  Slow on purpose; the tests only feed these small instances.
+scratch after every swap, the reduced Gram matrix as U G U^T, binary
+code classes by walking every generator matrix in echelon form, the
+code bound by trying every k-subset of the words, construction
+witnesses from their definitions, the random lattice models by
+conjugating every candidate with matrix products, short-vector listings
+by the Fincke-Pohst kernel as first written (a centre loop per node, a
+sign test per leaf, one sort), and frames of successive minima by
+fraction-free pivot rows over the Gram matrix.  Slow on purpose; the
+tests only feed these small instances.
 
 ``random_unimodular`` and ``conjugate`` are test helpers rather than
 references: they draw unimodular matrices the way the sampler does and
@@ -27,12 +29,13 @@ import math
 from math import floor, gcd, isqrt
 
 from latquot.linalg import identity_rows, matmul, transpose
-from latquot.core import GramLattice, _pivot_row, determinant, qform
+from latquot.core import GramLattice, _pivot_row, determinant, qform, validate
 from latquot.enumeration import (
     Frame, _Counter, _denominator, _dot, _listing, _radius, _times, _weights, successive_minima,
 )
 from latquot.errors import NotPositiveDefinite, ResourceExceeded
 from latquot.frames import _orthogonal_seed
+from latquot.reduction import lll
 from latquot.watson import IndexReport, quotient_structure
 from latquot.sampling import _apply, _moves
 
@@ -432,6 +435,18 @@ def reference_lll(gram, delta=Fraction(99, 100)):
     return [list(row) for row in g], [list(row) for row in r]
 
 
+def reduced_gram(L):
+    """The Gram matrix U G U^T of the basis ``lll(L)`` reduces to, over Fractions."""
+    u = [list(r) for r in lll(L).transform]
+    return matmul(matmul(u, [list(r) for r in L.gram]), transpose(u))
+
+
+def kept_pivots(gram):
+    """What a ``ReducedBasis`` keeps of its Gram matrix: scale, minors, lam and diagonal."""
+    scale, a, minors, lam = validate(gram)
+    return scale, minors, lam, tuple(a[i][i] for i in range(len(a)))
+
+
 def _gf2_rank(rows) -> int:
     rows, rank = list(rows), 0
     while rows:
@@ -501,6 +516,33 @@ def reference_classify_binary(n, k, min_w):
     ]
 
 
+def reference_code_qb_bound(c) -> Fraction:
+    """``codes.code_qb_bound`` as first written: every k-subset of the words.
+
+    The least weight product over the k-subsets of the nonzero words
+    that have GF(2) rank k, over 4^k.
+    """
+    from latquot.codes import _binary_words
+    from latquot.errors import CodeTooLight
+
+    if c.d != 2:
+        raise ValueError("the bound is defined for binary codes only")
+    words = _binary_words(c.masks())
+    weights = {w: w.bit_count() for w in words}
+    if min(weights.values()) < 4:
+        raise CodeTooLight("minimum weight below 4")
+    best = None
+    for combo in combinations(words, c.k):
+        if _gf2_rank(combo) < c.k:
+            continue
+        p = 1
+        for w in combo:
+            p *= weights[w]
+        if best is None or p < best:
+            best = p
+    return Fraction(best, 4**c.k)
+
+
 def reference_enumerate(reduced, bound: Fraction, counter):
     """``enumeration._enumerate`` as first written, pairs unsorted in one list.
 
@@ -510,7 +552,7 @@ def reference_enumerate(reduced, bound: Fraction, counter):
     basis with their first nonzero entry positive.  Levels are visited
     top down and the integers of each level in increasing order.
     """
-    scale, _, d, lam = reduced.gram._form
+    scale, d, lam = reduced.scale, reduced.minors, reduced.lam
     n = len(d) - 1
     weight, w = _weights(d)
     rows = reduced.transform

@@ -88,6 +88,29 @@ def test_classify_json(capsys):
     ]
 
 
+def test_classify_lists_codes_whose_lift_is_undefined(capsys):
+    # codes of weight below 4 have no lift, so no Q_b bound, but they
+    # are still classes
+    code, out, _ = run(capsys, "classify", "6", "2", "3", "--json")
+    assert code == PASS
+    data = json.loads(out)
+    assert data["classes"] == 3
+    bounds = {row["distribution"]: row["qb_bound"] for row in data["codes"]}
+    assert bounds["4^3"] == "1"
+    assert {d for d, b in bounds.items() if b is None} == {
+        row["distribution"] for row in data["codes"] if row["min_weight"] < 4} != set()
+    code, out, _ = run(capsys, "classify", "6", "2", "3")
+    assert code == PASS
+    assert "3 classes" in out
+    assert out.count("Q_b bound undefined") == len(bounds) - 1
+
+
+def test_classify_rejects_a_dimension_out_of_range(capsys):
+    code, _, err = run(capsys, "classify", "4", "0", "4")
+    assert code == USAGE
+    assert "1 <= k <= 4" in err
+
+
 def test_watson_text(capsys):
     code, out, _ = run(
         capsys, "watson", str(fixture_path("zn4")), "--coset", "2:1,1,1,1"
@@ -118,6 +141,13 @@ def test_search_range_check(capsys):
     code, _, err = run(capsys, "search", "3")
     assert code == USAGE
     assert "rank" in err
+
+
+def test_search_needs_a_trial(capsys):
+    for trials in ("0", "-3"):
+        code, out, err = run(capsys, "search", "8", "--trials", trials)
+        assert code == USAGE
+        assert "trial" in err and not out
 
 
 def test_search_is_deterministic(capsys):

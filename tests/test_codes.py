@@ -25,7 +25,7 @@ from latquot.codes import (
 )
 from latquot.errors import CodeTooLight, ParseError, ResourceExceeded
 from latquot.linalg import _insert2, _rref2
-from oracles import _gf2_rank, reference_classify_binary
+from oracles import _gf2_rank, reference_classify_binary, reference_code_qb_bound
 
 
 def test_code_validation():
@@ -168,6 +168,12 @@ def test_classification_respects_the_budget():
         classify_binary(13, 2, 5)
 
 
+def test_classification_rejects_dimensions_outside_its_range():
+    for n, k in ((4, 0), (4, -1), (6, 5), (13, 2)):
+        with pytest.raises(ValueError, match=r"1 <= k <= 4, n <= 12"):
+            classify_binary(n, k, 4)
+
+
 def test_the_gf2_echelon_form_against_the_rank_oracle():
     rand = random.Random(29)
     for _ in range(400):
@@ -192,6 +198,16 @@ def test_basis_product_bounds():
     assert code_qb_bound(g12()) == Fraction(81, 16)
     with pytest.raises(CodeTooLight):
         code_qb_bound(repetition(3))
+
+
+def test_the_greedy_code_bound_matches_every_subset():
+    # The greedy walk over the words sorted by (weight, mask) against
+    # the least product over every k-subset of rank k, on every class of
+    # weight >= 4 up to length 9
+    codes = [c for k in range(1, 5) for n in range(k, 10) for c in classify_binary(n, k, 4)]
+    assert len(codes) == 36
+    for c in codes:
+        assert code_qb_bound(c) == reference_code_qb_bound(c), c
 
 
 def test_text_round_trip():

@@ -126,6 +126,15 @@ def test_parse_errors_carry_line_numbers():
     assert "3" in str(err.value)
 
 
+def test_json_parse_rejects_rank_zero():
+    # as the text format does
+    for text in ('{"gram": []}', '{"n": 0, "gram": []}', '{"n": 2, "gram": []}'):
+        with pytest.raises(ParseError, match="rank must be at least 1"):
+            parse_lattice_json(text)
+    with pytest.raises(ParseError, match="rank must be at least 1"):
+        parse_lattice_text("0\n")
+
+
 def test_parse_rejects_wrong_row_count():
     with pytest.raises(ParseError):
         parse_lattice_text("3\n1 0\n0 1\n")

@@ -30,7 +30,8 @@ from latquot.reduction import lll
 from latquot.sampling import perturbed, random_gram
 from latquot.watson import maximal_index
 from oracles import (
-    box_vectors, brute_minima, brute_minimum, rank_rational, reference_enumerate, reference_frame,
+    box_vectors, brute_minima, brute_minimum, kept_pivots, rank_rational, reduced_gram,
+    reference_enumerate, reference_frame,
 )
 
 
@@ -55,7 +56,7 @@ def test_listings_match_the_box_oracle():
             got = [(norm(lattice, v), v) for v in listing.vectors]
             assert set(got) == set(expected)
             assert [x for x, _ in got] == sorted(x for x, _ in got)
-        assert _reduction(scaled).gram._form.scale > 1
+        assert _reduction(scaled).scale > 1
         assert vectors_up_to(scaled, c * bound).vectors == vectors_up_to(L, bound).vectors
 
 
@@ -127,7 +128,11 @@ def test_the_cached_context_is_not_part_of_the_lattice_value():
     # but is not part of its value either
     assert copy._form == L._form == validate(L.gram)
     assert determinant(copy) == determinant(L)
-    other = GramLattice(L.n, L.gram, L.label, _form=validate(zn(5).gram))
+    # the constructor takes no form; it always computes validate's
+    with pytest.raises(TypeError):
+        GramLattice(L.n, L.gram, L.label, _form=validate(L.gram))
+    other = GramLattice(L.n, L.gram, L.label)
+    object.__setattr__(other, "_form", validate(zn(5).gram))
     assert other == L and hash(other) == hash(L) and repr(other) == repr(L)
     # so does the minima ball, outside the value like the reduction
     assert copy._ball == L._ball and copy._ball is not L._ball
@@ -277,8 +282,8 @@ def test_each_lattice_clears_its_denominators_once(monkeypatch):
 
 
 def test_the_context_takes_its_data_from_the_reduction():
-    # The integral reduction hands its minors and coefficients to the
-    # reduced lattice; rebuilding them from the reduced Gram matrix
+    # The integral reduction keeps its minors, coefficients and
+    # diagonal; rebuilding them from the reduced Gram matrix U G U^T
     # row by row must give the same data.
     lattices = list(fixture_inventory().values())
     rand = random.Random(24)
@@ -286,16 +291,17 @@ def test_the_context_takes_its_data_from_the_reduction():
         corpus = search_corpus(n)
         lattices += [perturbed(rand, corpus[t % len(corpus)]) for t in range(6)]
     for L in lattices:
-        form = _reduction(L).gram._form
-        scale, a = _integral(_reduction(L).gram.gram)
+        reduced = _reduction(L)
+        scale, a = _integral(reduced_gram(L))
         minors, lam = [1], []
         for i in range(L.n):
             row = _pivot_row(a[i][:i + 1], minors, lam)
             minors.append(row.pop())
             lam.append(tuple(row))
         weight = math.lcm(*(minors[i] * minors[i + 1] for i in range(L.n)))
-        assert form == (scale, tuple(map(tuple, a)), tuple(minors), tuple(lam)), L.label
-        assert _weights(form.minors) == (
+        assert (reduced.scale, reduced.minors, reduced.lam, reduced.diagonal) == (
+            scale, tuple(minors), tuple(lam), tuple(a[i][i] for i in range(L.n))), L.label
+        assert _weights(reduced.minors) == (
             weight, [weight // (minors[i] * minors[i + 1]) for i in range(L.n)])
         assert L._form.scale == scale
         assert L._form.gram == tuple(map(tuple, _integral(L.gram)[1]))
@@ -350,10 +356,9 @@ def _width_corpus():
 
 def _coordinate_bound(L, bound):
     reduced = _reduction(L)
-    form = reduced.gram._form
-    weight, w = _weights(form.minors)
+    weight, w = _weights(reduced.minors)
     bound = Fraction(bound)
-    top = weight * form.scale * bound.numerator // bound.denominator
+    top = weight * reduced.scale * bound.numerator // bound.denominator
     return enumeration._coordinate_bound(reduced, w, top)
 
 
@@ -472,16 +477,16 @@ def test_the_echelon_frame_matches_the_pivot_row_reference():
 
 def test_the_searches_read_only_the_pivots_of_the_reduction():
     # qb, is_well_rounded and maximal_index read the reduction's minors,
-    # coefficients and diagonal; none of them builds the reduced Gram
-    # matrix.  The diagonal read off the pivots is that matrix's.
+    # coefficients and diagonal; the reduction holds no reduced Gram
+    # matrix.  Those pivots are the ones of U G U^T, and the reduction
+    # the searches cache is the one lll makes afresh.
     lattices = list(fixture_inventory().values())
     for L in lattices + [L.scaled(Fraction(3, 7)) for L in lattices]:
         qb(L)
         is_well_rounded(L)
         maximal_index(L)
         reduced = _reduction(L)
-        assert "gram" not in vars(reduced), L.label
-        gram = lll(L).gram
-        assert [Fraction(x, reduced.scale) for x in reduced.diagonal] == [
-            gram.gram[i][i] for i in range(L.n)], L.label
-        assert reduced.gram == gram and reduced.gram._form == gram._form, L.label
+        assert not hasattr(reduced, "gram"), L.label
+        assert (reduced.scale, reduced.minors, reduced.lam, reduced.diagonal) == kept_pivots(
+            reduced_gram(L)), L.label
+        assert reduced == lll(L), L.label

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from latquot.linalg import (
+    _insert,
     det_int,
     det_rational,
     hnf_rows,
@@ -17,7 +18,7 @@ from latquot.linalg import (
     smith_with_transforms,
     transpose,
 )
-from oracles import inverse_rational, minor_gcd_invariants, rank_rational
+from oracles import det_int as bareiss_det, inverse_rational, minor_gcd_invariants, rank_rational
 
 small_matrix = st.integers(2, 4).flatmap(
     lambda n: st.lists(
@@ -47,6 +48,27 @@ def test_det_int_matches_rational_determinant():
         n = rand.randint(2, 5)
         rows = [[rand.randint(-6, 6) for _ in range(n)] for _ in range(n)]
         assert det_int(rows) == det_rational([list(r) for r in rows])
+
+
+def test_the_echelon_decides_singularity_as_the_determinant_does():
+    # random_basis and qg_upper_bound call a square matrix nonsingular
+    # when every row raises the rank of the echelon form over Q; the
+    # Bareiss determinant must agree, sizes 0 to 8, singular ones included
+    rand = random.Random(6)
+    singular = 0
+    for n in range(9):
+        for t in range(30):
+            rows = [[rand.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            if n >= 2 and t % 3 == 0:
+                # a row replaced by a combination of up to two others
+                i, *others = rand.sample(range(n), min(n, 3))
+                coeffs = [rand.randint(-2, 2) for _ in others]
+                rows[i] = [sum(c * rows[o][j] for c, o in zip(coeffs, others)) for j in range(n)]
+            echelon: dict = {}
+            nonsingular = all(_insert(echelon, row) for row in rows)
+            assert nonsingular == (bareiss_det(rows) != 0), rows
+            singular += not nonsingular
+    assert singular > 50
 
 
 def test_inverse_rational_inverts():

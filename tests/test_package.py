@@ -1,6 +1,7 @@
 """The package namespace and the README's quick start."""
 
 import importlib
+import importlib.util
 import os
 import pkgutil
 import subprocess
@@ -63,3 +64,16 @@ def test_the_readme_quick_start_runs_and_states_its_values():
         assert eval(expression, namespace) == expected, code
         stated.append(expected)
     assert stated == [Fraction(3, 2), True, Fraction(9, 4), 4, (2, 2)]
+
+
+def test_every_tracer_span_keeps_a_binding():
+    # The traced benchmark run wraps the names perfbench/tracer.py lists;
+    # a span none of whose names resolves reports null metrics.
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    bound: dict[str, list] = {}
+    for module, attr, span in tracer.ENTRY_POINTS:
+        fn = getattr(importlib.import_module(module), attr, None)
+        bound.setdefault(span, []).extend([f"{module}.{attr}"] if callable(fn) else [])
+    assert [span for span, names in bound.items() if not names] == []

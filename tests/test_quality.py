@@ -1,8 +1,10 @@
 """The basis-product invariants against a brute-force oracle."""
 
+import math
 import random
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import gcd
 from unittest.mock import patch
 
@@ -18,7 +20,10 @@ from latquot.errors import NotGenerating, ResourceExceeded
 from latquot.linalg import det_int, identity_rows, is_primitive
 from latquot.quality import _cleared, _parity_bound, hermite_Hb, qb, qg_upper_bound
 from latquot.sampling import perturbed, random_gram
-from oracles import brute_Hb_product, conjugate, parity_cover, parity_product, random_unimodular
+from oracles import (
+    brute_Hb_product, conjugate, det_int as bareiss_det, minor_gcd_invariants, parity_cover,
+    parity_product, random_unimodular,
+)
 
 
 def test_hermite_product_matches_the_oracle():
@@ -114,6 +119,30 @@ def test_generating_set_bound():
         qg_upper_bound(zn(3), [[(2, 0, 0), (0, 1, 0), (0, 0, 1)]])
     with pytest.raises(ValueError):
         qg_upper_bound(zn(3), [])
+
+
+def test_generating_set_bound_matches_minor_gcds_and_determinants():
+    # Generation against the Smith invariants from minor gcds, and
+    # independence against the Bareiss determinant, on random sets of
+    # four to six vectors, dependent subfamilies and non-generating sets
+    # among them
+    rand = random.Random(84)
+    outcomes = set()
+    for _ in range(40):
+        L = random_gram(rand, 3, spread=2)
+        vs = [tuple(rand.randint(-2, 2) for _ in range(3)) for _ in range(rand.randint(4, 6))]
+        if minor_gcd_invariants(vs) != [1, 1, 1]:
+            with pytest.raises(NotGenerating):
+                qg_upper_bound(L, [vs])
+            outcomes.add("not generating")
+            continue
+        worst = max(math.prod(norm(L, v) for v in combo)
+                    for combo in combinations(vs, 3) if bareiss_det(combo))
+        assert qg_upper_bound(L, [vs]) == worst / determinant(L)
+        outcomes.add("generating")
+        if any(not bareiss_det(combo) for combo in combinations(vs, 3)):
+            outcomes.add("dependent subfamily")
+    assert outcomes == {"not generating", "generating", "dependent subfamily"}
 
 
 def test_the_completion_agrees_with_the_smith_form_test():

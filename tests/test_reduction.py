@@ -5,13 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from latquot.core import GramLattice, determinant, validate
+from latquot.core import GramLattice, determinant
 from latquot.construct import fixture_inventory, named, search_corpus, zd_lift
 from latquot.codes import c9
-from latquot.linalg import det_int, matmul, transpose
+from latquot.linalg import det_int
 from latquot.reduction import lll
 from latquot.sampling import perturbed, random_gram
-from oracles import brute_minimum, gram_schmidt, reference_lll
+from oracles import brute_minimum, gram_schmidt, kept_pivots, reduced_gram, reference_lll
 
 
 def _random_instances(count, dims, seed):
@@ -20,27 +20,31 @@ def _random_instances(count, dims, seed):
         yield random_gram(rand, rand.randint(*dims))
 
 
+def _kept(red):
+    return red.scale, red.minors, red.lam, red.diagonal
+
+
 def test_transform_reproduces_the_reduced_gram():
+    # the transform is unimodular, and the pivots lll keeps are those of
+    # the Gram matrix U G U^T it reaches
     for L in _random_instances(30, (2, 5), 11):
         red = lll(L)
-        u = [list(r) for r in red.transform]
-        assert abs(det_int(u)) == 1
-        assert matmul(matmul(u, [list(r) for r in L.gram]), transpose(u)) == [
-            list(r) for r in red.gram.gram
-        ]
+        assert abs(det_int(red.transform)) == 1
+        assert _kept(red) == kept_pivots(reduced_gram(L))
 
 
 def test_reduction_preserves_the_determinant():
     for L in _random_instances(20, (2, 4), 12):
-        assert determinant(lll(L).gram) == determinant(L)
+        assert determinant(GramLattice.from_rows(reduced_gram(L))) == determinant(L)
+        assert lll(L).minors[-1] == L._form.minors[-1]
 
 
 def test_lovasz_and_size_reduction_hold():
     delta = Fraction(99, 100)
     for L in _random_instances(20, (2, 4), 13):
         red = lll(L)
-        n = red.gram.n
-        b, mu = gram_schmidt(red.gram.gram)
+        n = L.n
+        b, mu = gram_schmidt(reduced_gram(L))
         for i in range(n):
             for j in range(i):
                 assert abs(mu[i][j]) <= Fraction(1, 2)
@@ -73,17 +77,17 @@ def test_lll_matches_the_from_scratch_reference():
         red = lll(L, delta)
         gram, transform = reference_lll(L.gram, delta)
         assert [list(r) for r in red.transform] == transform, (L.label, delta)
-        assert [list(r) for r in red.gram.gram] == gram, (L.label, delta)
-    assert all(lll(L).gram._form.scale > 1 for L in scaled)
+        assert _kept(red) == kept_pivots(gram), (L.label, delta)
+    assert all(lll(L).scale > 1 for L in scaled)
     # mu = 1/2 rounds up, mu = -1/2 stays
     assert lll(ties[0]).transform == ((1, 0), (-1, 1))
     assert lll(ties[1]).transform == ((1, 0), (0, 1))
 
 
 def test_the_reduced_lattice_carries_the_pivots_of_its_gram_matrix():
-    # lll hands the reduced lattice the integral form it ends with
-    # instead of validating it again: it must be validate's form,
-    # also on copies scaled by a non-integral rational
+    # lll keeps the pivots it ends with instead of validating the
+    # reduced Gram matrix: they must be validate's, also on copies
+    # scaled by a non-integral rational
     lattices = list(fixture_inventory().values())
     for n in range(4, 11):
         lattices += search_corpus(n)
@@ -91,8 +95,7 @@ def test_the_reduced_lattice_carries_the_pivots_of_its_gram_matrix():
     lattices += [L.scaled(Fraction(2 * rand.randint(1, 20) + 1, rand.choice((2, 6, 10))))
                  for L in lattices]
     for L in lattices:
-        reduced = lll(L).gram
-        assert reduced._form == validate(reduced.gram), L.label
+        assert _kept(lll(L)) == kept_pivots(reduced_gram(L)), L.label
 
 
 def test_first_vector_obeys_the_lll_quality_bound():
@@ -102,14 +105,14 @@ def test_first_vector_obeys_the_lll_quality_bound():
     for L in _random_instances(12, (2, 3), 14):
         red = lll(L)
         low = brute_minimum(L.gram)
-        assert red.gram.gram[0][0] <= factor ** (L.n - 1) * low
+        assert Fraction(red.diagonal[0], red.scale) <= factor ** (L.n - 1) * low
 
 
 def test_reduction_finds_short_bases_for_the_lifted_lattices():
     lifted = zd_lift(c9())
     red = lll(lifted)
-    assert determinant(red.gram) == determinant(lifted)
-    assert min(red.gram.gram[i][i] for i in range(9)) == 1
+    assert red.minors[-1] == lifted._form.minors[-1]
+    assert min(red.diagonal) == red.scale
 
 
 def test_bad_delta_is_rejected():

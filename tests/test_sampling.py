@@ -8,7 +8,10 @@ from latquot import sampling
 from latquot.core import determinant
 from latquot.linalg import det_int, identity_rows
 from latquot.sampling import perturbed, random_basis, random_coset, random_gram
-from oracles import conjugate, random_unimodular, reference_perturbed, reference_random_unimodular
+from oracles import (
+    conjugate, det_int as bareiss_det, random_unimodular, reference_perturbed,
+    reference_random_unimodular,
+)
 
 
 def test_same_seed_same_stream():
@@ -34,6 +37,20 @@ def test_random_basis_is_nonsingular():
     for _ in range(30):
         rows = random_basis(rand, rand.randint(1, 5))
         assert det_int(rows) != 0
+
+
+def test_random_basis_keeps_the_first_nonsingular_draw():
+    # draw for draw against the Bareiss determinant; entries in [-1, 1]
+    # make singular draws common
+    for seed in range(27):
+        n = seed % 9
+        got, want = random.Random(seed), random.Random(seed)
+        rows = random_basis(got, n, spread=1)
+        while True:
+            draw = [[want.randint(-1, 1) for _ in range(n)] for _ in range(n)]
+            if bareiss_det(draw):
+                break
+        assert rows == draw and got.random() == want.random(), seed
 
 
 def test_random_unimodular():
