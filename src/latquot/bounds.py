@@ -50,9 +50,11 @@ def context_from(basis: GramLattice, c: CosetVector) -> BoundContext:
 
     The Gram matrix is rescaled so the last diagonal entry is 1; the
     minimizing subscripts for u, v, w are chosen greedily as the
-    definitions prescribe.
+    definitions prescribe, so the rank must be at least 3.
     """
     n = basis.n
+    if n < 3:
+        raise ValueError("defined for n >= 3")
     scale = 1 / basis.gram[n - 1][n - 1]
     gram = tuple(tuple(scale * x for x in row) for row in basis.gram)
     e = [Fraction(a, c.d) for a in c.a]

@@ -17,7 +17,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .bounds import crude_bound
+from .bounds import conjectured_bound, crude_bound
 from .codes import (
     Code,
     classify_binary,
@@ -27,7 +27,7 @@ from .codes import (
 )
 from .construct import search_corpus, zd_lift
 from .core import determinant, format_rational, load_lattice
-from .enumeration import invariant_report, is_well_rounded, minimum, successive_minima
+from .enumeration import invariant_report, is_well_rounded, minimum
 from .errors import CodeTooLight, LatquotError, MinimumDrops, ResourceExceeded
 from .quality import qb
 from .sampling import perturbed
@@ -47,7 +47,6 @@ def _emit(data, as_json: bool, lines) -> None:
 
 def cmd_info(args) -> int:
     lattice = load_lattice(args.file)
-    frame = successive_minima(lattice, args.budget)
     report = qb(lattice, args.budget)
     idx = maximal_index(lattice, args.budget)
     basic = invariant_report(lattice, args.budget)
@@ -58,7 +57,7 @@ def cmd_info(args) -> int:
         "det": format_rational(basic.det),
         "gamma_power": format_rational(basic.gamma_n_power),
         "s": basic.s,
-        "minima": [format_rational(x) for x in frame.norms],
+        "minima": [format_rational(x) for x in idx.witness_frame.norms],
         "iota": idx.max_index,
         "iota_exhaustive": idx.exhaustive,
         "quotient": list(idx.witness_structure.invariant_factors),
@@ -162,10 +161,12 @@ def cmd_search(args) -> int:
         trials.append(entry)
         if best is None or report.Qb > best[0]:
             best = (report.Qb, entry)
-    threshold = Fraction(args.n, 4)
-    violations = [
-        e for e in trials
-        if args.n <= 9 and Fraction(e["Qb"]) > threshold and e["certified"]
+    try:
+        threshold = conjectured_bound(args.n)
+    except ValueError:
+        threshold = None  # n/4 is not conjectured past rank 9
+    violations = [] if threshold is None else [
+        e for e in trials if Fraction(e["Qb"]) > threshold and e["certified"]
     ]
     data = {
         "n": args.n,
@@ -183,7 +184,7 @@ def cmd_search(args) -> int:
                      f"Q_b {e['Qb']:<8} ({cert}, {wr})")
     lines.append(f"maximum Q_b {format_rational(best[0])} from trial "
                  f"{best[1]['trial']} (base {best[1]['base']})")
-    if args.n <= 9:
+    if threshold is not None:
         if violations:
             lines.append(f"{len(violations)} certified values exceed "
                          f"n/4 = {format_rational(threshold)}")

@@ -122,20 +122,10 @@ class GramLattice:
     label: str | None = None
     # The integral form of ``validate``, computed on construction.
     _form: IntegralForm = field(init=False, repr=False, compare=False, hash=False)
-    # The LLL reduction of latquot.enumeration, made on first use; a
-    # cache, not part of the lattice's value.
-    _reduced: object = field(
-        default=None, init=False, repr=False, compare=False, hash=False
-    )
-    # The minima ball of latquot.enumeration: the listing at the radius
-    # successive_minima uses, its node cost and its frame, made on first
-    # use; a cache, not part of the lattice's value.
-    _ball: object = field(
-        default=None, init=False, repr=False, compare=False, hash=False
-    )
-    # The listing ``minimum`` makes, at the least diagonal entry of the
-    # reduced Gram matrix, with its node cost, kept the same way.
-    _least: object = field(
+    # What latquot.enumeration keeps for the lattice, made on first use:
+    # the reduction and, once listed, the minima ball.  A cache, not
+    # part of the lattice's value; only that module reads it.
+    _context: object = field(
         default=None, init=False, repr=False, compare=False, hash=False
     )
 

@@ -1,11 +1,12 @@
 """Short-vector enumeration and the invariants built on it.
 
 Everything here is exact.  Each lattice is LLL-reduced once, in
-integers, and the reduction is kept on the lattice object for every
-later listing.  The reduction carries the pivots of the reduced Gram
-matrix scaled to integers (its leading minors and the coefficients they
-clear) and its diagonal, but builds the matrix itself only on request,
-and the Fincke-Pohst tree runs on the pivots in integer arithmetic alone:
+integers, and the reduction is kept in the lattice's one context (see
+``_context``) for every later listing.  The reduction carries the pivots
+of the reduced Gram matrix scaled to integers (its leading minors and
+the coefficients they clear) and its diagonal, but builds the matrix
+itself only on request, and the Fincke-Pohst tree runs on the pivots in
+integer arithmetic alone:
 the centre at each level is an integer over a known minor, the weight of
 each level an integer over one common denominator, and the admissible
 interval comes from an integer square root, so no vector is ever lost
@@ -25,7 +26,7 @@ share one int per norm.  Listings carry each norm as its integer
 numerator over one denominator per lattice; callers turn into fractions
 only the norms they keep.
 
-Each lattice also keeps its minima ball: the listing at the radius
+The context also keeps the minima ball: the listing at the radius
 ``successive_minima`` uses, the largest diagonal entry of the reduced
 Gram matrix, with the nodes that listing cost and the frame an integer
 echelon on coordinates chooses from it.  ``successive_minima``,
@@ -34,9 +35,9 @@ and it is enumerated once: the basis search of ``qb`` makes it its first
 deepening pass, and the frame search reads its shells from the ball its
 own ``successive_minima`` call has just paid for.  A reuse spends the
 nodes the listing cost, so every result, node total and budget failure
-is what a fresh lattice would give, whatever ran before.  The listing
-``minimum`` makes, at the least diagonal entry, is kept and charged the
-same way.
+is what a fresh lattice would give, whatever ran before.  No other
+listing is kept: ``minimum`` lists to the least diagonal entry on each
+call.
 
 A global node budget guards against runaway trees.  It can be overridden
 through the ``LATQUOT_NODE_BUDGET`` environment variable or per call.
@@ -95,12 +96,31 @@ class ShellListing:
 
 
 @dataclass
-class _Ball:
-    """A kept listing: its sorted pairs, the nodes it cost and, for the minima ball, its frame."""
+class _Context:
+    """All a lattice keeps for its listings; ``_context`` makes it.
 
-    pairs: tuple[tuple[int, LatVec], ...]
-    nodes: int
+    The LLL reduction, the denominator ``weight * scale`` of the listed
+    norms, the largest and least reduced diagonal entries and, once
+    listed, the minima ball at ``radius``: its pairs, node cost and frame.
+    """
+
+    reduced: ReducedBasis
+    denominator: int
+    radius: Fraction
+    least: Fraction
+    pairs: tuple[tuple[int, LatVec], ...] | None = None
+    nodes: int = 0
     frame: Frame | None = None
+
+
+def _context(L: GramLattice) -> _Context:
+    """The lattice's context, reduced on first use; no other module touches ``L._context``."""
+    if L._context is None:
+        reduced, scale = lll(L), L._form.scale
+        object.__setattr__(L, "_context", _Context(
+            reduced, _weights(reduced.minors)[0] * scale,
+            Fraction(max(reduced.diagonal), scale), Fraction(min(reduced.diagonal), scale)))
+    return L._context
 
 
 class _Counter:
@@ -109,6 +129,8 @@ class _Counter:
     def __init__(self, budget: int | None):
         self.nodes = 0
         self.budget = node_budget() if budget is None else budget
+        if self.budget < 0:
+            raise ValueError(f"node budget must not be negative, got {self.budget}")
 
     def spend(self, amount: int = 1):
         """Count ``amount`` nodes at once.
@@ -129,30 +151,6 @@ def _times(v, cols) -> list[int]:
 def _dot(u, v) -> int:
     """The inner product of two integer vectors."""
     return sum(map(mul, u, v))
-
-
-def _reduction(L: GramLattice) -> ReducedBasis:
-    """The lattice's LLL reduction, made on first use only."""
-    reduced = L._reduced
-    if reduced is None:
-        reduced = lll(L)
-        object.__setattr__(L, "_reduced", reduced)
-    return reduced
-
-
-def _radius(L: GramLattice) -> Fraction:
-    """The radius of the minima ball: the largest diagonal entry of the reduced Gram matrix."""
-    return Fraction(max(_reduction(L).diagonal), L._form.scale)
-
-
-def _least(L: GramLattice) -> Fraction:
-    """The radius ``minimum`` lists to: the least diagonal entry of the reduced Gram matrix."""
-    return Fraction(min(_reduction(L).diagonal), L._form.scale)
-
-
-def _denominator(L: GramLattice) -> int:
-    """The denominator ``weight * scale`` of the norm numerators in ``L``'s listings."""
-    return _weights(_reduction(L).minors)[0] * L._form.scale
 
 
 class _Multiples(dict):
@@ -302,29 +300,29 @@ def _listing(L: GramLattice, bound: Fraction,
              budget: int | None = None) -> Sequence[tuple[int, LatVec]]:
     """Sorted (norm, coords) pairs for nonzero vectors of norm <= bound.
 
-    Each norm is its integer numerator over ``_denominator(L)``.  Two
-    listings are kept on the lattice: the minima ball, at ``_radius(L)``,
-    and the listing of ``minimum``, at ``_least(L)``.  The first complete
-    one of each is kept as a tuple with the nodes it cost, and a later
-    request spends those nodes in one step and returns the same tuple.
-    When they exceed the budget the tree is walked again instead, so the
-    request stops at the node where a fresh walk stops.
+    Each norm is its integer numerator over the context's
+    ``denominator``.  The one listing kept is the minima ball, at the
+    context's ``radius``: the first complete one is kept as a tuple with
+    the nodes it cost, and a later request spends those nodes in one
+    step and returns the same tuple.  When they exceed the budget the
+    tree is walked again instead, so the request stops at the node where
+    a fresh walk stops.
     """
     bound = Fraction(bound)
     counter = _Counter(budget)
-    slot = "_ball" if bound == _radius(L) else "_least" if bound == _least(L) else None
-    kept = None if slot is None else getattr(L, slot)
-    if kept is not None and kept.nodes <= counter.budget:
-        counter.spend(kept.nodes)
-        return kept.pairs
-    buckets = _enumerate(_reduction(L), bound, counter)
+    context = _context(L)
+    ball = bound == context.radius
+    if ball and context.pairs is not None and context.nodes <= counter.budget:
+        counter.spend(context.nodes)
+        return context.pairs
+    buckets = _enumerate(context.reduced, bound, counter)
     # norm by norm, so each pair shares its norm's one int object
     pairs = []
     for num in sorted(buckets):
         pairs += [(num, v) for v in buckets.pop(num)]
-    if slot is not None:
-        pairs = tuple(pairs)
-        object.__setattr__(L, slot, _Ball(pairs, counter.nodes))
+    if ball:
+        context.pairs, context.nodes = tuple(pairs), counter.nodes
+        return context.pairs
     return pairs
 
 
@@ -342,13 +340,14 @@ def minimum(L: GramLattice, budget: int | None = None) -> tuple[Fraction, ShellL
     """The minimum of the lattice together with all its minimal vectors.
 
     The listing runs to the least diagonal entry of the reduced Gram
-    matrix and is kept on the lattice; a later call spends its nodes
-    again (see ``_listing``).
+    matrix and is made afresh on each call, unless that entry is also
+    the radius of the minima ball (see ``_listing``).
     """
-    pairs = _listing(L, _least(L), budget)
+    context = _context(L)
+    pairs = _listing(L, context.least, budget)
     top = pairs[0][0]
     shell = tuple(v for value, v in pairs if value == top)
-    best = Fraction(top, _denominator(L))
+    best = Fraction(top, context.denominator)
     return best, ShellListing(bound=best, vectors=shell)
 
 
@@ -363,15 +362,14 @@ def successive_minima(L: GramLattice, budget: int | None = None) -> Frame:
     and kept with the ball; a later call spends the ball's nodes again
     and returns the kept frame.
     """
-    pairs = _listing(L, _radius(L), budget)
-    ball = L._ball
-    if ball.frame is not None:
-        return ball.frame
-    echelon: dict[int, list[int]] = {}
-    values, vectors = zip(*islice(((x, v) for x, v in pairs if _insert(echelon, v)), L.n))
-    denominator = _denominator(L)
-    ball.frame = Frame(vectors=vectors, norms=tuple(Fraction(x, denominator) for x in values))
-    return ball.frame
+    context = _context(L)
+    pairs = _listing(L, context.radius, budget)
+    if context.frame is None:
+        echelon: dict[int, list[int]] = {}
+        values, vectors = zip(*islice(((x, v) for x, v in pairs if _insert(echelon, v)), L.n))
+        norms = tuple(Fraction(x, context.denominator) for x in values)
+        context.frame = Frame(vectors=vectors, norms=norms)
+    return context.frame
 
 
 def minkowski_M(L: GramLattice, budget: int | None = None) -> Fraction:

@@ -41,10 +41,8 @@ from .core import GramLattice, LatVec, Rational, determinant, norm
 from .enumeration import (
     Frame,
     _Counter,
-    _denominator,
+    _context,
     _listing,
-    _radius,
-    _reduction,
     _times,
     successive_minima,
 )
@@ -144,17 +142,17 @@ def _search(L: GramLattice, budget: int | None, base: Frame | None):
     to an uncertified upper bound instead of raising.
 
     The tree runs in integers: listed norms are numerators over the
-    lattice's ``D = _denominator(L)``, a product of k of them is kept over
-    D^k and the incumbent over D^n, and a Fraction is made only when a
-    basis is recorded.  Each tree level holds the columns k..n-1 of the
+    lattice's ``D = _context(L).denominator``, a product of k of them is
+    kept over D^k and the incumbent over D^n, and a Fraction is made only
+    when a basis is recorded.  Each tree level holds the columns k..n-1 of the
     completion W of its prefix.  A candidate costs n - k inner products
     and one gcd; only a candidate that passes pays for the column
     operations of the next level, and the columns of a level are dropped
     when it returns.
     """
     n = L.n
-    reduced = _reduction(L)
-    denominator = _denominator(L)
+    context = _context(L)
+    reduced, denominator = context.reduced, context.denominator
     inc_num = math.prod(reduced.diagonal)
     inc_prod = Fraction(inc_num, reduced.scale**n)
 
@@ -235,7 +233,7 @@ def _search(L: GramLattice, budget: int | None, base: Frame | None):
     # prod(lam_i, i < n), so members are bounded by the quotient below),
     # or as soon as the incumbent reaches the lower bound ``target``: the
     # larger of the minima product and the parity bound of the listing.
-    bound = _radius(L)
+    bound = context.radius
     lam_head = Fraction(target, denominator**n) / base.norms[-1]
     done = Fraction(0)
     try:

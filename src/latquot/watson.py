@@ -33,8 +33,8 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .core import HERMITE_POWER, GramLattice, Surd, determinant, qform
-from .enumeration import Frame, _Counter, _denominator, _times, successive_minima
-from .errors import DependentFrame, RepsDoNotGenerate, ResourceExceeded
+from .enumeration import Frame, _Counter, _context, _times, successive_minima
+from .errors import DependentFrame, DimensionMismatch, RepsDoNotGenerate, ResourceExceeded
 from .frames import _first_frame, _kernels, _marks, _orthogonal_seed, _primes
 from .linalg import det_int, smith_invariants, smith_with_transforms
 from .linalg import det_rational, matmul  # noqa: F401  uncalled; perfbench's tracer wraps these names
@@ -128,17 +128,19 @@ class IndexReport:
     exhaustive: bool
 
 
-def _frame_rows(frame) -> tuple[tuple[int, ...], ...]:
-    if isinstance(frame, Frame):
-        return frame.vectors
-    return tuple(tuple(int(x) for x in row) for row in frame)
+def _frame_rows(L: GramLattice, frame) -> tuple[tuple[int, ...], ...]:
+    """The frame's rows as integer tuples, checked to be n rows of length n."""
+    rows = frame.vectors if isinstance(frame, Frame) else tuple(tuple(map(int, r)) for r in frame)
+    if len(rows) != L.n:
+        raise DependentFrame("frame must contain n vectors")
+    if any(len(row) != L.n for row in rows):
+        raise DimensionMismatch("frame vector length does not match lattice rank")
+    return rows
 
 
 def quotient_structure(L: GramLattice, frame) -> QuotientStructure:
     """Structure of the quotient of the lattice by the span of the frame."""
-    rows = _frame_rows(frame)
-    if len(rows) != L.n:
-        raise DependentFrame("frame must contain n vectors")
+    rows = _frame_rows(L, frame)
     invariants = smith_invariants(rows)
     if len(invariants) < L.n:
         raise DependentFrame("frame vectors are dependent")
@@ -153,7 +155,7 @@ def quotient_generators(L: GramLattice, frame) -> list[CosetVector]:
     numerators relative to the frame, so it can be fed straight to
     ``watson_identity`` or ``extract_code``.
     """
-    rows = _frame_rows(frame)
+    rows = _frame_rows(L, frame)
     diag, u, _ = smith_with_transforms(rows)
     if len(diag) < L.n:
         raise DependentFrame("frame vectors are dependent")
@@ -174,10 +176,12 @@ def extract_code(L: GramLattice, frame, coset_reps) -> Code:
     """
     from .codes import Code
 
-    rows = _frame_rows(frame)
+    rows = _frame_rows(L, frame)
     reps = list(coset_reps)
     if not reps:
         raise RepsDoNotGenerate("no representatives supplied")
+    if any(rep.n != L.n for rep in reps):
+        raise DimensionMismatch("coset length does not match the lattice rank")
     d = 1
     for rep in reps:
         d = d * rep.d // math.gcd(d, rep.d)
@@ -275,11 +279,11 @@ def maximal_index(L: GramLattice, budget: int | None = None) -> IndexReport:
     # The shells come from the minima ball ``successive_minima`` has
     # just listed, keyed by its norm numerators: the ball reaches past
     # lam[-1] and is sorted as a listing at lam[-1] would be.
-    denominator = _denominator(L)
-    keys = [int(value * denominator) for value in lam]
+    context = _context(L)
+    keys = [int(value * context.denominator) for value in lam]
     wanted = set(keys)
     shells: dict[int, list[tuple[tuple[int, ...], list[int]]]] = {}
-    for value, v in L._ball.pairs:
+    for value, v in context.pairs:
         if value > keys[-1]:
             break
         if value in wanted:

@@ -31,7 +31,7 @@ from math import floor, gcd, isqrt
 from latquot.linalg import identity_rows, matmul, transpose
 from latquot.core import GramLattice, _pivot_row, determinant, qform, validate
 from latquot.enumeration import (
-    Frame, _Counter, _denominator, _dot, _listing, _radius, _times, _weights, successive_minima,
+    Frame, _Counter, _context, _dot, _listing, _times, _weights, successive_minima,
 )
 from latquot.errors import NotPositiveDefinite, ResourceExceeded
 from latquot.frames import _orthogonal_seed
@@ -605,7 +605,8 @@ def reference_frame(L: GramLattice) -> Frame:
     fraction-free pivot row (Cohen, GTM 138, Alg. 2.6.7) against the
     vectors already taken ends in a positive minor, until n are taken.
     """
-    pairs = _listing(L, _radius(L))
+    context = _context(L)
+    pairs = _listing(L, context.radius)
     a = L._form.gram
     vectors = []
     norms = []
@@ -620,8 +621,8 @@ def reference_frame(L: GramLattice) -> Frame:
             norms.append(value)
             if len(vectors) == L.n:
                 break
-    denominator = _denominator(L)
-    return Frame(vectors=tuple(vectors), norms=tuple(Fraction(x, denominator) for x in norms))
+    return Frame(vectors=tuple(vectors),
+                 norms=tuple(Fraction(x, context.denominator) for x in norms))
 
 
 def _canonical_sign(v: tuple[int, ...]) -> tuple[int, ...]:
@@ -664,11 +665,11 @@ def reference_maximal_index(L: GramLattice, budget: int | None = None) -> IndexR
     # The shells come from the minima ball ``successive_minima`` has
     # just listed, keyed by its norm numerators: the ball reaches past
     # lam[-1] and is sorted as a listing at lam[-1] would be.
-    denominator = _denominator(L)
-    keys = [int(value * denominator) for value in lam]
+    context = _context(L)
+    keys = [int(value * context.denominator) for value in lam]
     wanted = set(keys)
     shells: dict[int, list[tuple[tuple[int, ...], list[int]]]] = {}
-    for value, v in L._ball.pairs:
+    for value, v in context.pairs:
         if value > keys[-1]:
             break
         if value in wanted:

@@ -98,6 +98,14 @@ def test_context_from_a_cubic_frame():
     assert (ctx.T, ctx.t, ctx.u, ctx.v, ctx.w) == (4, 1, 1, 1, 1)
 
 
+def test_context_from_needs_three_subscripts():
+    # u, v and w minimize over three distinct subscripts
+    for n in (1, 2):
+        with pytest.raises(ValueError):
+            context_from(zn(n), CosetVector(2, (1,) * n))
+    assert context_from(zn(3), CosetVector(2, (1, 1, 1))).n == 3
+
+
 def test_chained_bounds_are_tight_at_the_extremal_instance():
     # For the half-sum coset over a cubic frame every value t, u, v, w
     # equals n/4 and each chained bound is attained with equality.

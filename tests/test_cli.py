@@ -48,6 +48,20 @@ def test_info_tiny_budget(capsys):
     assert "budget" in err
 
 
+def test_info_negative_budget_flag_is_a_usage_error(capsys):
+    code, _, err = run(capsys, "info", str(fixture_path("c5")), "--budget", "-3")
+    assert (code, err) == (USAGE, "node budget must not be negative, got -3\n")
+    # a budget of 0 is a budget, spent at the first node
+    code, _, err = run(capsys, "info", str(fixture_path("c5")), "--budget", "0")
+    assert (code, err) == (BUDGET, "node budget exceeded (1 > 0)\n")
+
+
+def test_info_negative_budget_variable_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("LATQUOT_NODE_BUDGET", "-2")
+    code, _, err = run(capsys, "info", str(fixture_path("c5")))
+    assert (code, err) == (USAGE, "node budget must not be negative, got -2\n")
+
+
 def test_verify_codes_suite(capsys):
     code, out, _ = run(capsys, "verify", "codes")
     assert code == PASS

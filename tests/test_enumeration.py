@@ -1,5 +1,6 @@
 """Shell listings and successive minima against the box oracle."""
 
+import dataclasses
 import gc
 import math
 import pickle
@@ -14,8 +15,7 @@ from latquot.codes import c9, c10, classify_binary
 from latquot.construct import centred_cubic, code_lift, fixture_inventory, named, search_corpus, zn
 from latquot.core import GramLattice, _integral, _pivot_row, determinant, norm, validate
 from latquot.enumeration import (
-    _radius,
-    _reduction,
+    _context,
     _weights,
     invariant_report,
     is_well_rounded,
@@ -56,7 +56,7 @@ def test_listings_match_the_box_oracle():
             got = [(norm(lattice, v), v) for v in listing.vectors]
             assert set(got) == set(expected)
             assert [x for x, _ in got] == sorted(x for x, _ in got)
-        assert _reduction(scaled).scale > 1
+        assert _context(scaled).reduced.scale > 1
         assert vectors_up_to(scaled, c * bound).vectors == vectors_up_to(L, bound).vectors
 
 
@@ -117,9 +117,9 @@ def test_the_cached_context_is_not_part_of_the_lattice_value():
     twin = centred_cubic(5)
     before = (repr(L), hash(L))
     minimum(L)
-    assert L._reduced is not None and twin._reduced is None
+    assert L._context is not None and twin._context is None
     successive_minima(L)
-    assert L._ball is not None and L._ball.frame is not None and twin._ball is None
+    assert L._context.pairs is not None and L._context.frame is not None
     assert (repr(L), hash(L)) == before
     assert L == twin
     copy = pickle.loads(pickle.dumps(L))
@@ -134,8 +134,11 @@ def test_the_cached_context_is_not_part_of_the_lattice_value():
     other = GramLattice(L.n, L.gram, L.label)
     object.__setattr__(other, "_form", validate(zn(5).gram))
     assert other == L and hash(other) == hash(L) and repr(other) == repr(L)
-    # so does the minima ball, outside the value like the reduction
-    assert copy._ball == L._ball and copy._ball is not L._ball
+    # so does the context, the reduction and the minima ball in one
+    assert copy._context == L._context and copy._context is not L._context
+    # and it is the one cache the lattice declares
+    private = [f.name for f in dataclasses.fields(GramLattice) if f.name.startswith("_")]
+    assert private == ["_form", "_context"]
 
 
 def test_each_lattice_is_reduced_once(monkeypatch):
@@ -168,7 +171,7 @@ def test_each_lattice_lists_its_minima_ball_once(monkeypatch):
 
     monkeypatch.setattr(enumeration, "_enumerate", counting)
     L = GramLattice.from_rows(named("D4").lattice.gram)
-    rho = _radius(L)
+    rho = _context(L).radius
     frame = successive_minima(L)
     qb(L)
     assert is_well_rounded(L)
@@ -185,13 +188,13 @@ def test_each_lattice_lists_its_minima_ball_once(monkeypatch):
         bounds.clear()
         fresh = GramLattice.from_rows(lattice.gram)
         call(fresh)
-        assert bounds == [_radius(fresh)], (call.__name__, lattice.label)
+        assert bounds == [_context(fresh).radius], (call.__name__, lattice.label)
 
 
-def test_minimum_keeps_its_listing(monkeypatch, node_tally):
+def test_minimum_lists_afresh_below_the_ball(monkeypatch, node_tally):
     # ``minimum`` lists to the least diagonal entry, below the radius of
-    # the ball here, and keeps that listing: three reports make one
-    # enumeration, and each spends the nodes it cost.
+    # the ball here, and keeps no listing there: three reports make three
+    # enumerations, and each spends the same nodes.
     bounds = []
     real = enumeration._enumerate
 
@@ -206,7 +209,7 @@ def test_minimum_keeps_its_listing(monkeypatch, node_tally):
         node_tally[0] = 0
         reports.append(invariant_report(L))
         spent.append(node_tally[0])
-    assert bounds == [1] and _radius(L) > 1
+    assert bounds == [1, 1, 1] and _context(L).radius > 1
     assert reports[0] == reports[1] == reports[2]
     assert reports[0].s == 9
     assert spent[0] == spent[1] == spent[2] > 0
@@ -235,7 +238,7 @@ def test_a_kept_ball_does_not_change_any_call(node_tally):
         qb,
         is_well_rounded,
         lambda L, budget: maximal_index(L, 20000 if budget is None else budget),
-        lambda L, budget: vectors_up_to(L, _radius(L), budget),
+        lambda L, budget: vectors_up_to(L, _context(L).radius, budget),
         minkowski_M,
     )
     rand = random.Random(13)
@@ -249,7 +252,7 @@ def test_a_kept_ball_does_not_change_any_call(node_tally):
                 fresh = GramLattice(L.n, L.gram, L.label)
                 kept = _outcome(call, L, budget, node_tally)
                 assert kept == _outcome(call, fresh, budget, node_tally), (L.label, budget)
-        assert L._ball is not None
+        assert _context(L).pairs is not None
 
 
 def test_each_lattice_clears_its_denominators_once(monkeypatch):
@@ -291,7 +294,7 @@ def test_the_context_takes_its_data_from_the_reduction():
         corpus = search_corpus(n)
         lattices += [perturbed(rand, corpus[t % len(corpus)]) for t in range(6)]
     for L in lattices:
-        reduced = _reduction(L)
+        reduced = _context(L).reduced
         scale, a = _integral(reduced_gram(L))
         minors, lam = [1], []
         for i in range(L.n):
@@ -355,7 +358,7 @@ def _width_corpus():
 
 
 def _coordinate_bound(L, bound):
-    reduced = _reduction(L)
+    reduced = _context(L).reduced
     weight, w = _weights(reduced.minors)
     bound = Fraction(bound)
     top = weight * reduced.scale * bound.numerator // bound.denominator
@@ -390,8 +393,8 @@ def test_the_kernel_matches_the_reference_kernel():
     # largest of these listings is liftc12 at 3, 9,472 vectors; the
     # lattices of ``_width_corpus`` fill each field width and pass 2^64.
     for L in _kernel_corpus() + _width_corpus():
-        reduced = _reduction(L)
-        rho = _radius(L)
+        context = _context(L)
+        reduced, rho = context.reduced, context.radius
         for bound in (rho, 3 * rho / 2, 2 * rho):
             counter = enumeration._Counter(None)
             expected = sorted(reference_enumerate(reduced, bound, counter))
@@ -438,7 +441,7 @@ def test_calls_leave_no_reference_cycles():
     calls = (
         qb,
         lambda L: maximal_index(L, 20000),
-        lambda L: vectors_up_to(L, 3 * _radius(L) / 2),
+        lambda L: vectors_up_to(L, 3 * _context(L).radius / 2),
     )
     lattices = list(fixture_inventory().values())
     for call in calls:
@@ -485,7 +488,7 @@ def test_the_searches_read_only_the_pivots_of_the_reduction():
         qb(L)
         is_well_rounded(L)
         maximal_index(L)
-        reduced = _reduction(L)
+        reduced = _context(L).reduced
         assert not hasattr(reduced, "gram"), L.label
         assert (reduced.scale, reduced.minors, reduced.lam, reduced.diagonal) == kept_pivots(
             reduced_gram(L)), L.label

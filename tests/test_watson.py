@@ -9,7 +9,7 @@ from latquot.codes import c9, weight_distribution
 from latquot.construct import centred_cubic, fixture_inventory, named, search_corpus, zd_lift, zn
 from latquot.core import GramLattice, Surd, _integral, _pivot_row, determinant, inner
 from latquot.enumeration import _dot, _times, minimum
-from latquot.errors import DependentFrame, ResourceExceeded
+from latquot.errors import DependentFrame, DimensionMismatch, ResourceExceeded
 from latquot.linalg import det_int, det_rational, hnf_rows, identity_rows
 from latquot.sampling import perturbed, random_coset, random_gram
 from latquot.watson import (
@@ -123,6 +123,29 @@ def test_quotient_structure_rejects_bad_frames():
         quotient_structure(L, [(1, 0, 0), (0, 1, 0)])
     with pytest.raises(DependentFrame):
         quotient_structure(L, [(1, 0, 0), (0, 1, 0), (1, 1, 0)])
+
+
+def test_every_frame_reader_checks_the_frame_shape():
+    # n rows of length n, checked alike by the structure, the generators
+    # and the code; a coset must have length n too.
+    L = centred_cubic(4)
+    frame = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (-1, -1, -1, 2)]
+    reps = quotient_generators(L, frame)
+    readers = (
+        lambda rows: quotient_structure(L, rows),
+        lambda rows: quotient_generators(L, rows),
+        lambda rows: extract_code(L, rows, reps),
+    )
+    for read in readers:
+        with pytest.raises(DependentFrame, match="must contain n vectors"):
+            read(frame[:1])
+        with pytest.raises(DimensionMismatch):
+            read([row + (0,) for row in frame])
+        with pytest.raises(DimensionMismatch):
+            read([row[:3] for row in frame])
+    for coset in (CosetVector(2, (1, 1, 1)), CosetVector(2, (1, 1, 1, 1, 0))):
+        with pytest.raises(DimensionMismatch):
+            extract_code(L, frame, [coset])
 
 
 def unit_frame_in_lift_coordinates(code):
