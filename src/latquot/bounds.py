@@ -179,6 +179,8 @@ def index3_sum_identity(L: GramLattice, frame, c: CosetVector):
     n = L.n
     if len(rows) != n:
         raise ValueError("frame must contain n vectors")
+    if any(len(row) != n for row in rows) or c.n != n:
+        raise ValueError("frame vectors and coset must have length n")
     d = c.d
     e = [Fraction(sum(row[j] for row in rows), d) for j in range(n)]
     lhs = Fraction(0)

@@ -15,10 +15,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import prod
 
 from .enumeration import _Counter
 from .errors import CodeTooLight, ParseError, ResourceExceeded
-from .linalg import _insert2, _rref2, smith_invariants
+from .linalg import _insert2, _rref2, hnf_rows
 
 WORD_LIMIT = 10**7
 
@@ -48,10 +49,10 @@ class Code:
         stacked = [list(row) for row in gen]
         stacked += [[self.d if i == j else 0 for j in range(self.n)]
                     for i in range(self.n)]
-        index = 1
-        for f in smith_invariants(stacked):
-            index *= f
-        if index != self.d ** (self.n - self.k):
+        # the stack holds d * I, so its Hermite form is square and its
+        # diagonal multiplies to the index
+        hermite = hnf_rows(stacked)
+        if prod(hermite[i][i] for i in range(self.n)) != self.d ** (self.n - self.k):
             raise ValueError("rows do not generate a group of order d^k")
 
     def words(self):

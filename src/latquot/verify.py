@@ -2,7 +2,12 @@
 
 Each suite is a list of cases with an expected and a computed value;
 a case passes only on exact equality.  Randomized cases draw from the
-seeded models in ``sampling`` so every run is reproducible.
+seeded models in ``sampling`` so every run is reproducible.  Two
+helpers build the cases of the paper's headline values:
+``_qb_case`` passes when Q_b equals the value and is certified, so an
+uncertified search fails it; ``_index_case`` passes when the maximal
+index and its quotient are as stated, and is skipped unless the search
+was exhaustive.  Every suite call runs at the suite's node budget.
 """
 
 from __future__ import annotations
@@ -86,6 +91,21 @@ def _case(cid: str, claim: str, expected, computed, skipped: bool = False):
     return VerificationCase(cid, claim, expected, computed, status)
 
 
+def _qb_case(cid: str, claim: str, L: GramLattice, value: Fraction, budget):
+    report = qb(L, budget)
+    return _case(cid, claim, (value, True), (report.Qb, report.certified))
+
+
+def _index_case(cid: str, claim: str, L: GramLattice, index: int,
+                quotient: tuple[int, ...], budget):
+    report = maximal_index(L, budget)
+    return _case(
+        cid, claim, (index, quotient),
+        (report.max_index, report.witness_structure.invariant_factors),
+        skipped=not report.exhaustive,
+    )
+
+
 def suite_identities(seed: int = DEFAULT_SEED, trials: int = 200, budget: int | None = None):
     """Randomized identity checks plus the equality-case instances."""
     rand = random.Random(seed)
@@ -126,41 +146,23 @@ def suite_identities(seed: int = DEFAULT_SEED, trials: int = 200, budget: int | 
         True, watson_condition(CosetVector(2, (1,) * 4), 4),
     ))
 
-    base3 = GramLattice.from_rows(
-        [[1 if i == j else Fraction(1, 6) for j in range(6)] for i in range(6)]
-    )
-    lift3 = zd_lift(Code(d=3, n=6, k=1, gen=((1,) * 6,)), base=base3)
-    rep3 = maximal_index(lift3, budget)
-    cases.append(_case(
-        "id-condition-d3",
-        "order 3 all ones coset in rank 6 meets A = 2d with full support",
-        True, watson_condition(CosetVector(3, (1,) * 6), 6),
-    ))
-    cases.append(_case(
-        "id-quotient-d3",
-        "the rank 6 order 3 equality instance has maximal index 3, cyclic",
-        (3, (3,)),
-        (rep3.max_index, rep3.witness_structure.invariant_factors),
-        skipped=not rep3.exhaustive,
-    ))
-
-    base4 = GramLattice.from_rows(
-        [[1 if i == j else Fraction(1, 4) for j in range(8)] for i in range(8)]
-    )
-    lift4 = zd_lift(Code(d=4, n=8, k=1, gen=((1,) * 8,)), base=base4)
-    rep4 = maximal_index(lift4, budget)
-    cases.append(_case(
-        "id-condition-d4",
-        "order 4 all ones coset in rank 8 meets A = 2d with full support",
-        True, watson_condition(CosetVector(4, (1,) * 8), 8),
-    ))
-    cases.append(_case(
-        "id-quotient-d4",
-        "the rank 8 order 4 equality instance has maximal index 4, cyclic",
-        (4, (4,)),
-        (rep4.max_index, rep4.witness_structure.invariant_factors),
-        skipped=not rep4.exhaustive,
-    ))
+    # the equality instances: all ones cosets of order d in rank 2d
+    for d, off in ((3, Fraction(1, 6)), (4, Fraction(1, 4))):
+        n = 2 * d
+        base = GramLattice.from_rows(
+            [[1 if i == j else off for j in range(n)] for i in range(n)]
+        )
+        lift = zd_lift(Code(d=d, n=n, k=1, gen=((1,) * n,)), base=base)
+        cases.append(_index_case(
+            f"id-quotient-d{d}",
+            f"the rank {n} order {d} equality instance has maximal index {d}, cyclic",
+            lift, d, (d,), budget,
+        ))
+        cases.append(_case(
+            f"id-condition-d{d}",
+            f"order {d} all ones coset in rank {n} meets A = 2d with full support",
+            True, watson_condition(CosetVector(d, (1,) * n), n),
+        ))
 
     cases.append(_case(
         "id-index-bound-5",
@@ -173,56 +175,22 @@ def suite_identities(seed: int = DEFAULT_SEED, trials: int = 200, budget: int | 
 def suite_dim7(budget: int | None = None):
     """The two rank 7 frame lattices and their neighbours."""
     cases = []
-
-    first = named("A73").lattice
-    rep = invariant_report(first)
-    quality = qb(first, budget)
-    idx = maximal_index(first, budget)
-    cases.append(_case(
-        "d7-frame3-min", "the index 3 frame lattice has minimum 18",
-        Fraction(18), rep.min,
-    ))
-    cases.append(_case(
-        "d7-frame3-qb", "the index 3 frame lattice has quotient quality 11/9, certified",
-        (Fraction(11, 9), True), (quality.Qb, quality.certified),
-    ))
-    cases.append(_case(
-        "d7-frame3-iota", "the index 3 frame lattice has maximal index 3, cyclic",
-        (3, (3,)), (idx.max_index, idx.witness_structure.invariant_factors),
-        skipped=not idx.exhaustive,
-    ))
-
-    second = named("A74").lattice
-    rep = invariant_report(second)
-    quality = qb(second, budget)
-    idx = maximal_index(second, budget)
-    cases.append(_case(
-        "d7-frame4-min", "the index 4 frame lattice has minimum 8",
-        Fraction(8), rep.min,
-    ))
-    cases.append(_case(
-        "d7-frame4-qb", "the index 4 frame lattice has quotient quality 9/8, certified",
-        (Fraction(9, 8), True), (quality.Qb, quality.certified),
-    ))
-    cases.append(_case(
-        "d7-frame4-iota", "the index 4 frame lattice has maximal index 4, cyclic",
-        (4, (4,)), (idx.max_index, idx.witness_structure.invariant_factors),
-        skipped=not idx.exhaustive,
-    ))
-
-    seven = qb(centred_cubic(7), budget)
-    cases.append(_case(
-        "d7-cubic-qb", "the rank 7 centred cubic lattice has quotient quality 7/4",
-        (Fraction(7, 4), True), (seven.Qb, seven.certified),
-    ))
-
-    e7 = maximal_index(named("E7").lattice, budget)
-    cases.append(_case(
-        "d7-e7-iota", "E7 has maximal index 8 with quotient (2, 2, 2)",
-        (8, (2, 2, 2)),
-        (e7.max_index, e7.witness_structure.invariant_factors),
-        skipped=not e7.exhaustive,
-    ))
+    for d, low, value in ((3, 18, Fraction(11, 9)), (4, 8, Fraction(9, 8))):
+        L, what = named(f"A7{d}").lattice, f"the index {d} frame lattice"
+        cases += [
+            _case(f"d7-frame{d}-min", f"{what} has minimum {low}",
+                  Fraction(low), invariant_report(L, budget).min),
+            _qb_case(f"d7-frame{d}-qb",
+                     f"{what} has quotient quality {value}, certified", L, value, budget),
+            _index_case(f"d7-frame{d}-iota", f"{what} has maximal index {d}, cyclic",
+                        L, d, (d,), budget),
+        ]
+    cases += [
+        _qb_case("d7-cubic-qb", "the rank 7 centred cubic lattice has quotient quality 7/4",
+                 centred_cubic(7), Fraction(7, 4), budget),
+        _index_case("d7-e7-iota", "E7 has maximal index 8 with quotient (2, 2, 2)",
+                    named("E7").lattice, 8, (2, 2, 2), budget),
+    ]
     return cases
 
 
@@ -311,33 +279,28 @@ def _lift12_certificate(budget: int | None = None):
 def suite_all(seed: int = DEFAULT_SEED, trials: int = 200,
               budget: int | None = None):
     """Everything: basics, identities, rank 7, codes, and the rank 12 lift."""
-    cases = []
-
-    cubic = qb(zn(4), budget)
-    cases.append(_case(
+    cases = [_qb_case(
         "q-cubic-z4", "the cubic lattice of rank 4 has quotient quality 1",
-        (Fraction(1), True), (cubic.Qb, cubic.certified),
-    ))
+        zn(4), Fraction(1), budget,
+    )]
     for n in range(4, 10):
-        report = qb(centred_cubic(n), budget)
-        cases.append(_case(
+        cases.append(_qb_case(
             f"q-centred-{n}",
             f"the rank {n} centred cubic lattice has quotient quality {n}/4",
-            (Fraction(n, 4), True), (report.Qb, report.certified),
+            centred_cubic(n), Fraction(n, 4), budget,
         ))
     for maker, value in ((c8, Fraction(25, 16)), (c9, Fraction(9, 4)),
                          (c10, Fraction(21, 8))):
         code = maker()
-        report = qb(zd_lift(code), budget)
-        cases.append(_case(
+        cases.append(_qb_case(
             f"q-lift-c{code.n}",
             f"the lift of the distinguished [{code.n}, 2] code has "
             f"quotient quality {value}",
-            (value, True), (report.Qb, report.certified),
+            zd_lift(code), value, budget,
         ))
 
     e8 = named("E8").lattice
-    rep = invariant_report(e8)
+    rep = invariant_report(e8, budget)
     cases.append(_case(
         "q-e8-invariants", "E8 has minimum 2, determinant 1 and 120 short pairs",
         (Fraction(2), Fraction(1), 120), (rep.min, rep.det, rep.s),

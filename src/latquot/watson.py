@@ -36,7 +36,7 @@ from .core import HERMITE_POWER, GramLattice, Surd, determinant, qform
 from .enumeration import Frame, _Counter, _context, _times, successive_minima
 from .errors import DependentFrame, DimensionMismatch, RepsDoNotGenerate, ResourceExceeded
 from .frames import _first_frame, _kernels, _marks, _orthogonal_seed, _primes
-from .linalg import det_int, smith_invariants, smith_with_transforms
+from .linalg import det_int, hnf_rows, identity_rows, smith_invariants, smith_with_transforms
 from .linalg import det_rational, matmul  # noqa: F401  uncalled; perfbench's tracer wraps these names
 
 if TYPE_CHECKING:
@@ -187,7 +187,7 @@ def extract_code(L: GramLattice, frame, coset_reps) -> Code:
         d = d * rep.d // math.gcd(d, rep.d)
 
     # the lattice is generated by the frame and the representatives
-    # exactly when the scaled stack spans d * Z^n
+    # exactly when the scaled stack spans d * Z^n, whose Hermite form is d * I
     stacked = [[d * x for x in row] for row in rows]
     for rep in reps:
         scale = d // rep.d
@@ -195,8 +195,7 @@ def extract_code(L: GramLattice, frame, coset_reps) -> Code:
             scale * sum(rep.a[i] * rows[i][j] for i in range(len(rows)))
             for j in range(L.n)
         ])
-    invariants = smith_invariants(stacked)
-    if len(invariants) != L.n or any(f != d for f in invariants):
+    if hnf_rows(stacked) != [[d * x for x in row] for row in identity_rows(L.n)]:
         raise RepsDoNotGenerate("representatives do not generate the quotient")
 
     gen = tuple(

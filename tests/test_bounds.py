@@ -182,6 +182,16 @@ def test_pair_sum_identity_rejects_general_numerators():
         index3_sum_identity(zn(3), identity_rows(3), CosetVector(3, (1, 1, 2)))
 
 
+def test_pair_sum_identity_rejects_short_frame_vectors():
+    with pytest.raises(ValueError, match="length n"):
+        index3_sum_identity(zn(3), [(1, 0), (0, 1), (1, 1)], CosetVector(3, (1, 1, 1)))
+
+
+def test_pair_sum_identity_rejects_a_coset_of_the_wrong_rank():
+    with pytest.raises(ValueError, match="length n"):
+        index3_sum_identity(zn(3), identity_rows(3), CosetVector(3, (1, 1, 1, 1)))
+
+
 def test_pair_sum_identity_accepts_frames():
     L = random_gram(random.Random(43), 4)
     frame = successive_minima(L)

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -24,8 +25,30 @@ from latquot.codes import (
     weight_distribution,
 )
 from latquot.errors import CodeTooLight, ParseError, ResourceExceeded
-from latquot.linalg import _insert2, _rref2
-from oracles import _gf2_rank, reference_classify_binary, reference_code_qb_bound
+from latquot.linalg import _insert2, _rref2, identity_rows
+from oracles import _gf2_rank, minor_gcd_invariants, reference_classify_binary, reference_code_qb_bound
+
+
+def test_code_validation_agrees_with_the_minor_gcd_index():
+    # The rows generate a group of order d^k exactly when their stack
+    # over d * I has index d^(n - k); the minor gcds give that index
+    # without a Hermite form.
+    rand = random.Random(2028)
+    outcomes = set()
+    for _ in range(150):
+        d, n = rand.randint(2, 6), rand.randint(1, 4)
+        k = rand.randint(1, n)
+        gen = tuple(tuple(rand.randrange(d) for _ in range(n)) for _ in range(k))
+        stacked = [list(row) for row in gen]
+        stacked += [[d * x for x in row] for row in identity_rows(n)]
+        generates = prod(minor_gcd_invariants(stacked)) == d ** (n - k)
+        outcomes.add(generates)
+        if generates:
+            Code(d=d, n=n, k=k, gen=gen)
+        else:
+            with pytest.raises(ValueError, match="do not generate"):
+                Code(d=d, n=n, k=k, gen=gen)
+    assert outcomes == {True, False}
 
 
 def test_code_validation():

@@ -1,6 +1,8 @@
 """The self-checking suites themselves."""
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -55,10 +57,12 @@ def test_dimension_twelve_certificate():
     assert _lift12_certificate() == 1296
 
 
-def test_the_budget_reaches_every_suite():
+def test_the_budget_reaches_every_suite(monkeypatch):
     # At 4000 nodes the rank 8 order 4 instance is not decided, so its
     # case is skipped instead of passed; the codes suite and the rank 12
-    # certificate stop at the budget instead of ignoring it.
+    # certificate stop at the budget instead of ignoring it.  With no
+    # budget in the environment, the rank 7 suite given a large one still
+    # decides every case: none of its calls falls back to the environment.
     cases = {c.id: c for c in run_suite("identities", trials=5, budget=4000)}
     assert cases["id-quotient-d4"].status == "skipped"
     assert cases["id-quotient-d3"].status == "pass"
@@ -66,3 +70,14 @@ def test_the_budget_reaches_every_suite():
         run_suite("codes", budget=10)
     with pytest.raises(ResourceExceeded):
         _lift12_certificate(budget=10)
+    monkeypatch.setenv("LATQUOT_NODE_BUDGET", "0")
+    cases = run_suite("dim7", budget=10**9)
+    assert len(cases) == 8
+    assert not [c.id for c in cases if c.status != "pass"]
+
+
+def test_every_case_of_every_suite_is_pinned():
+    # Id, claim, expected and computed value and status of each case, at
+    # the default seed, trials and budget.
+    pinned = json.loads(Path(__file__).with_name("verify_cases.json").read_text(encoding="utf-8"))
+    assert {name: [c.to_dict() for c in run_suite(name)] for name in SUITES} == pinned

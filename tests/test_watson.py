@@ -1,5 +1,6 @@
 """Coset vectors, quotient structure and the maximal-index search."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ from latquot.codes import c9, weight_distribution
 from latquot.construct import centred_cubic, fixture_inventory, named, search_corpus, zd_lift, zn
 from latquot.core import GramLattice, Surd, _integral, _pivot_row, determinant, inner
 from latquot.enumeration import _dot, _times, minimum
-from latquot.errors import DependentFrame, DimensionMismatch, ResourceExceeded
+from latquot.errors import DependentFrame, DimensionMismatch, RepsDoNotGenerate, ResourceExceeded
 from latquot.linalg import det_int, det_rational, hnf_rows, identity_rows
 from latquot.sampling import perturbed, random_coset, random_gram
 from latquot.watson import (
@@ -23,7 +24,7 @@ from latquot.watson import (
     watson_identity,
     watson_index_bound,
 )
-from oracles import gram_schmidt, inverse_rational, reference_maximal_index
+from oracles import gram_schmidt, inverse_rational, minor_gcd_invariants, reference_maximal_index
 
 
 def frame_gram(L, rows):
@@ -146,6 +147,48 @@ def test_every_frame_reader_checks_the_frame_shape():
     for coset in (CosetVector(2, (1, 1, 1)), CosetVector(2, (1, 1, 1, 1, 0))):
         with pytest.raises(DimensionMismatch):
             extract_code(L, frame, [coset])
+
+
+def test_extract_code_generation_agrees_with_the_minor_gcd_invariants():
+    # A frame and representatives generate the lattice exactly when the
+    # scaled stack has n invariant factors, all equal to d.
+    rand = random.Random(2028)
+    outcomes = set()
+    for _ in range(150):
+        n = rand.randint(2, 4)
+        frame = [
+            tuple(rand.randint(1, 3) if j == i else rand.randint(0, 2) * (j > i)
+                  for j in range(n))
+            for i in range(n)
+        ]
+        # each representative is a vector of Z^n in frame coordinates
+        inverse = inverse_rational([list(row) for row in frame])
+        reps = []
+        for _ in range(rand.randint(1, 3)):
+            v = [rand.randint(-2, 2) for _ in range(n)]
+            x = [sum(v[i] * inverse[i][j] for i in range(n)) for j in range(n)]
+            order = math.lcm(*(c.denominator for c in x))
+            if order > 1:
+                reps.append(CosetVector(order, tuple(int(c * order) for c in x)))
+        if not reps:
+            continue
+        d = math.lcm(*(rep.d for rep in reps))
+        stacked = [[d * x for x in row] for row in frame]
+        stacked += [
+            [d // rep.d * sum(a * row[j] for a, row in zip(rep.a, frame)) for j in range(n)]
+            for rep in reps
+        ]
+        generates = minor_gcd_invariants(stacked) == [d] * n
+        outcomes.add(generates)
+        try:
+            extract_code(zn(n), frame, reps)
+            refused = False
+        except RepsDoNotGenerate:
+            refused = True
+        except ValueError:  # generation passed; the code's own order check did not
+            refused = False
+        assert refused is not generates
+    assert outcomes == {True, False}
 
 
 def unit_frame_in_lift_coordinates(code):
