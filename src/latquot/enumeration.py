@@ -27,20 +27,21 @@ numerator over one denominator per lattice; callers turn into fractions
 only the norms they keep.
 
 The context also keeps the minima ball: the listing at the radius
-``successive_minima`` uses, the largest diagonal entry of the reduced
-Gram matrix, with the nodes that listing cost and the frame an integer
-echelon on coordinates chooses from it.  ``successive_minima``,
-``is_well_rounded``, ``qb`` and ``maximal_index`` all list that ball,
-and it is enumerated once: the basis search of ``qb`` makes it its first
+``_frame`` uses, the largest diagonal entry of the reduced Gram matrix,
+with the nodes that listing cost and the frame an integer echelon on
+coordinates chooses from it.  ``successive_minima``, ``is_well_rounded``,
+``qb`` and ``maximal_index`` all list that ball through ``_frame``, and
+it is enumerated once: the basis search of ``qb`` makes it its first
 deepening pass, and the frame search reads its shells from the ball its
-own ``successive_minima`` call has just paid for.  A reuse spends the
-nodes the listing cost, so every result, node total and budget failure
-is what a fresh lattice would give, whatever ran before.  No other
-listing is kept: ``minimum`` lists to the least diagonal entry on each
-call.
+own ``_frame`` call has just paid for.  A reuse spends the nodes the
+listing cost, so every result, node total and budget failure is what a
+fresh lattice would give, whatever ran before.  No other listing is
+kept: ``minimum`` lists to the least diagonal entry on each call.
 
-A global node budget guards against runaway trees.  It can be overridden
-through the ``LATQUOT_NODE_BUDGET`` environment variable or per call.
+A node budget guards against runaway trees.  It is one allowance per
+public call, read once from ``budget`` or ``node_budget()`` into the one
+``_Counter`` the call makes; every phase of the call spends from it, and
+the private helpers take that counter, never a budget.
 """
 
 from __future__ import annotations
@@ -297,31 +298,31 @@ def _enumerate(reduced: ReducedBasis, bound: Fraction,
 
 
 def _listing(L: GramLattice, bound: Fraction,
-             budget: int | None = None) -> Sequence[tuple[int, LatVec]]:
+             counter: _Counter) -> Sequence[tuple[int, LatVec]]:
     """Sorted (norm, coords) pairs for nonzero vectors of norm <= bound.
 
     Each norm is its integer numerator over the context's
     ``denominator``.  The one listing kept is the minima ball, at the
     context's ``radius``: the first complete one is kept as a tuple with
     the nodes it cost, and a later request spends those nodes in one
-    step and returns the same tuple.  When they exceed the budget the
-    tree is walked again instead, so the request stops at the node where
-    a fresh walk stops.
+    step and returns the same tuple.  When they exceed what is left of
+    the counter's budget the tree is walked again instead, so the
+    request stops at the node where a fresh walk stops.
     """
     bound = Fraction(bound)
-    counter = _Counter(budget)
     context = _context(L)
     ball = bound == context.radius
-    if ball and context.pairs is not None and context.nodes <= counter.budget:
+    if ball and context.pairs is not None and context.nodes <= counter.budget - counter.nodes:
         counter.spend(context.nodes)
         return context.pairs
+    start = counter.nodes
     buckets = _enumerate(context.reduced, bound, counter)
     # norm by norm, so each pair shares its norm's one int object
     pairs = []
     for num in sorted(buckets):
         pairs += [(num, v) for v in buckets.pop(num)]
     if ball:
-        context.pairs, context.nodes = tuple(pairs), counter.nodes
+        context.pairs, context.nodes = tuple(pairs), counter.nodes - start
         return context.pairs
     return pairs
 
@@ -332,7 +333,7 @@ def vectors_up_to(L: GramLattice, bound: Fraction,
     bound = Fraction(bound)
     if bound <= 0:
         raise ValueError("bound must be positive")
-    pairs = _listing(L, bound, budget)
+    pairs = _listing(L, bound, _Counter(budget))
     return ShellListing(bound=bound, vectors=tuple(v for _, v in pairs))
 
 
@@ -344,32 +345,34 @@ def minimum(L: GramLattice, budget: int | None = None) -> tuple[Fraction, ShellL
     the radius of the minima ball (see ``_listing``).
     """
     context = _context(L)
-    pairs = _listing(L, context.least, budget)
+    pairs = _listing(L, context.least, _Counter(budget))
     top = pairs[0][0]
     shell = tuple(v for value, v in pairs if value == top)
     best = Fraction(top, context.denominator)
     return best, ShellListing(bound=best, vectors=shell)
 
 
-def successive_minima(L: GramLattice, budget: int | None = None) -> Frame:
-    """A frame of the successive minima.
+def _frame(L: GramLattice, counter: _Counter) -> Frame:
+    """The frame of successive minima, its ball listed from ``counter``.
 
-    Ties at each minimum are broken toward the lexicographically
-    smallest coordinate vector whose first nonzero coordinate is
-    positive, so the output is deterministic.  A vector of the minima
-    ball joins the frame when it is independent of those before it, as
-    an integer echelon on coordinates tells.  The frame is chosen once
-    and kept with the ball; a later call spends the ball's nodes again
-    and returns the kept frame.
+    Each ball vector independent of those before it, as an integer
+    echelon on coordinates tells, joins the frame, so ties go to the
+    least coordinate vector with positive first nonzero entry.  The frame
+    is kept with the ball, and a later call spends the ball's nodes again.
     """
     context = _context(L)
-    pairs = _listing(L, context.radius, budget)
+    pairs = _listing(L, context.radius, counter)
     if context.frame is None:
         echelon: dict[int, list[int]] = {}
         values, vectors = zip(*islice(((x, v) for x, v in pairs if _insert(echelon, v)), L.n))
         norms = tuple(Fraction(x, context.denominator) for x in values)
         context.frame = Frame(vectors=vectors, norms=norms)
     return context.frame
+
+
+def successive_minima(L: GramLattice, budget: int | None = None) -> Frame:
+    """A frame of the successive minima, chosen deterministically (see ``_frame``)."""
+    return _frame(L, _Counter(budget))
 
 
 def minkowski_M(L: GramLattice, budget: int | None = None) -> Fraction:

@@ -9,7 +9,7 @@ by product bounds and by primitivity (a vector family extends to a
 basis if and only if its span is a primitive sublattice).  The search
 deepens through listings at growing bounds, and the first of them is
 the lattice's kept minima ball, so a search that settles there lists
-no vector beyond the ball ``successive_minima`` has already paid for.
+no vector beyond the ball ``_frame`` has already paid for.
 
 The search is certified once its incumbent reaches a proven lower
 bound, even if trees are left.  Besides the product of the successive
@@ -38,14 +38,7 @@ from math import gcd
 from typing import Sequence
 
 from .core import GramLattice, LatVec, Rational, determinant, norm
-from .enumeration import (
-    Frame,
-    _Counter,
-    _context,
-    _listing,
-    _times,
-    successive_minima,
-)
+from .enumeration import Frame, _Counter, _context, _frame, _listing, _times
 from .errors import NotGenerating, ResourceExceeded
 from .linalg import _insert, _insert2, _xgcd, hnf_rows, identity_rows
 from .linalg import is_primitive  # noqa: F401  uncalled; perfbench's tracer wraps this name
@@ -131,15 +124,16 @@ def _parity_bound(pairs, n: int, missing: int) -> int:
     return product * missing ** (n - len(rows))
 
 
-def _search(L: GramLattice, budget: int | None, base: Frame | None):
+def _search(L: GramLattice, counter: _Counter, base: Frame | None):
     """Branch-and-bound for the minimal basis norm product.
 
     ``base`` is the frame of successive minima, or None when listing it
     ran out of budget; then the reduced basis is returned, uncertified.
     Returns (product, rows, certified, frontier product).
-    The node budget applies separately to each enumeration phase and to
-    the search tree itself; exhausting it anywhere downgrades the result
-    to an uncertified upper bound instead of raising.
+    Every listing and every tree node spends from ``counter``, the one
+    counter of the calling ``qb`` or ``hermite_Hb``, which has already
+    paid for the minima; running out anywhere downgrades the result to
+    an uncertified upper bound instead of raising.
 
     The tree runs in integers: listed norms are numerators over the
     lattice's ``D = _context(L).denominator``, a product of k of them is
@@ -167,7 +161,7 @@ def _search(L: GramLattice, budget: int | None, base: Frame | None):
 
     chosen: list[LatVec] = []
 
-    def run_pass(pairs, counter, target: int) -> bool:
+    def run_pass(pairs, target: int) -> bool:
         """Exhaust all bases drawn from the listed candidates.
 
         Returns True as soon as a recorded basis reaches ``target``, a
@@ -239,10 +233,10 @@ def _search(L: GramLattice, budget: int | None, base: Frame | None):
     try:
         while True:
             use_bound = min(bound, best["prod"] / lam_head)
-            pairs = _listing(L, use_bound, budget)
+            pairs = _listing(L, use_bound, counter)
             missing = use_bound.numerator * denominator // use_bound.denominator
             target = max(target, _parity_bound(pairs, n, missing))
-            if (best["num"] <= target or run_pass(pairs, _Counter(budget), target)
+            if (best["num"] <= target or run_pass(pairs, target)
                     or use_bound >= best["prod"] / lam_head):
                 return best["prod"], best["rows"], True, None
             done = use_bound
@@ -259,28 +253,31 @@ def _search(L: GramLattice, budget: int | None, base: Frame | None):
 def hermite_Hb(L: GramLattice, budget: int | None = None):
     """Minimal basis norm product over det, with witness basis.
 
-    Returns (value, basis rows, certified).  When the node budget runs
-    out the value is still a true upper bound with a valid witness, only
-    the certificate flag drops, also when the successive minima cannot
-    be listed within the budget.
+    Returns (value, basis rows, certified).  The minima and the search
+    spend one budget.  When it runs out the value is still a true upper
+    bound with a valid witness, only the certificate flag drops, also
+    when the successive minima cannot be listed within the budget.
     """
+    counter = _Counter(budget)
     try:
-        base = successive_minima(L, budget)
+        base = _frame(L, counter)
     except ResourceExceeded:
         base = None
-    prod, rows, certified, _ = _search(L, budget, base)
+    prod, rows, certified, _ = _search(L, counter, base)
     return prod / determinant(L), rows, certified
 
 
 def qb(L: GramLattice, budget: int | None = None) -> QualityReport:
     """Assemble M, Hb and their ratio Qb into one report.
 
-    M needs the successive minima, so when they cannot be listed within
-    the budget this raises ``ResourceExceeded``; a search that runs out
-    later returns an uncertified report with its ``frontier``.
+    The minima and the basis search spend one budget.  M needs the
+    minima, so when they cannot be listed within it this raises
+    ``ResourceExceeded``; a search that runs out later returns an
+    uncertified report with its ``frontier``.
     """
-    base = successive_minima(L, budget)
-    prod, rows, certified, frontier = _search(L, budget, base)
+    counter = _Counter(budget)
+    base = _frame(L, counter)
+    prod, rows, certified, frontier = _search(L, counter, base)
     floor_prod = math.prod(base.norms)
     det = determinant(L)
     return QualityReport(

@@ -7,7 +7,7 @@ helpers build the cases of the paper's headline values:
 ``_qb_case`` passes when Q_b equals the value and is certified, so an
 uncertified search fails it; ``_index_case`` passes when the maximal
 index and its quotient are as stated, and is skipped unless the search
-was exhaustive.  Every suite call runs at the suite's node budget.
+was exhaustive.  Each public call gets the suite's whole node budget.
 """
 
 from __future__ import annotations

@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .core import HERMITE_POWER, GramLattice, Surd, determinant, qform
-from .enumeration import Frame, _Counter, _context, _times, successive_minima
+from .enumeration import Frame, _Counter, _context, _frame, _times
 from .errors import DependentFrame, DimensionMismatch, RepsDoNotGenerate, ResourceExceeded
 from .frames import _first_frame, _kernels, _marks, _orthogonal_seed, _primes
 from .linalg import det_int, hnf_rows, identity_rows, smith_invariants, smith_with_transforms
@@ -266,18 +266,19 @@ def maximal_index(L: GramLattice, budget: int | None = None) -> IndexReport:
     first frame of maximal index in the tree's fixed order
     (``_first_frame``), which every sound prune leaves in place.
 
-    The listing honours ``budget``, and the functionals and tree nodes of
-    the search spend a budget of their own; an allowance spent counts
-    against it too.  If that runs out the incumbent is returned with
-    ``exhaustive=False``.
+    The minima listing, the functionals and the tree nodes spend one
+    budget, and a tree trial's allowance is capped at what is left.  If
+    it runs out in the search the incumbent is returned with
+    ``exhaustive=False``; in the listing this raises ``ResourceExceeded``.
     """
-    base = successive_minima(L, budget)
+    counter = _Counter(budget)
+    base = _frame(L, counter)
     lam = base.norms
     n = L.n
     scale, a, _, _ = L._form
-    # The shells come from the minima ball ``successive_minima`` has
-    # just listed, keyed by its norm numerators: the ball reaches past
-    # lam[-1] and is sorted as a listing at lam[-1] would be.
+    # The shells come from the minima ball ``_frame`` has just listed,
+    # keyed by its norm numerators: the ball reaches past lam[-1] and is
+    # sorted as a listing at lam[-1] would be.
     context = _context(L)
     keys = [int(value * context.denominator) for value in lam]
     wanted = set(keys)
@@ -312,7 +313,6 @@ def maximal_index(L: GramLattice, budget: int | None = None) -> IndexReport:
         if seed_index > incumbent:
             incumbent, best_rows = seed_index, seed
 
-    counter = _Counter(budget)
     candidates = list(range(hadamard, incumbent, -1))
     kernels: dict[int, list[int]] = {}
     exhaustive = True

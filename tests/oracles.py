@@ -606,7 +606,7 @@ def reference_frame(L: GramLattice) -> Frame:
     vectors already taken ends in a positive minor, until n are taken.
     """
     context = _context(L)
-    pairs = _listing(L, context.radius)
+    pairs = _listing(L, context.radius, _Counter(None))
     a = L._form.gram
     vectors = []
     norms = []

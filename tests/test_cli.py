@@ -56,6 +56,15 @@ def test_info_negative_budget_flag_is_a_usage_error(capsys):
     assert (code, err) == (BUDGET, "node budget exceeded (1 > 0)\n")
 
 
+def test_info_downgrades_what_its_budget_cannot_certify(capsys):
+    # qb gets 100 nodes for its minima and its basis search together;
+    # the search runs out and reports an upper bound on H_b, uncertified.
+    code, out, _ = run(capsys, "info", str(fixture_path("c6")), "--budget", "100", "--json")
+    assert code == PASS
+    data = json.loads(out)
+    assert (data["Hb"], data["Hb_certified"], data["Qb"]) == ("27/2", False, "27/8")
+
+
 def test_info_negative_budget_variable_is_a_usage_error(capsys, monkeypatch):
     monkeypatch.setenv("LATQUOT_NODE_BUDGET", "-2")
     code, _, err = run(capsys, "info", str(fixture_path("c5")))
@@ -170,6 +179,16 @@ def test_search_is_deterministic(capsys):
     assert first == second
     assert first[0] == PASS
     assert "maximum Q_b" in first[1]
+
+
+def test_search_runs_at_its_budget_flag(capsys, monkeypatch):
+    # --budget reaches every call of the search, so a budget of 0 in the
+    # environment changes nothing.
+    argv = ("search", "8", "--trials", "2", "--seed", "1", "--budget", "1000000000")
+    expected = run(capsys, *argv)
+    monkeypatch.setenv("LATQUOT_NODE_BUDGET", "0")
+    assert run(capsys, *argv) == expected
+    assert expected[0] == PASS
 
 
 def _trials(capsys, *argv):

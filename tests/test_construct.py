@@ -109,7 +109,7 @@ def test_fixture_inventory_matches_the_shipped_files():
 def test_search_corpus():
     with pytest.raises(ValueError):
         search_corpus(0)
-    for n in (4, 7, 8, 9, 10):
+    for n in range(1, 13):
         corpus = search_corpus(n)
         assert corpus
         for L in corpus:

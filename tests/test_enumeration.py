@@ -25,7 +25,7 @@ from latquot.enumeration import (
     vectors_up_to,
 )
 from latquot.errors import ResourceExceeded
-from latquot.quality import qb
+from latquot.quality import hermite_Hb, qb
 from latquot.reduction import lll
 from latquot.sampling import perturbed, random_gram
 from latquot.watson import maximal_index
@@ -255,6 +255,50 @@ def test_a_kept_ball_does_not_change_any_call(node_tally):
         assert _context(L).pairs is not None
 
 
+def test_no_call_charges_more_nodes_than_its_budget(monkeypatch):
+    # A public call gets one allowance for all of its phases.  Each spend
+    # is recorded with whether it raised; the spends of one call,
+    # counted up to the one that ended it by raising, or all of them
+    # when none did, total at most the budget B.  On each fixture the
+    # calls run in turn, so the later ones reuse the kept minima ball.
+    spends: list[tuple[int, bool]] = []
+    real = enumeration._Counter.spend
+
+    def recording(self, amount=1):
+        try:
+            real(self, amount)
+        except ResourceExceeded:
+            spends.append((amount, True))
+            raise
+        spends.append((amount, False))
+
+    monkeypatch.setattr(enumeration._Counter, "spend", recording)
+    calls = (
+        qb,
+        hermite_Hb,
+        maximal_index,
+        successive_minima,
+        minimum,
+        invariant_report,
+        is_well_rounded,
+        minkowski_M,
+        lambda L, budget: vectors_up_to(L, _context(L).radius, budget),
+    )
+    for L in fixture_inventory().values():
+        for budget in (100, 300, 1000, 3000, 10000):
+            fresh = GramLattice(L.n, L.gram, L.label)
+            for index, call in enumerate(calls):
+                spends.clear()
+                try:
+                    call(fresh, budget)
+                except ResourceExceeded:
+                    pass
+                if spends and spends[-1][1]:
+                    spends.pop()
+                charged = sum(amount for amount, _ in spends)
+                assert charged <= budget, (L.label, budget, index, charged)
+
+
 def test_each_lattice_clears_its_denominators_once(monkeypatch):
     # Construction computes the integral form; reduction, listings and
     # the searches read it from the lattice and never clear a Gram
@@ -400,7 +444,7 @@ def test_the_kernel_matches_the_reference_kernel():
             expected = sorted(reference_enumerate(reduced, bound, counter))
             nodes = counter.nodes
             fresh = GramLattice(L.n, L.gram, L.label)
-            pairs = enumeration._listing(fresh, bound)
+            pairs = enumeration._listing(fresh, bound, enumeration._Counter(None))
             assert list(pairs) == expected, (L.label, bound)
             # the proven bound holds every listed coordinate
             reach = max((abs(x) for _, v in pairs for x in v), default=0)

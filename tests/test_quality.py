@@ -15,7 +15,7 @@ from latquot import quality
 from latquot.construct import centred_cubic, code_lift, named, search_corpus, zn
 from latquot.codes import c8, c9, c10, classify_binary, code_qb_bound, g12
 from latquot.core import GramLattice, determinant, norm
-from latquot.enumeration import _context, _listing, _times, minimum, successive_minima, vectors_up_to
+from latquot.enumeration import _Counter, _context, _listing, _times, minimum, successive_minima, vectors_up_to
 from latquot.errors import NotGenerating, ResourceExceeded
 from latquot.linalg import det_int, identity_rows, is_primitive
 from latquot.quality import _cleared, _parity_bound, hermite_Hb, qb, qg_upper_bound
@@ -261,7 +261,7 @@ def test_the_parity_bound_matches_the_class_minima_oracle():
         for L, c in _copies(rand, base):
             # the listing reaches full rank, so the missing factor, here
             # 0, never enters
-            got = _parity_bound(_listing(L, cover * c), n, 0)
+            got = _parity_bound(_listing(L, cover * c, _Counter(None)), n, 0)
             assert Fraction(got, _context(L).denominator ** n) == expected * c**n, base.label
 
 
