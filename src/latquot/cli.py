@@ -302,13 +302,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "search":
-        if not 4 <= args.n <= 10:
-            print("search supports ranks 4 through 10", file=sys.stderr)
-            return USAGE
-        if args.trials < 1:
-            print("search needs at least 1 trial", file=sys.stderr)
-            return USAGE
+    if args.command == "search" and not 4 <= args.n <= 10:
+        print("search supports ranks 4 through 10", file=sys.stderr)
+        return USAGE
+    if getattr(args, "trials", 1) < 1:
+        print(f"{args.command} needs at least 1 trial", file=sys.stderr)
+        return USAGE
     try:
         return args.func(args)
     except ResourceExceeded as exc:

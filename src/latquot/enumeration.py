@@ -26,17 +26,16 @@ share one int per norm.  Listings carry each norm as its integer
 numerator over one denominator per lattice; callers turn into fractions
 only the norms they keep.
 
-The context also keeps the minima ball: the listing at the radius
-``_frame`` uses, the largest diagonal entry of the reduced Gram matrix,
-with the nodes that listing cost and the frame an integer echelon on
-coordinates chooses from it.  ``successive_minima``, ``is_well_rounded``,
-``qb`` and ``maximal_index`` all list that ball through ``_frame``, and
-it is enumerated once: the basis search of ``qb`` makes it its first
-deepening pass, and the frame search reads its shells from the ball its
-own ``_frame`` call has just paid for.  A reuse spends the nodes the
-listing cost, so every result, node total and budget failure is what a
-fresh lattice would give, whatever ran before.  No other listing is
-kept: ``minimum`` lists to the least diagonal entry on each call.
+The context also keeps the minima ball: the listing at the largest
+diagonal entry of the reduced Gram matrix, with the nodes it cost and
+the frame an integer echelon on coordinates chooses from it.  ``_ball``
+alone lists, keeps and charges it, and it is enumerated once:
+``successive_minima``, ``qb``, ``hermite_Hb`` and ``maximal_index`` read
+the frame and the pairs from the context it returns.  A later call
+spends the nodes the listing cost, so every result, node total and
+budget failure is what a fresh lattice would give, whatever ran before.
+No other listing is kept: ``vectors_up_to`` and ``minimum`` walk the
+tree on each call.
 
 A node budget guards against runaway trees.  It is one allowance per
 public call, read once from ``budget`` or ``node_budget()`` into the one
@@ -55,7 +54,6 @@ from fractions import Fraction
 from math import isqrt
 from itertools import islice, repeat
 from operator import add, lshift, mul
-from typing import Sequence
 
 from .core import GramLattice, InvariantReport, LatVec, determinant
 from .errors import ResourceExceeded
@@ -67,7 +65,11 @@ DEFAULT_NODE_BUDGET = 10**9
 
 def node_budget() -> int:
     """The enumeration node budget currently in force."""
-    return int(os.environ.get("LATQUOT_NODE_BUDGET", DEFAULT_NODE_BUDGET))
+    value = os.environ.get("LATQUOT_NODE_BUDGET", str(DEFAULT_NODE_BUDGET))
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"LATQUOT_NODE_BUDGET must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -102,7 +104,8 @@ class _Context:
 
     The LLL reduction, the denominator ``weight * scale`` of the listed
     norms, the largest and least reduced diagonal entries and, once
-    listed, the minima ball at ``radius``: its pairs, node cost and frame.
+    ``_ball`` has listed it, the minima ball at ``radius``: its pairs,
+    node cost and frame, which only ``_ball`` reads or writes.
     """
 
     reduced: ReducedBasis
@@ -298,33 +301,43 @@ def _enumerate(reduced: ReducedBasis, bound: Fraction,
 
 
 def _listing(L: GramLattice, bound: Fraction,
-             counter: _Counter) -> Sequence[tuple[int, LatVec]]:
+             counter: _Counter) -> list[tuple[int, LatVec]]:
     """Sorted (norm, coords) pairs for nonzero vectors of norm <= bound.
 
-    Each norm is its integer numerator over the context's
-    ``denominator``.  The one listing kept is the minima ball, at the
-    context's ``radius``: the first complete one is kept as a tuple with
-    the nodes it cost, and a later request spends those nodes in one
-    step and returns the same tuple.  When they exceed what is left of
-    the counter's budget the tree is walked again instead, so the
-    request stops at the node where a fresh walk stops.
+    Each norm is its integer numerator over the context's ``denominator``.
     """
-    bound = Fraction(bound)
-    context = _context(L)
-    ball = bound == context.radius
-    if ball and context.pairs is not None and context.nodes <= counter.budget - counter.nodes:
-        counter.spend(context.nodes)
-        return context.pairs
-    start = counter.nodes
-    buckets = _enumerate(context.reduced, bound, counter)
+    buckets = _enumerate(_context(L).reduced, Fraction(bound), counter)
     # norm by norm, so each pair shares its norm's one int object
     pairs = []
     for num in sorted(buckets):
         pairs += [(num, v) for v in buckets.pop(num)]
-    if ball:
-        context.pairs, context.nodes = tuple(pairs), counter.nodes - start
-        return context.pairs
     return pairs
+
+
+def _ball(L: GramLattice, counter: _Counter) -> _Context:
+    """The lattice's context holding its minima ball, paid for from ``counter``.
+
+    The ball is the listing at the context's ``radius``.  The first call
+    lists it and keeps its pairs, the nodes they cost and the frame of
+    successive minima: each ball vector independent of those before it,
+    as an integer echelon on coordinates tells, joins the frame, so ties
+    go to the least coordinate vector with positive first nonzero entry.
+    A later call spends the kept nodes in one step.  When they exceed
+    what is left of the counter's budget the tree is walked again
+    instead, so the call stops at the node where a fresh walk stops.
+    """
+    context = _context(L)
+    if context.pairs is not None and context.nodes <= counter.budget - counter.nodes:
+        counter.spend(context.nodes)
+        return context
+    start = counter.nodes
+    pairs = tuple(_listing(L, context.radius, counter))
+    echelon: dict[int, list[int]] = {}
+    values, vectors = zip(*islice(((x, v) for x, v in pairs if _insert(echelon, v)), L.n))
+    norms = tuple(Fraction(x, context.denominator) for x in values)
+    context.pairs, context.nodes = pairs, counter.nodes - start
+    context.frame = Frame(vectors=vectors, norms=norms)
+    return context
 
 
 def vectors_up_to(L: GramLattice, bound: Fraction,
@@ -341,8 +354,7 @@ def minimum(L: GramLattice, budget: int | None = None) -> tuple[Fraction, ShellL
     """The minimum of the lattice together with all its minimal vectors.
 
     The listing runs to the least diagonal entry of the reduced Gram
-    matrix and is made afresh on each call, unless that entry is also
-    the radius of the minima ball (see ``_listing``).
+    matrix and is made afresh on each call.
     """
     context = _context(L)
     pairs = _listing(L, context.least, _Counter(budget))
@@ -352,27 +364,9 @@ def minimum(L: GramLattice, budget: int | None = None) -> tuple[Fraction, ShellL
     return best, ShellListing(bound=best, vectors=shell)
 
 
-def _frame(L: GramLattice, counter: _Counter) -> Frame:
-    """The frame of successive minima, its ball listed from ``counter``.
-
-    Each ball vector independent of those before it, as an integer
-    echelon on coordinates tells, joins the frame, so ties go to the
-    least coordinate vector with positive first nonzero entry.  The frame
-    is kept with the ball, and a later call spends the ball's nodes again.
-    """
-    context = _context(L)
-    pairs = _listing(L, context.radius, counter)
-    if context.frame is None:
-        echelon: dict[int, list[int]] = {}
-        values, vectors = zip(*islice(((x, v) for x, v in pairs if _insert(echelon, v)), L.n))
-        norms = tuple(Fraction(x, context.denominator) for x in values)
-        context.frame = Frame(vectors=vectors, norms=norms)
-    return context.frame
-
-
 def successive_minima(L: GramLattice, budget: int | None = None) -> Frame:
-    """A frame of the successive minima, chosen deterministically (see ``_frame``)."""
-    return _frame(L, _Counter(budget))
+    """A frame of the successive minima, chosen deterministically (see ``_ball``)."""
+    return _ball(L, _Counter(budget)).frame
 
 
 def minkowski_M(L: GramLattice, budget: int | None = None) -> Fraction:

@@ -7,9 +7,10 @@ is shorter than the incumbent product allows, so a single enumeration
 yields the complete candidate pool, and partial selections are pruned
 by product bounds and by primitivity (a vector family extends to a
 basis if and only if its span is a primitive sublattice).  The search
-deepens through listings at growing bounds, and the first of them is
-the lattice's kept minima ball, so a search that settles there lists
-no vector beyond the ball ``_frame`` has already paid for.
+deepens through listings at growing bounds.  Its first pass is the
+lattice's minima ball, which ``_ball`` lists and charges once for the
+minima and the pass together, so a search that settles there walks no
+node beyond the ball.
 
 The search is certified once its incumbent reaches a proven lower
 bound, even if trees are left.  Besides the product of the successive
@@ -38,7 +39,7 @@ from math import gcd
 from typing import Sequence
 
 from .core import GramLattice, LatVec, Rational, determinant, norm
-from .enumeration import Frame, _Counter, _context, _frame, _listing, _times
+from .enumeration import _Context, _Counter, _ball, _context, _listing, _times
 from .errors import NotGenerating, ResourceExceeded
 from .linalg import _insert, _insert2, _xgcd, hnf_rows, identity_rows
 from .linalg import is_primitive  # noqa: F401  uncalled; perfbench's tracer wraps this name
@@ -124,19 +125,19 @@ def _parity_bound(pairs, n: int, missing: int) -> int:
     return product * missing ** (n - len(rows))
 
 
-def _search(L: GramLattice, counter: _Counter, base: Frame | None):
+def _search(L: GramLattice, counter: _Counter, context: _Context):
     """Branch-and-bound for the minimal basis norm product.
 
-    ``base`` is the frame of successive minima, or None when listing it
-    ran out of budget; then the reduced basis is returned, uncertified.
-    Returns (product, rows, certified, frontier product).
-    Every listing and every tree node spends from ``counter``, the one
-    counter of the calling ``qb`` or ``hermite_Hb``, which has already
-    paid for the minima; running out anywhere downgrades the result to
-    an uncertified upper bound instead of raising.
+    ``context`` is what ``_ball`` returned: the reduction, the frame of
+    successive minima and the minima ball, whose pairs are the first
+    pass.  Returns (product, rows, certified, frontier product).
+    Every later listing and every tree node spends from ``counter``, the
+    one counter of the calling ``qb`` or ``hermite_Hb``, which has
+    already paid for the ball; running out anywhere downgrades the
+    result to an uncertified upper bound instead of raising.
 
     The tree runs in integers: listed norms are numerators over the
-    lattice's ``D = _context(L).denominator``, a product of k of them is
+    lattice's ``D = context.denominator``, a product of k of them is
     kept over D^k and the incumbent over D^n, and a Fraction is made only
     when a basis is recorded.  Each tree level holds the columns k..n-1 of the
     completion W of its prefix.  A candidate costs n - k inner products
@@ -145,16 +146,13 @@ def _search(L: GramLattice, counter: _Counter, base: Frame | None):
     when it returns.
     """
     n = L.n
-    context = _context(L)
-    reduced, denominator = context.reduced, context.denominator
+    reduced, denominator, base = context.reduced, context.denominator, context.frame
     inc_num = math.prod(reduced.diagonal)
     inc_prod = Fraction(inc_num, reduced.scale**n)
 
     best = {"num": inc_num * (denominator // reduced.scale)**n, "prod": inc_prod,
             "rows": reduced.transform}
 
-    if base is None:
-        return inc_prod, best["rows"], False, None
     target = math.prod(x.numerator * (denominator // x.denominator) for x in base.norms)
     if best["num"] == target:
         return inc_prod, best["rows"], True, None
@@ -219,28 +217,28 @@ def _search(L: GramLattice, counter: _Counter, base: Frame | None):
     # Iterative deepening: a poor initial incumbent would force one huge
     # enumeration, so grow the candidate bound geometrically from the
     # minima ball's radius and let each pass tighten the incumbent first.
-    # The first pass is the kept ball itself: the i-th smallest diagonal
-    # entry of the reduced Gram matrix is at least lam_i, so the clamp
-    # below starts at or above the radius.  Certification happens on the
-    # pass whose listing provably covers every member of any basis that
-    # would beat the incumbent (the other n-1 members cost at least
-    # prod(lam_i, i < n), so members are bounded by the quotient below),
-    # or as soon as the incumbent reaches the lower bound ``target``: the
-    # larger of the minima product and the parity bound of the listing.
-    bound = context.radius
+    # The first pass is the ball itself, already paid for: the i-th
+    # smallest diagonal entry of the reduced Gram matrix is at least
+    # lam_i, so the incumbent's cap below starts at or above the radius.
+    # Certification happens on the pass whose listing provably covers
+    # every member of any basis that would beat the incumbent (the other
+    # n-1 members cost at least prod(lam_i, i < n), so members are
+    # bounded by the quotient below), or as soon as the incumbent reaches
+    # the lower bound ``target``: the larger of the minima product and
+    # the parity bound of the listing.
+    bound, pairs = context.radius, context.pairs
     lam_head = Fraction(target, denominator**n) / base.norms[-1]
     done = Fraction(0)
     try:
         while True:
-            use_bound = min(bound, best["prod"] / lam_head)
-            pairs = _listing(L, use_bound, counter)
-            missing = use_bound.numerator * denominator // use_bound.denominator
+            missing = bound.numerator * denominator // bound.denominator
             target = max(target, _parity_bound(pairs, n, missing))
             if (best["num"] <= target or run_pass(pairs, target)
-                    or use_bound >= best["prod"] / lam_head):
+                    or bound >= best["prod"] / lam_head):
                 return best["prod"], best["rows"], True, None
-            done = use_bound
-            bound = use_bound * 2
+            done = bound
+            bound = min(2 * bound, best["prod"] / lam_head)
+            pairs = _listing(L, bound, counter)
     except ResourceExceeded:
         # Passes up to `done` were exhaustive, so any basis still beating
         # the incumbent owns a vector longer than that, plus n-1 more no
@@ -255,30 +253,34 @@ def hermite_Hb(L: GramLattice, budget: int | None = None):
 
     Returns (value, basis rows, certified).  The minima and the search
     spend one budget.  When it runs out the value is still a true upper
-    bound with a valid witness, only the certificate flag drops, also
-    when the successive minima cannot be listed within the budget.
+    bound with a valid witness, only the certificate flag drops; when
+    the minima ball itself cannot be listed, that witness is the reduced
+    basis.
     """
     counter = _Counter(budget)
     try:
-        base = _frame(L, counter)
+        context = _ball(L, counter)
     except ResourceExceeded:
-        base = None
-    prod, rows, certified, _ = _search(L, counter, base)
+        reduced = _context(L).reduced
+        prod = Fraction(math.prod(reduced.diagonal), reduced.scale**L.n)
+        return prod / determinant(L), reduced.transform, False
+    prod, rows, certified, _ = _search(L, counter, context)
     return prod / determinant(L), rows, certified
 
 
 def qb(L: GramLattice, budget: int | None = None) -> QualityReport:
     """Assemble M, Hb and their ratio Qb into one report.
 
-    The minima and the basis search spend one budget.  M needs the
-    minima, so when they cannot be listed within it this raises
+    The minima and the basis search spend one budget, and the minima
+    ball is charged once for both.  M needs the minima, so when the
+    ball cannot be listed within the budget this raises
     ``ResourceExceeded``; a search that runs out later returns an
     uncertified report with its ``frontier``.
     """
     counter = _Counter(budget)
-    base = _frame(L, counter)
-    prod, rows, certified, frontier = _search(L, counter, base)
-    floor_prod = math.prod(base.norms)
+    context = _ball(L, counter)
+    prod, rows, certified, frontier = _search(L, counter, context)
+    floor_prod = math.prod(context.frame.norms)
     det = determinant(L)
     return QualityReport(
         M=floor_prod / det,

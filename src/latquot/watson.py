@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .core import HERMITE_POWER, GramLattice, Surd, determinant, qform
-from .enumeration import Frame, _Counter, _context, _frame, _times
+from .enumeration import Frame, _Counter, _ball, _times
 from .errors import DependentFrame, DimensionMismatch, RepsDoNotGenerate, ResourceExceeded
 from .frames import _first_frame, _kernels, _marks, _orthogonal_seed, _primes
 from .linalg import det_int, hnf_rows, identity_rows, smith_invariants, smith_with_transforms
@@ -266,20 +266,20 @@ def maximal_index(L: GramLattice, budget: int | None = None) -> IndexReport:
     first frame of maximal index in the tree's fixed order
     (``_first_frame``), which every sound prune leaves in place.
 
-    The minima listing, the functionals and the tree nodes spend one
+    The minima ball, the functionals and the tree nodes spend one
     budget, and a tree trial's allowance is capped at what is left.  If
     it runs out in the search the incumbent is returned with
-    ``exhaustive=False``; in the listing this raises ``ResourceExceeded``.
+    ``exhaustive=False``; in the ball this raises ``ResourceExceeded``.
     """
     counter = _Counter(budget)
-    base = _frame(L, counter)
+    context = _ball(L, counter)
+    base = context.frame
     lam = base.norms
     n = L.n
     scale, a, _, _ = L._form
-    # The shells come from the minima ball ``_frame`` has just listed,
-    # keyed by its norm numerators: the ball reaches past lam[-1] and is
-    # sorted as a listing at lam[-1] would be.
-    context = _context(L)
+    # The shells come from the minima ball, keyed by its norm numerators:
+    # the ball reaches past lam[-1] and is sorted as a listing at lam[-1]
+    # would be.
     keys = [int(value * context.denominator) for value in lam]
     wanted = set(keys)
     shells: dict[int, list[tuple[tuple[int, ...], list[int]]]] = {}

@@ -57,18 +57,28 @@ def test_info_negative_budget_flag_is_a_usage_error(capsys):
 
 
 def test_info_downgrades_what_its_budget_cannot_certify(capsys):
-    # qb gets 100 nodes for its minima and its basis search together;
-    # the search runs out and reports an upper bound on H_b, uncertified.
-    code, out, _ = run(capsys, "info", str(fixture_path("c6")), "--budget", "100", "--json")
-    assert code == PASS
-    data = json.loads(out)
-    assert (data["Hb"], data["Hb_certified"], data["Qb"]) == ("27/2", False, "27/8")
+    # qb gets one budget for its minima and its basis search together.
+    # On C6 the minima ball costs 88 nodes and the whole search 96, the
+    # ball charged once: at 90 the search runs out and reports an upper
+    # bound on H_b, uncertified; at 100 it certifies.
+    expected = {"90": ("27/2", False, "27/8"), "100": ("6", True, "3/2")}
+    for budget, hb in expected.items():
+        code, out, _ = run(capsys, "info", str(fixture_path("c6")), "--budget", budget, "--json")
+        assert code == PASS
+        data = json.loads(out)
+        assert (data["Hb"], data["Hb_certified"], data["Qb"]) == hb, budget
 
 
 def test_info_negative_budget_variable_is_a_usage_error(capsys, monkeypatch):
     monkeypatch.setenv("LATQUOT_NODE_BUDGET", "-2")
     code, _, err = run(capsys, "info", str(fixture_path("c5")))
     assert (code, err) == (USAGE, "node budget must not be negative, got -2\n")
+
+
+def test_info_non_integer_budget_variable_is_named(capsys, monkeypatch):
+    monkeypatch.setenv("LATQUOT_NODE_BUDGET", "abc")
+    code, out, err = run(capsys, "info", str(fixture_path("c5")))
+    assert (code, out, err) == (USAGE, "", "LATQUOT_NODE_BUDGET must be an integer, got 'abc'\n")
 
 
 def test_verify_codes_suite(capsys):
@@ -167,10 +177,11 @@ def test_search_range_check(capsys):
 
 
 def test_search_needs_a_trial(capsys):
-    for trials in ("0", "-3"):
-        code, out, err = run(capsys, "search", "8", "--trials", trials)
-        assert code == USAGE
-        assert "trial" in err and not out
+    for command in (("search", "8"), ("verify", "identities")):
+        for trials in ("0", "-3"):
+            code, out, err = run(capsys, *command, "--trials", trials)
+            assert code == USAGE, command
+            assert "trial" in err and not out
 
 
 def test_search_is_deterministic(capsys):

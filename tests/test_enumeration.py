@@ -176,9 +176,16 @@ def test_each_lattice_lists_its_minima_ball_once(monkeypatch):
     qb(L)
     assert is_well_rounded(L)
     maximal_index(L)
-    assert len(vectors_up_to(L, rho)) == 12
     assert successive_minima(L) is frame
     assert bounds == [rho]
+    # A public listing walks the tree on each call, also at the radius;
+    # the users of the ball still list nothing.
+    assert len(vectors_up_to(L, rho)) == 12
+    assert bounds == [rho, rho]
+    qb(L)
+    maximal_index(L)
+    assert successive_minima(L) is frame
+    assert bounds == [rho, rho]
     # The basis search deepens from the ball and the frame search reads
     # its shells from it, also where lam_n lies below rho or more than
     # one pass runs.
