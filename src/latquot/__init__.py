@@ -47,11 +47,11 @@ _EXPORTS = {
     ),
     "errors": (
         "CodeTooLight", "DimensionMismatch", "LatquotError", "MinimumDrops",
-        "NotGenerating", "NotPositiveDefinite", "NotSymmetric", "ParseError",
+        "NotPositiveDefinite", "NotSymmetric", "ParseError",
         "ResourceExceeded", "UnknownLattice",
     ),
     "quality": (
-        "QualityReport", "hermite_Hb", "qb", "qg_upper_bound",
+        "QualityReport", "hermite_Hb", "qb",
     ),
     "reduction": (
         "ReducedBasis", "lll",

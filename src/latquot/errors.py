@@ -60,9 +60,5 @@ class MinimumDrops(LatquotError):
     """A lifted lattice acquired a vector shorter than the base minimum."""
 
 
-class NotGenerating(LatquotError):
-    """A supplied vector set does not generate the lattice."""
-
-
 class UnknownLattice(LatquotError):
     """No lattice of the requested name is registered."""

@@ -1,14 +1,16 @@
 """The search machinery of ``watson.maximal_index`` over frames of successive minima.
 
-A pool holds the vectors of one successive-minimum norm as (vector,
-vector times the cleared Gram matrix) pairs, and a frame takes its k-th
-vector from the pool of lam_k.  Three tools work on the pools:
-``_orthogonal_seed``, a greedy frame that prefers orthogonal vectors;
-``_kernels``, the kernels of the functionals mod p that hold a frame,
-which decide whether p can divide a frame's index; and ``_first_frame``,
-the frame tree, which finds the first frame of index at least m in one
-fixed order.  Everything is exact: independence comes from an integer
-echelon on coordinates (``linalg._insert``) and Gram determinants from
+A pool holds the coordinate vectors of one successive-minimum norm, and
+a frame takes its k-th vector from the pool of lam_k.  Three tools work
+on the pools: ``_orthogonal_seed``, a greedy frame that prefers
+orthogonal vectors; ``_kernels``, the kernels of the functionals mod p
+that hold a frame, which decide whether p can divide a frame's index;
+and ``_first_frame``, the frame tree, which finds the first frame of
+index at least m in one fixed order.  Only the tree reads every inner
+product, so only its pools pair each vector with the vector times the
+cleared Gram matrix; the seed multiplies just the vectors it picks.
+Everything is exact: independence comes from an integer echelon on
+coordinates (``linalg._insert``) and Gram determinants from
 fraction-free pivot rows (Cohen, GTM 138, Alg. 2.6.7).
 """
 
@@ -19,35 +21,46 @@ from itertools import product
 from operator import and_, mul, or_
 
 from .core import _pivot_row
-from .enumeration import _Counter, _dot
+from .enumeration import _Counter, _dot, _times
 from .linalg import _insert
 
 
-def _orthogonal_seed(pools):
+def _orthogonal_seed(pools, a):
     """Best-effort frame preferring pairwise orthogonal vectors.
 
     A pairwise orthogonal frame attains the Hadamard bound, and a seed
     that reaches the bound settles ``maximal_index`` with no search at
-    all.  ``pools`` holds (vector, vector times the cleared Gram matrix)
-    pairs.  Each position takes the first vector whose integral inner
-    products with the vectors already chosen all vanish, which makes it
-    independent of them.  Failing that, it takes the first vector
-    independent of them.  Returns None when the greedy pass dead-ends.
+    all.  ``pools`` holds coordinate vectors, positions of equal norm
+    sharing one list, and ``a`` is the cleared Gram matrix.  Each
+    position takes the first vector whose integral inner products with
+    the vectors already chosen all vanish, which makes it independent of
+    them.  Failing that, it takes the first vector independent of them.
+    Only a chosen vector is multiplied by ``a``: each pool is narrowed,
+    in pool order, to the vectors orthogonal to every pick so far, once
+    per pick it has not yet seen.  Returns None when the greedy pass
+    dead-ends.
     """
     chosen: list[tuple[int, ...]] = []
+    picked: list[list[int]] = []
     echelon: dict[int, list[int]] = {}
+    # per shared pool, its vectors orthogonal to the first ``seen`` picks
+    narrowed: dict[int, tuple[int, list]] = {}
     for pool in pools:
-        for v, va in pool:
-            if not any(_dot(va, w) for w in chosen):
-                _insert(echelon, v)
-                break
+        seen, left = narrowed.get(id(pool), (0, pool))
+        for wa in picked[seen:]:
+            left = [v for v in left if not _dot(v, wa)]
+        narrowed[id(pool)] = len(picked), left
+        if left:
+            v = left[0]
+            _insert(echelon, v)
         else:
-            for v, _ in pool:
+            for v in pool:
                 if _insert(echelon, v):
                     break
             else:
                 return None
         chosen.append(v)
+        picked.append(_times(v, a))
     return tuple(chosen)
 
 
@@ -68,14 +81,14 @@ def _primes(m: int) -> list[int]:
 def _holds_frame(kernel: int, vectors, spans) -> bool:
     """Whether the pool vectors whose bits ``kernel`` sets contain a frame of the minima.
 
-    ``vectors`` holds the pool as (vector, vector times the cleared Gram
-    matrix) pairs, shell after shell, and ``spans`` the (start, stop,
-    count) of each shell: its slice of the pool and how many of the
-    successive minima take its norm.  Independent sets form a matroid,
-    so a greedy pass that takes each vector independent of those already
-    taken, in norm order, finds such a frame whenever one exists: the
-    set holds one exactly when every shell adds its count.  A shell
-    fails as soon as more of its vectors are dependent than it can spare.
+    ``vectors`` holds the pool's coordinate vectors, shell after shell,
+    and ``spans`` the (start, stop, count) of each shell: its slice of
+    the pool and how many of the successive minima take its norm.
+    Independent sets form a matroid, so a greedy pass that takes each
+    vector independent of those already taken, in norm order, finds such
+    a frame whenever one exists: the set holds one exactly when every
+    shell adds its count.  A shell fails as soon as more of its vectors
+    are dependent than it can spare.
     """
     echelon: dict[int, list[int]] = {}
     for start, stop, count in spans:
@@ -84,7 +97,7 @@ def _holds_frame(kernel: int, vectors, spans) -> bool:
             return False
         for t in range(start, stop):
             if kernel >> t & 1:
-                if _insert(echelon, vectors[t][0]):
+                if _insert(echelon, vectors[t]):
                     count -= 1
                     if not count:
                         break
@@ -110,9 +123,9 @@ def _kernels(p: int, vectors, spans, counter: _Counter) -> list[int]:
     few integer operations whatever the pool's size.  A kernel with fewer
     than n vectors is dropped before the greedy test.
     """
-    n = len(vectors[0][0])
+    n = len(vectors[0])
     h = n // 2
-    residues = [[x % p for x in v] for v, _ in vectors]
+    residues = [[x % p for x in v] for v in vectors]
 
     def tables(lo, hi, partials):
         out = []
@@ -151,8 +164,9 @@ def _kernels(p: int, vectors, spans, counter: _Counter) -> list[int]:
 def _first_frame(m: int, pools, offsets, lam, room, marks, counter: _Counter):
     """The first frame of index at least ``m`` in the frame tree's order, or None.
 
-    The tree fills position k with a vector of ``pools[k]``, equal norms
-    in strictly increasing pool order, and takes a node's children by
+    The tree fills position k with a vector of ``pools[k]``, which holds
+    (vector, vector times the cleared Gram matrix) pairs, equal norms in
+    strictly increasing pool order, and takes a node's children by
     decreasing leading minor, then by pool order.  That order depends on
     the prefix alone, so a prune that cuts only subtrees holding no frame
     of index at least m leaves the first such frame where it was.  Two

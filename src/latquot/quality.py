@@ -21,6 +21,14 @@ walk over the sorted listing finds that product.  The bound settles the
 well-rounded code lifts, whose trees would otherwise walk the n-subsets
 of their minimal vectors.
 
+A pass walks its tree only when its listing generates the lattice.
+Every pass lists the minima ball, so its span S holds the frame F of
+successive minima, and [L:S] divides m = [L:F], computed once per
+search.  When m is a power of 2, as on the code lifts and on A74, L/S
+is a 2-group, trivial exactly when the listing's classes in L/2L span
+it: one GF(2) echelon walk over the coordinate parities decides
+generation.  Otherwise the listing is folded into a Hermite form.
+
 Primitivity is read off a unimodular completion carried down the tree
 (Cohen, GTM 138, Sec. 2.4): a unimodular W with the chosen prefix times
 W unit lower triangular.  A candidate v extends the prefix of k vectors
@@ -34,17 +42,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import gcd
-from typing import Sequence
 
-from .core import GramLattice, LatVec, Rational, determinant, norm
+from .core import GramLattice, LatVec, Rational, determinant
 from .enumeration import _Context, _Counter, _ball, _context, _listing, _times
-from .errors import NotGenerating, ResourceExceeded
-from .linalg import _insert, _insert2, _xgcd, hnf_rows, identity_rows
+from .errors import ResourceExceeded
+from .linalg import _insert2, _xgcd, det_int, hnf_rows, identity_rows
 from .linalg import is_primitive  # noqa: F401  uncalled; perfbench's tracer wraps this name
 
-__all__ = ["QualityReport", "hermite_Hb", "qb", "qg_upper_bound"]
+__all__ = ["QualityReport", "hermite_Hb", "qb"]
 
 
 @dataclass(frozen=True)
@@ -63,13 +69,29 @@ class QualityReport:
     frontier: Rational | None = None
 
 
-def _generates(vecs, n: int) -> bool:
-    """Whether the integer row span of the vectors is all of Z^n.
+def _parity(v) -> int:
+    """The class of ``v`` in L/2L = F_2^n as a bit mask: its coordinate parities."""
+    return sum((x & 1) << i for i, x in enumerate(v))
 
-    Folds the rows into a running Hermite form a chunk at a time, so
-    the working set never exceeds n + chunk rows no matter how long the
-    listing is, and stops as soon as the form reaches the identity.
+
+def _generates(vecs, n: int, index: int) -> bool:
+    """Whether the integer row span S of the vectors is all of Z^n.
+
+    ``index`` is [Z^n : F] for some F of full rank inside S, so
+    [Z^n : S] divides it.  When it is a power of 2, Z^n / S is a 2-group,
+    which is trivial exactly when it has no quotient of order 2, that is
+    when the parities of the vectors span F_2^n: one GF(2) echelon walk
+    decides it.  Otherwise the rows are folded into a running Hermite
+    form a chunk at a time, so the working set never exceeds n + chunk
+    rows no matter how long the listing is, and the fold stops as soon
+    as the form reaches the identity.
     """
+    if not index & (index - 1):
+        echelon: dict[int, int] = {}
+        for v in vecs:
+            if _insert2(echelon, _parity(v)) and len(echelon) == n:
+                return True
+        return False
     state: list[list[int]] = []
     step = 4 * n
     for start in range(0, len(vecs), step):
@@ -118,7 +140,7 @@ def _parity_bound(pairs, n: int, missing: int) -> int:
     rows: dict[int, int] = {}
     product = 1
     for value, v in pairs:
-        if _insert2(rows, sum((x & 1) << i for i, x in enumerate(v))):
+        if _insert2(rows, _parity(v)):
             product *= value
             if len(rows) == n:
                 return product
@@ -156,6 +178,8 @@ def _search(L: GramLattice, counter: _Counter, context: _Context):
     target = math.prod(x.numerator * (denominator // x.denominator) for x in base.norms)
     if best["num"] == target:
         return inc_prod, best["rows"], True, None
+    # every pass lists the ball, so its span holds the frame
+    index = abs(det_int(base.vectors))
 
     chosen: list[LatVec] = []
 
@@ -173,7 +197,7 @@ def _search(L: GramLattice, counter: _Counter, context: _Context):
         # the whole tree would be walked just to learn that.  One check
         # of the stacked listing settles it up front.
         counter.spend()
-        if total < n or not _generates(vecs, n):
+        if total < n or not _generates(vecs, n, index):
             return False
 
         def descend(start: int, prod: int, cols) -> bool:
@@ -290,36 +314,3 @@ def qb(L: GramLattice, budget: int | None = None) -> QualityReport:
         certified=certified,
         frontier=None if frontier is None else frontier / det,
     )
-
-
-def qg_upper_bound(L: GramLattice, generating_sets: Sequence[Sequence[LatVec]]) -> Rational:
-    """Upper bound on the generating invariant H_g from supplied sets.
-
-    For each set that generates the lattice, take the worst (largest)
-    norm product over independent n-element subfamilies; the bound is
-    the best of those, divided by det.  ``_generates`` decides generation
-    and the echelon form over Q independence.  Sets that do not generate
-    raise NotGenerating.
-    """
-    n = L.n
-    det = determinant(L)
-    if not generating_sets:
-        raise ValueError("at least one generating set is required")
-    best: Fraction | None = None
-    for idx, vs in enumerate(generating_sets):
-        if not _generates(vs, n):
-            raise NotGenerating(f"set {idx} does not generate the lattice")
-        worst: Fraction | None = None
-        for combo in combinations(vs, n):
-            echelon: dict[int, list[int]] = {}
-            if not all(_insert(echelon, v) for v in combo):
-                continue
-            prod = Fraction(1)
-            for v in combo:
-                prod *= norm(L, v)
-            if worst is None or prod > worst:
-                worst = prod
-        value = worst / det
-        if best is None or value < best:
-            best = value
-    return best

@@ -9,7 +9,8 @@ and condition that constrain the norms of coset vectors.
 The central search is ``maximal_index``: the largest quotient order over
 all frames of successive minima.  It is decided over the candidate
 orders m up to the Hadamard bound H = floor(sqrt(prod lam_i / det L)),
-largest first, and stops at once when a greedy frame already reaches H.
+largest first, and stops at once when the frame of minima, or failing
+that a greedy frame, already reaches H.
 A prime p divides [L:F] exactly when F lies in the kernel of a nonzero
 functional L -> Z/p, so when no such kernel holds a frame every multiple
 of p is ruled out; the larger candidates are cheaper to rule out with a
@@ -244,8 +245,9 @@ def maximal_index(L: GramLattice, budget: int | None = None) -> IndexReport:
 
     Every frame F has [L:F] <= H, the Hadamard bound floor(sqrt(prod
     lam_i / det L)).  The incumbent is the frame of ``successive_minima``
-    or, when it beats that, the frame of ``_orthogonal_seed``; when it
-    reaches H the search is over before it starts.  Otherwise the index
+    or, if it falls short of H and the seed beats it, the frame of
+    ``_orthogonal_seed``; when it reaches H the search is over before it
+    starts and no pool vector meets the Gram matrix.  Otherwise the index
     is decided over the candidates m in (incumbent, H], largest first.
     A candidate m is ruled out by a frame-tree walk that finds no frame
     of index at least m, and with it every larger one, or by a prime p
@@ -282,16 +284,15 @@ def maximal_index(L: GramLattice, budget: int | None = None) -> IndexReport:
     # would be.
     keys = [int(value * context.denominator) for value in lam]
     wanted = set(keys)
-    shells: dict[int, list[tuple[tuple[int, ...], list[int]]]] = {}
+    shells: dict[int, list[tuple[int, ...]]] = {}
     for value, v in context.pairs:
         if value > keys[-1]:
             break
         if value in wanted:
-            shells.setdefault(value, []).append((v, _times(v, a)))
-    pools = [shells[key] for key in keys]
+            shells.setdefault(value, []).append(v)
     # the whole pool in one list, shell after shell, so that a bit mask
     # over it is a set of pool vectors
-    vectors: list[tuple[tuple[int, ...], list[int]]] = []
+    vectors: list[tuple[int, ...]] = []
     spans, starts = [], {}
     for key, shell in shells.items():
         starts[key] = len(vectors)
@@ -307,15 +308,21 @@ def maximal_index(L: GramLattice, budget: int | None = None) -> IndexReport:
     hadamard = math.isqrt(math.floor(tail[0] / det_l))
 
     incumbent, best_rows = abs(det_int(base.vectors)), base.vectors
-    seed = _orthogonal_seed(pools)
-    if seed is not None:
-        seed_index = abs(det_int(seed))
-        if seed_index > incumbent:
-            incumbent, best_rows = seed_index, seed
+    if incumbent < hadamard:
+        seed = _orthogonal_seed([shells[key] for key in keys], a)
+        if seed is not None:
+            seed_index = abs(det_int(seed))
+            if seed_index > incumbent:
+                incumbent, best_rows = seed_index, seed
 
     candidates = list(range(hadamard, incumbent, -1))
     kernels: dict[int, list[int]] = {}
     exhaustive = True
+    if candidates:
+        # the tree's pools pair each vector with its row of inner
+        # products, built once per shell and only when the tree runs
+        paired = {key: [(v, _times(v, a)) for v in shell] for key, shell in shells.items()}
+        pools = [paired[key] for key in keys]
     try:
         while candidates:
             m = candidates[0]

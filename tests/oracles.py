@@ -13,9 +13,10 @@ code bound by trying every k-subset of the words, construction
 witnesses from their definitions, the random lattice models by
 conjugating every candidate with matrix products, short-vector listings
 by the Fincke-Pohst kernel as first written (a centre loop per node, a
-sign test per leaf, one sort), and frames of successive minima by
-fraction-free pivot rows over the Gram matrix.  Slow on purpose; the
-tests only feed these small instances.
+sign test per leaf, one sort), frames of successive minima by
+fraction-free pivot rows over the Gram matrix, and the greedy frame of
+the index search by scanning every pool vector's inner products.  Slow
+on purpose; the tests only feed these small instances.
 
 ``random_unimodular`` and ``conjugate`` are test helpers rather than
 references: they draw unimodular matrices the way the sampler does and
@@ -34,7 +35,6 @@ from latquot.enumeration import (
     Frame, _Counter, _context, _dot, _listing, _times, _weights, successive_minima,
 )
 from latquot.errors import NotPositiveDefinite, ResourceExceeded
-from latquot.frames import _orthogonal_seed
 from latquot.reduction import lll
 from latquot.watson import IndexReport, quotient_structure
 from latquot.sampling import _apply, _moves
@@ -634,6 +634,30 @@ def _canonical_sign(v: tuple[int, ...]) -> tuple[int, ...]:
     return v
 
 
+def reference_orthogonal_seed(pools):
+    """The greedy frame of ``maximal_index`` as first written.
+
+    ``pools`` holds (vector, vector times the cleared Gram matrix) pairs,
+    every pool vector multiplied up front.  Each position scans its whole
+    pool for the first vector whose inner products with the vectors
+    already chosen all vanish; failing that it takes the first vector of
+    the pool that raises the rank over Q.  None when the pass dead-ends.
+    """
+    chosen: list[tuple[int, ...]] = []
+    for pool in pools:
+        for v, va in pool:
+            if not any(_dot(va, w) for w in chosen):
+                break
+        else:
+            for v, _ in pool:
+                if rank_rational(chosen + [v]) > len(chosen):
+                    break
+            else:
+                return None
+        chosen.append(v)
+    return tuple(chosen)
+
+
 def reference_maximal_index(L: GramLattice, budget: int | None = None) -> IndexReport:
     """``watson.maximal_index`` as a plain branch and bound, as first written.
 
@@ -696,7 +720,7 @@ def reference_maximal_index(L: GramLattice, budget: int | None = None) -> IndexR
         limits[:] = [math.floor(index**2 * x) for x in room]
 
     improve(abs(det_int(base.vectors)), base.vectors)
-    seed = _orthogonal_seed(pools)
+    seed = reference_orthogonal_seed(pools)
     if seed is not None:
         seed_index = abs(det_int(seed))
         if seed_index > best["index"]:

@@ -51,7 +51,7 @@ def test_det_int_matches_rational_determinant():
 
 
 def test_the_echelon_decides_singularity_as_the_determinant_does():
-    # random_basis and qg_upper_bound call a square matrix nonsingular
+    # random_basis calls a square matrix nonsingular
     # when every row raises the rank of the echelon form over Q; the
     # Bareiss determinant must agree, sizes 0 to 8, singular ones included
     rand = random.Random(6)

@@ -1,10 +1,8 @@
 """The basis-product invariants against a brute-force oracle."""
 
-import math
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from math import gcd
 from unittest.mock import patch
 
@@ -12,17 +10,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from latquot import quality
-from latquot.construct import centred_cubic, code_lift, named, search_corpus, zn
+from latquot.construct import centred_cubic, code_lift, fixture_inventory, named, search_corpus, zn
 from latquot.codes import c8, c9, c10, classify_binary, code_qb_bound, g12
 from latquot.core import GramLattice, determinant, norm
-from latquot.enumeration import _Counter, _context, _listing, _times, minimum, successive_minima, vectors_up_to
-from latquot.errors import NotGenerating, ResourceExceeded
-from latquot.linalg import det_int, identity_rows, is_primitive
-from latquot.quality import _cleared, _parity_bound, hermite_Hb, qb, qg_upper_bound
+from latquot.enumeration import _Counter, _context, _listing, _times, successive_minima, vectors_up_to
+from latquot.errors import ResourceExceeded
+from latquot.linalg import det_int, hnf_rows, identity_rows, is_primitive
+from latquot.quality import _cleared, _generates, _parity_bound, hermite_Hb, qb
 from latquot.sampling import perturbed, random_gram
 from oracles import (
-    brute_Hb_product, conjugate, det_int as bareiss_det, minor_gcd_invariants, parity_cover,
-    parity_product, random_unimodular,
+    brute_Hb_product, conjugate, parity_cover, parity_product, random_unimodular,
 )
 
 
@@ -111,38 +108,75 @@ def test_qb_raises_at_the_budget_its_minima_exceed(node_tally):
         assert value >= hermite_Hb(L)[0]
 
 
-def test_generating_set_bound():
-    L = centred_cubic(4)
-    shell = minimum(L)[1]
-    assert qg_upper_bound(L, [shell.vectors]) == 4
-    with pytest.raises(NotGenerating):
-        qg_upper_bound(zn(3), [[(2, 0, 0), (0, 1, 0), (0, 0, 1)]])
-    with pytest.raises(ValueError):
-        qg_upper_bound(zn(3), [])
+def _folds_to_identity(vecs, n):
+    """Generation by one Hermite form of every row, no chunks and no parities."""
+    return hnf_rows(vecs) == identity_rows(n)
 
 
-def test_generating_set_bound_matches_minor_gcds_and_determinants():
-    # Generation against the Smith invariants from minor gcds, and
-    # independence against the Bareiss determinant, on random sets of
-    # four to six vectors, dependent subfamilies and non-generating sets
-    # among them
-    rand = random.Random(84)
+def _checked_generation(indices):
+    """A stand-in for ``quality._generates`` that checks each answer against the fold.
+
+    It appends each call's frame index to ``indices``.
+    """
+    def checked(vecs, n, index):
+        answer = _generates(vecs, n, index)
+        assert answer == _folds_to_identity(vecs, n)
+        indices.append(index)
+        return answer
+    return checked
+
+
+def test_every_pass_decides_generation_as_the_hermite_fold_does():
+    # Every pass of every fixture's basis search, on its own basis and
+    # on three seeded conjugates.  A frame index that is a power of 2
+    # settles generation mod 2; A73's frame has index 3 and takes the fold.
+    rand = random.Random(47)
+    indices = []
+    with patch.object(quality, "_generates", _checked_generation(indices)):
+        qb(named("A73").lattice)
+        assert indices == [3]
+        for L in fixture_inventory().values():
+            for M in [L] + [conjugate(L, random_unimodular(rand, L.n)) for _ in range(3)]:
+                qb(M)
+    powers = [m for m in indices if not m & (m - 1)]
+    assert powers and len(powers) < len(indices)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32), st.integers(5, 8))
+def test_random_lattices_decide_generation_as_the_hermite_fold_does(seed, n):
+    # About one random lattice in five of these ranks runs a pass.
+    with patch.object(quality, "_generates", _checked_generation([])):
+        qb(random_gram(random.Random(seed), n, spread=2))
+
+
+def test_generation_over_a_frame_agrees_with_the_hermite_fold():
+    # Sets that hold a frame F and otherwise lie in a lattice S between F
+    # and Z^n: F scales some rows of a unimodular matrix by d, and S
+    # scales some of those same rows by d, or none of them.  The index of F
+    # is a power of d, and each branch answers both ways.
+    rand = random.Random(53)
     outcomes = set()
-    for _ in range(40):
-        L = random_gram(rand, 3, spread=2)
-        vs = [tuple(rand.randint(-2, 2) for _ in range(3)) for _ in range(rand.randint(4, 6))]
-        if minor_gcd_invariants(vs) != [1, 1, 1]:
-            with pytest.raises(NotGenerating):
-                qg_upper_bound(L, [vs])
-            outcomes.add("not generating")
-            continue
-        worst = max(math.prod(norm(L, v) for v in combo)
-                    for combo in combinations(vs, 3) if bareiss_det(combo))
-        assert qg_upper_bound(L, [vs]) == worst / determinant(L)
-        outcomes.add("generating")
-        if any(not bareiss_det(combo) for combo in combinations(vs, 3)):
-            outcomes.add("dependent subfamily")
-    assert outcomes == {"not generating", "generating", "dependent subfamily"}
+    for _ in range(300):
+        n, d = rand.randint(2, 6), rand.choice((2, 3, 4, 6))
+        u = random_unimodular(rand, n)
+        scale = [rand.choice((1, d)) for _ in range(n)]
+        if rand.random() < 0.5:
+            scale_s = [1] * n
+        else:
+            scale_s = [rand.choice((1, e)) for e in scale]
+        frame = [[e * x for x in row] for e, row in zip(scale, u)]
+        between = [[e * x for x in row] for e, row in zip(scale_s, u)]
+        vecs = frame[:]
+        for _ in range(rand.randint(0, 2 * n)):
+            coeffs = [rand.randint(-2, 2) for _ in range(n)]
+            vecs.append([sum(c * row[j] for c, row in zip(coeffs, between)) for j in range(n)])
+        rand.shuffle(vecs)
+        m = abs(det_int(frame))
+        answer = _generates(vecs, n, m)
+        assert answer == _folds_to_identity(vecs, n)
+        outcomes.add((not m & (m - 1), answer))
+    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_the_completion_agrees_with_the_smith_form_test():

@@ -9,8 +9,9 @@ import pytest
 from latquot.codes import c9, weight_distribution
 from latquot.construct import centred_cubic, fixture_inventory, named, search_corpus, zd_lift, zn
 from latquot.core import GramLattice, Surd, _integral, _pivot_row, determinant, inner
-from latquot.enumeration import _dot, _times, minimum
+from latquot.enumeration import _Counter, _ball, _dot, _times, minimum
 from latquot.errors import DependentFrame, DimensionMismatch, RepsDoNotGenerate, ResourceExceeded
+from latquot.frames import _orthogonal_seed
 from latquot.linalg import det_int, det_rational, hnf_rows, identity_rows
 from latquot.sampling import perturbed, random_coset, random_gram
 from latquot.watson import (
@@ -24,7 +25,10 @@ from latquot.watson import (
     watson_identity,
     watson_index_bound,
 )
-from oracles import gram_schmidt, inverse_rational, minor_gcd_invariants, reference_maximal_index
+from oracles import (
+    conjugate, gram_schmidt, inverse_rational, minor_gcd_invariants, random_unimodular,
+    reference_maximal_index, reference_orthogonal_seed,
+)
 
 
 def frame_gram(L, rows):
@@ -358,3 +362,71 @@ def test_frame_search_node_totals_are_pinned(node_tally):
         node_tally[0] = 0
         assert maximal_index(named(name).lattice).exhaustive
         assert node_tally[0] == nodes, name
+
+
+# Every named lattice of rank at most 9.
+NAMED_UP_TO_9 = (
+    [f"A{n}" for n in range(1, 10)] + [f"D{n}" for n in range(3, 10)]
+    + [f"A{n}^2" for n in (3, 5, 7, 9)] + ["A5^3", "D6+", "E7", "E8", "A73", "A74"]
+)
+
+
+def _seed_pools(L):
+    """The pools ``maximal_index`` seeds from: per minimum, the ball's vectors of that norm.
+
+    Positions of equal norm share one list, as they do in the search.
+    """
+    context = _ball(L, _Counter(None))
+    keys = [int(x * context.denominator) for x in context.frame.norms]
+    shells = {}
+    for value, v in context.pairs:
+        if value in keys:
+            shells.setdefault(value, []).append(v)
+    return [shells[key] for key in keys]
+
+
+def test_the_seed_matches_the_full_scan():
+    # The seed multiplies only the vectors it picks by the Gram matrix
+    # and narrows each shared pool once per pick; the reference scans
+    # every pool vector's inner products for every position.  Every
+    # fixture and named lattice up to rank 9, each on its own basis and
+    # on three seeded conjugates.
+    rand = random.Random(31)
+    lattices = list(fixture_inventory().values()) + [named(x).lattice for x in NAMED_UP_TO_9]
+    for L in lattices:
+        for M in [L] + [conjugate(L, random_unimodular(rand, L.n)) for _ in range(3)]:
+            pools = _seed_pools(M)
+            a = M._form[1]
+            expected = reference_orthogonal_seed([[(v, _times(v, a)) for v in pool] for pool in pools])
+            assert _orthogonal_seed(pools, a) == expected, M.label
+
+
+def test_the_seed_falls_back_and_dead_ends_as_the_full_scan_does():
+    # Hand-made pools over Z^2 and Z^3 with the identity Gram matrix: a
+    # pick with no orthogonal vector left falls back to the first
+    # independent one, a pool with no independent vector ends the pass,
+    # and a pool first met after two picks is narrowed by both.
+    a2, a3 = identity_rows(2), identity_rows(3)
+    shared = [(1, 1, 0), (1, 0, 0), (0, 1, 1)]
+    for pools, a, seed in (
+        ([[(1, 0), (1, 1)], [(2, 0), (1, 1)]], a2, ((1, 0), (1, 1))),
+        ([[(1, 0)], [(2, 0)]], a2, None),
+        ([shared, shared, shared], a3, ((1, 1, 0), (1, 0, 0), (0, 1, 1))),
+        ([[(1, 0, 0)], [(0, 1, 0)], [(0, 1, 1), (0, 0, 1)]], a3, ((1, 0, 0), (0, 1, 0), (0, 0, 1))),
+    ):
+        paired = [[(v, _times(v, a)) for v in pool] for pool in pools]
+        assert reference_orthogonal_seed(paired) == seed
+        assert _orthogonal_seed(pools, a) == seed
+
+
+def test_the_maximal_index_is_invariant_under_a_change_of_basis():
+    # The index and whether it was decided exhaustively are invariants of
+    # the lattice, so every fixture reports the same on three seeded
+    # conjugates.  The quotient structure of the witness is left out: it
+    # may depend on the basis.
+    rand = random.Random(12)
+    for name, L in sorted(fixture_inventory().items()):
+        plain = maximal_index(L)
+        for _ in range(3):
+            report = maximal_index(conjugate(L, random_unimodular(rand, L.n)))
+            assert (report.max_index, report.exhaustive) == (plain.max_index, plain.exhaustive), name
