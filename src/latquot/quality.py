@@ -178,8 +178,6 @@ def _search(L: GramLattice, counter: _Counter, context: _Context):
     target = math.prod(x.numerator * (denominator // x.denominator) for x in base.norms)
     if best["num"] == target:
         return inc_prod, best["rows"], True, None
-    # every pass lists the ball, so its span holds the frame
-    index = abs(det_int(base.vectors))
 
     chosen: list[LatVec] = []
 
@@ -195,9 +193,12 @@ def _search(L: GramLattice, counter: _Counter, context: _Context):
         # When every listed vector lies in a proper sublattice, as the
         # short vectors of a Watson lattice do, no subset is a basis and
         # the whole tree would be walked just to learn that.  One check
-        # of the stacked listing settles it up front.
+        # of the stacked listing settles it up front.  The ball needs
+        # none: its radius is the largest reduced diagonal entry, so it
+        # holds the reduced basis.  A later listing holds the ball, so its
+        # span holds the frame of minima, of index |det F|.
         counter.spend()
-        if total < n or not _generates(vecs, n, index):
+        if pairs is not context.pairs and not _generates(vecs, n, abs(det_int(base.vectors))):
             return False
 
         def descend(start: int, prod: int, cols) -> bool:

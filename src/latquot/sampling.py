@@ -1,9 +1,9 @@
 """Seeded random instances for property tests and the search command.
 
-Every generator takes a ``random.Random`` so runs are reproducible from
-a single seed.  The lattice models are documented here because failures
-found by randomized checks must be reportable: a seed plus a model
-version pins down the exact instance.
+Every generator takes a ``random.Random``, so a seed plus a model
+version pins down any instance that a randomized check reports.
+``perturbed`` reads only ``getrandbits`` and ``random``: a subclass
+overriding ``randint``, ``sample`` or ``choice`` is not consulted.
 """
 
 from __future__ import annotations
@@ -15,12 +15,7 @@ from .errors import NotPositiveDefinite
 from .linalg import _insert, matmul, transpose
 from .watson import CosetVector
 
-__all__ = [
-    "random_basis",
-    "random_gram",
-    "random_coset",
-    "perturbed",
-]
+__all__ = ["random_basis", "random_gram", "random_coset", "perturbed"]
 
 
 def random_basis(rand: random.Random, n: int, spread: int = 3) -> list[list[int]]:
@@ -36,23 +31,33 @@ def random_basis(rand: random.Random, n: int, spread: int = 3) -> list[list[int]
 def random_gram(rand: random.Random, n: int, spread: int = 3) -> GramLattice:
     """A random integral lattice: the Gram matrix B*B^T of a random basis."""
     rows = random_basis(rand, n, spread)
-    gram = matmul(rows, transpose(rows))
-    return GramLattice.from_rows(gram, label=f"random{n}")
+    return GramLattice.from_rows(matmul(rows, transpose(rows)), label=f"random{n}")
+
+
+def _below(bits, w: int) -> int:
+    """``rand._randbelow(w)`` as CPython 3.10-3.13 draw it, from ``bits = rand.getrandbits``."""
+    k = w.bit_length()
+    r = bits(k)
+    while r >= w:
+        r = bits(k)
+    return r
 
 
 def _moves(rand: random.Random, n: int, steps: int = 12) -> list[tuple[int, int, int, bool]]:
     """The elementary moves ``(i, j, c, swap)`` of one random unimodular matrix.
 
     Move ``(i, j, c, swap)`` adds ``c`` times row ``j`` to row ``i``, then
-    exchanges the two rows if ``swap``.  Rank 1 draws nothing.
+    exchanges the two rows if ``swap``, drawn as ``rand.sample(range(n), 2)``,
+    ``rand.choice((-2, -1, 1, 2))`` and ``rand.random() < 0.5`` draw them.
     """
-    if n == 1:
-        return []
-    moves = []
-    for _ in range(steps):
-        i, j = rand.sample(range(n), 2)
-        c = rand.choice((-2, -1, 1, 2))
-        moves.append((i, j, c, rand.random() < 0.5))
+    bits, moves = rand.getrandbits, []
+    for _ in range(steps if n > 1 else 0):  # rank 1 draws nothing
+        # sample's pool (n <= 21) puts n - 1 in the slot of i; its set draws j again
+        i, j = _below(bits, n), _below(bits, n - (n <= 21))
+        while j == i and n > 21:
+            j = _below(bits, n)
+        c = (-2, -1, 1, 2)[_below(bits, 4)]
+        moves.append((i, n - 1 if j == i else j, c, rand.random() < 0.5))
     return moves
 
 
@@ -69,9 +74,8 @@ def random_coset(rand: random.Random, n: int, dmax: int = 5) -> CosetVector:
     """A valid coset vector: order exactly d with balanced coefficients."""
     while True:
         d = rand.randint(2, dmax)
-        a = tuple(rand.randint(-d, d) for _ in range(n))
         try:
-            return CosetVector(d, a)
+            return CosetVector(d, tuple(rand.randint(-d, d) for _ in range(n)))
         except ValueError:
             continue
 
@@ -79,25 +83,21 @@ def random_coset(rand: random.Random, n: int, dmax: int = 5) -> CosetVector:
 def perturbed(rand: random.Random, L: GramLattice, magnitude: int = 1) -> GramLattice:
     """A random integer perturbation of an integer-scaled copy of L.
 
-    The Gram matrix is scaled to clear denominators, a random symmetric
-    integer matrix with entries in [-magnitude, magnitude] is added, and
-    the result is conjugated by a random unimodular matrix.  A candidate
-    that is not positive definite is drawn again with the same magnitude,
-    up to 12 times in all; after that the noise is zero, so the result is
-    a conjugated copy of L itself.  Unimodular congruence preserves
-    definiteness, so each candidate is tested before it is conjugated and
-    only the accepted one is conjugated.
+    The Gram matrix, cleared of denominators, gets symmetric integer noise
+    in [-magnitude, magnitude]; a candidate that is not positive definite
+    is drawn again, up to 12 times, and then the noise is zero.  Only the
+    accepted one is conjugated by a random unimodular matrix, since
+    congruence keeps definiteness.  The draws read ``rand.getrandbits``
+    and ``rand.random`` only, never ``randint``, ``sample`` or ``choice``.
     """
-    base = L._form.gram
-    n = L.n
+    base, n, bits = L._form.gram, L.n, rand.getrandbits
     for attempt in range(13):
-        # the 13th candidate is base itself, which is positive definite,
-        # but its zero-width draws still advance the generator
+        # the 13th candidate is base itself, but its draws still advance rand
         m = magnitude if attempt < 12 else 0
-        cand = [list(row) for row in base]
+        w, cand = 2 * m + 1, [list(row) for row in base]
         for i in range(n):
-            for j in range(i, n):
-                cand[i][j] = cand[j][i] = base[i][j] + rand.randint(-m, m)
+            for j in range(i, n):  # rand.randint(-m, m) is -m + _below(bits, w)
+                cand[i][j] = cand[j][i] = base[i][j] - m + _below(bits, w)
         moves = _moves(rand, n)
         try:
             _leading_minors(cand)

@@ -1,5 +1,6 @@
 """End-to-end runs of the command line interface, in process."""
 
+import hashlib
 import json
 
 import pytest
@@ -227,6 +228,17 @@ def test_search_trials_are_pinned(capsys):
         ("A8", "1", True, True), ("Z8", "1", True, True), ("E8", "1", True, True),
         ("E8", "1", True, True), ("A8", "1", True, True),
     ]
+
+
+def test_search_stream_of_200_trials_is_pinned(capsys):
+    # The digest of the whole JSON report, taken before the sampler drew
+    # its values from getrandbits directly instead of through randint,
+    # sample and choice: every trial's lattice, and so every reported
+    # value, must come out of the same random stream.
+    code, out, _ = run(capsys, "search", "8", "--trials", "200", "--seed", "1", "--json")
+    assert code == PASS
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "076480bcca6cb64ca5231a9ba407e84be5937e293a45057ec8012797930525ce"
 
 
 def test_unknown_subcommand_exits_via_argparse(capsys):

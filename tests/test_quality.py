@@ -126,26 +126,58 @@ def _checked_generation(indices):
     return checked
 
 
-def test_every_pass_decides_generation_as_the_hermite_fold_does():
-    # Every pass of every fixture's basis search, on its own basis and
-    # on three seeded conjugates.  A frame index that is a power of 2
-    # settles generation mod 2; A73's frame has index 3 and takes the fold.
+def _ternary_glue():
+    """Z^15 glued by a/3 and b/3, a = 1^10 0^5 and b = 0^5 1^10.
+
+    Both glue vectors have norm 10/9 and every basis needs two vectors
+    outside Z^15, while the minima are the 15 unit vectors: the search
+    runs a second pass after its minima ball.  The basis is the Hermite
+    form of the generators of 3L, over 3.
+    """
+    rows = hnf_rows([[3 * (i == j) for j in range(15)] for i in range(15)]
+                    + [[1] * 10 + [0] * 5, [0] * 5 + [1] * 10])
+    gram = [[Fraction(sum(x * y for x, y in zip(r, s)), 9) for s in rows] for r in rows]
+    return GramLattice.from_rows(gram, label="Z15 + (a, b)/3")
+
+
+def test_only_later_passes_check_generation():
+    # The first pass of the basis search lists the minima ball, whose
+    # radius is the largest reduced diagonal entry: it holds the reduced
+    # basis, so it generates Z^n and is not checked.  Every check must
+    # come right after the listing of a later pass, and answer as the
+    # Hermite fold does.  Every fixture, on its own basis and on three
+    # seeded conjugates, then a lattice that runs a second pass.
+    events = []
+    listing = quality._listing
+
+    def listed(L, bound, counter):
+        events.append("listing")
+        return listing(L, bound, counter)
+
+    def checked(vecs, n, index):
+        assert events[-1:] == ["listing"], "generation checked on the ball pass"
+        answer = _generates(vecs, n, index)
+        assert answer == _folds_to_identity(vecs, n)
+        events.append(("generates", index, answer))
+        return answer
+
     rand = random.Random(47)
-    indices = []
-    with patch.object(quality, "_generates", _checked_generation(indices)):
-        qb(named("A73").lattice)
-        assert indices == [3]
+    with patch.object(quality, "_listing", listed), patch.object(quality, "_generates", checked):
         for L in fixture_inventory().values():
             for M in [L] + [conjugate(L, random_unimodular(rand, L.n)) for _ in range(3)]:
+                events.clear()
                 qb(M)
-    powers = [m for m in indices if not m & (m - 1)]
-    assert powers and len(powers) < len(indices)
+        events.clear()
+        report = qb(_ternary_glue())
+    assert events == ["listing", ("generates", 9, True)]
+    assert report.Qb == Fraction(100, 81) and report.certified
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32), st.integers(5, 8))
 def test_random_lattices_decide_generation_as_the_hermite_fold_does(seed, n):
-    # About one random lattice in five of these ranks runs a pass.
+    # Only a pass after the minima ball checks generation, and random
+    # lattices of these ranks seldom run one (none of 3,000 tried).
     with patch.object(quality, "_generates", _checked_generation([])):
         qb(random_gram(random.Random(seed), n, spread=2))
 

@@ -95,6 +95,31 @@ def test_random_unimodular_matches_the_reference_draw_for_draw():
             assert rand.getstate() == ref.getstate()
 
 
+def test_below_draws_as_randint_does():
+    # The sampler's draws against the stdlib on the running interpreter:
+    # the same value and the same generator state after every call.
+    for seed in range(20):
+        rand, ref = random.Random(seed), random.Random(seed)
+        for w in range(1, 10):
+            for _ in range(5):
+                assert sampling._below(rand.getrandbits, w) == ref.randint(0, w - 1), (seed, w)
+                assert rand.getstate() == ref.getstate(), (seed, w)
+
+
+def test_moves_draw_as_sample_choice_and_random_do():
+    # sample(range(n), 2) draws from a pool up to n = 21 and from a set
+    # above it; both ways are checked, move by move.
+    for seed in range(20):
+        for n in list(range(2, 13)) + [21, 22, 25]:
+            rand, ref = random.Random(seed), random.Random(seed)
+            for _ in range(5):
+                (move,) = sampling._moves(rand, n, steps=1)
+                i, j = ref.sample(range(n), 2)
+                want = (i, j, ref.choice((-2, -1, 1, 2)), ref.random() < 0.5)
+                assert move == want, (seed, n)
+                assert rand.getstate() == ref.getstate(), (seed, n)
+
+
 class _CountingRandom(random.Random):
     """A generator that counts its zero-width ``randint`` draws."""
 
@@ -111,12 +136,13 @@ def test_perturbed_matches_the_reference_draw_for_draw():
     # candidate first and conjugates only the accepted one.  Lattices,
     # labels and the generator state must agree after every draw, also
     # when every noisy attempt fails and the zero-noise one is taken.
+    # The sampler never calls randint, so the reference counts those.
     fallbacks = 0
     for n in range(1, 11):
         corpus = search_corpus(n)
         for seed in (1, 2, 3):
             for magnitude in (0, 1, 2):
-                rand, ref = _CountingRandom(seed), random.Random(seed)
+                rand, ref = random.Random(seed), _CountingRandom(seed)
                 for t in range(6):
                     L = corpus[t % len(corpus)]
                     got = perturbed(rand, L, magnitude)
@@ -124,5 +150,5 @@ def test_perturbed_matches_the_reference_draw_for_draw():
                     assert (got.gram, got.label) == (want.gram, want.label), (n, seed, t)
                     assert rand.getstate() == ref.getstate(), (n, seed, t)
                 if magnitude:
-                    fallbacks += rand.zero_draws > 0
+                    fallbacks += ref.zero_draws > 0
     assert fallbacks > 0
