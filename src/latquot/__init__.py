@@ -26,9 +26,8 @@ _EXPORTS = {
         "vdw_bound",
     ),
     "codes": (
-        "Code", "WeightDistribution", "canonical_form", "classify_binary",
-        "code_qb_bound", "dump_code_text", "equivalent", "min_weight_support",
-        "parse_code_text", "weight_distribution",
+        "Code", "WeightDistribution", "classify_binary", "code_qb_bound",
+        "min_weight_support", "weight_distribution",
     ),
     "construct": (
         "NamedLattice", "centred_cubic", "code_lift", "fixture_inventory",
@@ -36,9 +35,8 @@ _EXPORTS = {
     ),
     "core": (
         "GramLattice", "HERMITE_POWER", "InvariantReport", "Surd",
-        "determinant", "dump_lattice_json", "dump_lattice_text", "inner",
-        "load_lattice", "norm", "parse_lattice_json", "parse_lattice_text",
-        "qform",
+        "determinant", "inner", "load_lattice", "norm", "parse_lattice_json",
+        "parse_lattice_text", "qform",
     ),
     "enumeration": (
         "Frame", "ShellListing", "invariant_report", "is_well_rounded",
@@ -60,9 +58,9 @@ _EXPORTS = {
         "VerificationCase", "run_suite",
     ),
     "watson": (
-        "CosetVector", "IndexReport", "QuotientStructure", "extract_code",
-        "maximal_index", "quotient_generators", "quotient_structure",
-        "watson_condition", "watson_identity", "watson_index_bound",
+        "CosetVector", "IndexReport", "QuotientStructure", "maximal_index",
+        "quotient_structure", "watson_condition", "watson_identity",
+        "watson_index_bound",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

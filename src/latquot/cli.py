@@ -140,9 +140,6 @@ def cmd_search(args) -> int:
     import random
 
     corpus = search_corpus(args.n)
-    if not corpus:
-        print(f"no rank {args.n} base lattices available", file=sys.stderr)
-        return USAGE
     rand = random.Random(args.seed)
     best = None
     trials = []

@@ -1,4 +1,4 @@
-"""Codes over Z/dZ: weights, distributions, equivalence, classification.
+"""Codes over Z/dZ: weights, distributions and classification.
 
 Binary codes are the main actors: their weight distributions control
 the quality bounds of the lattices lifted from them, and the small
@@ -18,7 +18,7 @@ from itertools import product
 from math import prod
 
 from .enumeration import _Counter
-from .errors import CodeTooLight, ParseError, ResourceExceeded
+from .errors import CodeTooLight, ResourceExceeded
 from .linalg import _insert2, _rref2, hnf_rows
 
 WORD_LIMIT = 10**7
@@ -157,27 +157,6 @@ def _orbit(cols, k: int) -> set[tuple[int, ...]]:
     return {tuple(sorted(t[c] for c in cols)) for t in _gl2(k)}
 
 
-def canonical_form(c: Code) -> tuple[int, ...]:
-    """Canonical invariant of a binary code under column permutation.
-
-    The columns of a generator matrix, read as functionals on the row
-    space, determine the code up to permutation once the choice of
-    basis is quotiented out; minimizing the sorted column multiset over
-    GL(k, 2) therefore yields a complete invariant.
-    """
-    if c.d != 2:
-        raise ValueError("canonical forms are defined for binary codes only")
-    cols = [sum(c.gen[i][j] << i for i in range(c.k)) for j in range(c.n)]
-    return min(_orbit(cols, c.k))
-
-
-def equivalent(a: Code, b: Code) -> bool:
-    """Whether two binary codes agree up to a column permutation."""
-    if (a.n, a.k) != (b.n, b.k):
-        return False
-    return canonical_form(a) == canonical_form(b)
-
-
 def _code_from_signature(sig: tuple[int, ...], n: int, k: int) -> Code:
     gen = tuple(
         tuple((col >> i) & 1 for col in sig) for i in range(k)
@@ -202,6 +181,8 @@ def classify_binary(n: int, k: int, min_w: int,
     """
     if n > 12 or not 1 <= k <= 4:
         raise ValueError("classification supported for 1 <= k <= 4, n <= 12")
+    if n < 1:
+        raise ValueError("code length must be at least 1")
     counter = _Counter(budget)
     target = max(min_w, 1)
     parities = [[(f & v).bit_count() & 1 for f in range(1, 1 << k)]
@@ -252,38 +233,6 @@ def code_qb_bound(c: Code) -> Fraction:
         if _insert2(rows, w):
             best *= weight
     return Fraction(best, 4**c.k)
-
-
-def parse_code_text(text: str) -> Code:
-    """Parse the code text format: 'd n k' then k rows of digits."""
-    lines = [line.strip() for line in text.splitlines() if line.strip()]
-    if not lines:
-        raise ParseError(1, "empty code file")
-    head = lines[0].split()
-    if len(head) != 3:
-        raise ParseError(1, "expected 'd n k'")
-    try:
-        d, n, k = (int(x) for x in head)
-    except ValueError:
-        raise ParseError(1, "expected three integers") from None
-    if len(lines) != k + 1:
-        raise ParseError(len(lines), f"expected {k} generator rows")
-    gen = []
-    for idx, line in enumerate(lines[1:], start=2):
-        if len(line) != n or not line.isdigit():
-            raise ParseError(idx, f"expected {n} digits")
-        gen.append(tuple(int(ch) for ch in line))
-    return Code(d=d, n=n, k=k, gen=tuple(gen))
-
-
-def dump_code_text(c: Code) -> str:
-    rows = ["".join(str(x) for x in row) for row in c.gen]
-    return "\n".join([f"{c.d} {c.n} {c.k}"] + rows) + "\n"
-
-
-def repetition(n: int) -> Code:
-    """The [n, 1, n] binary repetition code."""
-    return Code(d=2, n=n, k=1, gen=((1,) * n,))
 
 
 def c8() -> Code:

@@ -320,15 +320,6 @@ def parse_lattice_text(text: str) -> GramLattice:
     return GramLattice(n, tuple(rows), label)
 
 
-def dump_lattice_text(L: GramLattice) -> str:
-    lines = [str(L.n)]
-    for row in L.gram:
-        lines.append(" ".join(format_rational(x) for x in row))
-    if L.label:
-        lines.append(f"# {L.label}")
-    return "\n".join(lines) + "\n"
-
-
 def parse_lattice_json(text: str) -> GramLattice:
     try:
         data = json.loads(text)
@@ -345,15 +336,6 @@ def parse_lattice_json(text: str) -> GramLattice:
     if not rows:
         raise ParseError(1, "rank must be at least 1")
     return GramLattice(n, rows, data.get("label"))
-
-
-def dump_lattice_json(L: GramLattice) -> str:
-    data = {
-        "n": L.n,
-        "gram": [[format_rational(x) for x in row] for row in L.gram],
-        "label": L.label,
-    }
-    return json.dumps(data, indent=2) + "\n"
 
 
 def load_lattice(path) -> GramLattice:

@@ -28,7 +28,7 @@ class NotPositiveDefinite(LatquotError):
 
 
 class ParseError(LatquotError):
-    """A lattice or code file could not be parsed."""
+    """A lattice file could not be parsed."""
 
     def __init__(self, line: int, message: str):
         self.line = line
@@ -46,10 +46,6 @@ class ResourceExceeded(LatquotError):
 
 class DependentFrame(LatquotError):
     """Frame vectors are linearly dependent."""
-
-
-class RepsDoNotGenerate(LatquotError):
-    """Supplied coset representatives do not generate the quotient group."""
 
 
 class CodeTooLight(LatquotError):

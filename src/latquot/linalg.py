@@ -3,7 +3,8 @@
 Each ring has one elimination: ``_insert`` builds an echelon form over Q
 a row at a time, ``_hermite`` the Hermite normal form over Z, on which
 ``hnf_rows``, ``det_int`` and the Smith form stand, and ``_insert2`` a
-reduced echelon form over GF(2).
+reduced echelon form over GF(2).  The Smith form yields the invariant
+factors alone; no transform is kept.
 """
 
 from __future__ import annotations
@@ -62,15 +63,12 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return (a, x0, y0) if a >= 0 else (-a, -x0, -y0)
 
 
-def _hermite(work: list[list[int]], u: list[list[int]] | None = None) -> tuple[int, int]:
+def _hermite(work: list[list[int]]) -> tuple[int, int]:
     """Bring the rows to the Hermite normal form of ``hnf_rows``, in place.
 
     Returns the rank r, the number of nonzero rows, which come first, and
     det U = +-1 for the moves U, each row swap and negation flipping it.
-    With ``u`` given each move is applied to its rows too, so ``u`` = I
-    comes back as U.
     """
-    mats = (work,) if u is None else (work, u)
     top, sign = 0, 1
     for col in range(len(work[0]) if work else 0):
         while True:
@@ -81,23 +79,19 @@ def _hermite(work: list[list[int]], u: list[list[int]] | None = None) -> tuple[i
             for i in live:
                 if i != head:
                     q = work[i][col] // work[head][col]
-                    for m in mats:
-                        m[i] = [a - q * b for a, b in zip(m[i], m[head])]
+                    work[i] = [a - q * b for a, b in zip(work[i], work[head])]
         if not live:
             continue
         if live[0] != top:
-            for m in mats:
-                m[top], m[live[0]] = m[live[0]], m[top]
+            work[top], work[live[0]] = work[live[0]], work[top]
             sign = -sign
         if work[top][col] < 0:
-            for m in mats:
-                m[top] = [-a for a in m[top]]
+            work[top] = [-a for a in work[top]]
             sign = -sign
         for i in range(top):
             q = work[i][col] // work[top][col]
             if q:
-                for m in mats:
-                    m[i] = [a - q * b for a, b in zip(m[i], m[top])]
+                work[i] = [a - q * b for a, b in zip(work[i], work[top])]
         top += 1
     return top, sign
 
@@ -122,50 +116,25 @@ def det_int(rows: Sequence[Sequence[int]]) -> int:
     return sign * prod(work[i][i] for i in range(rank)) if rank == len(work) else 0
 
 
-def _smith(a: list[list[int]], u=None, vt=None) -> list[int]:
+def smith_invariants(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """Nonzero invariant factors of an integer matrix, in divisibility order.
 
-    Row and column Hermite forms alternate until ``a`` is diagonal (Kannan
-    and Bachem, SIAM J. Comput. 8, 1979), then each pair of diagonal
-    entries becomes its gcd and lcm.  Row moves go to the rows of ``u`` and
-    column moves to the rows of ``vt``: from ``u`` = ``vt`` = I, U·A·V is
-    the diagonal for V = ``vt``^T.
+    Row and column Hermite forms alternate until the matrix is diagonal
+    (Kannan and Bachem, SIAM J. Comput. 8, 1979), then each pair of
+    diagonal entries becomes its gcd and lcm.
     """
-    m, moves, other = a, u, vt
+    m = [list(r) for r in rows]
     while True:
-        rank, _ = _hermite(m, moves)
+        rank, _ = _hermite(m)
         if not any(any(row[i + 1:]) for i, row in enumerate(m)):
             break
-        m, moves, other = transpose(m), other, moves
+        m = transpose(m)
     d = [m[i][i] for i in range(rank)]
     for i in range(rank):
         for j in range(i + 1, rank):
-            p, q = d[i], d[j]
-            if q % p == 0:
-                continue
-            g, x, y = _xgcd(p, q)
-            d[i], d[j] = g, p // g * q
-            if u is not None:
-                # row i += row j, columns (i, j) times [[x, -q/g], [y, p/g]],
-                # then row j -= (q y / g) row i: diag(p, q) becomes diag(g, pq/g)
-                u[i] = [s + t for s, t in zip(u[i], u[j])]
-                u[j] = [t - q // g * y * s for s, t in zip(u[i], u[j])]
-                vt[i], vt[j] = ([x * s + y * t for s, t in zip(vt[i], vt[j])],
-                                [p // g * t - q // g * s for s, t in zip(vt[i], vt[j])])
-    return d
-
-
-def smith_invariants(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Nonzero invariant factors of an integer matrix, in divisibility order."""
-    return tuple(_smith([list(r) for r in rows]))
-
-
-def smith_with_transforms(rows: Sequence[Sequence[int]]):
-    """Invariant factors together with unimodular U, V such that U*A*V is diagonal."""
-    a = [list(r) for r in rows]
-    u = identity_rows(len(a))
-    vt = identity_rows(len(a[0]) if a else 0)
-    return tuple(_smith(a, u, vt)), u, transpose(vt)
+            g = gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] // g * d[j]
+    return tuple(d)
 
 
 def is_primitive(rows: Sequence[Sequence[int]]) -> bool:

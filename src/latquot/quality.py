@@ -21,13 +21,8 @@ walk over the sorted listing finds that product.  The bound settles the
 well-rounded code lifts, whose trees would otherwise walk the n-subsets
 of their minimal vectors.
 
-A pass walks its tree only when its listing generates the lattice.
-Every pass lists the minima ball, so its span S holds the frame F of
-successive minima, and [L:S] divides m = [L:F], computed once per
-search.  When m is a power of 2, as on the code lifts and on A74, L/S
-is a 2-group, trivial exactly when the listing's classes in L/2L span
-it: one GF(2) echelon walk over the coordinate parities decides
-generation.  Otherwise the listing is folded into a Hermite form.
+A pass after the minima ball walks its tree only when its listing
+generates the lattice, which one Hermite form of the listing decides.
 
 Primitivity is read off a unimodular completion carried down the tree
 (Cohen, GTM 138, Sec. 2.4): a unimodular W with the chosen prefix times
@@ -47,7 +42,7 @@ from math import gcd
 from .core import GramLattice, LatVec, Rational, determinant
 from .enumeration import _Context, _Counter, _ball, _context, _listing, _times
 from .errors import ResourceExceeded
-from .linalg import _insert2, _xgcd, det_int, hnf_rows, identity_rows
+from .linalg import _insert2, _xgcd, hnf_rows, identity_rows
 from .linalg import is_primitive  # noqa: F401  uncalled; perfbench's tracer wraps this name
 
 __all__ = ["QualityReport", "hermite_Hb", "qb"]
@@ -69,29 +64,14 @@ class QualityReport:
     frontier: Rational | None = None
 
 
-def _parity(v) -> int:
-    """The class of ``v`` in L/2L = F_2^n as a bit mask: its coordinate parities."""
-    return sum((x & 1) << i for i, x in enumerate(v))
+def _generates(vecs, n: int) -> bool:
+    """Whether the integer row span of the vectors is all of Z^n.
 
-
-def _generates(vecs, n: int, index: int) -> bool:
-    """Whether the integer row span S of the vectors is all of Z^n.
-
-    ``index`` is [Z^n : F] for some F of full rank inside S, so
-    [Z^n : S] divides it.  When it is a power of 2, Z^n / S is a 2-group,
-    which is trivial exactly when it has no quotient of order 2, that is
-    when the parities of the vectors span F_2^n: one GF(2) echelon walk
-    decides it.  Otherwise the rows are folded into a running Hermite
-    form a chunk at a time, so the working set never exceeds n + chunk
-    rows no matter how long the listing is, and the fold stops as soon
-    as the form reaches the identity.
+    The rows are folded into a running Hermite form a chunk at a time,
+    so the working set never exceeds n + chunk rows no matter how long
+    the listing is, and the fold stops as soon as the form reaches the
+    identity.
     """
-    if not index & (index - 1):
-        echelon: dict[int, int] = {}
-        for v in vecs:
-            if _insert2(echelon, _parity(v)) and len(echelon) == n:
-                return True
-        return False
     state: list[list[int]] = []
     step = 4 * n
     for start in range(0, len(vecs), step):
@@ -140,7 +120,7 @@ def _parity_bound(pairs, n: int, missing: int) -> int:
     rows: dict[int, int] = {}
     product = 1
     for value, v in pairs:
-        if _insert2(rows, _parity(v)):
+        if _insert2(rows, sum((x & 1) << i for i, x in enumerate(v))):
             product *= value
             if len(rows) == n:
                 return product
@@ -195,10 +175,9 @@ def _search(L: GramLattice, counter: _Counter, context: _Context):
         # the whole tree would be walked just to learn that.  One check
         # of the stacked listing settles it up front.  The ball needs
         # none: its radius is the largest reduced diagonal entry, so it
-        # holds the reduced basis.  A later listing holds the ball, so its
-        # span holds the frame of minima, of index |det F|.
+        # holds the reduced basis.
         counter.spend()
-        if pairs is not context.pairs and not _generates(vecs, n, abs(det_int(base.vectors))):
+        if pairs is not context.pairs and not _generates(vecs, n):
             return False
 
         def descend(start: int, prod: int, cols) -> bool:

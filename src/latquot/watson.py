@@ -3,8 +3,8 @@
 Given a lattice and a frame of successive minima, the sublattice
 generated by the frame sits with finite index, and the quotient group
 carries the invariants studied here: its elementary-divisor structure,
-coset representatives, the associated code over Z/dZ, and the identity
-and condition that constrain the norms of coset vectors.
+and the identity and condition that constrain the norms of coset
+vectors.
 
 The central search is ``maximal_index``: the largest quotient order over
 all frames of successive minima.  It is decided over the candidate
@@ -31,17 +31,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from .core import HERMITE_POWER, GramLattice, Surd, determinant, qform
 from .enumeration import Frame, _Counter, _ball, _times
-from .errors import DependentFrame, DimensionMismatch, RepsDoNotGenerate, ResourceExceeded
+from .errors import DependentFrame, DimensionMismatch, ResourceExceeded
 from .frames import _first_frame, _kernels, _marks, _orthogonal_seed, _primes
-from .linalg import det_int, hnf_rows, identity_rows, smith_invariants, smith_with_transforms
+from .linalg import det_int, smith_invariants
 from .linalg import det_rational, matmul  # noqa: F401  uncalled; perfbench's tracer wraps these names
-
-if TYPE_CHECKING:
-    from .codes import Code
 
 
 @dataclass(frozen=True)
@@ -129,80 +125,21 @@ class IndexReport:
     exhaustive: bool
 
 
-def _frame_rows(L: GramLattice, frame) -> tuple[tuple[int, ...], ...]:
-    """The frame's rows as integer tuples, checked to be n rows of length n."""
+def quotient_structure(L: GramLattice, frame) -> QuotientStructure:
+    """Structure of the quotient of the lattice by the span of the frame.
+
+    The frame is a ``Frame`` or n integer rows of length n.
+    """
     rows = frame.vectors if isinstance(frame, Frame) else tuple(tuple(map(int, r)) for r in frame)
     if len(rows) != L.n:
         raise DependentFrame("frame must contain n vectors")
     if any(len(row) != L.n for row in rows):
         raise DimensionMismatch("frame vector length does not match lattice rank")
-    return rows
-
-
-def quotient_structure(L: GramLattice, frame) -> QuotientStructure:
-    """Structure of the quotient of the lattice by the span of the frame."""
-    rows = _frame_rows(L, frame)
     invariants = smith_invariants(rows)
     if len(invariants) < L.n:
         raise DependentFrame("frame vectors are dependent")
     factors = tuple(f for f in invariants if f > 1)
     return QuotientStructure(invariant_factors=factors, index=math.prod(invariants))
-
-
-def quotient_generators(L: GramLattice, frame) -> list[CosetVector]:
-    """Coset representatives generating the quotient, one per invariant factor.
-
-    The representative for the factor d_i is returned through its
-    numerators relative to the frame, so it can be fed straight to
-    ``watson_identity`` or ``extract_code``.
-    """
-    rows = _frame_rows(L, frame)
-    diag, u, _ = smith_with_transforms(rows)
-    if len(diag) < L.n:
-        raise DependentFrame("frame vectors are dependent")
-    out = []
-    for i, d in enumerate(diag):
-        if d > 1:
-            out.append(CosetVector(d=d, a=tuple(u[i])))
-    return out
-
-
-def extract_code(L: GramLattice, frame, coset_reps) -> Code:
-    """The code over Z/dZ cut out by coset representatives of the quotient.
-
-    ``d`` is the least common multiple of the representative orders; a
-    representative of order d_i contributes the row (d/d_i) * a mod d.
-    Raises RepsDoNotGenerate if the representatives fail to generate the
-    quotient of the lattice by the frame.
-    """
-    from .codes import Code
-
-    rows = _frame_rows(L, frame)
-    reps = list(coset_reps)
-    if not reps:
-        raise RepsDoNotGenerate("no representatives supplied")
-    if any(rep.n != L.n for rep in reps):
-        raise DimensionMismatch("coset length does not match the lattice rank")
-    d = 1
-    for rep in reps:
-        d = d * rep.d // math.gcd(d, rep.d)
-
-    # the lattice is generated by the frame and the representatives
-    # exactly when the scaled stack spans d * Z^n, whose Hermite form is d * I
-    stacked = [[d * x for x in row] for row in rows]
-    for rep in reps:
-        scale = d // rep.d
-        stacked.append([
-            scale * sum(rep.a[i] * rows[i][j] for i in range(len(rows)))
-            for j in range(L.n)
-        ])
-    if hnf_rows(stacked) != [[d * x for x in row] for row in identity_rows(L.n)]:
-        raise RepsDoNotGenerate("representatives do not generate the quotient")
-
-    gen = tuple(
-        tuple((d // rep.d) * x % d for x in rep.a) for rep in reps
-    )
-    return Code(d=d, n=L.n, k=len(reps), gen=gen)
 
 
 def watson_identity(basis: GramLattice, c: CosetVector) -> tuple[Fraction, Fraction]:

@@ -2,25 +2,27 @@
 
 Everything here recomputes package results along a different code path:
 ranks and inverses by Gaussian elimination over Q, integer determinants
-by fraction-free (Bareiss) elimination, vector listings by
-coordinate boxes, the class minima of L/2L by one covering box on the
-reference LLL basis and the least product over their bases by trying
-every subset, Smith invariants by minor gcds, basis search by testing
-every candidate subset, LLL by recomputing the Gram-Schmidt data from
-scratch after every swap, the reduced Gram matrix as U G U^T, binary
-code classes by walking every generator matrix in echelon form, the
-code bound by trying every k-subset of the words, construction
-witnesses from their definitions, the random lattice models by
-conjugating every candidate with matrix products, short-vector listings
-by the Fincke-Pohst kernel as first written (a centre loop per node, a
-sign test per leaf, one sort), frames of successive minima by
-fraction-free pivot rows over the Gram matrix, and the greedy frame of
-the index search by scanning every pool vector's inner products.  Slow
-on purpose; the tests only feed these small instances.
+by fraction-free (Bareiss) elimination, vector listings by coordinate
+boxes, the class minima of L/2L by one covering box on the reference LLL
+basis and the least product over their bases by trying every subset,
+Smith invariants by minor gcds, basis search by testing every candidate
+subset, LLL by recomputing the Gram-Schmidt data from scratch after
+every swap, the reduced Gram matrix as U G U^T, binary code classes by
+walking every generator matrix in echelon form, the canonical form of a
+binary code by applying every matrix of GL(k, 2) to its columns, the
+code bound by trying every k-subset of the words, construction witnesses
+from their definitions, the random lattice models by conjugating every
+candidate with matrix products, short-vector listings by the
+Fincke-Pohst kernel as first written (a centre loop per node, a sign
+test per leaf, one sort), frames of successive minima by fraction-free
+pivot rows over the Gram matrix, and the greedy frame of the index
+search by scanning every pool vector's inner products.  Slow on purpose;
+the tests only feed these small instances.
 
-``random_unimodular`` and ``conjugate`` are test helpers rather than
-references: they draw unimodular matrices the way the sampler does and
-present a lattice on a new basis.
+``random_unimodular``, ``conjugate`` and ``repetition`` are test helpers
+rather than references: they draw unimodular matrices the way the
+sampler does, present a lattice on a new basis and build the binary
+repetition code.
 """
 
 from fractions import Fraction
@@ -459,13 +461,53 @@ def _gf2_rank(rows) -> int:
 
 
 @lru_cache(maxsize=None)
+def _gl2_transforms(k):
+    """GL(k, 2), each matrix as its k rows, given as bit masks."""
+    return [rows for rows in product(range(1, 1 << k), repeat=k) if _gf2_rank(rows) == k]
+
+
+def _gl2_orbit(cols, k):
+    """Every image of a column multiset under GL(k, 2), as sorted tuples."""
+    return {
+        tuple(sorted(
+            sum(((row & col).bit_count() & 1) << i for i, row in enumerate(t))
+            for col in cols
+        ))
+        for t in _gl2_transforms(k)
+    }
+
+
+def canonical_form(c) -> tuple[int, ...]:
+    """The least sorted column multiset over GL(k, 2) of a binary code.
+
+    The columns, read as functionals on the row space, determine the
+    code up to column permutation once the choice of basis is quotiented
+    out, so this is a complete invariant.
+    """
+    if c.d != 2:
+        raise ValueError("canonical forms are defined for binary codes only")
+    cols = [sum(c.gen[i][j] << i for i in range(c.k)) for j in range(c.n)]
+    return min(_gl2_orbit(cols, c.k))
+
+
+def equivalent(a, b) -> bool:
+    """Whether two binary codes agree up to a column permutation."""
+    return (a.n, a.k) == (b.n, b.k) and canonical_form(a) == canonical_form(b)
+
+
+def repetition(n):
+    """The [n, 1, n] binary repetition code."""
+    from latquot.codes import Code
+
+    return Code(d=2, n=n, k=1, gen=((1,) * n,))
+
+
+@lru_cache(maxsize=None)
 def _echelon_classes(n, k):
     """Least column multiset and minimum weight of every full-support
     binary [n, k] code, one entry per generator matrix in reduced row
     echelon form; each orbit is computed once and cached by its members.
     """
-    transforms = [rows for rows in product(range(1, 1 << k), repeat=k)
-                  if _gf2_rank(rows) == k]
     least = {}
     out = []
     full = (1 << n) - 1
@@ -488,13 +530,7 @@ def _echelon_classes(n, k):
                 sum((rows[i] >> j & 1) << i for i in range(k)) for j in range(n)
             ))
             if cols not in least:
-                orbit = {
-                    tuple(sorted(
-                        sum(((row & col).bit_count() & 1) << i for i, row in enumerate(t))
-                        for col in cols
-                    ))
-                    for t in transforms
-                }
+                orbit = _gl2_orbit(cols, k)
                 least.update(dict.fromkeys(orbit, min(orbit)))
             out.append((min(w.bit_count() for w in words if w), least[cols]))
     return out

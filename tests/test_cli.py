@@ -145,6 +145,13 @@ def test_classify_rejects_a_dimension_out_of_range(capsys):
     assert "1 <= k <= 4" in err
 
 
+def test_classify_rejects_a_length_below_one(capsys):
+    for n in ("-1", "0"):
+        code, out, err = run(capsys, "classify", n, "1", "0")
+        assert (code, out) == (USAGE, "")
+        assert "code length must be at least 1" in err
+
+
 def test_watson_text(capsys):
     code, out, _ = run(
         capsys, "watson", str(fixture_path("zn4")), "--coset", "2:1,1,1,1"

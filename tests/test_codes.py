@@ -13,20 +13,18 @@ from latquot.codes import (
     c9,
     c10,
     c11,
-    canonical_form,
     classify_binary,
     code_qb_bound,
-    dump_code_text,
-    equivalent,
     g12,
     min_weight_support,
-    parse_code_text,
-    repetition,
     weight_distribution,
 )
-from latquot.errors import CodeTooLight, ParseError, ResourceExceeded
+from latquot.errors import CodeTooLight, ResourceExceeded
 from latquot.linalg import _insert2, _rref2, identity_rows
-from oracles import _gf2_rank, minor_gcd_invariants, reference_classify_binary, reference_code_qb_bound
+from oracles import (
+    _gf2_rank, canonical_form, equivalent, minor_gcd_invariants, reference_classify_binary,
+    reference_code_qb_bound, repetition,
+)
 
 
 def test_code_validation_agrees_with_the_minor_gcd_index():
@@ -232,19 +230,3 @@ def test_the_greedy_code_bound_matches_every_subset():
     for c in codes:
         assert code_qb_bound(c) == reference_code_qb_bound(c), c
 
-
-def test_text_round_trip():
-    for code in (c8(), c11(), Code(d=4, n=3, k=1, gen=((1, 2, 3),))):
-        again = parse_code_text(dump_code_text(code))
-        assert again == code
-
-
-def test_parse_errors():
-    with pytest.raises(ParseError):
-        parse_code_text("")
-    with pytest.raises(ParseError):
-        parse_code_text("2 4\n1111\n")
-    with pytest.raises(ParseError):
-        parse_code_text("2 4 2\n1111\n")
-    with pytest.raises(ParseError):
-        parse_code_text("2 4 1\n111\n")

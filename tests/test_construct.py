@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from latquot.codes import Code, c8, repetition
+from latquot.codes import Code, c8
 from latquot.construct import (
     centred_cubic,
     code_lift,
@@ -24,6 +24,7 @@ from latquot.errors import (
     UnknownLattice,
 )
 from latquot.watson import maximal_index
+from oracles import repetition
 
 # (rank, determinant, minimum, minimal pairs) for the catalogue
 CATALOGUE = {

@@ -10,8 +10,6 @@ from latquot.core import (
     GramLattice,
     Surd,
     determinant,
-    dump_lattice_json,
-    dump_lattice_text,
     inner,
     norm,
     parse_lattice_json,
@@ -105,19 +103,16 @@ def test_determinant_of_scaled_copy():
     assert determinant(L.scaled(Fraction(1, 2))) == Fraction(3, 4)
 
 
-def test_text_round_trip_preserves_gram_and_label():
-    L = GramLattice.from_rows([[1, Fraction(1, 2)], [Fraction(1, 2), Fraction(5, 4)]],
-                              label="half")
-    again = parse_lattice_text(dump_lattice_text(L))
-    assert again.gram == L.gram
-    assert again.label == "half"
+def test_text_parse_reads_gram_and_label():
+    L = parse_lattice_text("2\n1 1/2\n1/2 5/4\n# half\n")
+    assert L.gram == ((1, Fraction(1, 2)), (Fraction(1, 2), Fraction(5, 4)))
+    assert L.label == "half"
 
 
-def test_json_round_trip_preserves_gram_and_label():
-    L = GramLattice.from_rows([[3, 1], [1, 3]], label="three")
-    again = parse_lattice_json(dump_lattice_json(L))
-    assert again.gram == L.gram
-    assert again.label == "three"
+def test_json_parse_reads_gram_and_label():
+    L = parse_lattice_json('{"n": 2, "gram": [["3", "1/2"], ["1/2", "3"]], "label": "three"}')
+    assert L.gram == ((3, Fraction(1, 2)), (Fraction(1, 2), 3))
+    assert L.label == "three"
 
 
 def test_parse_errors_carry_line_numbers():

@@ -1,5 +1,6 @@
-"""The package namespace and the README's quick start."""
+"""The package namespace, the README's quick start and the callers of each name."""
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -77,3 +78,50 @@ def test_every_tracer_span_keeps_a_binding():
         fn = getattr(importlib.import_module(module), attr, None)
         bound.setdefault(span, []).extend([f"{module}.{attr}"] if callable(fn) else [])
     assert [span for span, names in bound.items() if not names] == []
+
+
+# Top-level names of src/latquot that nothing in src/ or perfbench/ calls,
+# each with the reason it stays.
+UNCALLED = {
+    "hermite_Hb": "README documents it as one of the paper's quantities",
+    "minkowski_M": "README documents it as one of the paper's quantities",
+    "fixture_inventory": "README documents it as one of the paper's quantities",
+    "tuvw_bounds": "README documents it as one of the paper's quantities",
+    "context_from": "one of the paper's inequalities, for a table of Q_b beside L/F",
+    "step_bound": "one of the paper's inequalities, for a table of Q_b beside L/F",
+    "hermite_Hb_bound": "one of the paper's inequalities, for a table of Q_b beside L/F",
+    "det_rational": "perfbench's tracer wraps it through a noqa import",
+    "is_primitive": "perfbench's tracer wraps it through a noqa import",
+    "norm": "an accessor of the lattice model; moving it would remove no code",
+    "inner": "an accessor of the lattice model; moving it would remove no code",
+}
+
+
+def test_every_name_in_src_has_a_caller_outside_the_tests():
+    # A top-level function or class of src/latquot must be referred to
+    # in src/ or perfbench/ other than by its own definition, its imports
+    # and ``_EXPORTS``, whose entries are strings.  A reference from a
+    # name that has no caller itself does not count, unless that name is
+    # one of UNCALLED.
+    owners = []  # (top-level definition or None, the names its code refers to)
+    defined = set()
+    src, bench = ROOT / "src" / "latquot", ROOT / "perfbench"
+    for path in sorted(src.glob("*.py")) + sorted(bench.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            refs = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            refs |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+            owner = None
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                owner = node.name
+                refs.discard(owner)
+                if path.parent == src and not owner.startswith("__"):
+                    defined.add(owner)
+            owners.append((owner, refs))
+    uncalled: set[str] = set()
+    while True:
+        dead = uncalled - set(UNCALLED)
+        used = set().union(*(refs for owner, refs in owners if owner not in dead))
+        if defined - used == uncalled:
+            break
+        uncalled = defined - used
+    assert sorted(uncalled) == sorted(UNCALLED)

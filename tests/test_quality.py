@@ -113,17 +113,11 @@ def _folds_to_identity(vecs, n):
     return hnf_rows(vecs) == identity_rows(n)
 
 
-def _checked_generation(indices):
-    """A stand-in for ``quality._generates`` that checks each answer against the fold.
-
-    It appends each call's frame index to ``indices``.
-    """
-    def checked(vecs, n, index):
-        answer = _generates(vecs, n, index)
-        assert answer == _folds_to_identity(vecs, n)
-        indices.append(index)
-        return answer
-    return checked
+def _checked_generation(vecs, n):
+    """A stand-in for ``quality._generates`` that checks each answer against the fold."""
+    answer = _generates(vecs, n)
+    assert answer == _folds_to_identity(vecs, n)
+    return answer
 
 
 def _ternary_glue():
@@ -154,11 +148,10 @@ def test_only_later_passes_check_generation():
         events.append("listing")
         return listing(L, bound, counter)
 
-    def checked(vecs, n, index):
+    def checked(vecs, n):
         assert events[-1:] == ["listing"], "generation checked on the ball pass"
-        answer = _generates(vecs, n, index)
-        assert answer == _folds_to_identity(vecs, n)
-        events.append(("generates", index, answer))
+        answer = _checked_generation(vecs, n)
+        events.append(("generates", answer))
         return answer
 
     rand = random.Random(47)
@@ -169,7 +162,7 @@ def test_only_later_passes_check_generation():
                 qb(M)
         events.clear()
         report = qb(_ternary_glue())
-    assert events == ["listing", ("generates", 9, True)]
+    assert events == ["listing", ("generates", True)]
     assert report.Qb == Fraction(100, 81) and report.certified
 
 
@@ -178,15 +171,15 @@ def test_only_later_passes_check_generation():
 def test_random_lattices_decide_generation_as_the_hermite_fold_does(seed, n):
     # Only a pass after the minima ball checks generation, and random
     # lattices of these ranks seldom run one (none of 3,000 tried).
-    with patch.object(quality, "_generates", _checked_generation([])):
+    with patch.object(quality, "_generates", _checked_generation):
         qb(random_gram(random.Random(seed), n, spread=2))
 
 
 def test_generation_over_a_frame_agrees_with_the_hermite_fold():
     # Sets that hold a frame F and otherwise lie in a lattice S between F
     # and Z^n: F scales some rows of a unimodular matrix by d, and S
-    # scales some of those same rows by d, or none of them.  The index of F
-    # is a power of d, and each branch answers both ways.
+    # scales some of those same rows by d, or none of them.  Both answers
+    # occur.
     rand = random.Random(53)
     outcomes = set()
     for _ in range(300):
@@ -204,11 +197,10 @@ def test_generation_over_a_frame_agrees_with_the_hermite_fold():
             coeffs = [rand.randint(-2, 2) for _ in range(n)]
             vecs.append([sum(c * row[j] for c, row in zip(coeffs, between)) for j in range(n)])
         rand.shuffle(vecs)
-        m = abs(det_int(frame))
-        answer = _generates(vecs, n, m)
+        answer = _generates(vecs, n)
         assert answer == _folds_to_identity(vecs, n)
-        outcomes.add((not m & (m - 1), answer))
-    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+        outcomes.add(answer)
+    assert outcomes == {True, False}
 
 
 def test_the_completion_agrees_with_the_smith_form_test():

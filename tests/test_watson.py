@@ -1,32 +1,29 @@
 """Coset vectors, quotient structure and the maximal-index search."""
 
-import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from latquot.codes import c9, weight_distribution
+from latquot.codes import c9
 from latquot.construct import centred_cubic, fixture_inventory, named, search_corpus, zd_lift, zn
-from latquot.core import GramLattice, Surd, _integral, _pivot_row, determinant, inner
-from latquot.enumeration import _Counter, _ball, _dot, _times, minimum
-from latquot.errors import DependentFrame, DimensionMismatch, RepsDoNotGenerate, ResourceExceeded
+from latquot.core import GramLattice, Surd, _integral, _pivot_row, inner
+from latquot.enumeration import _Counter, _ball, _dot, _times
+from latquot.errors import DependentFrame, DimensionMismatch, ResourceExceeded
 from latquot.frames import _orthogonal_seed
 from latquot.linalg import det_int, det_rational, hnf_rows, identity_rows
 from latquot.sampling import perturbed, random_coset, random_gram
 from latquot.watson import (
     CosetVector,
     QuotientStructure,
-    extract_code,
     maximal_index,
-    quotient_generators,
     quotient_structure,
     watson_condition,
     watson_identity,
     watson_index_bound,
 )
 from oracles import (
-    conjugate, gram_schmidt, inverse_rational, minor_gcd_invariants, random_unimodular,
+    conjugate, gram_schmidt, inverse_rational, random_unimodular,
     reference_maximal_index, reference_orthogonal_seed,
 )
 
@@ -112,14 +109,9 @@ def test_quotient_of_the_centred_cubic_by_the_unit_frame():
     assert q.index == 2
     assert q.invariant_factors == (2,)
 
-    reps = quotient_generators(L, frame)
-    assert [r.d for r in reps] == [2]
-    lhs, rhs = watson_identity(frame_gram(L, frame), reps[0])
+    # e = (f_1 + f_2 + f_3 + f_4) / 2 generates the quotient
+    lhs, rhs = watson_identity(frame_gram(L, frame), CosetVector(2, (1, 1, 1, 1)))
     assert lhs == rhs
-
-    code = extract_code(L, frame, reps)
-    assert (code.d, code.n, code.k) == (2, 4, 1)
-    assert weight_distribution(code).counts == ((4, 1),)
 
 
 def test_quotient_structure_rejects_bad_frames():
@@ -131,68 +123,15 @@ def test_quotient_structure_rejects_bad_frames():
 
 
 def test_every_frame_reader_checks_the_frame_shape():
-    # n rows of length n, checked alike by the structure, the generators
-    # and the code; a coset must have length n too.
+    # n rows of length n
     L = centred_cubic(4)
     frame = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (-1, -1, -1, 2)]
-    reps = quotient_generators(L, frame)
-    readers = (
-        lambda rows: quotient_structure(L, rows),
-        lambda rows: quotient_generators(L, rows),
-        lambda rows: extract_code(L, rows, reps),
-    )
-    for read in readers:
-        with pytest.raises(DependentFrame, match="must contain n vectors"):
-            read(frame[:1])
-        with pytest.raises(DimensionMismatch):
-            read([row + (0,) for row in frame])
-        with pytest.raises(DimensionMismatch):
-            read([row[:3] for row in frame])
-    for coset in (CosetVector(2, (1, 1, 1)), CosetVector(2, (1, 1, 1, 1, 0))):
-        with pytest.raises(DimensionMismatch):
-            extract_code(L, frame, [coset])
-
-
-def test_extract_code_generation_agrees_with_the_minor_gcd_invariants():
-    # A frame and representatives generate the lattice exactly when the
-    # scaled stack has n invariant factors, all equal to d.
-    rand = random.Random(2028)
-    outcomes = set()
-    for _ in range(150):
-        n = rand.randint(2, 4)
-        frame = [
-            tuple(rand.randint(1, 3) if j == i else rand.randint(0, 2) * (j > i)
-                  for j in range(n))
-            for i in range(n)
-        ]
-        # each representative is a vector of Z^n in frame coordinates
-        inverse = inverse_rational([list(row) for row in frame])
-        reps = []
-        for _ in range(rand.randint(1, 3)):
-            v = [rand.randint(-2, 2) for _ in range(n)]
-            x = [sum(v[i] * inverse[i][j] for i in range(n)) for j in range(n)]
-            order = math.lcm(*(c.denominator for c in x))
-            if order > 1:
-                reps.append(CosetVector(order, tuple(int(c * order) for c in x)))
-        if not reps:
-            continue
-        d = math.lcm(*(rep.d for rep in reps))
-        stacked = [[d * x for x in row] for row in frame]
-        stacked += [
-            [d // rep.d * sum(a * row[j] for a, row in zip(rep.a, frame)) for j in range(n)]
-            for rep in reps
-        ]
-        generates = minor_gcd_invariants(stacked) == [d] * n
-        outcomes.add(generates)
-        try:
-            extract_code(zn(n), frame, reps)
-            refused = False
-        except RepsDoNotGenerate:
-            refused = True
-        except ValueError:  # generation passed; the code's own order check did not
-            refused = False
-        assert refused is not generates
-    assert outcomes == {True, False}
+    with pytest.raises(DependentFrame, match="must contain n vectors"):
+        quotient_structure(L, frame[:1])
+    with pytest.raises(DimensionMismatch):
+        quotient_structure(L, [row + (0,) for row in frame])
+    with pytest.raises(DimensionMismatch):
+        quotient_structure(L, [row[:3] for row in frame])
 
 
 def unit_frame_in_lift_coordinates(code):
@@ -216,8 +155,6 @@ def test_code_lift_quotient_recovers_the_code_parameters():
     q = quotient_structure(L, frame)
     assert q.index == 4
     assert q.invariant_factors == (2, 2)
-    extracted = extract_code(L, frame, quotient_generators(L, frame))
-    assert (extracted.d, extracted.n, extracted.k) == (2, 9, 2)
 
 
 def test_maximal_index_of_the_root_lattices():
@@ -234,22 +171,6 @@ def test_maximal_index_of_the_root_lattices():
     a74 = maximal_index(named("A74").lattice)
     assert (a74.max_index, a74.witness_structure.invariant_factors) == (4, (4,))
     assert a74.exhaustive
-
-
-def test_a74_code_extraction_round_trip():
-    # Extract the quaternary code cut out by the witness frame, then
-    # lift it back over the frame: the result must match the original
-    # lattice in determinant and minimum.
-    L = named("A74").lattice
-    report = maximal_index(L)
-    frame = report.witness_frame
-    reps = quotient_generators(L, frame)
-    code = extract_code(L, frame, reps)
-    assert code.d == 4 and code.n == 7 and code.k == 1
-
-    lifted = zd_lift(code, base=frame_gram(L, frame.vectors))
-    assert determinant(lifted) == determinant(L)
-    assert minimum(lifted)[0] == minimum(L)[0] == 8
 
 
 def test_budget_exhaustion_downgrades_to_a_lower_bound():
