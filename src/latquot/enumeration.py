@@ -11,20 +11,24 @@ the centre at each level is an integer over a known minor, the weight of
 each level an integer over one common denominator, and the admissible
 interval comes from an integer square root, so no vector is ever lost
 to rounding.  A parent tests each child's interval before it builds the
-child's vector or calls it, and hands the centres of the lower levels
-down, one list per child, adding the level's multiples of its
-coefficients, which are made once per listing; the leaves are listed in
-the loop over level 1.  Each partial vector and each leaf is one int
-that holds the coordinates in fixed-width fields, so a step down the
-tree is one integer addition and a leaf's sign is one comparison.  The
-width comes from a bound on every coordinate the tree can reach, proved
-from the form in O(n^2) integer operations; it is 8 or 16 bits on the
-bundled fixtures.  Leaves are bucketed by norm, and each bucket is sorted
-as ints, which is the order of their coordinates, and decoded to tuples
-once, in place.  So a listing is sorted one norm at a time and its pairs
-share one int per norm.  Listings carry each norm as its integer
-numerator over one denominator per lattice; callers turn into fractions
-only the norms they keep.
+child's vector or calls it; the leaves are listed in the loop over
+level 1.  Each partial vector and each leaf is one int that holds the
+coordinates in fixed-width fields, so a step down the tree is one
+integer addition and a leaf's sign is one comparison.  The centres of
+the lower levels go down the tree the same way, in one int per child
+with a field per level: a child adds one multiple of its level's packed
+coefficients, and a node reads the one centre it needs with a shift and
+a mask.  Both widths come from bounds on every coordinate and every
+centre the tree can reach, proved together from the form in O(n^2)
+integer operations; the coordinate fields are 8 or 16 bits on the
+bundled fixtures.  The walk counts its nodes in a local total and
+charges it once, at its end or at the node that crosses the budget.
+Leaves are bucketed by norm, and each bucket is sorted as ints, which is
+the order of their coordinates, and decoded to tuples once, in place.
+So a listing is sorted one norm at a time and its pairs share one int
+per norm.  Listings carry each norm as its integer numerator over one
+denominator per lattice; callers turn into fractions only the norms
+they keep.
 
 The context also keeps the minima ball: the listing at the largest
 diagonal entry of the reduced Gram matrix, with the nodes it cost and
@@ -52,8 +56,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from itertools import islice, repeat
-from operator import add, lshift, mul
+from itertools import islice, repeat, zip_longest
+from operator import lshift, mul
 
 from .core import GramLattice, InvariantReport, LatVec, determinant
 from .errors import ResourceExceeded
@@ -157,42 +161,33 @@ def _dot(u, v) -> int:
     return sum(map(mul, u, v))
 
 
-class _Multiples(dict):
-    """``value -> [value * x for x in row]``, each made on first use."""
-
-    def __init__(self, row):
-        self.row = row
-
-    def __missing__(self, value):
-        out = self[value] = [value * x for x in self.row]
-        return out
-
-
 # struct codes of the signed fields up to 64 bits, by width
 _FIELD_CODES = {8: "b", 16: "h", 32: "i", 64: "q"}
 
 
-def _coordinate_bound(reduced: ReducedBasis, w: list[int], top: int) -> int:
-    """A bound C on |x_i| for every coordinate x_i of every vector ``_enumerate`` visits.
+def _bounds(reduced: ReducedBasis, w: list[int], top: int) -> tuple[int, int]:
+    """Bounds on |x_i| and |centre_j| for every coordinate and centre ``_enumerate`` visits.
 
     ``w`` and ``top`` are the level weights and the bound over ``weight *
     scale``, as in ``_enumerate``.  Level j of the tree admits the y_j
     with |d[j+1] * y_j + centre_j| at most isqrt(top // w[j]), and
-    |centre_j| is at most the sum over k > j of |lam[k][j]| * Y[k]; so
-    every y_j is bounded by Y[j], and every coordinate of sum y_j *
-    rows[j] by C = max_i sum_j Y[j] * |rows[j][i]|.  O(n^2) integer
-    operations.
+    |centre_j|, or any partial sum of it, is at most the reach R[j], the
+    sum over k > j of |lam[k][j]| * Y[k]; so every y_j is bounded by
+    Y[j], and every coordinate of sum y_j * rows[j] by max_i sum_j Y[j]
+    * |rows[j][i]|.  Returns that bound and the largest R[j], in O(n^2)
+    integer operations.
     """
-    d, lam = reduced.minors, reduced.lam
+    d = reduced.minors
     n = len(d) - 1
-    reach = [0] * n  # reach[j]: the bound on |centre_j| from the levels above j
-    coords = [0] * n
+    ys = [0] * n
+    # column j of lam: lam[k][j] for the k > j, padded with 0; ys[k] is 0 until the loop sets it
+    columns = list(zip_longest(*reduced.lam, fillvalue=0)) + [()]
+    centres = 0
     for j in reversed(range(n)):
-        y = (isqrt(top // w[j]) + reach[j]) // d[j + 1]
-        if y:
-            reach = [r + y * abs(x) for r, x in zip(reach, lam[j])]
-            coords = [c + y * abs(x) for c, x in zip(coords, reduced.transform[j])]
-    return max(coords)
+        reach = sum(map(mul, ys, map(abs, columns[j])))
+        centres = max(centres, reach)
+        ys[j] = (isqrt(top // w[j]) + reach) // d[j + 1]
+    return max(sum(map(mul, ys, map(abs, col))) for col in zip(*reduced.transform)), centres
 
 
 def _field_width(bound: int) -> int:
@@ -215,34 +210,47 @@ def _enumerate(reduced: ReducedBasis, bound: Fraction,
 
     Partial vectors and leaves are packed ints: coordinate i sits in
     field n-1-i of W bits, offset by 2^(W-1), where W is the least width
-    whose signed fields hold ``_coordinate_bound``.  So adding a multiple
-    of a packed row adds the coordinates, the packed zero vector compares
-    above exactly the vectors whose first nonzero coordinate is positive,
-    and the order of packed ints is the lexicographic order of their
-    coordinates.
+    whose signed fields hold the coordinate bound of ``_bounds``.  So
+    adding a multiple of a packed row adds the coordinates, the packed
+    zero vector compares above exactly the vectors whose first nonzero
+    coordinate is positive, and the order of packed ints is the
+    lexicographic order of their coordinates.  The centres of the lower
+    levels travel down in one int too: centre i sits in field i of C
+    bits, offset by 2^(C-1), where C holds the centre bound of
+    ``_bounds``, so a child adds a multiple of its level's packed ``lam``
+    row.  The walk counts its nodes itself and charges the counter once,
+    at its end or at the node that crosses the budget.
     """
     scale, d, lam = reduced.scale, reduced.minors, reduced.lam
     n = len(d) - 1
     weight, w = _weights(d)
     top = weight * scale * bound.numerator // bound.denominator
-    width = _field_width(_coordinate_bound(reduced, w, top))
+    coords, centres = _bounds(reduced, w, top)
+    width = _field_width(coords)
     shifts = range(width * (n - 1), -1, -width)
     zero = sum(map(lshift, repeat(1 << (width - 1), n), shifts))
     twice = 2 * zero
     rows = [sum(map(lshift, row, shifts)) for row in reduced.transform]
-    spend = counter.spend
+    bits = centres.bit_length() + 1
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
+    cshifts = range(0, bits * (n - 1), bits)
+    # level l >= 1: d[l+1], w[l], d[l], w[l-1], lam[l][l-1], the shift of
+    # centre l-1, rows[l] and the packed lam[l]
+    levels = [None] + list(zip(d[2:], w[1:], d[1:], w, [row[-1] for row in lam[1:]], cshifts,
+                               rows[1:], [sum(map(lshift, row, cshifts)) for row in lam[1:]]))
     buckets: defaultdict[int, list] = defaultdict(list)
-    csteps = [_Multiples(coeffs) for coeffs in lam]
     d1, w0, row0 = d[1], w[0], rows[0]
+    left = counter.budget - counter.nodes
 
-    def descend(level, lo, hi, used, cen, above, top_zero):
-        # The values [lo, hi] of ``level`` >= 1, already spent, below the
-        # y_j of the levels j above: ``above`` is zero + sum y_j * rows[j],
-        # ``used`` their weight and ``cen[i] = sum lam[j][i] * y_j``.
-        dl, wl = d[level + 1], w[level]
-        dc, wc, coeff, cc = d[level], w[level - 1], lam[level][-1], cen[level - 1]
-        row, coeff_steps = rows[level], csteps[level]
-        t = dl * lo + cen[level]
+    def descend(level, lo, hi, used, centre, cen, above, top_zero, count):
+        # The values [lo, hi] of ``level`` >= 1, already in ``count``,
+        # below the y_j of the levels j above: ``above`` is zero + sum
+        # y_j * rows[j], ``used`` their weight, ``centre`` this level's
+        # centre and field i of ``cen`` holds half + sum lam[j][i] * y_j.
+        # Returns ``count`` with the nodes below added.
+        dl, wl, dc, wc, coeff, shift, row, lam_row = levels[level]
+        t = dl * lo + centre
+        cc = ((cen >> shift) & mask) - half
         for value in range(lo, hi + 1):
             # the child's values z: wc * (dc * z + centre)^2 <= top - u
             u = used + wl * t * t
@@ -254,11 +262,13 @@ def _enumerate(reduced: ReducedBasis, bound: Fraction,
             child_lo = 0 if zero_above else -((s + centre) // dc)
             if child_hi < child_lo:
                 continue
-            spend(child_hi - child_lo + 1)
+            count += child_hi - child_lo + 1
+            if count > left:
+                counter.spend(count)
             v = above + value * row
             if level > 1:
-                descend(level - 1, child_lo, child_hi, u,
-                        list(map(add, cen, coeff_steps[value])) if value else cen, v, zero_above)
+                count = descend(level - 1, child_lo, child_hi, u, centre,
+                                cen + value * lam_row, v, zero_above, count)
                 continue
             # the leaves v + y * rows[0]; below an all-zero prefix the
             # first, y = 0, is the zero vector
@@ -270,12 +280,16 @@ def _enumerate(reduced: ReducedBasis, bound: Fraction,
                 buckets[u + w0 * t0 * t0].append(leaf if leaf > zero else twice - leaf)
                 t0 += d1
                 leaf += row0
+        return count
 
     hi = isqrt(top // w[n - 1]) // d[n]
-    spend(hi + 1)
+    count = hi + 1
+    if count > left:
+        counter.spend(count)
     try:
         if n > 1:
-            descend(n - 1, 0, hi, 0, [0] * n, zero, True)
+            count = descend(n - 1, 0, hi, 0, 0, sum(map(lshift, repeat(half, n - 1), cshifts)),
+                            zero, True, count)
         else:
             for y in range(1, hi + 1):
                 buckets[w0 * (d1 * y) ** 2].append(zero + y * row0)
@@ -283,6 +297,7 @@ def _enumerate(reduced: ReducedBasis, bound: Fraction,
         # ``descend`` refers to itself; break the cycle so that a dropped
         # listing is freed at once, not at the next full collection
         descend = None
+    counter.spend(count)
     # Each field of ``p ^ zero`` holds its coordinate in two's complement.
     size = n * width // 8
     if width in _FIELD_CODES:

@@ -579,14 +579,17 @@ def reference_code_qb_bound(c) -> Fraction:
     return Fraction(best, 4**c.k)
 
 
-def reference_enumerate(reduced, bound: Fraction, counter):
+def reference_enumerate(reduced, bound: Fraction, counter, centres=None):
     """``enumeration._enumerate`` as first written, pairs unsorted in one list.
 
     Nonzero solutions of y G y^T <= bound, one per +- pair.  Returns
     (numerator, coords) pairs, where the norm is numerator over
     ``weight * scale`` (see ``_weights``) and coords are in the original
     basis with their first nonzero entry positive.  Levels are visited
-    top down and the integers of each level in increasing order.
+    top down and the integers of each level in increasing order.  A list
+    ``centres`` receives, for each value tried on a level above 0, the
+    largest |sum_{j >= level} lam[j][i] * x[j]| over the levels i below:
+    the partial centres the packed kernel carries.
     """
     scale, d, lam = reduced.scale, reduced.minors, reduced.lam
     n = len(d) - 1
@@ -622,6 +625,9 @@ def reference_enumerate(reduced, bound: Fraction, counter):
             return
         for value in range(lo, hi + 1):
             x[level] = value
+            if centres is not None:
+                centres.append(max(abs(sum(lam[j][i] * x[j] for j in range(level, n)))
+                                   for i in range(level)))
             partial[level] = [p + value * r for p, r in zip(above, row)]
             t = dl * value + centre
             descend(level - 1, used + wl * t * t, top_zero and value == 0)

@@ -1,5 +1,6 @@
 """Shell listings and successive minima against the box oracle."""
 
+import bisect
 import dataclasses
 import gc
 import math
@@ -403,17 +404,27 @@ BOUNDARIES = ((127, 8), (128, 16), (32767, 16), (32768, 32),
 
 
 def _width_corpus():
-    """Lattices whose listings reach their coordinate bound, fill each field width or pass 2^64."""
+    """Lattices whose listings reach their coordinate bound, fill each field width or pass 2^64.
+
+    Z^3 conjugated by 2^70 + 3 reaches coordinates past 2^128, and A3
+    scaled by 2^129 centres past 2^128 in its two lower levels.
+    """
     skewed = [_skewed(sign * (c - 1)) for c, _ in BOUNDARIES for sign in (1, -1)]
-    return skewed + [GramLattice.from_rows(SKEWED_A3), _conjugated_z3(2**70 + 3)]
+    return skewed + [GramLattice.from_rows(SKEWED_A3), _conjugated_z3(2**70 + 3),
+                     named("A3").lattice.scaled(2**129)]
 
 
-def _coordinate_bound(L, bound):
+def _bounds(L, bound):
+    """The proven bounds on the coordinates and on the centres of the listing to ``bound``."""
     reduced = _context(L).reduced
     weight, w = _weights(reduced.minors)
     bound = Fraction(bound)
     top = weight * reduced.scale * bound.numerator // bound.denominator
-    return enumeration._coordinate_bound(reduced, w, top)
+    return enumeration._bounds(reduced, w, top)
+
+
+def _coordinate_bound(L, bound):
+    return _bounds(L, bound)[0]
 
 
 def _reach(L, bound):
@@ -433,37 +444,82 @@ def test_the_field_width_is_the_least_that_holds_the_proven_bound():
     wide = _conjugated_z3(2**70 + 3)
     assert enumeration._field_width(_coordinate_bound(wide, 2)) == 192
     assert _reach(wide, 2) > 2**128
+    # Its reduced basis is orthogonal, so its centres are 0; A3 scaled by
+    # 2^129 has centres past 2^128, whose fields are wider than 64 bits.
+    assert _bounds(wide, 2)[1] == 0
+    scaled = named("A3").lattice.scaled(2**129)
+    centres = []
+    reference_enumerate(_context(scaled).reduced, Fraction(2**130), enumeration._Counter(None),
+                        centres)
+    assert 2**128 < max(centres) <= _bounds(scaled, 2**130)[1]
+    assert len(vectors_up_to(scaled, 2**130)) == 6
 
 
-def test_the_kernel_matches_the_reference_kernel():
+class _Charges(enumeration._Counter):
+    """A counter that keeps its running total after each charge."""
+
+    def __init__(self):
+        super().__init__(None)
+        self.totals = []
+
+    def spend(self, amount=1):
+        super().spend(amount)
+        self.totals.append(self.nodes)
+
+
+def test_the_kernel_matches_the_reference_kernel(node_tally):
     # The kernel prunes each child in its parent, carries the centres
-    # down, packs each partial vector into one int and buckets its
-    # leaves by norm; the kernel it replaced walks the same tree on
-    # coordinate tuples.  Both must list the same pairs for the same
-    # nodes, and stop at the same node one short of the total.  The
-    # largest of these listings is liftc12 at 3, 9,472 vectors; the
+    # down, packs each partial vector and the centres into one int each
+    # and buckets its leaves by norm; the kernel it replaced walks the
+    # same tree on coordinate tuples.  Both must list the same pairs for
+    # the same nodes, and stop at the same node one short of the total.
+    # The largest of these listings is liftc12 at 3, 9,472 vectors; the
     # lattices of ``_width_corpus`` fill each field width and pass 2^64.
+    #
+    # The kernel counts its nodes itself and charges them at once, where
+    # the reference charges each child range as it reaches it.  So on
+    # every listing of at most 2,000 nodes, under every budget short of
+    # the total, from a counter that has already spent half of it, the
+    # kernel must stop where the reference does: at the first of the
+    # reference's running totals past what is left, having charged up to
+    # it.  The reference's stops are read off its running totals, as its
+    # walk does not depend on the budget until it stops.
     for L in _kernel_corpus() + _width_corpus():
         context = _context(L)
         reduced, rho = context.reduced, context.radius
         for bound in (rho, 3 * rho / 2, 2 * rho):
-            counter = enumeration._Counter(None)
-            expected = sorted(reference_enumerate(reduced, bound, counter))
-            nodes = counter.nodes
+            charges = _Charges()
+            centres = []
+            expected = sorted(reference_enumerate(reduced, bound, charges, centres))
+            nodes = charges.nodes
             fresh = GramLattice(L.n, L.gram, L.label)
             pairs = enumeration._listing(fresh, bound, enumeration._Counter(None))
             assert list(pairs) == expected, (L.label, bound)
-            # the proven bound holds every listed coordinate
+            # the proven bounds hold every listed coordinate and every
+            # centre the walk reaches, partial sums included
             reach = max((abs(x) for _, v in pairs for x in v), default=0)
-            assert reach <= _coordinate_bound(L, bound), (L.label, bound)
+            coordinate_bound, centre_bound = _bounds(L, bound)
+            assert reach <= coordinate_bound, (L.label, bound)
+            assert max(centres, default=0) <= centre_bound, (L.label, bound)
             # one int object per distinct norm
             assert len({id(x) for x, _ in pairs}) == len({x for x, _ in pairs})
-            counter = enumeration._Counter(None)
-            enumeration._enumerate(reduced, bound, counter)
-            assert counter.nodes == nodes, (L.label, bound)
+            # a walk that completes charges exactly its total
+            node_tally[0] = 0
+            enumeration._enumerate(reduced, bound, enumeration._Counter(None))
+            assert node_tally[0] == nodes, (L.label, bound)
             assert (_stops_at(enumeration._enumerate, reduced, bound, nodes - 1)
                     == _stops_at(reference_enumerate, reduced, bound, nodes - 1)
                     == (nodes, nodes - 1)), (L.label, bound)
+            if nodes > 2000:
+                continue
+            for budget in range(nodes):
+                counter = enumeration._Counter(budget)
+                counter.nodes = spent = budget // 2
+                with pytest.raises(ResourceExceeded) as err:
+                    enumeration._enumerate(reduced, bound, counter)
+                crossing = charges.totals[bisect.bisect_right(charges.totals, budget - spent)]
+                assert (err.value.nodes, err.value.budget, counter.nodes) == (
+                    budget + 1, budget, spent + crossing), (L.label, bound, budget)
 
 
 def test_listing_node_totals_are_pinned(node_tally):
