@@ -233,7 +233,7 @@ def cmd_watson(args) -> int:
     ]
     try:
         lifted = zd_lift(
-            Code(d=coset.d, n=coset.n, k=1, gen=(coset.a,)), base=lattice
+            Code(d=coset.d, n=coset.n, k=1, gen=(coset.a,)), base=lattice, budget=args.budget
         )
         low, _ = minimum(lifted, args.budget)
         data["lift_min"] = format_rational(low)

@@ -1,9 +1,11 @@
 """Codes over Z/dZ: weights, distributions and classification.
 
-Binary codes are the main actors: their weight distributions control
-the quality bounds of the lattices lifted from them, and the small
-parameter ranges that matter here (length at most 12, dimension at
-most 4) allow complete classification by explicit enumeration.
+A code over Z/dZ is a generator matrix, which ``zd_lift`` turns into a
+lattice.  Weights are counted for binary codes only: their weight
+distributions control the quality bounds of the lattices lifted from
+them, and the small parameter ranges that matter here (length at most
+12, dimension at most 4) allow complete classification by explicit
+enumeration.
 
 Words of binary codes are handled as bit masks; bit j of a mask is the
 entry in column j.
@@ -18,10 +20,8 @@ from itertools import product
 from math import prod
 
 from .enumeration import _Counter
-from .errors import CodeTooLight, ResourceExceeded
+from .errors import CodeTooLight
 from .linalg import _insert2, _rref2, hnf_rows
-
-WORD_LIMIT = 10**7
 
 
 @dataclass(frozen=True)
@@ -54,16 +54,6 @@ class Code:
         hermite = hnf_rows(stacked)
         if prod(hermite[i][i] for i in range(self.n)) != self.d ** (self.n - self.k):
             raise ValueError("rows do not generate a group of order d^k")
-
-    def words(self):
-        """All d^k codewords as tuples, the zero word included."""
-        if self.d ** self.k > WORD_LIMIT:
-            raise ResourceExceeded(self.d ** self.k, WORD_LIMIT)
-        for coeffs in product(range(self.d), repeat=self.k):
-            yield tuple(
-                sum(c * row[j] for c, row in zip(coeffs, self.gen)) % self.d
-                for j in range(self.n)
-            )
 
     def masks(self) -> tuple[int, ...]:
         """Generator rows as bit masks; binary codes only."""
@@ -99,13 +89,6 @@ class WeightDistribution:
     def from_dict(cls, counts: dict[int, int]) -> "WeightDistribution":
         return cls(tuple(sorted((w, c) for w, c in counts.items() if c)))
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.counts)
-
-    @property
-    def total(self) -> int:
-        return sum(c for _, c in self.counts)
-
     def __str__(self) -> str:
         parts = []
         for w, c in self.counts:
@@ -114,25 +97,24 @@ class WeightDistribution:
 
 
 def weight_distribution(c: Code) -> WeightDistribution:
-    """Exact weight distribution over the nonzero codewords."""
+    """Exact weight distribution over the nonzero words of a binary code."""
     counts: dict[int, int] = {}
-    for word in c.words():
-        w = sum(1 for x in word if x)
-        if w:
-            counts[w] = counts.get(w, 0) + 1
+    for word in _binary_words(c.masks()):
+        w = word.bit_count()
+        counts[w] = counts.get(w, 0) + 1
     return WeightDistribution.from_dict(counts)
 
 
 def min_weight_support(c: Code) -> tuple[int, int, bool]:
-    """Minimum nonzero weight, support size, and whether support is full."""
+    """Minimum nonzero weight, support size, and whether support is full.
+
+    Binary codes only.
+    """
+    masks = c.masks()
     support = 0
-    for row in c.gen:
-        support |= _mask(row)
-    w = min(
-        sum(1 for x in word if x)
-        for word in c.words()
-        if any(word)
-    )
+    for m in masks:
+        support |= m
+    w = min(word.bit_count() for word in _binary_words(masks))
     size = support.bit_count()
     return w, size, size == c.n
 

@@ -15,7 +15,7 @@ from importlib import resources
 from typing import TYPE_CHECKING, Sequence
 
 from .core import GramLattice
-from .enumeration import minimum
+from .enumeration import _Counter, _minimum
 from .errors import (
     CodeTooLight,
     DimensionMismatch,
@@ -97,7 +97,8 @@ def code_lift(c: Code) -> GramLattice:
     return GramLattice.from_rows(gram, label=f"lift [{c.n},{c.k}]")
 
 
-def zd_lift(c: Code, base: GramLattice | None = None) -> GramLattice:
+def zd_lift(c: Code, base: GramLattice | None = None,
+            budget: int | None = None) -> GramLattice:
     """Lift a code over Z/dZ: the lattice generated by the base and C/d.
 
     With no ``base`` the ambient lattice is Z^n.  A basis of the span of
@@ -105,7 +106,10 @@ def zd_lift(c: Code, base: GramLattice | None = None) -> GramLattice:
     is extracted by Hermite reduction of the stacked integer matrix
     (d*I over the generator rows), scaled back by 1/d.  The construction
     is rejected if the minimum drops below the minimum of the base,
-    which is checked by enumeration after the fact.
+    which is checked by enumeration after the fact; the two minima
+    spend one node budget, ``budget`` or ``node_budget()``.  A binary
+    code with no base is lifted by ``code_lift``, which needs no
+    enumeration.
     """
     if c.d == 2 and base is None:
         return code_lift(c)
@@ -119,8 +123,9 @@ def zd_lift(c: Code, base: GramLattice | None = None) -> GramLattice:
     g = matmul(matmul(h, ambient._form.gram), transpose(h))
     gram = [[Fraction(x, ambient._form.scale * c.d**2) for x in row] for row in g]
     lifted = GramLattice.from_rows(gram, label=f"lift [{c.n},{c.k}] mod {c.d}")
-    floor, _ = minimum(ambient)
-    got, _ = minimum(lifted)
+    counter = _Counter(budget)
+    floor, _ = _minimum(ambient, counter)
+    got, _ = _minimum(lifted, counter)
     if got < floor:
         raise MinimumDrops(f"lift minimum {got} is below the base minimum {floor}")
     return lifted

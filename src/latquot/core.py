@@ -141,15 +141,6 @@ class GramLattice:
     def from_rows(cls, rows, label: str | None = None) -> "GramLattice":
         return cls(len(rows), rows, label)
 
-    def scaled(self, c: Fraction | int) -> "GramLattice":
-        """The same lattice with the quadratic form multiplied by ``c > 0``."""
-        c = Fraction(c)
-        if c <= 0:
-            raise ValueError("scale factor must be positive")
-        return GramLattice.from_rows(
-            [[c * x for x in row] for row in self.gram], self.label
-        )
-
 
 def _bilinear(gram: Matrix, u: Sequence[Fraction | int], v: Sequence[Fraction | int]) -> Fraction:
     """``u * gram * v^T``, skipping zero coordinates."""

@@ -371,8 +371,13 @@ def minimum(L: GramLattice, budget: int | None = None) -> tuple[Fraction, ShellL
     The listing runs to the least diagonal entry of the reduced Gram
     matrix and is made afresh on each call.
     """
+    return _minimum(L, _Counter(budget))
+
+
+def _minimum(L: GramLattice, counter: _Counter) -> tuple[Fraction, ShellListing]:
+    """``minimum``, paid for from ``counter``."""
     context = _context(L)
-    pairs = _listing(L, context.least, _Counter(budget))
+    pairs = _listing(L, context.least, counter)
     top = pairs[0][0]
     shell = tuple(v for value, v in pairs if value == top)
     best = Fraction(top, context.denominator)

@@ -70,10 +70,10 @@ def _apply(moves, a: list[list[int]]) -> list[list[int]]:
     return a
 
 
-def random_coset(rand: random.Random, n: int, dmax: int = 5) -> CosetVector:
-    """A valid coset vector: order exactly d with balanced coefficients."""
+def random_coset(rand: random.Random, n: int) -> CosetVector:
+    """A valid coset vector: order d in 2..5 exactly, with balanced coefficients."""
     while True:
-        d = rand.randint(2, dmax)
+        d = rand.randint(2, 5)
         try:
             return CosetVector(d, tuple(rand.randint(-d, d) for _ in range(n)))
         except ValueError:

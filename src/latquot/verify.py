@@ -152,7 +152,7 @@ def suite_identities(seed: int = DEFAULT_SEED, trials: int = 200, budget: int | 
         base = GramLattice.from_rows(
             [[1 if i == j else off for j in range(n)] for i in range(n)]
         )
-        lift = zd_lift(Code(d=d, n=n, k=1, gen=((1,) * n,)), base=base)
+        lift = zd_lift(Code(d=d, n=n, k=1, gen=((1,) * n,)), base=base, budget=budget)
         cases.append(_index_case(
             f"id-quotient-d{d}",
             f"the rank {n} order {d} equality instance has maximal index {d}, cyclic",

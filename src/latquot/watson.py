@@ -125,12 +125,13 @@ class IndexReport:
     exhaustive: bool
 
 
-def quotient_structure(L: GramLattice, frame) -> QuotientStructure:
+def quotient_structure(L: GramLattice, rows) -> QuotientStructure:
     """Structure of the quotient of the lattice by the span of the frame.
 
-    The frame is a ``Frame`` or n integer rows of length n.
+    The frame is given by its n integer rows of length n, the coordinates
+    of its vectors in the basis of the lattice.
     """
-    rows = frame.vectors if isinstance(frame, Frame) else tuple(tuple(map(int, r)) for r in frame)
+    rows = tuple(tuple(map(int, r)) for r in rows)
     if len(rows) != L.n:
         raise DependentFrame("frame must contain n vectors")
     if any(len(row) != L.n for row in rows):

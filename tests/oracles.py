@@ -19,10 +19,10 @@ pivot rows over the Gram matrix, and the greedy frame of the index
 search by scanning every pool vector's inner products.  Slow on purpose;
 the tests only feed these small instances.
 
-``random_unimodular``, ``conjugate`` and ``repetition`` are test helpers
-rather than references: they draw unimodular matrices the way the
-sampler does, present a lattice on a new basis and build the binary
-repetition code.
+``random_unimodular``, ``conjugate``, ``scaled`` and ``repetition`` are
+test helpers rather than references: they draw unimodular matrices the
+way the sampler does, present a lattice on a new basis, multiply its
+form by a positive rational and build the binary repetition code.
 """
 
 from fractions import Fraction
@@ -355,6 +355,13 @@ def conjugate(L, u):
     """The same lattice presented on the transformed basis u."""
     gram = matmul(matmul(u, [list(r) for r in L.gram]), transpose(u))
     return GramLattice.from_rows(gram, label=L.label)
+
+
+def scaled(L, c):
+    """The same lattice with the quadratic form multiplied by ``c > 0``."""
+    c = Fraction(c)
+    assert c > 0
+    return GramLattice.from_rows([[c * x for x in row] for row in L.gram], L.label)
 
 
 def reference_random_unimodular(rand, n, steps=12):

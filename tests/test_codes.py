@@ -9,6 +9,7 @@ import pytest
 from latquot.codes import (
     Code,
     WeightDistribution,
+    _binary_words,
     c8,
     c9,
     c10,
@@ -63,16 +64,9 @@ def test_code_validation():
 
 
 def test_words():
-    assert set(Code(d=2, n=3, k=1, gen=((1, 1, 0),)).words()) == {
-        (0, 0, 0),
-        (1, 1, 0),
-    }
-    assert set(Code(d=4, n=2, k=1, gen=((1, 2),)).words()) == {
-        (0, 0),
-        (1, 2),
-        (2, 0),
-        (3, 2),
-    }
+    # the nonzero words of a binary code, as sorted masks
+    assert _binary_words(Code(d=2, n=3, k=1, gen=((1, 1, 0),)).masks()) == [0b011]
+    assert _binary_words(c8().masks()) == [0b00011111, 0b11100111, 0b11111000]
 
 
 def test_masks():
@@ -84,8 +78,6 @@ def test_masks():
 def test_weight_distribution_formatting():
     dist = WeightDistribution.from_dict({6: 1, 5: 2})
     assert str(dist) == "5^2·6"
-    assert dist.total == 3
-    assert dist.as_dict() == {5: 2, 6: 1}
 
 
 def test_distributions_of_the_named_codes():
@@ -108,6 +100,11 @@ def test_min_weight_support():
         3,
         False,
     )
+    # weights are counted for binary codes only
+    quaternary = Code(d=4, n=2, k=1, gen=((1, 2),))
+    for count in (weight_distribution, min_weight_support):
+        with pytest.raises(ValueError, match="binary codes only"):
+            count(quaternary)
 
 
 def test_equivalence_under_column_shuffles():

@@ -21,6 +21,7 @@ from latquot.errors import (
     CodeTooLight,
     DimensionMismatch,
     MinimumDrops,
+    ResourceExceeded,
     UnknownLattice,
 )
 from latquot.watson import maximal_index
@@ -91,6 +92,24 @@ def test_ternary_repetition_lift():
     assert minimum(lifted)[0] == 1
     report = maximal_index(lifted)
     assert report.witness_structure.invariant_factors == (3,)
+
+
+def test_a_lift_over_a_base_checks_its_minima_at_the_budget_given(monkeypatch, node_tally):
+    # The order 4 equality instance: both minimum checks spend the one
+    # budget of the call, 44 + 114 nodes, and none from the environment.
+    monkeypatch.setenv("LATQUOT_NODE_BUDGET", "0")
+    base = GramLattice.from_rows(
+        [[1 if i == j else Fraction(1, 4) for j in range(8)] for i in range(8)]
+    )
+    code = Code(d=4, n=8, k=1, gen=((1,) * 8,))
+    lifted = zd_lift(code, base=base, budget=10**9)
+    assert determinant(lifted) == determinant(base) / 16
+    assert node_tally[0] == 158
+    assert zd_lift(code, base=base, budget=158).gram == lifted.gram
+    with pytest.raises(ResourceExceeded, match=r"\(101 > 100\)"):
+        zd_lift(code, base=base, budget=100)
+    with pytest.raises(ResourceExceeded, match=r"\(1 > 0\)"):
+        zd_lift(code, base=base)
 
 
 def test_ternary_lift_over_the_cube_is_too_short():

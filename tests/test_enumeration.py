@@ -12,8 +12,10 @@ from fractions import Fraction
 import pytest
 
 from latquot import enumeration
-from latquot.codes import c9, c10, classify_binary
-from latquot.construct import centred_cubic, code_lift, fixture_inventory, named, search_corpus, zn
+from latquot.codes import Code, c9, c10, classify_binary
+from latquot.construct import (
+    centred_cubic, code_lift, fixture_inventory, named, search_corpus, zd_lift, zn,
+)
 from latquot.core import GramLattice, _integral, _pivot_row, determinant, norm, validate
 from latquot.enumeration import (
     _context,
@@ -25,14 +27,14 @@ from latquot.enumeration import (
     successive_minima,
     vectors_up_to,
 )
-from latquot.errors import ResourceExceeded
+from latquot.errors import MinimumDrops, ResourceExceeded
 from latquot.quality import hermite_Hb, qb
 from latquot.reduction import lll
 from latquot.sampling import perturbed, random_gram
 from latquot.watson import maximal_index
 from oracles import (
     box_vectors, brute_minima, brute_minimum, kept_pivots, rank_rational, reduced_gram,
-    reference_enumerate, reference_frame,
+    reference_enumerate, reference_frame, scaled,
 )
 
 
@@ -49,16 +51,16 @@ def test_listings_match_the_box_oracle():
         c = Fraction(rand.randint(1, 9), rand.choice((2, 3, 5, 7)))
         if c.denominator == 1:
             c /= 11
-        scaled = L.scaled(c)
-        for lattice, limit in ((L, bound), (scaled, c * bound)):
+        dilated = scaled(L, c)
+        for lattice, limit in ((L, bound), (dilated, c * bound)):
             listing = vectors_up_to(lattice, limit)
             expected = box_vectors(lattice.gram, limit)
             assert len(listing.vectors) == len(expected)
             got = [(norm(lattice, v), v) for v in listing.vectors]
             assert set(got) == set(expected)
             assert [x for x, _ in got] == sorted(x for x, _ in got)
-        assert _context(scaled).reduced.scale > 1
-        assert vectors_up_to(scaled, c * bound).vectors == vectors_up_to(L, bound).vectors
+        assert _context(dilated).reduced.scale > 1
+        assert vectors_up_to(dilated, c * bound).vectors == vectors_up_to(L, bound).vectors
 
 
 def test_minimum_matches_the_box_oracle():
@@ -263,6 +265,14 @@ def test_a_kept_ball_does_not_change_any_call(node_tally):
         assert _context(L).pairs is not None
 
 
+def _lift_over(L, budget):
+    """The all ones code of order 3 lifted over L; a lift whose minimum drops has spent both checks."""
+    try:
+        zd_lift(Code(d=3, n=L.n, k=1, gen=((1,) * L.n,)), base=L, budget=budget)
+    except MinimumDrops:
+        pass
+
+
 def test_no_call_charges_more_nodes_than_its_budget(monkeypatch):
     # A public call gets one allowance for all of its phases.  Each spend
     # is recorded with whether it raised; the spends of one call,
@@ -291,6 +301,7 @@ def test_no_call_charges_more_nodes_than_its_budget(monkeypatch):
         is_well_rounded,
         minkowski_M,
         lambda L, budget: vectors_up_to(L, _context(L).radius, budget),
+        _lift_over,
     )
     for L in fixture_inventory().values():
         for budget in (100, 300, 1000, 3000, 10000):
@@ -371,7 +382,7 @@ def _kernel_corpus():
         lattices += [perturbed(rand, corpus[t % len(corpus)]) for t in range(3)]
     for n in range(1, 7):
         lattices += [random_gram(rand, n) for _ in range(4)]
-    return lattices + [L.scaled(Fraction(3, 7)) for L in lattices]
+    return lattices + [scaled(L, Fraction(3, 7)) for L in lattices]
 
 
 def _stops_at(kernel, reduced, bound, budget):
@@ -411,7 +422,7 @@ def _width_corpus():
     """
     skewed = [_skewed(sign * (c - 1)) for c, _ in BOUNDARIES for sign in (1, -1)]
     return skewed + [GramLattice.from_rows(SKEWED_A3), _conjugated_z3(2**70 + 3),
-                     named("A3").lattice.scaled(2**129)]
+                     scaled(named("A3").lattice, 2**129)]
 
 
 def _bounds(L, bound):
@@ -447,12 +458,12 @@ def test_the_field_width_is_the_least_that_holds_the_proven_bound():
     # Its reduced basis is orthogonal, so its centres are 0; A3 scaled by
     # 2^129 has centres past 2^128, whose fields are wider than 64 bits.
     assert _bounds(wide, 2)[1] == 0
-    scaled = named("A3").lattice.scaled(2**129)
+    dilated = scaled(named("A3").lattice, 2**129)
     centres = []
-    reference_enumerate(_context(scaled).reduced, Fraction(2**130), enumeration._Counter(None),
+    reference_enumerate(_context(dilated).reduced, Fraction(2**130), enumeration._Counter(None),
                         centres)
-    assert 2**128 < max(centres) <= _bounds(scaled, 2**130)[1]
-    assert len(vectors_up_to(scaled, 2**130)) == 6
+    assert 2**128 < max(centres) <= _bounds(dilated, 2**130)[1]
+    assert len(vectors_up_to(dilated, 2**130)) == 6
 
 
 class _Charges(enumeration._Counter):
@@ -572,7 +583,7 @@ def test_the_echelon_frame_matches_the_pivot_row_reference():
     # pivot rows over the Gram matrix.  Both must pick the same frame,
     # also where the short vectors are dependent (A9^2, D6+, A5^3).
     lattices = list(fixture_inventory().values())
-    lattices += [L.scaled(Fraction(3, 7)) for L in lattices]
+    lattices += [scaled(L, Fraction(3, 7)) for L in lattices]
     for seed in (1, 2, 3):
         rand = random.Random(seed)
         for n in range(2, 11):
@@ -591,7 +602,7 @@ def test_the_searches_read_only_the_pivots_of_the_reduction():
     # matrix.  Those pivots are the ones of U G U^T, and the reduction
     # the searches cache is the one lll makes afresh.
     lattices = list(fixture_inventory().values())
-    for L in lattices + [L.scaled(Fraction(3, 7)) for L in lattices]:
+    for L in lattices + [scaled(L, Fraction(3, 7)) for L in lattices]:
         qb(L)
         is_well_rounded(L)
         maximal_index(L)

@@ -80,8 +80,9 @@ def test_every_tracer_span_keeps_a_binding():
     assert [span for span, names in bound.items() if not names] == []
 
 
-# Top-level names of src/latquot that nothing in src/ or perfbench/ calls,
-# each with the reason it stays.
+# Names of src/latquot that nothing in src/ or perfbench/ calls, each with
+# the reason it stays: top-level functions and classes by name, public
+# methods and properties as ``Class.name``.
 UNCALLED = {
     "hermite_Hb": "README documents it as one of the paper's quantities",
     "minkowski_M": "README documents it as one of the paper's quantities",
@@ -94,33 +95,78 @@ UNCALLED = {
     "is_primitive": "perfbench's tracer wraps it through a noqa import",
     "norm": "an accessor of the lattice model; moving it would remove no code",
     "inner": "an accessor of the lattice model; moving it would remove no code",
+    "CosetVector.counts": "the paper's shell sizes m_i, read from .shells, its S_i",
 }
 
 
+def _is_public_method(node):
+    return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_")
+
+
+def _definitions(tree, members):
+    """Pairs (keys, refs) over a module's top-level statements.
+
+    ``refs`` are the names a statement's code refers to; they count only
+    while every one of ``keys`` has a caller.  Each public method of a
+    class is a pair of its own, keyed by its class and ``Class.name``.
+    ``members`` maps a member name to the ``Class.name`` keys of the
+    source classes that define it.
+    """
+    def refs(nodes, cls=None):
+        out = set()
+        for n in (n for node in nodes for n in ast.walk(node)):
+            if isinstance(n, ast.Name):
+                out.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                out.add(n.attr)
+                if cls and isinstance(n.value, ast.Name) and n.value.id in ("self", "cls"):
+                    out.add(f"{cls}.{n.attr}")
+                else:
+                    out |= members.get(n.attr, set())
+        return out - {cls}
+
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield (node.name,), refs([node]) - {node.name}
+        elif isinstance(node, ast.ClassDef):
+            public = [item for item in node.body if _is_public_method(item)]
+            for item in public:
+                key = f"{node.name}.{item.name}"
+                yield (node.name, key), refs([item], node.name) - {key}
+            rest = node.decorator_list + node.bases + node.keywords
+            yield (node.name,), refs(rest + [i for i in node.body if i not in public], node.name)
+        else:
+            yield (), refs([node])
+
+
 def test_every_name_in_src_has_a_caller_outside_the_tests():
-    # A top-level function or class of src/latquot must be referred to
-    # in src/ or perfbench/ other than by its own definition, its imports
-    # and ``_EXPORTS``, whose entries are strings.  A reference from a
-    # name that has no caller itself does not count, unless that name is
-    # one of UNCALLED.
-    owners = []  # (top-level definition or None, the names its code refers to)
-    defined = set()
+    # A top-level function or class of src/latquot, and a public method
+    # or property of one of its classes, must be referred to in src/ or
+    # perfbench/ other than by its own definition, its imports and
+    # ``_EXPORTS``, whose entries are strings.  A member is referred to
+    # as ``x.name``, except that inside a class ``self.name`` and
+    # ``cls.name`` refer to that class's own members only.  A reference
+    # from a definition that has no caller itself does not count, unless
+    # it is one of UNCALLED; nor does one from a method of such a class.
     src, bench = ROOT / "src" / "latquot", ROOT / "perfbench"
-    for path in sorted(src.glob("*.py")) + sorted(bench.glob("*.py")):
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            refs = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
-            refs |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
-            owner = None
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(src.glob("*.py")) + sorted(bench.glob("*.py"))}
+    defined = set()
+    members: dict[str, set[str]] = {}
+    for path, tree in trees.items():
+        for node in tree.body if path.parent == src else ():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                owner = node.name
-                refs.discard(owner)
-                if path.parent == src and not owner.startswith("__"):
-                    defined.add(owner)
-            owners.append((owner, refs))
+                if not node.name.startswith("__"):
+                    defined.add(node.name)
+            if isinstance(node, ast.ClassDef):
+                for item in filter(_is_public_method, node.body):
+                    members.setdefault(item.name, set()).add(f"{node.name}.{item.name}")
+    defined |= set().union(*members.values())
+    owners = [owner for tree in trees.values() for owner in _definitions(tree, members)]
     uncalled: set[str] = set()
     while True:
         dead = uncalled - set(UNCALLED)
-        used = set().union(*(refs for owner, refs in owners if owner not in dead))
+        used = set().union(*(refs for keys, refs in owners if dead.isdisjoint(keys)))
         if defined - used == uncalled:
             break
         uncalled = defined - used

@@ -19,7 +19,7 @@ from latquot.linalg import det_int, hnf_rows, identity_rows, is_primitive
 from latquot.quality import _cleared, _generates, _parity_bound, hermite_Hb, qb
 from latquot.sampling import perturbed, random_gram
 from oracles import (
-    brute_Hb_product, conjugate, parity_cover, parity_product, random_unimodular,
+    brute_Hb_product, conjugate, parity_cover, parity_product, random_unimodular, scaled,
 )
 
 
@@ -292,9 +292,9 @@ def test_qb_is_invariant_under_scaling(node_tally):
     lattices += [perturbed(rand, search_corpus(n)[t]) for n in range(4, 9) for t in range(2)]
     for L in lattices:
         c = Fraction(rand.randint(1, 40), rand.choice((7, 11, 13)))
-        scaled = L.scaled(c if c.denominator > 1 else c / 17)
+        dilated = scaled(L, c if c.denominator > 1 else c / 17)
         seen = []
-        for lattice in (L, scaled):
+        for lattice in (L, dilated):
             node_tally[0] = 0
             r = qb(lattice)
             seen.append((r.M, r.Hb, r.Qb, r.best_basis, r.certified, r.frontier, node_tally[0]))
@@ -304,7 +304,7 @@ def test_qb_is_invariant_under_scaling(node_tally):
 def _copies(rand, L):
     """L, a scaled copy and a conjugated copy, each with the factor its norms carry."""
     c = Fraction(rand.randint(1, 40), rand.choice((3, 7, 11)))
-    return ((L, 1), (L.scaled(c), c), (conjugate(L, random_unimodular(rand, L.n)), 1))
+    return ((L, 1), (scaled(L, c), c), (conjugate(L, random_unimodular(rand, L.n)), 1))
 
 
 def test_the_parity_bound_matches_the_class_minima_oracle():

@@ -11,7 +11,7 @@ from latquot.codes import c9
 from latquot.linalg import det_int
 from latquot.reduction import lll
 from latquot.sampling import perturbed, random_gram
-from oracles import brute_minimum, gram_schmidt, kept_pivots, reduced_gram, reference_lll
+from oracles import brute_minimum, gram_schmidt, kept_pivots, reduced_gram, reference_lll, scaled
 
 
 def _random_instances(count, dims, seed):
@@ -63,22 +63,22 @@ def test_lll_matches_the_from_scratch_reference():
     for n in (6, 7, 8):
         corpus = search_corpus(n)
         lattices += [perturbed(rand, corpus[t % len(corpus)]) for t in range(8)]
-    scaled = []
+    dilated = []
     for L in lattices:
         c = Fraction(rand.randint(1, 40), rand.choice((7, 11, 13)))
-        scaled.append(L.scaled(c if c.denominator > 1 else c / 17))
+        dilated.append(scaled(L, c if c.denominator > 1 else c / 17))
     ties = [GramLattice.from_rows(rows) for rows in (
         [[2, 1], [1, 2]], [[2, -1], [-1, 2]], [[2, 1, 1], [1, 2, 1], [1, 1, 2]],
         [[4, 2, -2], [2, 4, 1], [-2, 1, 4]])]
-    cases = [(L, Fraction(99, 100)) for L in lattices + scaled + ties]
+    cases = [(L, Fraction(99, 100)) for L in lattices + dilated + ties]
     for delta in (Fraction(51, 100), Fraction(3, 4), Fraction(999, 1000)):
-        cases += [(L, delta) for L in lattices[::2] + scaled[1::2] + ties]
+        cases += [(L, delta) for L in lattices[::2] + dilated[1::2] + ties]
     for L, delta in cases:
         red = lll(L, delta)
         gram, transform = reference_lll(L.gram, delta)
         assert [list(r) for r in red.transform] == transform, (L.label, delta)
         assert _kept(red) == kept_pivots(gram), (L.label, delta)
-    assert all(lll(L).scale > 1 for L in scaled)
+    assert all(lll(L).scale > 1 for L in dilated)
     # mu = 1/2 rounds up, mu = -1/2 stays
     assert lll(ties[0]).transform == ((1, 0), (-1, 1))
     assert lll(ties[1]).transform == ((1, 0), (0, 1))
@@ -92,7 +92,7 @@ def test_the_reduced_lattice_carries_the_pivots_of_its_gram_matrix():
     for n in range(4, 11):
         lattices += search_corpus(n)
     rand = random.Random(16)
-    lattices += [L.scaled(Fraction(2 * rand.randint(1, 20) + 1, rand.choice((2, 6, 10))))
+    lattices += [scaled(L, Fraction(2 * rand.randint(1, 20) + 1, rand.choice((2, 6, 10))))
                  for L in lattices]
     for L in lattices:
         assert _kept(lll(L)) == kept_pivots(reduced_gram(L)), L.label

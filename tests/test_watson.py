@@ -24,7 +24,7 @@ from latquot.watson import (
 )
 from oracles import (
     conjugate, gram_schmidt, inverse_rational, random_unimodular,
-    reference_maximal_index, reference_orthogonal_seed,
+    reference_maximal_index, reference_orthogonal_seed, scaled,
 )
 
 
@@ -194,7 +194,7 @@ def test_pivot_rows_match_the_rational_gram_determinant():
         n = rand.randint(2, 6)
         L = random_gram(rand, n)
         if trial % 2:
-            L = L.scaled(Fraction(rand.randint(1, 9), rand.choice((2, 3, 7))) / 5)
+            L = scaled(L, Fraction(rand.randint(1, 9), rand.choice((2, 3, 7))) / 5)
         scale, a = _integral(L.gram)
         assert scale > 1 if trial % 2 else scale == 1
         assert [[Fraction(x, scale) for x in row] for row in a] == [list(r) for r in L.gram]
@@ -218,12 +218,12 @@ def test_pivot_rows_match_the_rational_gram_determinant():
 def test_maximal_index_is_invariant_under_scaling():
     for name, c in (("E7", Fraction(3, 7)), ("A74", Fraction(5, 2)), ("D6+", Fraction(1, 6))):
         L = named(name).lattice
-        plain, scaled = maximal_index(L), maximal_index(L.scaled(c))
-        assert scaled.max_index == plain.max_index
-        assert scaled.witness_frame.vectors == plain.witness_frame.vectors
-        assert scaled.witness_frame.norms == tuple(c * x for x in plain.witness_frame.norms)
-        assert scaled.witness_structure == plain.witness_structure
-        assert scaled.exhaustive and plain.exhaustive
+        plain, dilated = maximal_index(L), maximal_index(scaled(L, c))
+        assert dilated.max_index == plain.max_index
+        assert dilated.witness_frame.vectors == plain.witness_frame.vectors
+        assert dilated.witness_frame.norms == tuple(c * x for x in plain.witness_frame.norms)
+        assert dilated.witness_structure == plain.witness_structure
+        assert dilated.exhaustive and plain.exhaustive
 
 
 def test_the_d6plus_and_a7_frame_searches_run_to_exhaustion():
@@ -248,7 +248,7 @@ def test_a8_is_decided_exhaustively(node_tally):
 def _reference_corpus():
     """Every fixture but A7, each also scaled, and 12 perturbed corpus lattices per rank 3-7."""
     fixtures = [L for name, L in sorted(fixture_inventory().items()) if name != "a7"]
-    lattices = fixtures + [L.scaled(Fraction(3, 7)) for L in fixtures]
+    lattices = fixtures + [scaled(L, Fraction(3, 7)) for L in fixtures]
     rand = random.Random(17)
     for n in range(3, 8):
         corpus = search_corpus(n)
