@@ -25,9 +25,9 @@ from .codes import (
     min_weight_support,
     weight_distribution,
 )
-from .construct import search_corpus, zd_lift
+from .construct import _checked_lift, search_corpus
 from .core import determinant, format_rational, load_lattice
-from .enumeration import invariant_report, is_well_rounded, minimum
+from .enumeration import _Counter, invariant_report, is_well_rounded
 from .errors import CodeTooLight, LatquotError, MinimumDrops, ResourceExceeded
 from .quality import qb
 from .sampling import perturbed
@@ -232,10 +232,10 @@ def cmd_watson(args) -> int:
         f"  N(e) bound     {data['norm_bound']}",
     ]
     try:
-        lifted = zd_lift(
-            Code(d=coset.d, n=coset.n, k=1, gen=(coset.a,)), base=lattice, budget=args.budget
+        # one budget for the base's and the lift's minima, each listed once
+        lifted, low = _checked_lift(
+            Code(d=coset.d, n=coset.n, k=1, gen=(coset.a,)), lattice, _Counter(args.budget)
         )
-        low, _ = minimum(lifted, args.budget)
         data["lift_min"] = format_rational(low)
         data["lift_det"] = format_rational(determinant(lifted))
         lines.append(f"  lift minimum   {data['lift_min']}")

@@ -8,6 +8,7 @@ determinants computed here are exact rationals.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -31,6 +32,10 @@ HERMITE_POWER = {
     7: Fraction(64),
     8: Fraction(256),
 }
+
+
+#: ``Fraction(x)`` for a Gram entry; equal entries share one, as a Fraction is immutable.
+_fraction = functools.lru_cache(maxsize=1024)(Fraction)
 
 
 class IntegralForm(NamedTuple):
@@ -69,6 +74,8 @@ def validate(matrix: Sequence[Sequence[Fraction | int]]) -> IntegralForm:
 
 def _integral(gram) -> tuple[int, list[list[int]]]:
     """The least positive ``scale`` making ``scale * gram`` integral, and that matrix."""
+    if all(type(x) is int for row in gram for x in row):
+        return 1, [list(row) for row in gram]
     scale = 1
     for row in gram:
         for x in row:
@@ -130,12 +137,15 @@ class GramLattice:
     )
 
     def __post_init__(self):
-        gram = tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in row)
-                     for row in self.gram)
+        rows = self.gram
+        gram = tuple(tuple(x if type(x) is Fraction else _fraction(x) for x in row)
+                     for row in rows)
         if self.n != len(gram):
             raise DimensionMismatch("declared rank does not match matrix size")
         object.__setattr__(self, "gram", gram)
-        object.__setattr__(self, "_form", validate(gram))
+        # integer rows are checked and cleared as ints, with no Fraction arithmetic
+        ints = all(type(x) is int for row in rows for x in row)
+        object.__setattr__(self, "_form", validate(rows if ints else gram))
 
     @classmethod
     def from_rows(cls, rows, label: str | None = None) -> "GramLattice":

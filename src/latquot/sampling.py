@@ -34,30 +34,30 @@ def random_gram(rand: random.Random, n: int, spread: int = 3) -> GramLattice:
     return GramLattice.from_rows(matmul(rows, transpose(rows)), label=f"random{n}")
 
 
-def _below(bits, w: int) -> int:
-    """``rand._randbelow(w)`` as CPython 3.10-3.13 draw it, from ``bits = rand.getrandbits``."""
-    k = w.bit_length()
-    r = bits(k)
-    while r >= w:
-        r = bits(k)
-    return r
-
-
 def _moves(rand: random.Random, n: int, steps: int = 12) -> list[tuple[int, int, int, bool]]:
     """The elementary moves ``(i, j, c, swap)`` of one random unimodular matrix.
 
     Move ``(i, j, c, swap)`` adds ``c`` times row ``j`` to row ``i``, then
     exchanges the two rows if ``swap``, drawn as ``rand.sample(range(n), 2)``,
     ``rand.choice((-2, -1, 1, 2))`` and ``rand.random() < 0.5`` draw them.
+    Each index is ``rand._randbelow(w)`` as CPython 3.10-3.13 draw it: ``r
+    = getrandbits(w.bit_length())`` until ``r < w``.
     """
-    bits, moves = rand.getrandbits, []
+    bits, uniform, moves = rand.getrandbits, rand.random, []
+    # sample's pool (n <= 21) puts n - 1 in the slot of i; its set draws j again
+    wj = n - (n <= 21)
+    ki, kj = n.bit_length(), wj.bit_length()
     for _ in range(steps if n > 1 else 0):  # rank 1 draws nothing
-        # sample's pool (n <= 21) puts n - 1 in the slot of i; its set draws j again
-        i, j = _below(bits, n), _below(bits, n - (n <= 21))
-        while j == i and n > 21:
-            j = _below(bits, n)
-        c = (-2, -1, 1, 2)[_below(bits, 4)]
-        moves.append((i, n - 1 if j == i else j, c, rand.random() < 0.5))
+        i = bits(ki)
+        while i >= n:
+            i = bits(ki)
+        j = bits(kj)
+        while j >= wj or (j == i and n > 21):
+            j = bits(kj)
+        c = bits(3)  # choice's index below 4
+        while c >= 4:
+            c = bits(3)
+        moves.append((i, n - 1 if j == i else j, (-2, -1, 1, 2)[c], uniform() < 0.5))
     return moves
 
 
@@ -88,21 +88,33 @@ def perturbed(rand: random.Random, L: GramLattice, magnitude: int = 1) -> GramLa
     is drawn again, up to 12 times, and then the noise is zero.  Only the
     accepted one is conjugated by a random unimodular matrix, since
     congruence keeps definiteness.  The draws read ``rand.getrandbits``
-    and ``rand.random`` only, never ``randint``, ``sample`` or ``choice``.
+    and ``rand.random`` only, never ``randint``, ``sample`` or ``choice``,
+    and leave the generator where those calls would.  They are most of
+    the cost: a rank 8 candidate, kept or not, draws 36 noise entries and
+    12 moves of four values each.
     """
     base, n, bits = L._form.gram, L.n, rand.getrandbits
     for attempt in range(13):
-        # the 13th candidate is base itself, but its draws still advance rand
+        # the 13th candidate is base itself, definite as given; its draws still advance rand
         m = magnitude if attempt < 12 else 0
-        w, cand = 2 * m + 1, [list(row) for row in base]
-        for i in range(n):
-            for j in range(i, n):  # rand.randint(-m, m) is -m + _below(bits, w)
-                cand[i][j] = cand[j][i] = base[i][j] - m + _below(bits, w)
+        w = 2 * m + 1
+        k = w.bit_length()
+        cand: list[list[int]] = []
+        for i, row in enumerate(base):
+            # entries left of the diagonal mirror the rows above
+            new = [above[i] for above in cand]
+            for x in row[i:]:  # rand.randint(-m, m) is -m + rand._randbelow(w)
+                r = bits(k)
+                while r >= w:
+                    r = bits(k)
+                new.append(x - m + r)
+            cand.append(new)
         moves = _moves(rand, n)
-        try:
-            _leading_minors(cand)
-        except NotPositiveDefinite:
-            continue
+        if attempt < 12:
+            try:
+                _leading_minors(cand)
+            except NotPositiveDefinite:
+                continue
         # u * cand * u^T, which is u * (u * cand)^T as cand is symmetric
         gram = _apply(moves, transpose(_apply(moves, cand)))
         return GramLattice.from_rows(gram, label=f"perturbed {L.label}")

@@ -19,10 +19,11 @@ pivot rows over the Gram matrix, and the greedy frame of the index
 search by scanning every pool vector's inner products.  Slow on purpose;
 the tests only feed these small instances.
 
-``random_unimodular``, ``conjugate``, ``scaled`` and ``repetition`` are
-test helpers rather than references: they draw unimodular matrices the
-way the sampler does, present a lattice on a new basis, multiply its
-form by a positive rational and build the binary repetition code.
+``_below``, ``random_unimodular``, ``conjugate``, ``scaled`` and
+``repetition`` are test helpers rather than references: they draw an
+index below a width the way the sampler does, draw unimodular matrices
+the way it does, present a lattice on a new basis, multiply its form by
+a positive rational and build the binary repetition code.
 """
 
 from fractions import Fraction
@@ -344,6 +345,18 @@ def reference_validate(matrix):
             return ("definite", i + 1)
         b.append(pivot)
     return ("pivots", tuple(b))
+
+
+def _below(bits, w: int) -> int:
+    """``rand._randbelow(w)`` as CPython 3.10-3.13 draw it, from ``bits = rand.getrandbits``.
+
+    The sampler inlines this draw; the tests check it against ``randint``.
+    """
+    k = w.bit_length()
+    r = bits(k)
+    while r >= w:
+        r = bits(k)
+    return r
 
 
 def random_unimodular(rand, n, steps=12):

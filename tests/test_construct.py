@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from latquot.codes import Code, c8
+from latquot.codes import Code, c8, c9, c10
 from latquot.construct import (
     centred_cubic,
     code_lift,
@@ -124,6 +124,12 @@ def test_fixture_inventory_matches_the_shipped_files():
         shipped = load_lattice(fixture_path(stem))
         assert shipped.gram == built.gram, stem
         assert shipped.label == built.label, stem
+
+
+def test_the_corpus_reads_the_code_lifts_from_their_fixtures():
+    for n, code in ((8, c8), (9, c9), (10, c10)):
+        got, want = search_corpus(n)[-1], zd_lift(code())
+        assert (got.gram, got.label) == (want.gram, want.label), n
 
 
 def test_search_corpus():

@@ -88,6 +88,37 @@ def test_construction_witnesses_match_their_definitions():
     assert seen == {"pivots", "square", "symmetric", "definite"}
 
 
+def test_integer_rows_build_the_lattice_of_their_fraction_copies():
+    # Integer rows are checked and cleared as ints, at scale 1; the same
+    # rows as Fractions take the rational path.  Both give the same
+    # lattice, or fail with the same witness.
+    rand = random.Random(32)
+    seen = set()
+    for _ in range(600):
+        n = rand.randint(1, 6)
+        m = [[rand.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        if rand.random() < 0.7:
+            for i in range(n):
+                for j in range(i):
+                    m[i][j] = m[j][i]
+        if rand.random() < 0.6:
+            for i in range(n):
+                m[i][i] += rand.randint(0, 9)
+        outcomes = []
+        for rows in (m, [[Fraction(x) for x in row] for row in m]):
+            try:
+                L = GramLattice.from_rows(rows)
+                assert all(type(x) is Fraction for row in L.gram for x in row)
+                outcomes.append(("lattice", L.gram, L._form))
+            except NotSymmetric as exc:
+                outcomes.append(("symmetric", exc.position))
+            except NotPositiveDefinite as exc:
+                outcomes.append(("definite", exc.minor))
+        assert outcomes[0] == outcomes[1], m
+        seen.add(outcomes[0][0])
+    assert seen == {"lattice", "symmetric", "definite"}
+
+
 def test_qform_norm_inner_agree():
     L = GramLattice.from_rows([[2, 1], [1, 4]])
     v, w = (1, -1), (2, 1)

@@ -11,10 +11,11 @@ from fractions import Fraction
 
 import pytest
 
-from latquot import enumeration
+from latquot import cli, enumeration
 from latquot.codes import Code, c9, c10, classify_binary
 from latquot.construct import (
-    centred_cubic, code_lift, fixture_inventory, named, search_corpus, zd_lift, zn,
+    centred_cubic, code_lift, fixture_inventory, fixture_path, named, search_corpus, zd_lift,
+    zn,
 )
 from latquot.core import GramLattice, _integral, _pivot_row, determinant, norm, validate
 from latquot.enumeration import (
@@ -273,12 +274,21 @@ def _lift_over(L, budget):
         pass
 
 
+def _watson_command(stem):
+    """``latquot watson --budget B`` on fixture ``stem`` with the all ones coset of order 2."""
+    def call(L, budget):
+        cli.main(["watson", str(fixture_path(stem)), "--coset", "2:" + ",".join("1" * L.n),
+                  "--budget", str(budget), "--json"])
+    return call
+
+
 def test_no_call_charges_more_nodes_than_its_budget(monkeypatch):
     # A public call gets one allowance for all of its phases.  Each spend
     # is recorded with whether it raised; the spends of one call,
     # counted up to the one that ended it by raising, or all of them
     # when none did, total at most the budget B.  On each fixture the
     # calls run in turn, so the later ones reuse the kept minima ball.
+    # The watson command reads its lattice from the fixture's file.
     spends: list[tuple[int, bool]] = []
     real = enumeration._Counter.spend
 
@@ -303,10 +313,10 @@ def test_no_call_charges_more_nodes_than_its_budget(monkeypatch):
         lambda L, budget: vectors_up_to(L, _context(L).radius, budget),
         _lift_over,
     )
-    for L in fixture_inventory().values():
+    for stem, L in fixture_inventory().items():
         for budget in (100, 300, 1000, 3000, 10000):
             fresh = GramLattice(L.n, L.gram, L.label)
-            for index, call in enumerate(calls):
+            for index, call in enumerate(calls + (_watson_command(stem),)):
                 spends.clear()
                 try:
                     call(fresh, budget)

@@ -20,11 +20,13 @@ ROOT = Path(__file__).resolve().parents[1]
 def test_importing_the_compute_modules_leaves_the_rest_unimported():
     # ``import latquot`` loads no submodule, and the modules behind the
     # searches import neither the code classification, the closed form
-    # bounds nor the verification suites.
+    # bounds nor the verification suites; nor does building the search
+    # corpus of any rank, which reads its code lifts from the fixtures.
     script = (
         "import sys\n"
         "import latquot, latquot.quality, latquot.watson, latquot.enumeration\n"
         "import latquot.construct, latquot.sampling\n"
+        "for n in range(1, 13): latquot.construct.search_corpus(n)\n"
         "print(sorted(m for m in ('latquot.bounds', 'latquot.verify', 'latquot.codes')"
         " if m in sys.modules))\n"
     )
