@@ -166,16 +166,16 @@ def norm_e_index2_bound(n: int) -> Fraction:
     return Fraction(n * (n + 1), 8)
 
 
-def index3_sum_identity(L: GramLattice, frame, c: CosetVector):
+def index3_sum_identity(L: GramLattice, rows, c: CosetVector):
     """Both sides of the pair-sum identity for e = (e_1 + ... + e_n)/d.
 
-    The left side sums N(e - e_i - e_j) over i < j directly; the right
-    side is (n-2)T + (n^2 - (4d+1)n + 2d(d+2))/2 * N(e) with T the sum
-    of the frame norms.
+    ``rows`` are the n frame vectors e_i in coordinates.  The left side
+    sums N(e - e_i - e_j) over i < j directly; the right side is
+    (n-2)T + (n^2 - (4d+1)n + 2d(d+2))/2 * N(e) with T the sum of the
+    frame norms.
     """
     if any(x != 1 for x in c.a):
         raise ValueError("the identity requires all numerators equal to 1")
-    rows = frame.vectors if hasattr(frame, "vectors") else tuple(frame)
     n = L.n
     if len(rows) != n:
         raise ValueError("frame must contain n vectors")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
+from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
 from .core import GramLattice, load_lattice
@@ -287,9 +287,9 @@ def named(name: str) -> NamedLattice:
     raise UnknownLattice(name)
 
 
-def fixture_path(name: str):
+def fixture_path(name: str) -> Path:
     """Path to a bundled .lat fixture file (no extension in ``name``)."""
-    return resources.files("latquot") / "fixtures" / f"{name}.lat"
+    return Path(__file__).with_name("fixtures") / f"{name}.lat"
 
 
 def fixture_inventory() -> dict[str, GramLattice]:

@@ -7,10 +7,10 @@ clear; Cohen, GTM 138, Alg. 2.6.7) and maintains an integer change of
 basis.  The decisions read only the minors and the coefficients, so only
 they and the transform are kept up to date.  The diagonal of the reduced
 Gram matrix is read off the final pivots; the reduced Gram matrix itself
-is never built, as enumeration reads only the pivots.  With the
-reduction parameter close to 1 that diagonal gives useful upper bounds
-on the successive minima, and the product of its entries bounds the
-minimal basis norm product from above.
+is never built, as enumeration reads only the pivots.  The reduction
+parameter is fixed at delta = 99/100; that close to 1 the diagonal gives
+useful upper bounds on the successive minima, and the product of its
+entries bounds the minimal basis norm product from above.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from fractions import Fraction
 
 from .core import GramLattice
 
-#: Default reduction parameter.  Anything in (1/4, 1) works; a value
-#: close to 1 gives the strongest bases at a modest cost in swaps.
+#: The reduction parameter.  Anything in (1/4, 1) works; a value close
+#: to 1 gives the strongest bases at a modest cost in swaps.
 DELTA = Fraction(99, 100)
 
 
@@ -59,18 +59,15 @@ class ReducedBasis:
     diagonal: tuple[int, ...]
 
 
-def lll(lattice: GramLattice, delta: Fraction = DELTA) -> ReducedBasis:
+def lll(lattice: GramLattice) -> ReducedBasis:
     """Reduce the standard basis of the lattice, returning its pivots and transform.
 
     The decisions are the textbook ones, taken in integers: with
     ``mu = lam / d``, the nearest integer to mu is ``(2 lam + d) // (2 d)``,
-    and for ``delta = p / q`` the Lovasz test reads
+    and for ``DELTA = p / q`` the Lovasz test reads
     ``q (d[k+1] d[k-1] + lam[k][k-1]^2) >= p d[k]^2``.
     """
-    delta = Fraction(delta)
-    if not Fraction(1, 4) < delta < 1:
-        raise ValueError("delta must lie strictly between 1/4 and 1")
-    p, q = delta.numerator, delta.denominator
+    p, q = DELTA.numerator, DELTA.denominator
     n = lattice.n
     scale, _, d, lam = lattice._form
     d, lam = list(d), [list(row) for row in lam]

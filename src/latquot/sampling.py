@@ -12,30 +12,28 @@ import random
 
 from .core import GramLattice, _leading_minors
 from .errors import NotPositiveDefinite
-from .linalg import _insert, matmul, transpose
+from .linalg import det_int, matmul, transpose
 from .watson import CosetVector
 
 __all__ = ["random_basis", "random_gram", "random_coset", "perturbed"]
 
 
-def random_basis(rand: random.Random, n: int, spread: int = 3) -> list[list[int]]:
-    """A nonsingular integer matrix with entries in [-spread, spread]."""
+def random_basis(rand: random.Random, n: int) -> list[list[int]]:
+    """A nonsingular integer matrix with entries in [-3, 3]."""
     while True:
-        rows = [[rand.randint(-spread, spread) for _ in range(n)] for _ in range(n)]
-        echelon: dict[int, list[int]] = {}
-        # nonsingular: each row raises the rank of the echelon form over Q
-        if all(_insert(echelon, row) for row in rows):
+        rows = [[rand.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        if det_int(rows):
             return rows
 
 
-def random_gram(rand: random.Random, n: int, spread: int = 3) -> GramLattice:
-    """A random integral lattice: the Gram matrix B*B^T of a random basis."""
-    rows = random_basis(rand, n, spread)
+def random_gram(rand: random.Random, n: int) -> GramLattice:
+    """A random integral lattice: B*B^T for a random basis B with entries in [-3, 3]."""
+    rows = random_basis(rand, n)
     return GramLattice.from_rows(matmul(rows, transpose(rows)), label=f"random{n}")
 
 
-def _moves(rand: random.Random, n: int, steps: int = 12) -> list[tuple[int, int, int, bool]]:
-    """The elementary moves ``(i, j, c, swap)`` of one random unimodular matrix.
+def _moves(rand: random.Random, n: int) -> list[tuple[int, int, int, bool]]:
+    """The 12 elementary moves ``(i, j, c, swap)`` of one random unimodular matrix.
 
     Move ``(i, j, c, swap)`` adds ``c`` times row ``j`` to row ``i``, then
     exchanges the two rows if ``swap``, drawn as ``rand.sample(range(n), 2)``,
@@ -47,7 +45,7 @@ def _moves(rand: random.Random, n: int, steps: int = 12) -> list[tuple[int, int,
     # sample's pool (n <= 21) puts n - 1 in the slot of i; its set draws j again
     wj = n - (n <= 21)
     ki, kj = n.bit_length(), wj.bit_length()
-    for _ in range(steps if n > 1 else 0):  # rank 1 draws nothing
+    for _ in range(12 if n > 1 else 0):  # rank 1 draws nothing
         i = bits(ki)
         while i >= n:
             i = bits(ki)
@@ -80,23 +78,23 @@ def random_coset(rand: random.Random, n: int) -> CosetVector:
             continue
 
 
-def perturbed(rand: random.Random, L: GramLattice, magnitude: int = 1) -> GramLattice:
+def perturbed(rand: random.Random, L: GramLattice) -> GramLattice:
     """A random integer perturbation of an integer-scaled copy of L.
 
     The Gram matrix, cleared of denominators, gets symmetric integer noise
-    in [-magnitude, magnitude]; a candidate that is not positive definite
-    is drawn again, up to 12 times, and then the noise is zero.  Only the
-    accepted one is conjugated by a random unimodular matrix, since
-    congruence keeps definiteness.  The draws read ``rand.getrandbits``
-    and ``rand.random`` only, never ``randint``, ``sample`` or ``choice``,
-    and leave the generator where those calls would.  They are most of
-    the cost: a rank 8 candidate, kept or not, draws 36 noise entries and
-    12 moves of four values each.
+    in {-1, 0, 1}; a candidate that is not positive definite is drawn
+    again, up to 12 times, and then the noise is zero.  Only the accepted
+    one is conjugated by a random unimodular matrix, since congruence
+    keeps definiteness.  The draws read ``rand.getrandbits`` and
+    ``rand.random`` only, never ``randint``, ``sample`` or ``choice``, and
+    leave the generator where those calls would.  They are most of the
+    cost: a rank 8 candidate, kept or not, draws 36 noise entries and 12
+    moves of four values each.
     """
     base, n, bits = L._form.gram, L.n, rand.getrandbits
     for attempt in range(13):
         # the 13th candidate is base itself, definite as given; its draws still advance rand
-        m = magnitude if attempt < 12 else 0
+        m = 1 if attempt < 12 else 0
         w = 2 * m + 1
         k = w.bit_length()
         cand: list[list[int]] = []

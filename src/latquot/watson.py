@@ -228,21 +228,11 @@ def maximal_index(L: GramLattice, budget: int | None = None) -> IndexReport:
             break
         if value in wanted:
             shells.setdefault(value, []).append(v)
-    # the whole pool in one list, shell after shell, so that a bit mask
-    # over it is a set of pool vectors
-    vectors: list[tuple[int, ...]] = []
-    spans, starts = [], {}
-    for key, shell in shells.items():
-        starts[key] = len(vectors)
-        spans.append((len(vectors), len(vectors) + len(shell), keys.count(key)))
-        vectors += shell
-    offsets = [starts[key] for key in keys]
 
     tail = [Fraction(1)] * (n + 1)
     for i in range(n - 1, -1, -1):
         tail[i] = tail[i + 1] * lam[i]
     det_l = determinant(L)
-    room = [det_l * scale ** (k + 1) / tail[k + 1] for k in range(n)]
     hadamard = math.isqrt(math.floor(tail[0] / det_l))
 
     incumbent, best_rows = abs(det_int(base.vectors)), base.vectors
@@ -257,6 +247,16 @@ def maximal_index(L: GramLattice, budget: int | None = None) -> IndexReport:
     kernels: dict[int, list[int]] = {}
     exhaustive = True
     if candidates:
+        # the whole pool in one list, shell after shell, so that a bit
+        # mask over it is a set of pool vectors
+        vectors: list[tuple[int, ...]] = []
+        spans, starts = [], {}
+        for key, shell in shells.items():
+            starts[key] = len(vectors)
+            spans.append((len(vectors), len(vectors) + len(shell), keys.count(key)))
+            vectors += shell
+        offsets = [starts[key] for key in keys]
+        room = [det_l * scale ** (k + 1) / tail[k + 1] for k in range(n)]
         # the tree's pools pair each vector with its row of inner
         # products, built once per shell and only when the tree runs
         paired = {key: [(v, _times(v, a)) for v in shell] for key, shell in shells.items()}

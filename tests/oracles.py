@@ -19,11 +19,13 @@ pivot rows over the Gram matrix, and the greedy frame of the index
 search by scanning every pool vector's inner products.  Slow on purpose;
 the tests only feed these small instances.
 
-``_below``, ``random_unimodular``, ``conjugate``, ``scaled`` and
-``repetition`` are test helpers rather than references: they draw an
-index below a width the way the sampler does, draw unimodular matrices
-the way it does, present a lattice on a new basis, multiply its form by
-a positive rational and build the binary repetition code.
+``_below``, ``random_unimodular``, ``narrow_random_gram``,
+``conjugate``, ``scaled`` and ``repetition`` are test helpers rather
+than references: they draw an index below a width the way the sampler
+does, draw unimodular matrices the way it does, draw random lattices
+with smaller entries than it does, present a lattice on a new basis,
+multiply its form by a positive rational and build the binary
+repetition code.
 """
 
 from fractions import Fraction
@@ -359,9 +361,21 @@ def _below(bits, w: int) -> int:
     return r
 
 
-def random_unimodular(rand, n, steps=12):
-    """A random determinant +-1 matrix built from the sampler's elementary row moves."""
-    return _apply(_moves(rand, n, steps), identity_rows(n))
+def random_unimodular(rand, n):
+    """A random determinant +-1 matrix built from the sampler's 12 elementary row moves."""
+    return _apply(_moves(rand, n), identity_rows(n))
+
+
+def narrow_random_gram(rand, n):
+    """``sampling.random_gram`` with basis entries in [-2, 2], not [-3, 3].
+
+    The box oracles stay affordable on these lattices.  The draws are
+    ``rand.randint(-2, 2)`` row by row until the basis is nonsingular.
+    """
+    while True:
+        rows = [[rand.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        if det_int(rows):
+            return GramLattice.from_rows(matmul(rows, transpose(rows)), label=f"random{n}")
 
 
 def conjugate(L, u):
@@ -377,12 +391,12 @@ def scaled(L, c):
     return GramLattice.from_rows([[c * x for x in row] for row in L.gram], L.label)
 
 
-def reference_random_unimodular(rand, n, steps=12):
-    """The sampler's unimodular draw as first written: each move applied as it is drawn."""
+def reference_random_unimodular(rand, n):
+    """The sampler's unimodular draw as first written: each of 12 moves applied as it is drawn."""
     u = identity_rows(n)
     if n == 1:
         return u
-    for _ in range(steps):
+    for _ in range(12):
         i, j = rand.sample(range(n), 2)
         c = rand.choice((-2, -1, 1, 2))
         for col in range(n):
@@ -392,7 +406,7 @@ def reference_random_unimodular(rand, n, steps=12):
     return u
 
 
-def reference_perturbed(rand, L, magnitude=1):
+def reference_perturbed(rand, L):
     """``sampling.perturbed`` as first written.
 
     Every candidate is conjugated by two matrix products and rejected
@@ -406,7 +420,7 @@ def reference_perturbed(rand, L, magnitude=1):
     base = [[int(x * scale) for x in row] for row in L.gram]
     n = L.n
     for attempt in range(24):
-        m = magnitude if attempt < 12 else 0
+        m = 1 if attempt < 12 else 0
         noise = [[0] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):

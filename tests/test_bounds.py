@@ -195,6 +195,6 @@ def test_pair_sum_identity_rejects_a_coset_of_the_wrong_rank():
 def test_pair_sum_identity_accepts_frames():
     L = random_gram(random.Random(43), 4)
     frame = successive_minima(L)
-    lhs, rhs = index3_sum_identity(L, frame, CosetVector(3, (1, 1, 1, 1)))
+    lhs, rhs = index3_sum_identity(L, frame.vectors, CosetVector(3, (1, 1, 1, 1)))
     assert lhs == rhs
     assert norm(L, frame.vectors[0]) == frame.norms[0]

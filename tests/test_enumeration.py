@@ -34,8 +34,8 @@ from latquot.reduction import lll
 from latquot.sampling import perturbed, random_gram
 from latquot.watson import maximal_index
 from oracles import (
-    box_vectors, brute_minima, brute_minimum, kept_pivots, rank_rational, reduced_gram,
-    reference_enumerate, reference_frame, scaled,
+    box_vectors, brute_minima, brute_minimum, kept_pivots, narrow_random_gram, rank_rational,
+    reduced_gram, reference_enumerate, reference_frame, scaled,
 )
 
 
@@ -47,7 +47,7 @@ def test_listings_match_the_box_oracle():
     rand = random.Random(21)
     for _ in range(20):
         n = rand.randint(2, 4)
-        L = random_gram(rand, n, spread=2)
+        L = narrow_random_gram(rand, n)
         bound = Fraction(rand.randint(1, 2)) * min(L.gram[i][i] for i in range(n))
         c = Fraction(rand.randint(1, 9), rand.choice((2, 3, 5, 7)))
         if c.denominator == 1:
@@ -67,7 +67,7 @@ def test_listings_match_the_box_oracle():
 def test_minimum_matches_the_box_oracle():
     rand = random.Random(22)
     for _ in range(20):
-        L = random_gram(rand, rand.randint(2, 4), spread=2)
+        L = narrow_random_gram(rand, rand.randint(2, 4))
         low, shell = minimum(L)
         assert low == brute_minimum(L.gram)
         assert all(norm(L, v) == low for v in shell.vectors)

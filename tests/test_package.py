@@ -3,6 +3,7 @@
 import ast
 import importlib
 import importlib.util
+import math
 import os
 import pkgutil
 import subprocess
@@ -101,6 +102,15 @@ UNCALLED = {
 }
 
 
+SRC, BENCH = ROOT / "src" / "latquot", ROOT / "perfbench"
+
+
+def _sources():
+    """The syntax tree of each module of src/latquot and perfbench/, by path."""
+    return {path: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(SRC.glob("*.py")) + sorted(BENCH.glob("*.py"))}
+
+
 def _is_public_method(node):
     return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_")
 
@@ -150,13 +160,11 @@ def test_every_name_in_src_has_a_caller_outside_the_tests():
     # ``cls.name`` refer to that class's own members only.  A reference
     # from a definition that has no caller itself does not count, unless
     # it is one of UNCALLED; nor does one from a method of such a class.
-    src, bench = ROOT / "src" / "latquot", ROOT / "perfbench"
-    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted(src.glob("*.py")) + sorted(bench.glob("*.py"))}
+    trees = _sources()
     defined = set()
     members: dict[str, set[str]] = {}
     for path, tree in trees.items():
-        for node in tree.body if path.parent == src else ():
+        for node in tree.body if path.parent == SRC else ():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 if not node.name.startswith("__"):
                     defined.add(node.name)
@@ -173,3 +181,63 @@ def test_every_name_in_src_has_a_caller_outside_the_tests():
             break
         uncalled = defined - used
     assert sorted(uncalled) == sorted(UNCALLED)
+
+
+# Default-valued parameters of src/latquot that no call in src/ or
+# perfbench/ passes, each with the reason it stays, as ``function.name``.
+UNSET = {
+    "vectors_up_to.budget": "every public call takes one node budget; README documents it",
+    "minkowski_M.budget": "every public call takes one node budget; README documents it",
+    "hermite_Hb.budget": "every public call takes one node budget; README documents it",
+}
+
+
+def _settings(tree):
+    """``(function, parameter, position)`` for each default-valued parameter in a module.
+
+    ``position`` is the number of arguments a call passes before the
+    parameter, so a method's ``self`` or ``cls`` does not count; a
+    keyword-only parameter has no position.
+    """
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    methods = {id(item) for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+               for item in node.body if isinstance(item, functions)
+               and not any(getattr(d, "id", None) == "staticmethod" for d in item.decorator_list)}
+    for node in ast.walk(tree):
+        if isinstance(node, functions):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            shift = id(node) in methods
+            for i in range(len(positional) - len(args.defaults), len(positional)):
+                yield node.name, positional[i].arg, i - shift
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield node.name, arg.arg, None
+
+
+def test_every_setting_in_src_is_set_by_a_caller_outside_the_tests():
+    # A default-valued parameter of a function in src/latquot must be
+    # passed, by position or by keyword, by some call in src/ or
+    # perfbench/; a setting that only the tests turn is a constant.
+    # Calls are matched by the function's name, as in the name guard,
+    # and a call's ``*args`` or ``**kwargs`` passes every position or
+    # every keyword.
+    trees = _sources()
+    calls: dict[str, list] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+                keywords = {keyword.arg for keyword in node.keywords}
+                count = math.inf if starred else len(node.args)
+                calls.setdefault(name, []).append((count, keywords))
+    unset = {
+        f"{function}.{name}"
+        for path, tree in trees.items() if path.parent == SRC
+        for function, name, position in _settings(tree)
+        if not any((position is not None and position < count) or {name, None} & keywords
+                   for count, keywords in calls.get(function, ()))
+    }
+    assert sorted(unset - set(UNSET)) == []
+    assert sorted(set(UNSET) - unset) == []

@@ -17,9 +17,10 @@ from latquot.enumeration import _Counter, _context, _listing, _times, successive
 from latquot.errors import ResourceExceeded
 from latquot.linalg import det_int, hnf_rows, identity_rows, is_primitive
 from latquot.quality import _cleared, _generates, _parity_bound, hermite_Hb, qb
-from latquot.sampling import perturbed, random_gram
+from latquot.sampling import perturbed
 from oracles import (
-    brute_Hb_product, conjugate, parity_cover, parity_product, random_unimodular, scaled,
+    brute_Hb_product, conjugate, narrow_random_gram, parity_cover, parity_product,
+    random_unimodular, scaled,
 )
 
 
@@ -27,7 +28,7 @@ def test_hermite_product_matches_the_oracle():
     rand = random.Random(61)
     for _ in range(15):
         n = rand.randint(2, 4)
-        L = random_gram(rand, n, spread=2)
+        L = narrow_random_gram(rand, n)
         value, rows, certified = hermite_Hb(L)
         assert certified
         expected, _ = brute_Hb_product(L.gram)
@@ -172,7 +173,7 @@ def test_random_lattices_decide_generation_as_the_hermite_fold_does(seed, n):
     # Only a pass after the minima ball checks generation, and random
     # lattices of these ranks seldom run one (none of 3,000 tried).
     with patch.object(quality, "_generates", _checked_generation):
-        qb(random_gram(random.Random(seed), n, spread=2))
+        qb(narrow_random_gram(random.Random(seed), n))
 
 
 def test_generation_over_a_frame_agrees_with_the_hermite_fold():
@@ -312,7 +313,7 @@ def test_the_parity_bound_matches_the_class_minima_oracle():
     # given basis only: its box would blow up on a conjugated one.
     rand = random.Random(97)
     lattices = [zn(4), centred_cubic(4), named("D4").lattice]
-    lattices += [random_gram(rand, rand.randint(2, 4), spread=2) for _ in range(12)]
+    lattices += [narrow_random_gram(rand, rand.randint(2, 4)) for _ in range(12)]
     for base in lattices:
         n = base.n
         expected = parity_product(base.gram)
