@@ -1,9 +1,14 @@
 """Constructors for the lattices the package works with.
 
 Everything is produced as a :class:`~latquot.core.GramLattice`, i.e. a
-Gram matrix of an explicit basis.  Lifted lattices (centred cubic,
-code lifts) live in a rational ambient space but the chosen bases keep
-all Gram entries in ``Z[1/4d^2]``, so exact arithmetic is cheap.
+Gram matrix of an explicit basis.  The centred cubic lattices, the code
+lifts and the glue superlattices of the catalogue have one shape, a base
+lattice extended by glue vectors r/d, and ``_glue`` builds them all.
+Its basis depends only on the rows r.  If each row has a unit pivot, a
+column where it is 1 and every other row is 0, the basis is the base
+vectors at the other columns, in ascending order, then each row over d,
+as given.  Otherwise it is the Hermite basis of d*I over the rows,
+scaled by 1/d.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
-from .core import GramLattice, load_lattice
+from .core import GramLattice, _integral, load_lattice
 from .enumeration import _Counter, _minimum
 from .errors import (
     CodeTooLight,
@@ -22,7 +27,7 @@ from .errors import (
     MinimumDrops,
     UnknownLattice,
 )
-from .linalg import _rref2, hnf_rows, identity_rows, matmul, transpose
+from .linalg import _rref2, hnf_rows, identity_rows
 
 if TYPE_CHECKING:
     from .codes import Code
@@ -44,36 +49,70 @@ def zn(n: int) -> GramLattice:
     """The cubic lattice Z^n (identity Gram matrix)."""
     if n < 1:
         raise ValueError("rank must be at least 1")
-    gram = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    return GramLattice.from_rows(gram, label=f"Z{n}")
+    return GramLattice.from_rows(identity_rows(n), label=f"Z{n}")
+
+
+def _glue(base, rows: Sequence[Sequence[int]], d: int, label: str) -> GramLattice:
+    """The base with Gram matrix G = ``base`` glued to r/d for each integer row r.
+
+    The basis, by the module's rule, is H/d for H the rows d*e_j off the
+    pivots and then the rows, or the Hermite form; the Gram matrix
+    H (scale G) H^T / (scale d^2) is formed in integers.
+    """
+    n, rows = len(base), [list(r) for r in rows]
+    support = [sum(map(bool, col)) for col in zip(*rows)]
+    pivots = [next((j for j, x in enumerate(r) if x == 1 and support[j] == 1), None) for r in rows]
+    stacked = [[d * x for x in row] for row in identity_rows(n)]
+    if None in pivots:
+        h = hnf_rows(stacked + rows)
+    else:
+        h = [row for j, row in enumerate(stacked) if j not in pivots] + rows
+    scale, g = _integral(base)
+    sparse = [[(j, x) for j, x in enumerate(row) if x] for row in h]
+
+    def times(s, m):
+        """The row with nonzero entries ``s`` times the matrix ``m``."""
+        (j, x), *rest = s
+        out = [x * y for y in m[j]]
+        for j, x in rest:
+            out = [a + x * y for a, y in zip(out, m[j])]
+        return out
+    gh = list(zip(*(times(s, g) for s in sparse)))  # G H^T, as G is symmetric
+    gram = [times(s, gh) for s in sparse]
+    # one Fraction for each distinct entry
+    fractions = {v: Fraction(v, scale * d * d) for v in set().union(*gram)}
+    return GramLattice.from_rows([[fractions[v] for v in row] for row in gram], label=label)
 
 
 def centred_cubic(n: int) -> GramLattice:
     """The centred cubic lattice: Z^n extended by e = (e_1 + ... + e_n)/2.
 
-    The basis is (e_1, ..., e_{n-1}, e), so the Gram matrix is the
-    identity bordered by a column of halves with corner n/4, and the
-    determinant is 1/4.  For n < 4 the centre vector would be shorter
-    than the unit vectors, so those ranks are refused.
+    The basis is (e_2, ..., e_n, e), so the Gram matrix is the identity
+    bordered by a column of halves with corner n/4, and the determinant
+    is 1/4.  For n < 4 the centre vector would be shorter than the unit
+    vectors, so those ranks are refused.
     """
     if n < 4:
         raise MinimumDrops(f"centre vector has norm {n}/4 < 1 for n = {n}")
-    half = Fraction(1, 2)
-    gram = [
-        [Fraction(int(i == j)) for j in range(n - 1)] + [half] for i in range(n - 1)
-    ]
-    gram.append([half] * (n - 1) + [Fraction(n, 4)])
-    return GramLattice.from_rows(gram, label=f"C{n}")
+    return _glue(identity_rows(n), [[1] * n], 2, f"C{n}")
+
+
+def _code_rows(c: Code) -> Sequence[Sequence[int]]:
+    """The rows a lift of ``c`` glues: a binary code's reduced rows, else its generators."""
+    if c.d != 2:
+        return c.gen
+    _, masks = _rref2(c.masks())
+    return [[m >> j & 1 for j in range(c.n)] for m in masks]
 
 
 def code_lift(c: Code) -> GramLattice:
     """The lift of a binary code C: the lattice generated by Z^n and C/2.
 
-    The basis consists of the unit vectors at the non-pivot columns of
-    the reduced generator matrix, in ascending column order, followed by
-    the halved pivot rows.  Its determinant is 4^-k.  Codes of minimum
-    weight below 4 would lift to a lattice of minimum below 1 and are
-    rejected.
+    The glue rows are the reduced generator matrix over GF(2), whose
+    pivots are unit pivots, so the basis is the unit vectors at the
+    non-pivot columns, in ascending order, then the halved rows.  Its
+    determinant is 4^-k.  Codes of minimum weight below 4 would lift to
+    a lattice of minimum below 1 and are rejected.
     """
     from .codes import min_weight_support
 
@@ -82,34 +121,22 @@ def code_lift(c: Code) -> GramLattice:
     w, _, _ = min_weight_support(c)
     if w < 4:
         raise CodeTooLight(f"minimum weight {w} < 4 lifts below the unit sphere")
-    pivots, rows = _rref2(c.masks())
-    free = [j for j in range(c.n) if j not in pivots]
-    m = len(free)
-    size = m + len(rows)
-    gram = [[Fraction(0)] * size for _ in range(size)]
-    for a in range(m):
-        gram[a][a] = Fraction(1)
-        for i, r in enumerate(rows):
-            gram[a][m + i] = gram[m + i][a] = Fraction(r >> free[a] & 1, 2)
-    for i, r in enumerate(rows):
-        for j, s in enumerate(rows):
-            gram[m + i][m + j] = Fraction((r & s).bit_count(), 4)
-    return GramLattice.from_rows(gram, label=f"lift [{c.n},{c.k}]")
+    return _glue(identity_rows(c.n), _code_rows(c), 2, f"lift [{c.n},{c.k}]")
 
 
 def zd_lift(c: Code, base: GramLattice | None = None,
             budget: int | None = None) -> GramLattice:
     """Lift a code over Z/dZ: the lattice generated by the base and C/d.
 
-    With no ``base`` the ambient lattice is Z^n.  A basis of the span of
-    the base vectors and the coset vectors (a_1 e_1 + ... + a_n e_n)/d
-    is extracted by Hermite reduction of the stacked integer matrix
-    (d*I over the generator rows), scaled back by 1/d.  The construction
-    is rejected if the minimum drops below the minimum of the base,
-    which is checked by enumeration after the fact; the two minima
-    spend one node budget, ``budget`` or ``node_budget()``.  A binary
-    code with no base is lifted by ``code_lift``, which needs no
-    enumeration.
+    With no ``base`` the ambient lattice is Z^n.  A binary code glues its
+    reduced echelon rows, as ``code_lift`` does, and any other code its
+    generator rows.  With unit pivots the basis is the base vectors off
+    the pivots, then the glue vectors; otherwise it is the Hermite basis
+    (see the module docstring).  The construction is rejected if the
+    minimum drops below the minimum of the base, which is checked by
+    enumeration after the fact; the two minima spend one node budget,
+    ``budget`` or ``node_budget()``.  A binary code with no base is
+    lifted by ``code_lift``, which needs no enumeration.
     """
     if c.d == 2 and base is None:
         return code_lift(c)
@@ -118,17 +145,11 @@ def zd_lift(c: Code, base: GramLattice | None = None,
 
 def _checked_lift(c: Code, base: GramLattice | None,
                   counter: _Counter) -> tuple[GramLattice, Fraction]:
-    """``zd_lift`` by Hermite reduction, paid for from ``counter``, and the lift's minimum."""
+    """``zd_lift`` with its minima paid for from ``counter``, and the lift's minimum."""
     ambient = zn(c.n) if base is None else base
     if ambient.n != c.n:
         raise DimensionMismatch("base lattice rank does not match code length")
-    stacked = [[c.d * x for x in row] for row in identity_rows(c.n)]
-    stacked += [list(row) for row in c.gen]
-    # the basis is H/d for the Hermite form H: its Gram matrix is H (scale G) H^T / (scale d^2)
-    h = hnf_rows(stacked)
-    g = matmul(matmul(h, ambient._form.gram), transpose(h))
-    gram = [[Fraction(x, ambient._form.scale * c.d**2) for x in row] for row in g]
-    lifted = GramLattice.from_rows(gram, label=f"lift [{c.n},{c.k}] mod {c.d}")
+    lifted = _glue(ambient.gram, _code_rows(c), c.d, f"lift [{c.n},{c.k}] mod {c.d}")
     floor, _ = _minimum(ambient, counter)
     got, _ = _minimum(lifted, counter)
     if got < floor:
@@ -178,19 +199,14 @@ def _e8() -> GramLattice:
 def _a5_cubed() -> GramLattice:
     """The index-3 superlattice of A_5 spanned by the glue vector.
 
-    Built in the usual Z^6 model A_5 = {x : sum x_i = 0} with basis
-    (g, a_2, ..., a_5) where a_i = e_i - e_{i+1} and the glue vector is
-    g = (1,1,1,1,-2,-2)/3, an order-3 class with 3g = a_1 + 2a_2 + 3a_3
-    + 4a_4 + 2a_5.
+    Over the simple roots a_1, ..., a_5 the glue vector is
+    g = (a_1 + 2a_2 + 3a_3 + 4a_4 + 2a_5)/3, an order-3 class; the basis
+    is (g, a_2, ..., a_5).
     """
-    amb = [[Fraction(x, 3) for x in (1, 1, 1, 1, -2, -2)]]
-    for i in range(1, 5):
-        row = [Fraction(0)] * 6
-        row[i] = Fraction(1)
-        row[i + 1] = Fraction(-1)
-        amb.append(row)
-    gram = matmul(amb, transpose(amb))
-    return GramLattice.from_rows(gram, label="A5^3")
+    cartan = _cartan(5, [(i, i + 1) for i in range(4)], "A5").gram
+    glued = _glue(cartan, [[1, 2, 3, 4, 2]], 3, "A5^3")
+    order = [4, 0, 1, 2, 3]
+    return GramLattice.from_rows([[glued.gram[i][j] for j in order] for i in order], glued.label)
 
 
 def _an_squared(n: int) -> GramLattice:
@@ -198,25 +214,19 @@ def _an_squared(n: int) -> GramLattice:
 
     In the dense A_n form with basis u_1, ..., u_n the vector
     h = (u_1 + ... + u_n)/2 satisfies h * u_i = (n+1)/2 and
-    N(h) = n(n+1)/4, and for odd n the span (u_1, ..., u_{n-1}, h) is a
+    N(h) = n(n+1)/4, and for odd n the span (u_2, ..., u_n, h) is a
     lattice of determinant (n+1)/4.
     """
     if n < 3 or n % 2 == 0:
         raise UnknownLattice(f"A{n}^2 needs odd rank at least 3")
-    gram = [
-        [Fraction(1 + int(i == j)) for j in range(n - 1)] + [Fraction(n + 1, 2)]
-        for i in range(n - 1)
-    ]
-    gram.append([Fraction(n + 1, 2)] * (n - 1) + [Fraction(n * (n + 1), 4)])
-    return GramLattice.from_rows(gram, label=f"A{n}^2")
+    return _glue(_an(n).gram, [[1] * n], 2, f"A{n}^2")
 
 
 def _d6_plus() -> GramLattice:
     """The minimum-3 copy of D6+: frame of norm 3 vectors with mutual
     inner product 1, extended by e = (e_1 + ... + e_6)/2 of norm 12."""
-    gram = [[Fraction(1 + 2 * int(i == j)) for j in range(5)] + [Fraction(4)] for i in range(5)]
-    gram.append([Fraction(4)] * 5 + [Fraction(12)])
-    return GramLattice.from_rows(gram, label="D6+")
+    frame = [[1 + 2 * int(i == j) for j in range(6)] for i in range(6)]
+    return _glue(frame, [[1] * 6], 2, "D6+")
 
 
 _A73_ROWS = (
@@ -300,20 +310,9 @@ def fixture_inventory() -> dict[str, GramLattice]:
     """
     from .codes import c8, c9, c10, c11, g12
 
-    inv: dict[str, GramLattice] = {
-        "zn4": zn(4),
-        "c4": centred_cubic(4),
-        "c5": centred_cubic(5),
-        "c6": centred_cubic(6),
-        "c7": centred_cubic(7),
-        "c8": centred_cubic(8),
-        "c9": centred_cubic(9),
-        "liftc8": code_lift(c8()),
-        "liftc9": code_lift(c9()),
-        "liftc10": code_lift(c10()),
-        "liftc11": code_lift(c11()),
-        "liftc12": code_lift(g12()),
-    }
+    inv: dict[str, GramLattice] = {"zn4": zn(4)}
+    inv.update({f"c{n}": centred_cubic(n) for n in range(4, 10)})
+    inv.update({f"liftc{c.n}": code_lift(c) for c in (c8(), c9(), c10(), c11(), g12())})
     for name in ("A5", "A7", "D4", "D6", "E7", "E8", "A5^3", "A7^2", "D6+", "A73", "A74"):
         stem = name.lower().replace("^", "").replace("+", "plus")
         inv[stem] = named(name).lattice

@@ -162,6 +162,17 @@ def test_watson_text(capsys):
     assert "lift det       1/4" in out
 
 
+def test_watson_json_of_a_coset_with_no_unit_pivot(capsys):
+    # No coefficient of (2, 3, 2, 3, 2, 3) is 1, so the lift over c6
+    # takes the Hermite basis; its minimum drops, and the report is pinned.
+    code, out, _ = run(capsys, "watson", str(fixture_path("c6")),
+                       "--coset", "6:2,3,2,3,2,3", "--json")
+    assert code == PASS
+    assert json.loads(out)["lift_note"] == "lift minimum 5/24 is below the base minimum 1"
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "6b38ce7be2c9773029973f59e0ae8acfec5f56f86d21b84fec08e9f86f33f98c"
+
+
 def test_watson_coset_length_mismatch(capsys):
     code, _, err = run(
         capsys, "watson", str(fixture_path("zn4")), "--coset", "2:1,1"

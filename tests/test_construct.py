@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from latquot.codes import Code, c8, c9, c10
+from latquot.codes import Code, c8, c9, c10, c11, g12
 from latquot.construct import (
+    _glue,
     centred_cubic,
     code_lift,
     fixture_inventory,
@@ -24,6 +25,7 @@ from latquot.errors import (
     ResourceExceeded,
     UnknownLattice,
 )
+from latquot.linalg import hnf_rows, identity_rows, matmul, transpose
 from latquot.watson import maximal_index
 from oracles import repetition
 
@@ -35,7 +37,11 @@ CATALOGUE = {
     "E7": (7, 2, 2, 63),
     "E8": (8, 1, 2, 120),
     "A5^3": (5, Fraction(2, 3), Fraction(4, 3), 15),
+    "A3^2": (3, 1, 1, 3),
+    "A5^2": (5, Fraction(3, 2), Fraction(3, 2), 10),
     "A7^2": (7, 2, 2, 63),
+    "A9^2": (9, Fraction(5, 2), 2, 45),
+    "A11^2": (11, 3, 2, 66),
     "D6+": (6, 64, 3, 16),
     "A73": (7, 45562500, 18, 7),
     "A74": (7, 82944, 8, 17),
@@ -47,6 +53,15 @@ def test_catalogue_invariants():
         L = named(name).lattice
         rep = invariant_report(L)
         assert (L.n, rep.det, rep.min, rep.s) == (n, det, low, s), name
+
+
+def test_the_an_glue_vector_has_the_stated_products():
+    # The basis is (u_2, ..., u_n, h) with h = (u_1 + ... + u_n)/2.
+    for n in range(3, 12, 2):
+        L = named(f"A{n}^2").lattice
+        assert L.gram[-1][:-1] == (Fraction(n + 1, 2),) * (n - 1), n
+        assert L.gram[-1][-1] == Fraction(n * (n + 1), 4), n
+        assert determinant(L) == Fraction(n + 1, 4), n
 
 
 def test_name_lookup_is_forgiving():
@@ -73,6 +88,24 @@ def test_centred_cubic_needs_rank_four():
 def test_light_codes_are_rejected():
     with pytest.raises(CodeTooLight):
         code_lift(repetition(3))
+
+
+def test_a_binary_lift_has_one_basis_over_any_base():
+    # zd_lift glues a binary code's reduced rows whether or not a base is
+    # given, so both paths agree entry for entry.
+    for c in [c8(), c9(), c10(), c11(), g12()] + [repetition(n) for n in range(4, 10)]:
+        assert zd_lift(c).gram == zd_lift(c, base=zn(c.n)).gram, (c.n, c.k)
+
+
+def test_a_row_with_no_unit_pivot_takes_the_hermite_basis():
+    # No entry of (2, 3, 2, 3, 2, 3) is 1, so the basis is the Hermite
+    # form of 6I over the row, over 6.
+    row = [2, 3, 2, 3, 2, 3]
+    stacked = [[6 * x for x in unit] for unit in identity_rows(6)] + [row]
+    basis = [[Fraction(x, 6) for x in h] for h in hnf_rows(stacked)]
+    glued = _glue(identity_rows(6), [row], 6, "glued")
+    assert [list(r) for r in glued.gram] == matmul(basis, transpose(basis))
+    assert determinant(glued) == Fraction(1, 36)
 
 
 def test_lift_dimension_mismatch():

@@ -58,12 +58,13 @@ def test_dimension_twelve_certificate():
 
 
 def test_the_budget_reaches_every_suite(monkeypatch):
-    # At 4000 nodes the rank 8 order 4 instance is not decided, so its
-    # case is skipped instead of passed; the codes suite and the rank 12
+    # At 3000 nodes the rank 8 order 4 instance is not decided (it is at
+    # 4000), so its case is skipped instead of passed, while the rank 6
+    # order 3 instance is decided; the codes suite and the rank 12
     # certificate stop at the budget instead of ignoring it.  With no
     # budget in the environment, the rank 7 suite given a large one still
     # decides every case: none of its calls falls back to the environment.
-    cases = {c.id: c for c in run_suite("identities", trials=5, budget=4000)}
+    cases = {c.id: c for c in run_suite("identities", trials=5, budget=3000)}
     assert cases["id-quotient-d4"].status == "skipped"
     assert cases["id-quotient-d3"].status == "pass"
     with pytest.raises(ResourceExceeded):

@@ -11,7 +11,7 @@ from latquot.core import GramLattice, Surd, _integral, _pivot_row, inner
 from latquot.enumeration import _Counter, _ball, _dot, _times
 from latquot.errors import DependentFrame, DimensionMismatch, ResourceExceeded
 from latquot.frames import _orthogonal_seed
-from latquot.linalg import det_int, det_rational, hnf_rows, identity_rows
+from latquot.linalg import det_int, det_rational, identity_rows, matmul, transpose
 from latquot.sampling import perturbed, random_coset, random_gram
 from latquot.watson import (
     CosetVector,
@@ -134,24 +134,20 @@ def test_every_frame_reader_checks_the_frame_shape():
         quotient_structure(L, [row[:3] for row in frame])
 
 
-def unit_frame_in_lift_coordinates(code):
-    """Rows of the unit frame of Z^n written in the basis of the lift."""
-    stacked = [[code.d * x for x in row] for row in identity_rows(code.n)]
-    stacked += [list(row) for row in code.gen]
-    basis = [[Fraction(x, code.d) for x in row] for row in hnf_rows(stacked)]
-    rows = []
-    for row in inverse_rational(basis):
-        assert all(x.denominator == 1 for x in row)
-        rows.append(tuple(int(x) for x in row))
-    return rows
-
-
 def test_code_lift_quotient_recovers_the_code_parameters():
     # The unit frame of Z^9 inside the lift of a [9,2] code spans a
-    # sublattice of index 4 with elementary quotient (2, 2).
-    code = c9()
-    L = zd_lift(code, base=zn(9))
-    frame = unit_frame_in_lift_coordinates(code)
+    # sublattice of index 4 with elementary quotient (2, 2).  The lift's
+    # basis is the unit vectors off the pivots 0 and 3 of the code's
+    # reduced rows, then those rows over 2.
+    L = zd_lift(c9(), base=zn(9))
+    halves = [(1, 1, 1, 0, 0, 0, 1, 1, 1), (0, 0, 0, 1, 1, 1, 1, 1, 1)]
+    basis = [row for j, row in enumerate(identity_rows(9)) if j not in (0, 3)]
+    basis += [[Fraction(x, 2) for x in row] for row in halves]
+    assert matmul(basis, transpose(basis)) == [list(row) for row in L.gram]
+    frame = []
+    for row in inverse_rational(basis):
+        assert all(x.denominator == 1 for x in row)
+        frame.append(tuple(int(x) for x in row))
     q = quotient_structure(L, frame)
     assert q.index == 4
     assert q.invariant_factors == (2, 2)
