@@ -34,9 +34,9 @@ _EXPORTS = {
         "fixture_path", "named", "search_corpus", "zd_lift", "zn",
     ),
     "core": (
-        "GramLattice", "HERMITE_POWER", "InvariantReport", "Surd",
-        "determinant", "inner", "load_lattice", "norm", "parse_lattice_json",
-        "parse_lattice_text", "qform",
+        "GramLattice", "HERMITE_POWER", "InvariantReport", "determinant",
+        "inner", "load_lattice", "norm", "parse_lattice_json", "parse_lattice_text",
+        "qform",
     ),
     "enumeration": (
         "Frame", "ShellListing", "invariant_report", "is_well_rounded",

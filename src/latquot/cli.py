@@ -45,8 +45,16 @@ def _emit(data, as_json: bool, lines) -> None:
             print(line)
 
 
+def _load(path: str):
+    """``load_lattice``, with a file that cannot be opened as an input error."""
+    try:
+        return load_lattice(path)
+    except OSError as exc:
+        raise ValueError(str(exc)) from exc
+
+
 def cmd_info(args) -> int:
-    lattice = load_lattice(args.file)
+    lattice = _load(args.file)
     report = qb(lattice, args.budget)
     idx = maximal_index(lattice, args.budget)
     basic = invariant_report(lattice, args.budget)
@@ -203,7 +211,7 @@ def _parse_coset(text: str) -> CosetVector:
 
 
 def cmd_watson(args) -> int:
-    lattice = load_lattice(args.file)
+    lattice = _load(args.file)
     coset = _parse_coset(args.coset)
     if coset.n != lattice.n:
         print(f"coset has {coset.n} coefficients for a rank "
@@ -310,7 +318,7 @@ def main(argv=None) -> int:
     except ResourceExceeded as exc:
         print(str(exc), file=sys.stderr)
         return BUDGET
-    except (FileNotFoundError, LatquotError, ValueError) as exc:
+    except (LatquotError, ValueError) as exc:
         print(str(exc), file=sys.stderr)
         return USAGE
 

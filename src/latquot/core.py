@@ -205,65 +205,6 @@ class InvariantReport:
             raise ValueError("invariants out of range")
 
 
-class Surd:
-    """The nonnegative square root of a rational, with exact comparisons.
-
-    Comparisons against rationals are decided by squaring, so expressions
-    like ``Surd(8) < 3`` are exact.
-    """
-
-    __slots__ = ("radicand",)
-
-    def __init__(self, radicand):
-        radicand = Fraction(radicand)
-        if radicand < 0:
-            raise ValueError("radicand must be nonnegative")
-        self.radicand = radicand
-
-    def is_rational(self) -> bool:
-        num, den = self.radicand.numerator, self.radicand.denominator
-        return math.isqrt(num) ** 2 == num and math.isqrt(den) ** 2 == den
-
-    def as_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"sqrt({self.radicand}) is irrational")
-        return Fraction(
-            math.isqrt(self.radicand.numerator), math.isqrt(self.radicand.denominator)
-        )
-
-    def __eq__(self, other):
-        if isinstance(other, Surd):
-            return self.radicand == other.radicand
-        other = Fraction(other)
-        return other >= 0 and other * other == self.radicand
-
-    def __lt__(self, other):
-        if isinstance(other, Surd):
-            return self.radicand < other.radicand
-        other = Fraction(other)
-        return other > 0 and self.radicand < other * other
-
-    def __gt__(self, other):
-        if isinstance(other, Surd):
-            return self.radicand > other.radicand
-        other = Fraction(other)
-        return other < 0 or self.radicand > other * other
-
-    def __le__(self, other):
-        return self == other or self < other
-
-    def __ge__(self, other):
-        return self == other or self > other
-
-    def __hash__(self):
-        if self.is_rational():
-            return hash(self.as_rational())
-        return hash(("surd", self.radicand))
-
-    def __repr__(self):
-        return f"sqrt({self.radicand})"
-
-
 def parse_rational(token: str) -> Fraction:
     try:
         return Fraction(token)
@@ -328,7 +269,11 @@ def parse_lattice_json(text: str) -> GramLattice:
         raise ParseError(exc.lineno, exc.msg)
     if not isinstance(data, dict) or "gram" not in data:
         raise ParseError(1, "expected an object with a 'gram' field")
-    gram = data["gram"]
+    gram, label = data["gram"], data.get("label")
+    if not isinstance(gram, list) or not all(isinstance(row, list) for row in gram):
+        raise ParseError(1, "'gram' must be an array of arrays")
+    if label is not None and not isinstance(label, str):
+        raise ParseError(1, "'label' must be a string or null")
     n = data.get("n", len(gram))
     try:
         rows = tuple(tuple(parse_rational(str(x)) for x in row) for row in gram)
@@ -336,7 +281,7 @@ def parse_lattice_json(text: str) -> GramLattice:
         raise ParseError(1, f"bad gram entry: {exc}")
     if not rows:
         raise ParseError(1, "rank must be at least 1")
-    return GramLattice(n, rows, data.get("label"))
+    return GramLattice(n, rows, label)
 
 
 def load_lattice(path) -> GramLattice:

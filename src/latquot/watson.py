@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import HERMITE_POWER, GramLattice, Surd, determinant, qform
+from .core import HERMITE_POWER, GramLattice, determinant, qform
 from .enumeration import Frame, _Counter, _ball, _times
 from .errors import DependentFrame, DimensionMismatch, ResourceExceeded
 from .frames import _first_frame, _kernels, _marks, _orthogonal_seed, _primes
@@ -171,11 +171,15 @@ def watson_condition(c: CosetVector, n: int) -> bool:
     return c.A == 2 * c.d and c.m == n
 
 
-def watson_index_bound(n: int) -> Surd:
-    """Exact value of gamma_n^(n/2), the general bound on the maximal index."""
+def watson_index_bound(n: int) -> int:
+    """floor(gamma_n^(n/2)), the general bound on the maximal index.
+
+    An index is an integer, so the largest integer at most gamma_n^(n/2)
+    bounds it as well; floor(sqrt(x)) = isqrt(floor(x)) for rational x >= 0.
+    """
     if n not in HERMITE_POWER:
         raise ValueError("the Hermite constant is only known exactly for n <= 8")
-    return Surd(HERMITE_POWER[n])
+    return math.isqrt(math.floor(HERMITE_POWER[n]))
 
 
 def maximal_index(L: GramLattice, budget: int | None = None) -> IndexReport:

@@ -15,8 +15,9 @@ from their definitions, the random lattice models by conjugating every
 candidate with matrix products, short-vector listings by the
 Fincke-Pohst kernel as first written (a centre loop per node, a sign
 test per leaf, one sort), frames of successive minima by fraction-free
-pivot rows over the Gram matrix, and the greedy frame of the index
-search by scanning every pool vector's inner products.  Slow on purpose;
+pivot rows over the Gram matrix, the greedy frame of the index
+search by scanning every pool vector's inner products, and the index
+ceiling floor(gamma_n^(n/2)) by squaring candidates.  Slow on purpose;
 the tests only feed these small instances.
 
 ``_below``, ``random_unimodular``, ``narrow_random_gram``,
@@ -35,7 +36,7 @@ import math
 from math import floor, gcd, isqrt
 
 from latquot.linalg import identity_rows, matmul, transpose
-from latquot.core import GramLattice, _pivot_row, determinant, qform, validate
+from latquot.core import HERMITE_POWER, GramLattice, _pivot_row, determinant, qform, validate
 from latquot.enumeration import (
     Frame, _Counter, _context, _dot, _listing, _times, _weights, successive_minima,
 )
@@ -124,6 +125,14 @@ def _ceil_sqrt(x: Fraction) -> int:
     while Fraction(r * r) < x:
         r += 1
     return r
+
+
+def reference_index_bound(n: int) -> int:
+    """Largest k with k*k <= gamma_n^n, found by counting up in Fractions."""
+    k = 0
+    while Fraction((k + 1) ** 2) <= HERMITE_POWER[n]:
+        k += 1
+    return k
 
 
 def box_vectors(gram, bound: Fraction):

@@ -37,10 +37,14 @@ def test_info_json(capsys):
     assert data["Hb_certified"] is True
 
 
-def test_info_missing_file(capsys):
-    code, _, err = run(capsys, "info", "/no/such/file.lat")
-    assert code == USAGE
-    assert err
+def test_info_missing_file(capsys, tmp_path):
+    # a directory or a malformed file is an input error too, not a failed verification
+    rows = tmp_path / "rows.json"
+    rows.write_text('{"gram": ["21", "12"]}')
+    for path in ("/no/such/file.lat", fixture_path("e7").parent, rows):
+        code, out, err = run(capsys, "info", str(path))
+        assert (code, out) == (USAGE, "")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_info_tiny_budget(capsys):

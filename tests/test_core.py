@@ -8,7 +8,6 @@ import pytest
 from latquot.core import (
     HERMITE_POWER,
     GramLattice,
-    Surd,
     determinant,
     inner,
     norm,
@@ -146,6 +145,19 @@ def test_json_parse_reads_gram_and_label():
     assert L.label == "three"
 
 
+def test_json_parse_rejects_rows_that_are_not_arrays():
+    # a string row would otherwise be walked character by character
+    for text in ('{"gram": ["21", "12"]}', '{"gram": [[2, 1], "12"]}', '{"gram": "21"}'):
+        with pytest.raises(ParseError, match="array of arrays"):
+            parse_lattice_json(text)
+
+
+def test_json_parse_rejects_a_label_that_is_not_a_string():
+    with pytest.raises(ParseError, match="label"):
+        parse_lattice_json('{"gram": [[2, 1], [1, 2]], "label": 5}')
+    assert parse_lattice_json('{"gram": [[2, 1], [1, 2]], "label": null}').label is None
+
+
 def test_parse_errors_carry_line_numbers():
     with pytest.raises(ParseError) as err:
         parse_lattice_text("2\n1 0\n1 oops\n")
@@ -164,18 +176,3 @@ def test_json_parse_rejects_rank_zero():
 def test_parse_rejects_wrong_row_count():
     with pytest.raises(ParseError):
         parse_lattice_text("3\n1 0\n0 1\n")
-
-
-def test_surd_exact_comparisons():
-    assert Surd(8) < 3
-    assert Surd(9) == 3
-    assert Surd(10) > 3
-    assert Surd(Fraction(1, 4)) == Fraction(1, 2)
-    assert Surd(2) < Surd(3)
-    assert not Surd(2).is_rational()
-    assert Surd(Fraction(9, 4)).as_rational() == Fraction(3, 2)
-
-
-def test_surd_rejects_negative_radicand():
-    with pytest.raises(ValueError):
-        Surd(-1)

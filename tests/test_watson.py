@@ -7,7 +7,7 @@ import pytest
 
 from latquot.codes import c9
 from latquot.construct import centred_cubic, fixture_inventory, named, search_corpus, zd_lift, zn
-from latquot.core import GramLattice, Surd, _integral, _pivot_row, inner
+from latquot.core import GramLattice, _integral, _pivot_row, inner
 from latquot.enumeration import _Counter, _ball, _dot, _times
 from latquot.errors import DependentFrame, DimensionMismatch, ResourceExceeded
 from latquot.frames import _orthogonal_seed
@@ -24,7 +24,7 @@ from latquot.watson import (
 )
 from oracles import (
     conjugate, gram_schmidt, inverse_rational, random_unimodular,
-    reference_maximal_index, reference_orthogonal_seed, scaled,
+    reference_index_bound, reference_maximal_index, reference_orthogonal_seed, scaled,
 )
 
 
@@ -91,11 +91,10 @@ def test_condition():
 
 
 def test_index_bound_values():
-    assert watson_index_bound(4) == 2
-    assert watson_index_bound(5) == Surd(8)
-    assert watson_index_bound(5) < 3
-    assert watson_index_bound(7) == 8
-    assert watson_index_bound(8) == 16
+    bounds = [watson_index_bound(n) for n in range(1, 9)]
+    assert bounds == [reference_index_bound(n) for n in range(1, 9)]
+    assert bounds == [1, 1, 1, 2, 2, 4, 8, 16]
+    assert all(type(b) is int for b in bounds)
     with pytest.raises(ValueError):
         watson_index_bound(9)
 
