@@ -40,8 +40,7 @@ _EXPORTS = {
     ),
     "enumeration": (
         "Frame", "ShellListing", "invariant_report", "is_well_rounded",
-        "minimum", "minkowski_M", "node_budget", "successive_minima",
-        "vectors_up_to",
+        "minimum", "minkowski_M", "successive_minima", "vectors_up_to",
     ),
     "errors": (
         "CodeTooLight", "DimensionMismatch", "LatquotError", "MinimumDrops",

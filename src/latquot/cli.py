@@ -4,7 +4,8 @@ Subcommands: ``info`` prints the full invariant report for a lattice
 file, ``verify`` runs a named suite of exact checks, ``classify`` lists
 binary code classes, ``search`` samples random lattices for quality
 outliers, and ``watson`` checks the coset identities over a frame read
-from a file.
+from a file.  Each takes ``--json`` and ``--budget N``, the node budget
+of every call it makes.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input error,
 3 node budget exceeded.
@@ -117,7 +118,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    found = classify_binary(args.n, args.k, args.w)
+    found = classify_binary(args.n, args.k, args.w, args.budget)
     rows = []
     for code in found:
         w, support, full = min_weight_support(code)
@@ -262,43 +263,37 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact basis quality and index theory for lattices.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--json", action="store_true")
+    common.add_argument("--budget", type=int, default=None,
+                        help="node budget of each call")
 
-    p = sub.add_parser("info", help="invariant report for a lattice file")
+    p = sub.add_parser("info", parents=[common], help="invariant report for a lattice file")
     p.add_argument("file")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--budget", type=int, default=None,
-                   help="node budget override")
     p.set_defaults(func=cmd_info)
 
-    p = sub.add_parser("verify", help="run a verification suite")
+    p = sub.add_parser("verify", parents=[common], help="run a verification suite")
     p.add_argument("suite", choices=sorted(SUITES))
-    p.add_argument("--json", action="store_true")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--trials", type=int, default=200,
                    help="sample count for randomized cases")
-    p.add_argument("--budget", type=int, default=None)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("classify", help="binary code classes")
+    p = sub.add_parser("classify", parents=[common], help="binary code classes")
     p.add_argument("n", type=int)
     p.add_argument("k", type=int)
     p.add_argument("w", type=int, help="minimum weight")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("search", help="sample random lattices for quality")
+    p = sub.add_parser("search", parents=[common], help="sample random lattices for quality")
     p.add_argument("n", type=int)
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("watson", help="coset identity checks over a frame")
+    p = sub.add_parser("watson", parents=[common], help="coset identity checks over a frame")
     p.add_argument("file")
     p.add_argument("--coset", required=True, metavar="d:a1,...,an")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--budget", type=int, default=None)
     p.set_defaults(func=cmd_watson)
 
     return parser

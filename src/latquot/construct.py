@@ -135,7 +135,7 @@ def zd_lift(c: Code, base: GramLattice | None = None,
     (see the module docstring).  The construction is rejected if the
     minimum drops below the minimum of the base, which is checked by
     enumeration after the fact; the two minima spend one node budget,
-    ``budget`` or ``node_budget()``.  A binary code with no base is
+    ``budget``, 10^9 nodes by default.  A binary code with no base is
     lifted by ``code_lift``, which needs no enumeration.
     """
     if c.d == 2 and base is None:

@@ -275,6 +275,8 @@ def parse_lattice_json(text: str) -> GramLattice:
     if label is not None and not isinstance(label, str):
         raise ParseError(1, "'label' must be a string or null")
     n = data.get("n", len(gram))
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ParseError(1, "'n' must be an integer")
     try:
         rows = tuple(tuple(parse_rational(str(x)) for x in row) for row in gram)
     except (ValueError, TypeError) as exc:

@@ -42,15 +42,15 @@ No other listing is kept: ``vectors_up_to`` and ``minimum`` walk the
 tree on each call.
 
 A node budget guards against runaway trees.  It is one allowance per
-public call, read once from ``budget`` or ``node_budget()`` into the one
-``_Counter`` the call makes; every phase of the call spends from it, and
-the private helpers take that counter, never a budget.
+public call, its ``budget`` argument or else ``DEFAULT_NODE_BUDGET``,
+held by the one ``_Counter`` the call makes; every phase of the call
+spends from it, and the private helpers take that counter, never a
+budget.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import struct
 from collections import defaultdict
 from dataclasses import dataclass
@@ -65,15 +65,6 @@ from .linalg import _insert
 from .reduction import ReducedBasis, _weights, lll
 
 DEFAULT_NODE_BUDGET = 10**9
-
-
-def node_budget() -> int:
-    """The enumeration node budget currently in force."""
-    value = os.environ.get("LATQUOT_NODE_BUDGET", str(DEFAULT_NODE_BUDGET))
-    try:
-        return int(value)
-    except ValueError:
-        raise ValueError(f"LATQUOT_NODE_BUDGET must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -136,7 +127,7 @@ class _Counter:
 
     def __init__(self, budget: int | None):
         self.nodes = 0
-        self.budget = node_budget() if budget is None else budget
+        self.budget = DEFAULT_NODE_BUDGET if budget is None else budget
         if self.budget < 0:
             raise ValueError(f"node budget must not be negative, got {self.budget}")
 

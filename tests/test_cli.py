@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from latquot import enumeration
 from latquot.cli import BUDGET, FAIL, PASS, USAGE, main
 from latquot.construct import fixture_path
 from latquot.verify import VerificationCase
@@ -39,9 +40,11 @@ def test_info_json(capsys):
 
 def test_info_missing_file(capsys, tmp_path):
     # a directory or a malformed file is an input error too, not a failed verification
-    rows = tmp_path / "rows.json"
+    rows, boolean, real = (tmp_path / name for name in ("rows.json", "boolean.json", "real.json"))
     rows.write_text('{"gram": ["21", "12"]}')
-    for path in ("/no/such/file.lat", fixture_path("e7").parent, rows):
+    boolean.write_text('{"gram": [[2]], "n": true}')
+    real.write_text('{"gram": [[2, 1], [1, 2]], "n": 2.0}')
+    for path in ("/no/such/file.lat", fixture_path("e7").parent, rows, boolean, real):
         code, out, err = run(capsys, "info", str(path))
         assert (code, out) == (USAGE, "")
         assert err.count("\n") == 1 and "Traceback" not in err
@@ -72,18 +75,6 @@ def test_info_downgrades_what_its_budget_cannot_certify(capsys):
         assert code == PASS
         data = json.loads(out)
         assert (data["Hb"], data["Hb_certified"], data["Qb"]) == hb, budget
-
-
-def test_info_negative_budget_variable_is_a_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("LATQUOT_NODE_BUDGET", "-2")
-    code, _, err = run(capsys, "info", str(fixture_path("c5")))
-    assert (code, err) == (USAGE, "node budget must not be negative, got -2\n")
-
-
-def test_info_non_integer_budget_variable_is_named(capsys, monkeypatch):
-    monkeypatch.setenv("LATQUOT_NODE_BUDGET", "abc")
-    code, out, err = run(capsys, "info", str(fixture_path("c5")))
-    assert (code, out, err) == (USAGE, "", "LATQUOT_NODE_BUDGET must be an integer, got 'abc'\n")
 
 
 def test_verify_codes_suite(capsys):
@@ -215,14 +206,36 @@ def test_search_is_deterministic(capsys):
     assert "maximum Q_b" in first[1]
 
 
-def test_search_runs_at_its_budget_flag(capsys, monkeypatch):
-    # --budget reaches every call of the search, so a budget of 0 in the
-    # environment changes nothing.
+def test_search_runs_at_its_budget_flag(capsys):
+    # the default budget given as a flag changes nothing
     argv = ("search", "8", "--trials", "2", "--seed", "1", "--budget", "1000000000")
     expected = run(capsys, *argv)
-    monkeypatch.setenv("LATQUOT_NODE_BUDGET", "0")
-    assert run(capsys, *argv) == expected
+    assert run(capsys, *argv[:-2]) == expected
     assert expected[0] == PASS
+
+
+def test_every_command_hands_its_budget_to_every_counter(capsys, monkeypatch):
+    # Each public call makes one counter from its budget; every counter a
+    # command makes must hold the flag's value, none the default.
+    budgets = []
+    init = enumeration._Counter.__init__
+
+    def recording(self, budget):
+        budgets.append(budget)
+        init(self, budget)
+
+    monkeypatch.setattr(enumeration._Counter, "__init__", recording)
+    for argv in (
+        ("verify", "all"),
+        ("info", str(fixture_path("e7"))),
+        ("search", "8", "--trials", "2", "--seed", "1"),
+        ("watson", str(fixture_path("c6")), "--coset", "2:1,1,1,1,1,1"),
+        ("classify", "9", "2", "5"),
+    ):
+        budgets.clear()
+        code, _, _ = run(capsys, *argv, "--budget", "1000000007")
+        assert code == PASS, argv
+        assert budgets and set(budgets) == {1000000007}, (argv, set(budgets))
 
 
 def _trials(capsys, *argv):

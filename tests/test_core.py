@@ -158,6 +158,13 @@ def test_json_parse_rejects_a_label_that_is_not_a_string():
     assert parse_lattice_json('{"gram": [[2, 1], [1, 2]], "label": null}').label is None
 
 
+def test_json_parse_rejects_a_rank_that_is_not_an_integer():
+    # true would pass as rank 1, and 2.0 would reach the reduction as a float
+    for text in ('{"gram": [[2]], "n": true}', '{"gram": [[2, 1], [1, 2]], "n": 2.0}'):
+        with pytest.raises(ParseError, match="'n' must be an integer"):
+            parse_lattice_json(text)
+
+
 def test_parse_errors_carry_line_numbers():
     with pytest.raises(ParseError) as err:
         parse_lattice_text("2\n1 0\n1 oops\n")

