@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import GramLattice, qform
+from .core import GramLattice, _exact, qform
 from .watson import CosetVector
 
 
@@ -42,7 +42,7 @@ class BoundContext:
         for name in ("T", "t", "u", "v", "w"):
             value = getattr(self, name)
             if value is not None:
-                object.__setattr__(self, name, Fraction(value))
+                object.__setattr__(self, name, _exact(value))
 
 
 def context_from(basis: GramLattice, c: CosetVector) -> BoundContext:
@@ -110,7 +110,7 @@ def crude_bound(norms, c: CosetVector) -> Fraction:
     Valid when the norms are the non-decreasing successive minima:
     N(e) <= sum_i |a_i| N(e_i) sum_{j >= i} |a_j|, all over d^2.
     """
-    norms = [Fraction(x) for x in norms]
+    norms = [_exact(x) for x in norms]
     if len(norms) != c.n:
         raise ValueError("norm list length disagrees with the coset")
     if any(x > y for x, y in zip(norms, norms[1:])):

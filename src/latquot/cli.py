@@ -96,8 +96,7 @@ def cmd_info(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cases = run_suite(args.suite, seed=args.seed, trials=args.trials,
-                      budget=args.budget)
+    cases = run_suite(args.suite, budget=args.budget)
     data = [c.to_dict() for c in cases]
     lines = []
     width = max(len(c.id) for c in cases)
@@ -274,9 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common], help="run a verification suite")
     p.add_argument("suite", choices=sorted(SUITES))
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--trials", type=int, default=200,
-                   help="sample count for randomized cases")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("classify", parents=[common], help="binary code classes")
@@ -305,8 +301,8 @@ def main(argv=None) -> int:
     if args.command == "search" and not 4 <= args.n <= 10:
         print("search supports ranks 4 through 10", file=sys.stderr)
         return USAGE
-    if getattr(args, "trials", 1) < 1:
-        print(f"{args.command} needs at least 1 trial", file=sys.stderr)
+    if args.command == "search" and args.trials < 1:
+        print("search needs at least 1 trial", file=sys.stderr)
         return USAGE
     try:
         return args.func(args)

@@ -18,6 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import prod
+from operator import index
 
 from .enumeration import _Counter
 from .errors import CodeTooLight
@@ -40,7 +41,7 @@ class Code:
     def __post_init__(self):
         if self.d < 2:
             raise ValueError("modulus must exceed 1")
-        gen = tuple(tuple(int(x) % self.d for x in row) for row in self.gen)
+        gen = tuple(tuple(index(x) % self.d for x in row) for row in self.gen)
         object.__setattr__(self, "gen", gen)
         if len(gen) != self.k or any(len(row) != self.n for row in gen):
             raise ValueError("generator matrix shape disagrees with (k, n)")

@@ -38,6 +38,13 @@ HERMITE_POWER = {
 _fraction = functools.lru_cache(maxsize=1024)(Fraction)
 
 
+def _exact(x) -> Fraction:
+    """``x`` as a Fraction, refusing a float: it holds a binary approximation, not the value meant."""
+    if isinstance(x, float):
+        raise TypeError(f"{x!r} is a float; give an int, a Fraction or a string")
+    return _fraction(x)
+
+
 class IntegralForm(NamedTuple):
     """The Gram matrix cleared of denominators, with its fraction-free pivots.
 
@@ -138,13 +145,15 @@ class GramLattice:
 
     def __post_init__(self):
         rows = self.gram
-        gram = tuple(tuple(x if type(x) is Fraction else _fraction(x) for x in row)
+        # integer rows are checked and cleared as ints, with no Fraction
+        # arithmetic, and need no check for floats
+        ints = all(type(x) is int for row in rows for x in row)
+        convert = _fraction if ints else _exact
+        gram = tuple(tuple(x if type(x) is Fraction else convert(x) for x in row)
                      for row in rows)
         if self.n != len(gram):
             raise DimensionMismatch("declared rank does not match matrix size")
         object.__setattr__(self, "gram", gram)
-        # integer rows are checked and cleared as ints, with no Fraction arithmetic
-        ints = all(type(x) is int for row in rows for x in row)
         object.__setattr__(self, "_form", validate(rows if ints else gram))
 
     @classmethod

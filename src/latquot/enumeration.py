@@ -59,7 +59,7 @@ from math import isqrt
 from itertools import islice, repeat, zip_longest
 from operator import lshift, mul
 
-from .core import GramLattice, InvariantReport, LatVec, determinant
+from .core import GramLattice, InvariantReport, LatVec, _exact, determinant
 from .errors import ResourceExceeded
 from .linalg import _insert
 from .reduction import ReducedBasis, _weights, lll
@@ -349,7 +349,7 @@ def _ball(L: GramLattice, counter: _Counter) -> _Context:
 def vectors_up_to(L: GramLattice, bound: Fraction,
                   budget: int | None = None) -> ShellListing:
     """Complete listing of nonzero vectors of norm at most ``bound``."""
-    bound = Fraction(bound)
+    bound = _exact(bound)
     if bound <= 0:
         raise ValueError("bound must be positive")
     pairs = _listing(L, bound, _Counter(budget))

@@ -3,12 +3,12 @@
 A pool holds the coordinate vectors of one successive-minimum norm, and
 a frame takes its k-th vector from the pool of lam_k.  Three tools work
 on the pools: ``_orthogonal_seed``, a greedy frame that prefers
-orthogonal vectors; ``_kernels``, the kernels of the functionals mod p
-that hold a frame, which decide whether p can divide a frame's index;
-and ``_first_frame``, the frame tree, which finds the first frame of
-index at least m in one fixed order.  Only the tree reads every inner
-product, so only its pools pair each vector with the vector times the
-cleared Gram matrix; the seed multiplies just the vectors it picks.
+orthogonal vectors; ``_divides``, which decides whether p divides some
+frame's index by looking for a kernel of a functional mod p that holds
+a frame; and ``_first_frame``, the frame tree, which finds the first
+frame of index at least m in one fixed order.  Only the tree reads every
+inner product, so only its pools pair each vector with the vector times
+the cleared Gram matrix; the seed multiplies just the vectors it picks.
 Everything is exact: independence comes from an integer echelon on
 coordinates (``linalg._insert``) and Gram determinants from
 fraction-free pivot rows (Cohen, GTM 138, Alg. 2.6.7).
@@ -108,20 +108,21 @@ def _holds_frame(kernel: int, vectors, spans) -> bool:
     return True
 
 
-def _kernels(p: int, vectors, spans, counter: _Counter) -> list[int]:
-    """The pool kernels of the functionals L -> Z/p whose kernel holds a frame.
+def _divides(p: int, vectors, spans, counter: _Counter) -> bool:
+    """Whether p divides the index of some frame of the minima.
 
-    Each kernel is a bit mask over ``vectors`` (see ``_holds_frame``),
-    one per distinct mask.  An empty list proves that p divides the index
-    of no frame, since p divides [L:F] exactly when F lies in the kernel
-    of a nonzero functional mod p.  A functional is its values on the
-    basis, up to a unit, so there are (p^n - 1)/(p - 1) of them, each
-    counted as one node.  They are met in the middle: the values on the
-    first n // 2 coordinates and on the rest each get a table that lists,
-    for every residue r, the pool vectors on which that half takes r, so
-    a functional's kernel is the union over r of head[-r] & tail[r], a
-    few integer operations whatever the pool's size.  A kernel with fewer
-    than n vectors is dropped before the greedy test.
+    p divides [L:F] exactly when F lies in the kernel of a nonzero
+    functional L -> Z/p, so the answer is whether some such kernel holds
+    a frame; it is given at the first kernel that does.  A kernel is a
+    bit mask over ``vectors`` (see ``_holds_frame``).  A functional is
+    its values on the basis, up to a unit, so there are (p^n - 1)/(p - 1)
+    of them, each counted as one node.  They are met in the middle: the
+    values on the first n // 2 coordinates and on the rest each get a
+    table that lists, for every residue r, the pool vectors on which that
+    half takes r, so a functional's kernel is the union over r of
+    head[-r] & tail[r], a few integer operations whatever the pool's
+    size.  A kernel with fewer than n vectors, or one already tested, is
+    dropped before the greedy test.
     """
     n = len(vectors[0])
     h = n // 2
@@ -148,7 +149,6 @@ def _kernels(p: int, vectors, spans, counter: _Counter) -> list[int]:
     # the functionals that vanish on the head coordinates
     pairs.append(([(1 << len(vectors)) - 1] + [0] * (p - 1), tables(h, n, units(n - h))))
     seen: set[int] = set()
-    found = []
     for head, rest in pairs:
         counter.spend(len(rest))
         for tail in rest:
@@ -157,11 +157,11 @@ def _kernels(p: int, vectors, spans, counter: _Counter) -> list[int]:
                 continue
             seen.add(kernel)
             if _holds_frame(kernel, vectors, spans):
-                found.append(kernel)
-    return found
+                return True
+    return False
 
 
-def _first_frame(m: int, pools, offsets, lam, room, marks, counter: _Counter):
+def _first_frame(m: int, pools, lam, room, counter: _Counter):
     """The first frame of index at least ``m`` in the frame tree's order, or None.
 
     The tree fills position k with a vector of ``pools[k]``, which holds
@@ -169,19 +169,15 @@ def _first_frame(m: int, pools, offsets, lam, room, marks, counter: _Counter):
     strictly increasing pool order, and takes a node's children by
     decreasing leading minor, then by pool order.  That order depends on
     the prefix alone, so a prune that cuts only subtrees holding no frame
-    of index at least m leaves the first such frame where it was.  Two
-    prunes qualify.  The Hadamard bound: with the Gram matrix cleared as
+    of index at least m leaves the first such frame where it was.  The
+    one prune is the Hadamard bound: with the Gram matrix cleared as
     ``scale * G``, a prefix of k + 1 vectors with Gram determinant
     minor / scale**(k+1) has completions of index m only if
     minor * tail[k+1] >= m**2 * det(L) * scale**(k+1), with tail[k+1]
     the product of the minima still to place, i.e. when minor >= m**2 *
-    room[k] for ``room[k] = det(L) * scale**(k+1) / tail[k+1]``.  The
-    kernels: when ``marks`` is given, the entry of the j-th vector of
-    ``pools[k]``, ``marks[offsets[k] + j]``, holds for each prime p of m
-    whose kernels are known the bits of the kernels it lies in, and a
-    prefix survives only while it lies in one common kernel per prime.
-    Each leading minor computed is counted as a node.  Every leaf has
-    index at least m.
+    room[k] for ``room[k] = det(L) * scale**(k+1) / tail[k+1]``.  Each
+    leading minor computed is counted as a node.  Every leaf has index
+    at least m.
     """
     n = len(pools)
     # minor > limits[k] exactly when minor >= m**2 * room[k]
@@ -190,30 +186,25 @@ def _first_frame(m: int, pools, offsets, lam, room, marks, counter: _Counter):
     minors, coeffs = [1], []
     spend = counter.spend
 
-    def descend(k: int, last: int, live):
+    def descend(k: int, last: int):
         if k == n:
             return tuple(chosen)
-        pool, offset = pools[k], offsets[k]
+        pool = pools[k]
         start = last + 1 if k and lam[k] == lam[k - 1] else 0
         limit = limits[k]
         ranked = []
         for j in range(start, len(pool)):
-            mark = None
-            if live is not None:
-                mark = tuple(map(and_, live, marks[offset + j]))
-                if not all(mark):
-                    continue
             spend()
             v, va = pool[j]
             row = _pivot_row([_dot(va, w) for w in chosen] + [_dot(va, v)], minors, coeffs)
             if row[-1] > limit:
-                ranked.append((-row[-1], j, row, mark))
+                ranked.append((-row[-1], j, row))
         ranked.sort()
-        for negminor, j, row, mark in ranked:
+        for negminor, j, row in ranked:
             chosen.append(pool[j][0])
             minors.append(-negminor)
             coeffs.append(row[:-1])
-            found = descend(k + 1, j, mark)
+            found = descend(k + 1, j)
             if found is not None:
                 return found
             chosen.pop()
@@ -221,22 +212,9 @@ def _first_frame(m: int, pools, offsets, lam, room, marks, counter: _Counter):
             coeffs.pop()
         return None
 
-    # every kernel holds a vector, so the union of the marks is all of them
-    live = None if marks is None else tuple(reduce(or_, column) for column in zip(*marks))
     try:
-        return descend(0, -1, live)
+        return descend(0, -1)
     finally:
         # ``descend`` refers to itself; break the cycle so the pools are
         # freed on return
         descend = None
-
-
-def _marks(kernels: list[list[int]], size: int) -> list[tuple[int, ...]]:
-    """Per pool vector, one int per prime: the bits of that prime's kernels holding the vector."""
-    marks = [[0] * len(kernels) for _ in range(size)]
-    for slot, masks in enumerate(kernels):
-        for i, kernel in enumerate(masks):
-            for t in range(size):
-                if kernel >> t & 1:
-                    marks[t][slot] |= 1 << i
-    return [tuple(x) for x in marks]

@@ -106,9 +106,9 @@ def _index_case(cid: str, claim: str, L: GramLattice, index: int,
     )
 
 
-def suite_identities(seed: int = DEFAULT_SEED, trials: int = 200, budget: int | None = None):
+def suite_identities(budget: int | None):
     """Randomized identity checks plus the equality-case instances."""
-    rand = random.Random(seed)
+    rand, trials = random.Random(DEFAULT_SEED), 200
     cases = []
 
     fails = 0
@@ -172,7 +172,7 @@ def suite_identities(seed: int = DEFAULT_SEED, trials: int = 200, budget: int | 
     return cases
 
 
-def suite_dim7(budget: int | None = None):
+def suite_dim7(budget: int | None):
     """The two rank 7 frame lattices and their neighbours."""
     cases = []
     for d, low, value in ((3, 18, Fraction(11, 9)), (4, 8, Fraction(9, 8))):
@@ -194,7 +194,7 @@ def suite_dim7(budget: int | None = None):
     return cases
 
 
-def suite_codes(budget: int | None = None):
+def suite_codes(budget: int | None):
     """Classification counts and the two distinguished longer codes."""
     cases = []
     expected = {
@@ -276,8 +276,7 @@ def _lift12_certificate(budget: int | None = None):
     return witness / det
 
 
-def suite_all(seed: int = DEFAULT_SEED, trials: int = 200,
-              budget: int | None = None):
+def suite_all(budget: int | None):
     """Everything: basics, identities, rank 7, codes, and the rank 12 lift."""
     cases = [_qb_case(
         "q-cubic-z4", "the cubic lattice of rank 4 has quotient quality 1",
@@ -334,23 +333,22 @@ def suite_all(seed: int = DEFAULT_SEED, trials: int = 200,
         Fraction(1296), _lift12_certificate(budget),
     ))
 
-    cases.extend(suite_identities(seed, trials, budget))
+    cases.extend(suite_identities(budget))
     cases.extend(suite_dim7(budget))
     cases.extend(suite_codes(budget))
     return cases
 
 
 SUITES = {
-    "all": lambda seed, trials, budget: suite_all(seed, trials, budget),
-    "dim7": lambda seed, trials, budget: suite_dim7(budget),
-    "codes": lambda seed, trials, budget: suite_codes(budget),
-    "identities": lambda seed, trials, budget: suite_identities(seed, trials, budget),
+    "all": suite_all,
+    "dim7": suite_dim7,
+    "codes": suite_codes,
+    "identities": suite_identities,
 }
 
 
-def run_suite(name: str, seed: int = DEFAULT_SEED, trials: int = 200,
-              budget: int | None = None) -> list[VerificationCase]:
+def run_suite(name: str, budget: int | None = None) -> list[VerificationCase]:
     """Cases of the named suite, sorted by case id."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
-    return sorted(SUITES[name](seed, trials, budget), key=lambda c: c.id)
+    return sorted(SUITES[name](budget), key=lambda c: c.id)

@@ -16,7 +16,7 @@ functional L -> Z/p, so when no such kernel holds a frame every multiple
 of p is ruled out; the larger candidates are cheaper to rule out with a
 frame tree that only looks for frames of index at least m.  The tree is
 also the witness finder: its children are ordered by their prefix alone,
-and its prunes only cut subtrees without a frame of a candidate index,
+and its one prune only cuts subtrees without a frame of a candidate index,
 so the witness is the first frame of maximal index in one fixed order,
 the frame a plain branch and bound returns.  The seed, the functionals
 and the tree live in ``latquot.frames``.  They run in integers: the Gram
@@ -29,13 +29,14 @@ determinant.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import HERMITE_POWER, GramLattice, determinant, qform
 from .enumeration import Frame, _Counter, _ball, _times
 from .errors import DependentFrame, DimensionMismatch, ResourceExceeded
-from .frames import _first_frame, _kernels, _marks, _orthogonal_seed, _primes
+from .frames import _divides, _first_frame, _orthogonal_seed, _primes
 from .linalg import det_int, smith_invariants
 from .linalg import det_rational, matmul  # noqa: F401  uncalled; perfbench's tracer wraps these names
 
@@ -131,7 +132,7 @@ def quotient_structure(L: GramLattice, rows) -> QuotientStructure:
     The frame is given by its n integer rows of length n, the coordinates
     of its vectors in the basis of the lattice.
     """
-    rows = tuple(tuple(map(int, r)) for r in rows)
+    rows = tuple(tuple(map(operator.index, r)) for r in rows)
     if len(rows) != L.n:
         raise DependentFrame("frame must contain n vectors")
     if any(len(row) != L.n for row in rows):
@@ -194,21 +195,20 @@ def maximal_index(L: GramLattice, budget: int | None = None) -> IndexReport:
     A candidate m is ruled out by a frame-tree walk that finds no frame
     of index at least m, and with it every larger one, or by a prime p
     of m whose functionals mod p hold no frame in their kernels
-    (``_kernels``), and with it every multiple of p.  The largest
+    (``_divides``), and with it every multiple of p.  The largest
     candidate left is the index once the tree finds a frame there: a
     frame of index at least m has index m, since every larger candidate
     is ruled out.  The method for each candidate follows one fixed cost
-    rule.  While m has a prime whose kernels are unknown, the tree gets
+    rule.  While m has a prime not yet settled, the tree gets
     an allowance of n nodes for each of the (p^n - 1)/(p - 1) functionals
     of the least such prime p, about the rows a functional's greedy test
     inserts.  When the tree spends its allowance, p is settled by its
-    functionals and m is tried again, now with the kernels of p as a
-    prune.
+    functionals and m is tried again.
 
     The witness is the one the plain branch and bound has always
     returned: the incumbent when it reaches the index, and otherwise the
     first frame of maximal index in the tree's fixed order
-    (``_first_frame``), which every sound prune leaves in place.
+    (``_first_frame``), which its Hadamard prune leaves in place.
 
     The minima ball, the functionals and the tree nodes spend one
     budget, and a tree trial's allowance is capped at what is left.  If
@@ -248,18 +248,16 @@ def maximal_index(L: GramLattice, budget: int | None = None) -> IndexReport:
                 incumbent, best_rows = seed_index, seed
 
     candidates = list(range(hadamard, incumbent, -1))
-    kernels: dict[int, list[int]] = {}
+    settled: set[int] = set()
     exhaustive = True
     if candidates:
         # the whole pool in one list, shell after shell, so that a bit
         # mask over it is a set of pool vectors
         vectors: list[tuple[int, ...]] = []
-        spans, starts = [], {}
+        spans = []
         for key, shell in shells.items():
-            starts[key] = len(vectors)
             spans.append((len(vectors), len(vectors) + len(shell), keys.count(key)))
             vectors += shell
-        offsets = [starts[key] for key in keys]
         room = [det_l * scale ** (k + 1) / tail[k + 1] for k in range(n)]
         # the tree's pools pair each vector with its row of inner
         # products, built once per shell and only when the tree runs
@@ -268,23 +266,20 @@ def maximal_index(L: GramLattice, budget: int | None = None) -> IndexReport:
     try:
         while candidates:
             m = candidates[0]
-            primes = _primes(m)
-            known = [kernels[p] for p in primes if p in kernels]
-            marks = _marks(known, len(vectors)) if known else None
-            unknown = [p for p in primes if p not in kernels]
+            unknown = [p for p in _primes(m) if p not in settled]
             full = counter.budget
             if unknown:
                 p = unknown[0]
                 allowance = (p**n - 1) // (p - 1) * n
                 counter.budget = min(full, counter.nodes + allowance)
             try:
-                rows = _first_frame(m, pools, offsets, lam, room, marks, counter)
+                rows = _first_frame(m, pools, lam, room, counter)
             except ResourceExceeded:
                 counter.budget = full
                 if counter.nodes > full:
                     raise
-                kernels[p] = _kernels(p, vectors, spans, counter)
-                if not kernels[p]:
+                settled.add(p)
+                if not _divides(p, vectors, spans, counter):
                     candidates = [c for c in candidates if c % p]
                 continue
             counter.budget = full

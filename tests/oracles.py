@@ -16,7 +16,8 @@ candidate with matrix products, short-vector listings by the
 Fincke-Pohst kernel as first written (a centre loop per node, a sign
 test per leaf, one sort), frames of successive minima by fraction-free
 pivot rows over the Gram matrix, the greedy frame of the index
-search by scanning every pool vector's inner products, and the index
+search by scanning every pool vector's inner products, whether a prime
+divides some frame's index by listing every frame, and the index
 ceiling floor(gamma_n^(n/2)) by squaring candidates.  Slow on purpose;
 the tests only feed these small instances.
 
@@ -741,6 +742,32 @@ def reference_orthogonal_seed(pools):
                 return None
         chosen.append(v)
     return tuple(chosen)
+
+
+# The most frames ``reference_divides`` lists before it refuses.
+FRAME_LIMIT = 100_000
+
+
+def reference_divides(pools, p: int) -> bool:
+    """Whether p divides the index of some frame of the minima, by listing every frame.
+
+    ``pools`` holds one list of coordinate vectors per position,
+    positions of equal norm sharing one list; those positions take every
+    combination of distinct vectors of their list, and a frame is any
+    choice whose rows are independent.  Refuses with ValueError, before
+    it builds a single combination, when there are more than
+    ``FRAME_LIMIT`` choices to list.
+    """
+    shells: dict[int, list] = {}
+    for pool in pools:
+        shells.setdefault(id(pool), [pool, 0])[1] += 1
+    if math.prod(math.comb(len(pool), count) for pool, count in shells.values()) > FRAME_LIMIT:
+        raise ValueError("too many frames to list")
+    for parts in product(*(combinations(pool, count) for pool, count in shells.values())):
+        index = det_int([v for part in parts for v in part])
+        if index and index % p == 0:
+            return True
+    return False
 
 
 def reference_maximal_index(L: GramLattice, budget: int | None = None) -> IndexReport:

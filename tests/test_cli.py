@@ -191,11 +191,20 @@ def test_search_range_check(capsys):
 
 
 def test_search_needs_a_trial(capsys):
-    for command in (("search", "8"), ("verify", "identities")):
-        for trials in ("0", "-3"):
-            code, out, err = run(capsys, *command, "--trials", trials)
-            assert code == USAGE, command
-            assert "trial" in err and not out
+    for trials in ("0", "-3"):
+        code, out, err = run(capsys, "search", "8", "--trials", trials)
+        assert code == USAGE
+        assert "trial" in err and not out
+
+
+def test_verify_runs_one_fixed_suite(capsys):
+    # the identities suite draws its 200 trials at one fixed seed, so
+    # verify takes neither flag
+    for flag in ("--trials", "--seed"):
+        with pytest.raises(SystemExit) as err:
+            main(["verify", "identities", flag, "5"])
+        assert err.value.code == USAGE
+        assert flag in capsys.readouterr().err
 
 
 def test_search_is_deterministic(capsys):

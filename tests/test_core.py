@@ -183,3 +183,31 @@ def test_json_parse_rejects_rank_zero():
 def test_parse_rejects_wrong_row_count():
     with pytest.raises(ParseError):
         parse_lattice_text("3\n1 0\n0 1\n")
+
+
+def _inexact_inputs():
+    from latquot.bounds import BoundContext, crude_bound
+    from latquot.codes import Code
+    from latquot.construct import zn
+    from latquot.enumeration import vectors_up_to
+    from latquot.watson import CosetVector, quotient_structure
+
+    GramLattice.from_rows([[1, 0], [0, 1]])  # an equal int entry already converted
+    return {
+        "gram": lambda: GramLattice.from_rows([[0.1, 0], [0, 1]]),
+        "gram-integral-float": lambda: GramLattice.from_rows([[1.0, 0], [0, 1]]),
+        "gram-mixed": lambda: GramLattice.from_rows([[Fraction(1, 2), 0], [0, 2.0]]),
+        "listing-bound": lambda: vectors_up_to(zn(2), 1.0),
+        "crude-norms": lambda: crude_bound([1.1, 1.1], CosetVector(2, (1, 1))),
+        "context-field": lambda: BoundContext(n=4, d=2, t=0.5),
+        "code-generator": lambda: Code(d=2, n=4, k=1, gen=((1.7, 1, 1, 1),)),
+        "frame-rows": lambda: quotient_structure(zn(2), [[2.9, 0], [0, 1]]),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_inexact_inputs()))
+def test_an_inexact_input_is_refused_not_rounded(case):
+    # A float holds a binary approximation of the value meant, and int()
+    # truncates it, so the public entry points refuse it outright.
+    with pytest.raises(TypeError):
+        _inexact_inputs()[case]()

@@ -1,11 +1,13 @@
 """The package namespace, the README's quick start and the callers of each name."""
 
+import argparse
 import ast
 import importlib
 import importlib.util
 import math
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -14,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import latquot
+from latquot.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -253,3 +256,39 @@ def test_no_module_in_src_reads_the_environment():
         & {"environ", "getenv"}
     })
     assert readers == []
+
+
+def _command_lines():
+    """Lines of CI's workflow and of README's command line block, by the subcommand each runs."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
+    lines: dict[str, list[str]] = {}
+    for line in (block + workflow).splitlines():
+        command = re.search(r"\blatquot(?:\.cli)? (\w+)", line)
+        if command:
+            lines.setdefault(command.group(1), []).append(line)
+    return lines
+
+
+def test_every_command_line_option_is_used_outside_the_tests():
+    # An option a subcommand defines itself must appear on a line of
+    # CI's workflow or of README's command line block that runs that
+    # subcommand; an option every subcommand shares from one parent
+    # parser counts once, on a line that runs any of them.  An option
+    # only the tests pass is a constant.
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    shared = set.intersection(*({id(a) for a in sub._actions} for sub in commands.values()))
+    lines = _command_lines()
+    unused = set()
+    for name, sub in commands.items():
+        for action in sub._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            runs = commands if id(action) in shared else [name]
+            for option in action.option_strings:
+                pattern = re.compile(rf"(?<!\S){re.escape(option)}(?![\w-])")
+                if not any(pattern.search(line) for run in runs for line in lines.get(run, ())):
+                    unused.add(option if id(action) in shared else f"{name} {option}")
+    assert sorted(unused) == []

@@ -10,7 +10,7 @@ from latquot.construct import centred_cubic, fixture_inventory, named, search_co
 from latquot.core import GramLattice, _integral, _pivot_row, inner
 from latquot.enumeration import _Counter, _ball, _dot, _times
 from latquot.errors import DependentFrame, DimensionMismatch, ResourceExceeded
-from latquot.frames import _orthogonal_seed
+from latquot.frames import _divides, _orthogonal_seed
 from latquot.linalg import det_int, det_rational, identity_rows, matmul, transpose
 from latquot.sampling import perturbed, random_coset, random_gram
 from latquot.watson import (
@@ -23,7 +23,7 @@ from latquot.watson import (
     watson_index_bound,
 )
 from oracles import (
-    conjugate, gram_schmidt, inverse_rational, random_unimodular,
+    conjugate, gram_schmidt, inverse_rational, random_unimodular, reference_divides,
     reference_index_bound, reference_maximal_index, reference_orthogonal_seed, scaled,
 )
 
@@ -333,6 +333,26 @@ def test_the_seed_falls_back_and_dead_ends_as_the_full_scan_does():
         paired = [[(v, _times(v, a)) for v in pool] for pool in pools]
         assert reference_orthogonal_seed(paired) == seed
         assert _orthogonal_seed(pools, a) == seed
+
+
+@pytest.mark.parametrize("name, divides", [
+    ("D4", True), ("D5", True), ("A5^3", True), ("D6+", True),
+    ("A2", False), ("A3", False), ("A4", False), ("A5", False), ("A3^2", False), ("A5^2", False),
+])
+def test_a_prime_divides_a_frame_index_as_listing_every_frame_says(name, divides):
+    # The functionals mod p against every frame of the minima: 2 divides
+    # some frame's index on the first four lattices, and no frame's index
+    # on the rest; 3 and 5 divide none.  The pool is laid out as the
+    # search lays it out, one shell after the other.
+    pools = _seed_pools(named(name).lattice)
+    vectors, spans = [], []
+    for pool in {id(pool): pool for pool in pools}.values():
+        spans.append((len(vectors), len(vectors) + len(pool), sum(q is pool for q in pools)))
+        vectors += pool
+    for p in (2, 3, 5):
+        expected = reference_divides(pools, p)
+        assert expected == (divides and p == 2), (name, p)
+        assert _divides(p, vectors, spans, _Counter(None)) == expected, (name, p)
 
 
 def test_the_maximal_index_is_invariant_under_a_change_of_basis():
