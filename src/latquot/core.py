@@ -145,6 +145,8 @@ class GramLattice:
 
     def __post_init__(self):
         rows = self.gram
+        if not rows:
+            raise DimensionMismatch("rank must be at least 1")
         # integer rows are checked and cleared as ints, with no Fraction
         # arithmetic, and need no check for floats
         ints = all(type(x) is int for row in rows for x in row)

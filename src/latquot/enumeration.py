@@ -100,7 +100,8 @@ class _Context:
     The LLL reduction, the denominator ``weight * scale`` of the listed
     norms, the largest and least reduced diagonal entries and, once
     ``_ball`` has listed it, the minima ball at ``radius``: its pairs,
-    node cost and frame, which only ``_ball`` reads or writes.
+    node cost and frame, and the frame's norms as numerators over
+    ``denominator``, which only ``_ball`` writes.
     """
 
     reduced: ReducedBasis
@@ -110,6 +111,7 @@ class _Context:
     pairs: tuple[tuple[int, LatVec], ...] | None = None
     nodes: int = 0
     frame: Frame | None = None
+    minima: tuple[int, ...] | None = None
 
 
 def _context(L: GramLattice) -> _Context:
@@ -341,7 +343,7 @@ def _ball(L: GramLattice, counter: _Counter) -> _Context:
     echelon: dict[int, list[int]] = {}
     values, vectors = zip(*islice(((x, v) for x, v in pairs if _insert(echelon, v)), L.n))
     norms = tuple(Fraction(x, context.denominator) for x in values)
-    context.pairs, context.nodes = pairs, counter.nodes - start
+    context.pairs, context.nodes, context.minima = pairs, counter.nodes - start, values
     context.frame = Frame(vectors=vectors, norms=norms)
     return context
 

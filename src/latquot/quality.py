@@ -155,7 +155,7 @@ def _search(L: GramLattice, counter: _Counter, context: _Context):
     best = {"num": inc_num * (denominator // reduced.scale)**n, "prod": inc_prod,
             "rows": reduced.transform}
 
-    target = math.prod(x.numerator * (denominator // x.denominator) for x in base.norms)
+    target = math.prod(context.minima)
     if best["num"] == target:
         return inc_prod, best["rows"], True, None
 

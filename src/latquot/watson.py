@@ -36,7 +36,7 @@ from fractions import Fraction
 from .core import HERMITE_POWER, GramLattice, determinant, qform
 from .enumeration import Frame, _Counter, _ball, _times
 from .errors import DependentFrame, DimensionMismatch, ResourceExceeded
-from .frames import _divides, _first_frame, _orthogonal_seed, _primes
+from .frames import _divides, _first_frame, _orthogonal_seed, _primes, _shells
 from .linalg import det_int, smith_invariants
 from .linalg import det_rational, matmul  # noqa: F401  uncalled; perfbench's tracer wraps these names
 
@@ -190,7 +190,7 @@ def maximal_index(L: GramLattice, budget: int | None = None) -> IndexReport:
     lam_i / det L)).  The incumbent is the frame of ``successive_minima``
     or, if it falls short of H and the seed beats it, the frame of
     ``_orthogonal_seed``; when it reaches H the search is over before it
-    starts and no pool vector meets the Gram matrix.  Otherwise the index
+    starts and no shell vector meets the Gram matrix.  Otherwise the index
     is decided over the candidates m in (incumbent, H], largest first.
     A candidate m is ruled out by a frame-tree walk that finds no frame
     of index at least m, and with it every larger one, or by a prime p
@@ -210,6 +210,10 @@ def maximal_index(L: GramLattice, budget: int | None = None) -> IndexReport:
     first frame of maximal index in the tree's fixed order
     (``_first_frame``), which its Hadamard prune leaves in place.
 
+    The seed, the functionals and the tree read the minima ball as
+    ``frames._shells`` lays it out; only the tree pairs each vector with
+    its row of inner products.
+
     The minima ball, the functionals and the tree nodes spend one
     budget, and a tree trial's allowance is capped at what is left.  If
     it runs out in the search the incumbent is returned with
@@ -221,17 +225,7 @@ def maximal_index(L: GramLattice, budget: int | None = None) -> IndexReport:
     lam = base.norms
     n = L.n
     scale, a, _, _ = L._form
-    # The shells come from the minima ball, keyed by its norm numerators:
-    # the ball reaches past lam[-1] and is sorted as a listing at lam[-1]
-    # would be.
-    keys = [int(value * context.denominator) for value in lam]
-    wanted = set(keys)
-    shells: dict[int, list[tuple[int, ...]]] = {}
-    for value, v in context.pairs:
-        if value > keys[-1]:
-            break
-        if value in wanted:
-            shells.setdefault(value, []).append(v)
+    shells = _shells(context)
 
     tail = [Fraction(1)] * (n + 1)
     for i in range(n - 1, -1, -1):
@@ -241,7 +235,7 @@ def maximal_index(L: GramLattice, budget: int | None = None) -> IndexReport:
 
     incumbent, best_rows = abs(det_int(base.vectors)), base.vectors
     if incumbent < hadamard:
-        seed = _orthogonal_seed([shells[key] for key in keys], a)
+        seed = _orthogonal_seed(shells, a)
         if seed is not None:
             seed_index = abs(det_int(seed))
             if seed_index > incumbent:
@@ -251,18 +245,10 @@ def maximal_index(L: GramLattice, budget: int | None = None) -> IndexReport:
     settled: set[int] = set()
     exhaustive = True
     if candidates:
-        # the whole pool in one list, shell after shell, so that a bit
-        # mask over it is a set of pool vectors
-        vectors: list[tuple[int, ...]] = []
-        spans = []
-        for key, shell in shells.items():
-            spans.append((len(vectors), len(vectors) + len(shell), keys.count(key)))
-            vectors += shell
         room = [det_l * scale ** (k + 1) / tail[k + 1] for k in range(n)]
-        # the tree's pools pair each vector with its row of inner
-        # products, built once per shell and only when the tree runs
-        paired = {key: [(v, _times(v, a)) for v in shell] for key, shell in shells.items()}
-        pools = [paired[key] for key in keys]
+        # the tree's shells pair each vector with its row of inner
+        # products, built only when the tree runs
+        paired = [(count, [(v, _times(v, a)) for v in shell]) for count, shell in shells]
     try:
         while candidates:
             m = candidates[0]
@@ -273,13 +259,13 @@ def maximal_index(L: GramLattice, budget: int | None = None) -> IndexReport:
                 allowance = (p**n - 1) // (p - 1) * n
                 counter.budget = min(full, counter.nodes + allowance)
             try:
-                rows = _first_frame(m, pools, lam, room, counter)
+                rows = _first_frame(m, paired, room, counter)
             except ResourceExceeded:
                 counter.budget = full
                 if counter.nodes > full:
                     raise
                 settled.add(p)
-                if not _divides(p, vectors, spans, counter):
+                if not _divides(p, shells, counter):
                     candidates = [c for c in candidates if c % p]
                 continue
             counter.budget = full

@@ -748,22 +748,19 @@ def reference_orthogonal_seed(pools):
 FRAME_LIMIT = 100_000
 
 
-def reference_divides(pools, p: int) -> bool:
+def reference_divides(shells, p: int) -> bool:
     """Whether p divides the index of some frame of the minima, by listing every frame.
 
-    ``pools`` holds one list of coordinate vectors per position,
-    positions of equal norm sharing one list; those positions take every
-    combination of distinct vectors of their list, and a frame is any
-    choice whose rows are independent.  Refuses with ValueError, before
-    it builds a single combination, when there are more than
+    ``shells`` holds one (count, vectors) pair per distinct minimum, as
+    ``frames._shells`` lays them out; a frame takes every combination of
+    ``count`` distinct vectors of each shell, and is any such choice
+    whose rows are independent.  Refuses with ValueError, before it
+    builds a single combination, when there are more than
     ``FRAME_LIMIT`` choices to list.
     """
-    shells: dict[int, list] = {}
-    for pool in pools:
-        shells.setdefault(id(pool), [pool, 0])[1] += 1
-    if math.prod(math.comb(len(pool), count) for pool, count in shells.values()) > FRAME_LIMIT:
+    if math.prod(math.comb(len(shell), count) for count, shell in shells) > FRAME_LIMIT:
         raise ValueError("too many frames to list")
-    for parts in product(*(combinations(pool, count) for pool, count in shells.values())):
+    for parts in product(*(combinations(shell, count) for count, shell in shells)):
         index = det_int([v for part in parts for v in part])
         if index and index % p == 0:
             return True

@@ -2,13 +2,17 @@
 
 import hashlib
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
 from latquot import enumeration
 from latquot.cli import BUDGET, FAIL, PASS, USAGE, main
-from latquot.construct import fixture_path
+from latquot.codes import classify_binary
+from latquot.construct import code_lift, fixture_inventory, fixture_path
 from latquot.verify import VerificationCase
+from oracles import conjugate, random_unimodular, scaled
 
 
 def run(capsys, *argv):
@@ -36,6 +40,46 @@ def test_info_json(capsys):
     assert data["quotient"] == [4]
     assert data["Qb"] == "9/8"
     assert data["Hb_certified"] is True
+
+
+def _info_but_quotient(capsys, path, L):
+    """``info --json`` on ``L``, written to ``path``, without the ``quotient`` field."""
+    path.write_text(json.dumps({"gram": [[str(x) for x in row] for row in L.gram],
+                                "label": L.label}))
+    code, out, _ = run(capsys, "info", str(path), "--json")
+    assert code == PASS
+    data = json.loads(out)
+    del data["quotient"]
+    return data
+
+
+def test_info_is_invariant_under_a_change_of_basis_and_scales_with_the_form(capsys, tmp_path):
+    # Every fixture and the 32 lifts of the binary codes of length 7 to
+    # 9, dimension 1 to 4 and weight 4.  On three seeded conjugates every
+    # field ``info`` prints agrees with the lattice's own basis.  Scaling
+    # the form by 3/2 scales the minimum and the minima by 3/2 and the
+    # determinant by (3/2)^n, and leaves every other field as it was.
+    # The quotient is left out: it is the structure of the first frame of
+    # maximal index the search meets, and on some lifts another basis
+    # meets a frame with another quotient first.
+    rand = random.Random(11)
+    c = Fraction(3, 2)
+    path = tmp_path / "lattice.json"
+    lifts = [code_lift(code) for n in range(7, 10) for k in range(1, 5)
+             for code in classify_binary(n, k, 4)]
+    assert len(lifts) == 32
+    for L in list(fixture_inventory().values()) + lifts:
+        plain = _info_but_quotient(capsys, path, L)
+        for _ in range(3):
+            M = conjugate(L, random_unimodular(rand, L.n))
+            assert _info_but_quotient(capsys, path, M) == plain, L.label
+        expected = dict(
+            plain,
+            min=str(c * Fraction(plain["min"])),
+            det=str(c**L.n * Fraction(plain["det"])),
+            minima=[str(c * Fraction(x)) for x in plain["minima"]],
+        )
+        assert _info_but_quotient(capsys, path, scaled(L, c)) == expected, L.label
 
 
 def test_info_missing_file(capsys, tmp_path):

@@ -57,6 +57,16 @@ def test_semidefinite_matrix_is_rejected():
         GramLattice.from_rows([[1, 1], [1, 1]])
 
 
+def test_rank_zero_is_rejected():
+    # as the text and JSON parsers reject it; such a lattice used to
+    # construct, and ``qb`` on it failed deep in the search
+    for rows in ([], ()):
+        with pytest.raises(DimensionMismatch, match="rank must be at least 1"):
+            GramLattice.from_rows(rows)
+    with pytest.raises(DimensionMismatch, match="rank must be at least 1"):
+        GramLattice(0, [])
+
+
 def test_construction_witnesses_match_their_definitions():
     rand = random.Random(31)
     seen = set()

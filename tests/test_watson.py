@@ -10,7 +10,7 @@ from latquot.construct import centred_cubic, fixture_inventory, named, search_co
 from latquot.core import GramLattice, _integral, _pivot_row, inner
 from latquot.enumeration import _Counter, _ball, _dot, _times
 from latquot.errors import DependentFrame, DimensionMismatch, ResourceExceeded
-from latquot.frames import _divides, _orthogonal_seed
+from latquot.frames import _divides, _orthogonal_seed, _shells
 from latquot.linalg import det_int, det_rational, identity_rows, matmul, transpose
 from latquot.sampling import perturbed, random_coset, random_gram
 from latquot.watson import (
@@ -287,52 +287,44 @@ NAMED_UP_TO_9 = (
 )
 
 
-def _seed_pools(L):
-    """The pools ``maximal_index`` seeds from: per minimum, the ball's vectors of that norm.
-
-    Positions of equal norm share one list, as they do in the search.
-    """
-    context = _ball(L, _Counter(None))
-    keys = [int(x * context.denominator) for x in context.frame.norms]
-    shells = {}
-    for value, v in context.pairs:
-        if value in keys:
-            shells.setdefault(value, []).append(v)
-    return [shells[key] for key in keys]
+def _positions(shells, a):
+    """The per-position pools the references read: a shell's list once per
+    minimum of its norm, each vector paired with its row of inner products."""
+    return [[(v, _times(v, a)) for v in shell] for count, shell in shells for _ in range(count)]
 
 
 def test_the_seed_matches_the_full_scan():
     # The seed multiplies only the vectors it picks by the Gram matrix
-    # and narrows each shared pool once per pick; the reference scans
-    # every pool vector's inner products for every position.  Every
-    # fixture and named lattice up to rank 9, each on its own basis and
-    # on three seeded conjugates.
+    # and narrows each shell once per pick; the reference scans every
+    # pool vector's inner products for every position.  Every fixture and
+    # named lattice up to rank 9, each on its own basis and on three
+    # seeded conjugates.
     rand = random.Random(31)
     lattices = list(fixture_inventory().values()) + [named(x).lattice for x in NAMED_UP_TO_9]
     for L in lattices:
         for M in [L] + [conjugate(L, random_unimodular(rand, L.n)) for _ in range(3)]:
-            pools = _seed_pools(M)
+            shells = _shells(_ball(M, _Counter(None)))
             a = M._form[1]
-            expected = reference_orthogonal_seed([[(v, _times(v, a)) for v in pool] for pool in pools])
-            assert _orthogonal_seed(pools, a) == expected, M.label
+            expected = reference_orthogonal_seed(_positions(shells, a))
+            assert _orthogonal_seed(shells, a) == expected, M.label
 
 
 def test_the_seed_falls_back_and_dead_ends_as_the_full_scan_does():
-    # Hand-made pools over Z^2 and Z^3 with the identity Gram matrix: a
+    # Hand-made shells over Z^2 and Z^3 with the identity Gram matrix: a
     # pick with no orthogonal vector left falls back to the first
-    # independent one, a pool with no independent vector ends the pass,
-    # and a pool first met after two picks is narrowed by both.
+    # independent one, a shell with no independent vector ends the pass,
+    # and a shell first met after two picks is narrowed by both.
     a2, a3 = identity_rows(2), identity_rows(3)
     shared = [(1, 1, 0), (1, 0, 0), (0, 1, 1)]
-    for pools, a, seed in (
-        ([[(1, 0), (1, 1)], [(2, 0), (1, 1)]], a2, ((1, 0), (1, 1))),
-        ([[(1, 0)], [(2, 0)]], a2, None),
-        ([shared, shared, shared], a3, ((1, 1, 0), (1, 0, 0), (0, 1, 1))),
-        ([[(1, 0, 0)], [(0, 1, 0)], [(0, 1, 1), (0, 0, 1)]], a3, ((1, 0, 0), (0, 1, 0), (0, 0, 1))),
+    for shells, a, seed in (
+        ([(1, [(1, 0), (1, 1)]), (1, [(2, 0), (1, 1)])], a2, ((1, 0), (1, 1))),
+        ([(1, [(1, 0)]), (1, [(2, 0)])], a2, None),
+        ([(3, shared)], a3, ((1, 1, 0), (1, 0, 0), (0, 1, 1))),
+        ([(1, [(1, 0, 0)]), (1, [(0, 1, 0)]), (1, [(0, 1, 1), (0, 0, 1)])], a3,
+         ((1, 0, 0), (0, 1, 0), (0, 0, 1))),
     ):
-        paired = [[(v, _times(v, a)) for v in pool] for pool in pools]
-        assert reference_orthogonal_seed(paired) == seed
-        assert _orthogonal_seed(pools, a) == seed
+        assert reference_orthogonal_seed(_positions(shells, a)) == seed
+        assert _orthogonal_seed(shells, a) == seed
 
 
 @pytest.mark.parametrize("name, divides", [
@@ -342,17 +334,12 @@ def test_the_seed_falls_back_and_dead_ends_as_the_full_scan_does():
 def test_a_prime_divides_a_frame_index_as_listing_every_frame_says(name, divides):
     # The functionals mod p against every frame of the minima: 2 divides
     # some frame's index on the first four lattices, and no frame's index
-    # on the rest; 3 and 5 divide none.  The pool is laid out as the
-    # search lays it out, one shell after the other.
-    pools = _seed_pools(named(name).lattice)
-    vectors, spans = [], []
-    for pool in {id(pool): pool for pool in pools}.values():
-        spans.append((len(vectors), len(vectors) + len(pool), sum(q is pool for q in pools)))
-        vectors += pool
+    # on the rest; 3 and 5 divide none.
+    shells = _shells(_ball(named(name).lattice, _Counter(None)))
     for p in (2, 3, 5):
-        expected = reference_divides(pools, p)
+        expected = reference_divides(shells, p)
         assert expected == (divides and p == 2), (name, p)
-        assert _divides(p, vectors, spans, _Counter(None)) == expected, (name, p)
+        assert _divides(p, shells, _Counter(None)) == expected, (name, p)
 
 
 def test_the_maximal_index_is_invariant_under_a_change_of_basis():
