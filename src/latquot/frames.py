@@ -6,12 +6,14 @@ norm, where ``count`` minima take that norm and ``vectors`` are the
 ball's coordinate vectors of that norm, in listing order.  A frame takes
 ``count`` distinct vectors from each shell.  Three tools read the
 shells: ``_orthogonal_seed``, a greedy frame that prefers orthogonal
-vectors; ``_divides``, which decides whether p divides some frame's
-index by looking for a kernel of a functional mod p that holds a frame;
-and ``_first_frame``, the frame tree, which finds the first frame of
-index at least m in one fixed order.  Only the tree reads every inner
-product, so only its shells pair each vector with the vector times the
-cleared Gram matrix; the seed multiplies just the vectors it picks.
+vectors; ``_root_index``, which gives the largest index of a frame in
+closed form when the minima form a root system, from the types of its
+irreducible components; and ``_first_frame``, the frame tree, which
+finds the first frame of index at least m in one fixed order.  Only the
+tree keeps every vector's inner products, so only its shells pair each
+vector with the vector times the cleared Gram matrix; the seed
+multiplies just the vectors it picks, and the root system test each
+vector once in turn.
 Everything is exact: independence comes from an integer echelon on
 coordinates (``linalg._insert``) and Gram determinants from
 fraction-free pivot rows (Cohen, GTM 138, Alg. 2.6.7).
@@ -19,10 +21,10 @@ fraction-free pivot rows (Cohen, GTM 138, Alg. 2.6.7).
 
 from __future__ import annotations
 
+import math
 from collections import Counter
-from functools import reduce
-from itertools import groupby, product
-from operator import and_, itemgetter, mul, or_
+from itertools import groupby
+from operator import itemgetter
 
 from .core import _pivot_row
 from .enumeration import _Context, _Counter, _dot, _times
@@ -88,102 +90,78 @@ def _orthogonal_seed(shells, a):
     return tuple(chosen)
 
 
-def _primes(m: int) -> list[int]:
-    """The prime divisors of ``m``, in increasing order."""
-    out, p = [], 2
-    while p * p <= m:
-        if m % p == 0:
-            out.append(p)
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        out.append(m)
-    return out
+# The largest determinant of a full-rank subsystem of E6, E7 and E8,
+# keyed by rank and number of pairs: A2^3, A1^7 and A1^8.
+_EXCEPTIONAL = {(6, 36): 27, (7, 63): 128, (8, 120): 256}
 
 
-def _holds_frame(kernel: int, shells) -> bool:
-    """Whether the shell vectors whose bits ``kernel`` sets contain a frame of the minima.
+def _subsystem_det(r: int, p: int) -> int:
+    """The largest determinant of a full-rank subsystem of an irreducible root system.
 
-    Bit t of ``kernel`` is the t-th vector of ``shells`` (see
-    ``_shells``), counted shell after shell.  Independent sets form a
-    matroid, so a greedy pass that takes each vector independent of
-    those already taken, in norm order, finds such a frame whenever one
-    exists: the set holds one exactly when every shell adds its count.
-    A shell fails as soon as more of its vectors are dependent than it
-    can spare.
+    The system is simply laced, of rank ``r`` with ``p`` pairs of roots
+    of norm 2.  A_r has r(r+1)/2 pairs and no full-rank subsystem but
+    itself; D_r has r(r-1) and its largest one is D_2^(r/2) or D_3 +
+    D_2^((r-3)/2) (D_2 = A_1^2, D_3 = A_3); A_3 = D_3 is the one type
+    both formulas count.  See Borel and de Siebenthal (Comment. Math.
+    Helv. 23, 1949) and Dynkin (Mat. Sbornik 30, 1952).
     """
-    echelon: dict[int, list[int]] = {}
-    for count, shell in shells:
-        bits = kernel & ((1 << len(shell)) - 1)
-        kernel >>= len(shell)
-        spare = bits.bit_count() - count
-        if spare < 0:
-            return False
-        for t, v in enumerate(shell):
-            if bits >> t & 1:
-                if _insert(echelon, v):
-                    count -= 1
-                    if not count:
-                        break
-                else:
-                    spare -= 1
-                    if spare < 0:
-                        return False
-    return True
+    if 2 * p == r * (r + 1):
+        return r + 1
+    if p == r * (r - 1):
+        return 4 ** (r // 2)
+    return _EXCEPTIONAL[r, p]
 
 
-def _divides(p: int, shells, counter: _Counter) -> bool:
-    """Whether p divides the index of some frame of the minima.
+def _root_index(shells, a, det_a: int) -> int | None:
+    """The maximal index over frames of minima when the minima form a root system, else None.
 
-    p divides [L:F] exactly when F lies in the kernel of a nonzero
-    functional L -> Z/p, so the answer is whether some such kernel holds
-    a frame; it is given at the first kernel that does.  A kernel is a
-    bit mask over the vectors of ``shells`` (see ``_holds_frame``).  A
-    functional is its values on the basis, up to a unit, so there are
-    (p^n - 1)/(p - 1) of them, each counted as one node.  They are met
-    in the middle: the values on the first n // 2 coordinates and on the
-    rest each get a table that lists, for every residue r, the shell
-    vectors on which that half takes r, so a functional's kernel is the
-    union over r of head[-r] & tail[r], a few integer operations whatever
-    the shells' size.  A kernel with fewer than n vectors, or one already tested, is
-    dropped before the greedy test.
+    ``shells`` is laid out as ``_shells`` lays it out, ``a`` is the
+    cleared Gram matrix and ``det_a`` its determinant.  The minima form
+    a root system when they are one shell and 2(u.v)/min is an integer
+    for every pair u, v of minimal vectors: then, scaled to norm 2, they
+    are the roots of a simply laced system, since u - v or u + v is
+    again minimal whenever u.v is nonzero.  A frame of minima spans the
+    root lattice of the roots its span holds, a full-rank subsystem, and
+    the simple roots of any full-rank subsystem form a frame, so the
+    largest index is sqrt(prod d_c / det L) with L scaled to minimum 2,
+    where d_c is ``_subsystem_det`` of each irreducible component c: the
+    connected components of the graph on the minimal vectors joined by a
+    nonzero inner product, typed by their rank and their number of
+    pairs.  The test stops at the first pair that fails it; it reads
+    only the shell and charges no nodes.
     """
-    residues = [[x % p for x in v] for _, shell in shells for v in shell]
-    n = len(residues[0])
-    h = n // 2
-
-    def tables(lo, hi, partials):
-        out = []
-        for g in partials:
-            table = [0] * p
-            for t, r in enumerate(residues):
-                table[sum(map(mul, g, r[lo:hi])) % p] |= 1 << t
-            out.append(table)
-        return out
-
-    def units(k):
-        # nonzero partial functionals whose first nonzero value is 1
-        return [(0,) * i + (1,) + rest for i in range(k) for rest in product(range(p), repeat=k - i - 1)]
-
-    # each head table re-indexed by -r mod p, so its entry r pairs with
-    # the tail tables' entry r
-    heads = [table[:1] + table[:0:-1] for table in tables(0, h, units(h))]
-    tails = tables(h, n, product(range(p), repeat=n - h))
-    pairs = [(head, tails) for head in heads]
-    # the functionals that vanish on the head coordinates
-    pairs.append(([(1 << len(residues)) - 1] + [0] * (p - 1), tables(h, n, units(n - h))))
-    seen: set[int] = set()
-    for head, rest in pairs:
-        counter.spend(len(rest))
-        for tail in rest:
-            kernel = reduce(or_, map(and_, head, tail))
-            if kernel.bit_count() < n or kernel in seen:
-                continue
-            seen.add(kernel)
-            if _holds_frame(kernel, shells):
-                return True
-    return False
+    if len(shells) > 1:
+        return None
+    ((n, shell),) = shells
+    least = _dot(shell[0], _times(shell[0], a))
+    links: list[list[int]] = [[] for _ in shell]
+    for i, v in enumerate(shell):
+        va = _times(v, a)
+        for j in range(i):
+            x = _dot(shell[j], va)
+            if 2 * x % least:
+                return None
+            if x:
+                links[i].append(j)
+                links[j].append(i)
+    dets, seen = 1, set()
+    for start in range(len(shell)):
+        if start in seen:
+            continue
+        seen.add(start)
+        stack, echelon, pairs = [start], {}, 0
+        while stack:
+            i = stack.pop()
+            pairs += 1
+            _insert(echelon, shell[i])
+            for j in links[i]:
+                if j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+        dets *= _subsystem_det(len(echelon), pairs)
+    # [L:F]^2 = prod d_c / det(L * 2/min), and det(L * 2/min) is
+    # det_a * 2^n / least^n with least = scale * min
+    return math.isqrt(dets * least**n // (det_a << n))
 
 
 def _first_frame(m: int, shells, room, counter: _Counter):

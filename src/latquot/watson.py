@@ -11,16 +11,16 @@ all frames of successive minima.  It is decided over the candidate
 orders m up to the Hadamard bound H = floor(sqrt(prod lam_i / det L)),
 largest first, and stops at once when the frame of minima, or failing
 that a greedy frame, already reaches H.
-A prime p divides [L:F] exactly when F lies in the kernel of a nonzero
-functional L -> Z/p, so when no such kernel holds a frame every multiple
-of p is ruled out; the larger candidates are cheaper to rule out with a
-frame tree that only looks for frames of index at least m.  The tree is
-also the witness finder: its children are ordered by their prefix alone,
-and its one prune only cuts subtrees without a frame of a candidate index,
+When the minimal vectors form a root system the index is read off its
+irreducible components in closed form, and only a frame of that index
+is left to find; otherwise a frame tree that only looks for frames of
+index at least m rules out each candidate in turn.  The tree is also
+the witness finder: its children are ordered by their prefix alone, and
+its one prune only cuts subtrees without a frame of a candidate index,
 so the witness is the first frame of maximal index in one fixed order,
-the frame a plain branch and bound returns.  The seed, the functionals
-and the tree live in ``latquot.frames``.  They run in integers: the Gram
-matrix is cleared of denominators once, each tree node carries the
+the frame a plain branch and bound returns.  The seed, the root system
+test and the tree live in ``latquot.frames``.  They run in integers: the
+Gram matrix is cleared of denominators once, each tree node carries the
 fraction-free Gram-Schmidt pivots of its prefix (Cohen, GTM 138, Alg.
 2.6.7), and a candidate costs one new pivot row instead of a fresh Gram
 determinant.
@@ -36,7 +36,7 @@ from fractions import Fraction
 from .core import HERMITE_POWER, GramLattice, determinant, qform
 from .enumeration import Frame, _Counter, _ball, _times
 from .errors import DependentFrame, DimensionMismatch, ResourceExceeded
-from .frames import _divides, _first_frame, _orthogonal_seed, _primes, _shells
+from .frames import _first_frame, _orthogonal_seed, _root_index, _shells
 from .linalg import det_int, smith_invariants
 from .linalg import det_rational, matmul  # noqa: F401  uncalled; perfbench's tracer wraps these names
 
@@ -177,6 +177,9 @@ def watson_index_bound(n: int) -> int:
 
     An index is an integer, so the largest integer at most gamma_n^(n/2)
     bounds it as well; floor(sqrt(x)) = isqrt(floor(x)) for rational x >= 0.
+    For n = 9 Mordell's inequality gamma_9^7 <= gamma_8^8 = 256 bounds the
+    index by 35, an upper bound rather than gamma_9's value, so it is not
+    returned.
     """
     if n not in HERMITE_POWER:
         raise ValueError("the Hermite constant is only known exactly for n <= 8")
@@ -191,40 +194,35 @@ def maximal_index(L: GramLattice, budget: int | None = None) -> IndexReport:
     or, if it falls short of H and the seed beats it, the frame of
     ``_orthogonal_seed``; when it reaches H the search is over before it
     starts and no shell vector meets the Gram matrix.  Otherwise the index
-    is decided over the candidates m in (incumbent, H], largest first.
-    A candidate m is ruled out by a frame-tree walk that finds no frame
-    of index at least m, and with it every larger one, or by a prime p
-    of m whose functionals mod p hold no frame in their kernels
-    (``_divides``), and with it every multiple of p.  The largest
-    candidate left is the index once the tree finds a frame there: a
-    frame of index at least m has index m, since every larger candidate
-    is ruled out.  The method for each candidate follows one fixed cost
-    rule.  While m has a prime not yet settled, the tree gets
-    an allowance of n nodes for each of the (p^n - 1)/(p - 1) functionals
-    of the least such prime p, about the rows a functional's greedy test
-    inserts.  When the tree spends its allowance, p is settled by its
-    functionals and m is tried again.
+    is decided over the candidates m in (incumbent, H].  When the minima
+    form a root system, ``_root_index`` gives the index m* in closed form
+    and the candidates are m* alone if it beats the incumbent, and none
+    otherwise.  Every other lattice's candidates are tried largest first
+    by a frame-tree walk that finds no frame of index at least m, which
+    rules out m and every larger one.  The first candidate at which the
+    tree finds a frame is the index: a frame of index at least m has
+    index m, since every larger candidate is ruled out.
 
     The witness is the one the plain branch and bound has always
     returned: the incumbent when it reaches the index, and otherwise the
     first frame of maximal index in the tree's fixed order
     (``_first_frame``), which its Hadamard prune leaves in place.
 
-    The seed, the functionals and the tree read the minima ball as
+    The seed, the root system test and the tree read the minima ball as
     ``frames._shells`` lays it out; only the tree pairs each vector with
     its row of inner products.
 
-    The minima ball, the functionals and the tree nodes spend one
-    budget, and a tree trial's allowance is capped at what is left.  If
-    it runs out in the search the incumbent is returned with
-    ``exhaustive=False``; in the ball this raises ``ResourceExceeded``.
+    The minima ball and the tree nodes spend one budget; the root system
+    test charges nothing.  If the budget runs out in the tree the
+    incumbent is returned with ``exhaustive=False``; in the ball this
+    raises ``ResourceExceeded``.
     """
     counter = _Counter(budget)
     context = _ball(L, counter)
     base = context.frame
     lam = base.norms
     n = L.n
-    scale, a, _, _ = L._form
+    scale, a, minors, _ = L._form
     shells = _shells(context)
 
     tail = [Fraction(1)] * (n + 1)
@@ -242,39 +240,24 @@ def maximal_index(L: GramLattice, budget: int | None = None) -> IndexReport:
                 incumbent, best_rows = seed_index, seed
 
     candidates = list(range(hadamard, incumbent, -1))
-    settled: set[int] = set()
+    if candidates:
+        root = _root_index(shells, a, minors[n])
+        if root is not None:
+            candidates = [root] if root > incumbent else []
     exhaustive = True
     if candidates:
         room = [det_l * scale ** (k + 1) / tail[k + 1] for k in range(n)]
         # the tree's shells pair each vector with its row of inner
         # products, built only when the tree runs
         paired = [(count, [(v, _times(v, a)) for v in shell]) for count, shell in shells]
-    try:
-        while candidates:
-            m = candidates[0]
-            unknown = [p for p in _primes(m) if p not in settled]
-            full = counter.budget
-            if unknown:
-                p = unknown[0]
-                allowance = (p**n - 1) // (p - 1) * n
-                counter.budget = min(full, counter.nodes + allowance)
-            try:
+        try:
+            for m in candidates:
                 rows = _first_frame(m, paired, room, counter)
-            except ResourceExceeded:
-                counter.budget = full
-                if counter.nodes > full:
-                    raise
-                settled.add(p)
-                if not _divides(p, shells, counter):
-                    candidates = [c for c in candidates if c % p]
-                continue
-            counter.budget = full
-            if rows is not None:
-                best_rows = rows
-                break
-            candidates.pop(0)
-    except ResourceExceeded:
-        exhaustive = False
+                if rows is not None:
+                    best_rows = rows
+                    break
+        except ResourceExceeded:
+            exhaustive = False
 
     frame = Frame(vectors=best_rows, norms=lam)
     structure = quotient_structure(L, best_rows)

@@ -16,8 +16,8 @@ candidate with matrix products, short-vector listings by the
 Fincke-Pohst kernel as first written (a centre loop per node, a sign
 test per leaf, one sort), frames of successive minima by fraction-free
 pivot rows over the Gram matrix, the greedy frame of the index
-search by scanning every pool vector's inner products, whether a prime
-divides some frame's index by listing every frame, and the index
+search by scanning every pool vector's inner products, the index of
+every frame of the minima by listing every frame, and the index
 ceiling floor(gamma_n^(n/2)) by squaring candidates.  Slow on purpose;
 the tests only feed these small instances.
 
@@ -744,27 +744,29 @@ def reference_orthogonal_seed(pools):
     return tuple(chosen)
 
 
-# The most frames ``reference_divides`` lists before it refuses.
+# The most frames ``reference_frame_indices`` lists before it refuses.
 FRAME_LIMIT = 100_000
 
 
-def reference_divides(shells, p: int) -> bool:
-    """Whether p divides the index of some frame of the minima, by listing every frame.
+def reference_frame_indices(shells) -> list[int]:
+    """The index of every frame of the minima, by listing every frame.
 
     ``shells`` holds one (count, vectors) pair per distinct minimum, as
     ``frames._shells`` lays them out; a frame takes every combination of
     ``count`` distinct vectors of each shell, and is any such choice
-    whose rows are independent.  Refuses with ValueError, before it
-    builds a single combination, when there are more than
-    ``FRAME_LIMIT`` choices to list.
+    whose rows are independent.  Returns one index per frame, in listing
+    order.  Refuses with ValueError, before it builds a single
+    combination, when there are more than ``FRAME_LIMIT`` choices to
+    list.
     """
     if math.prod(math.comb(len(shell), count) for count, shell in shells) > FRAME_LIMIT:
         raise ValueError("too many frames to list")
+    indices = []
     for parts in product(*(combinations(shell, count) for count, shell in shells)):
-        index = det_int([v for part in parts for v in part])
-        if index and index % p == 0:
-            return True
-    return False
+        index = abs(det_int([v for part in parts for v in part]))
+        if index:
+            indices.append(index)
+    return indices
 
 
 def reference_maximal_index(L: GramLattice, budget: int | None = None) -> IndexReport:

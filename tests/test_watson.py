@@ -5,12 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from latquot.codes import c9
-from latquot.construct import centred_cubic, fixture_inventory, named, search_corpus, zd_lift, zn
+from latquot.codes import c9, classify_binary
+from latquot.construct import (
+    centred_cubic, code_lift, fixture_inventory, named, search_corpus, zd_lift, zn,
+)
 from latquot.core import GramLattice, _integral, _pivot_row, inner
 from latquot.enumeration import _Counter, _ball, _dot, _times
 from latquot.errors import DependentFrame, DimensionMismatch, ResourceExceeded
-from latquot.frames import _divides, _orthogonal_seed, _shells
+from latquot.frames import _orthogonal_seed, _root_index, _shells
 from latquot.linalg import det_int, det_rational, identity_rows, matmul, transpose
 from latquot.sampling import perturbed, random_coset, random_gram
 from latquot.watson import (
@@ -23,9 +25,17 @@ from latquot.watson import (
     watson_index_bound,
 )
 from oracles import (
-    conjugate, gram_schmidt, inverse_rational, random_unimodular, reference_divides,
+    conjugate, gram_schmidt, inverse_rational, random_unimodular, reference_frame_indices,
     reference_index_bound, reference_maximal_index, reference_orthogonal_seed, scaled,
 )
+
+
+def e6():
+    """E6 from its Cartan matrix, in Bourbaki's numbering: the chain 1-3-4-5-6 and 2-4."""
+    edges = {(1, 3), (3, 4), (4, 5), (5, 6), (2, 4)}
+    gram = [[2 if i == j else -int((i, j) in edges or (j, i) in edges) for j in range(1, 7)]
+            for i in range(1, 7)]
+    return GramLattice.from_rows(gram, label="E6")
 
 
 def frame_gram(L, rows):
@@ -211,8 +221,9 @@ def test_pivot_rows_match_the_rational_gram_determinant():
 
 
 def test_maximal_index_is_invariant_under_scaling():
-    for name, c in (("E7", Fraction(3, 7)), ("A74", Fraction(5, 2)), ("D6+", Fraction(1, 6))):
-        L = named(name).lattice
+    for L, c in ((named("E7").lattice, Fraction(3, 7)), (named("A74").lattice, Fraction(5, 2)),
+                 (named("D6+").lattice, Fraction(1, 6)), (e6(), Fraction(7, 3)),
+                 (named("D9").lattice, Fraction(2, 5))):
         plain, dilated = maximal_index(L), maximal_index(scaled(L, c))
         assert dilated.max_index == plain.max_index
         assert dilated.witness_frame.vectors == plain.witness_frame.vectors
@@ -230,14 +241,14 @@ def test_the_d6plus_and_a7_frame_searches_run_to_exhaustion():
 
 
 def test_a8_is_decided_exhaustively(node_tally):
-    # The Hadamard bound allows index 5; the tree rules out 5, and the
-    # functionals mod 2 and mod 3 hold no frame in their kernels.  The
-    # node total is pinned here rather than with the others, so that the
-    # longest decision among them runs once.
+    # The Hadamard bound allows index 5, but the minima are the roots of
+    # A8, whose one full-rank subsystem is A8 itself, so the frame of
+    # minima's index 1 is the index and no tree is walked: the total is
+    # the minima ball's alone.
     report = maximal_index(named("A8").lattice)
     assert (report.max_index, report.exhaustive) == (1, True)
     assert report.witness_structure.invariant_factors == ()
-    assert node_tally[0] == 48937
+    assert node_tally[0] == 128
 
 
 def _reference_corpus():
@@ -272,9 +283,10 @@ def test_the_frame_search_matches_the_reference_search():
 def test_frame_search_node_totals_are_pinned(node_tally):
     # Totals of every node the call spends, the minima ball's listing
     # included; the shells are read from that ball, not listed again.
+    # A7's minima are a root system, so its total is its ball's alone.
     # A8's is pinned in test_a8_is_decided_exhaustively.
     for name, nodes in (("E8", 368), ("A74", 707), ("E7", 178), ("D6+", 842),
-                        ("A5^3", 106), ("A7", 9853)):
+                        ("A5^3", 106), ("A7", 91)):
         node_tally[0] = 0
         assert maximal_index(named(name).lattice).exhaustive
         assert node_tally[0] == nodes, name
@@ -285,6 +297,90 @@ NAMED_UP_TO_9 = (
     [f"A{n}" for n in range(1, 10)] + [f"D{n}" for n in range(3, 10)]
     + [f"A{n}^2" for n in (3, 5, 7, 9)] + ["A5^3", "D6+", "E7", "E8", "A73", "A74"]
 )
+
+
+def _root(L):
+    """``_root_index`` on the shells of the lattice's minima ball."""
+    _, a, minors, _ = L._form
+    return _root_index(_shells(_ball(L, _Counter(None))), a, minors[-1])
+
+
+# The named lattices of rank at most 8 whose minima form a root system.
+ROOT_TYPE_UP_TO_8 = (
+    [f"A{n}" for n in range(1, 9)] + [f"D{n}" for n in range(3, 9)] + ["A3^2", "A7^2", "E7", "E8"]
+)
+
+
+def test_the_root_path_matches_the_reference_search():
+    # The closed form, and the witness the search keeps with it, against
+    # the plain branch and bound: on every named lattice up to rank 8
+    # whose minima form a root system, on E6, the one lattice here whose
+    # greedy frame falls short of the closed form (index 2 against 3), so
+    # that the tree finds the witness at that index, and on every binary
+    # code lift up to length 10.  Where the reference decides the index,
+    # the closed form must give it, also on the lattices whose search
+    # stops at the Hadamard bound before the test is reached.  The
+    # reference runs out of its 100,000 nodes on A7, A8, D7 and E6, and
+    # must then still have found the same first frame of maximal index.
+    lattices = [named(x).lattice for x in NAMED_UP_TO_9 if named(x).lattice.n <= 8]
+    roots = [L for L in lattices if _root(L) is not None]
+    assert [L.label for L in roots] == [named(x).lattice.label for x in ROOT_TYPE_UP_TO_8]
+    lifts = [code_lift(c) for n in range(4, 11) for k in range(1, 5) for c in classify_binary(n, k, 4)]
+    assert len(lifts) == 85
+    undecided = []
+    for L in roots + [e6()] + lifts:
+        expected = reference_maximal_index(L, 100_000)
+        report = maximal_index(L)
+        assert report.exhaustive, L.label
+        assert report.max_index == expected.max_index, L.label
+        assert report.witness_structure == expected.witness_structure, L.label
+        assert report.witness_frame == expected.witness_frame, L.label
+        root = _root(L)
+        if root is not None and expected.exhaustive:
+            assert root == expected.max_index, L.label
+        if not expected.exhaustive:
+            undecided.append(L.label)
+    assert undecided == [named(x).lattice.label for x in ("A7", "A8", "D7")] + ["E6"]
+    assert sum(_root(L) is not None for L in lifts) == 63
+
+
+def test_the_root_path_decides_the_rank_9_and_10_root_lattices():
+    # Each takes a few milliseconds; the tree had not decided the first
+    # four after 300,000 nodes.  E6 has no catalogue name and comes from
+    # its Cartan matrix.
+    for L, index, factors in ((named("A9").lattice, 1, ()), (named("A9^2").lattice, 2, (2,)),
+                              (named("D9").lattice, 8, (2, 2, 2)), (named("A10").lattice, 1, ()),
+                              (named("D10").lattice, 16, (2, 2, 2, 2)), (e6(), 3, (3,))):
+        report = maximal_index(L)
+        assert (report.max_index, report.exhaustive) == (index, True), L.label
+        assert report.witness_structure.invariant_factors == factors, L.label
+        assert abs(det_int(report.witness_frame.vectors)) == index, L.label
+        assert _root(L) == index, L.label
+
+
+# Well rounded, but 2(u.v)/min is not an integer on every pair of
+# minimal vectors: it takes the values +-2/3 on A5^2 and D6+, 1/3 on A73,
+# and +-1/2 on A5^3 and A74.
+NO_ROOT_SYSTEM = ("A5^2", "A5^3", "D6+", "A73", "A74")
+
+
+@pytest.mark.parametrize(
+    "name", ["A2", "A3", "A4", "A5", "A6", "D4", "D5", "A3^2", *NO_ROOT_SYSTEM])
+def test_the_index_is_the_largest_index_of_every_listed_frame(name):
+    # Every frame of the minima listed: the search's index is the largest
+    # of their indices, and the closed form gives it wherever the minima
+    # form a root system; it refuses on the rest, which the tree decides.
+    L = named(name).lattice
+    largest = max(reference_frame_indices(_shells(_ball(L, _Counter(None)))))
+    assert maximal_index(L).max_index == largest
+    assert _root(L) == (None if name in NO_ROOT_SYSTEM else largest)
+
+
+def test_the_frame_lister_refuses_before_listing():
+    # A7 has C(28, 7) = 1,184,040 choices, past the lister's limit.
+    shells = _shells(_ball(named("A7").lattice, _Counter(None)))
+    with pytest.raises(ValueError):
+        reference_frame_indices(shells)
 
 
 def _positions(shells, a):
@@ -327,28 +423,14 @@ def test_the_seed_falls_back_and_dead_ends_as_the_full_scan_does():
         assert _orthogonal_seed(shells, a) == seed
 
 
-@pytest.mark.parametrize("name, divides", [
-    ("D4", True), ("D5", True), ("A5^3", True), ("D6+", True),
-    ("A2", False), ("A3", False), ("A4", False), ("A5", False), ("A3^2", False), ("A5^2", False),
-])
-def test_a_prime_divides_a_frame_index_as_listing_every_frame_says(name, divides):
-    # The functionals mod p against every frame of the minima: 2 divides
-    # some frame's index on the first four lattices, and no frame's index
-    # on the rest; 3 and 5 divide none.
-    shells = _shells(_ball(named(name).lattice, _Counter(None)))
-    for p in (2, 3, 5):
-        expected = reference_divides(shells, p)
-        assert expected == (divides and p == 2), (name, p)
-        assert _divides(p, shells, _Counter(None)) == expected, (name, p)
-
-
 def test_the_maximal_index_is_invariant_under_a_change_of_basis():
     # The index and whether it was decided exhaustively are invariants of
     # the lattice, so every fixture reports the same on three seeded
     # conjugates.  The quotient structure of the witness is left out: it
     # may depend on the basis.
     rand = random.Random(12)
-    for name, L in sorted(fixture_inventory().items()):
+    lattices = sorted(fixture_inventory().items()) + [(x, named(x).lattice) for x in ("A9^2", "D9")]
+    for name, L in lattices:
         plain = maximal_index(L)
         for _ in range(3):
             report = maximal_index(conjugate(L, random_unimodular(rand, L.n)))
