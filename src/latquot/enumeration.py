@@ -6,29 +6,28 @@ integers, and the reduction is kept in the lattice's one context (see
 of the reduced Gram matrix scaled to integers (its leading minors and
 the coefficients they clear) and its diagonal, but builds the matrix
 itself only on request, and the Fincke-Pohst tree runs on the pivots in
-integer arithmetic alone:
-the centre at each level is an integer over a known minor, the weight of
-each level an integer over one common denominator, and the admissible
-interval comes from an integer square root, so no vector is ever lost
-to rounding.  A parent tests each child's interval before it builds the
-child's vector or calls it; the leaves are listed in the loop over
-level 1.  Each partial vector and each leaf is one int that holds the
-coordinates in fixed-width fields, so a step down the tree is one
-integer addition and a leaf's sign is one comparison.  The centres of
-the lower levels go down the tree the same way, in one int per child
-with a field per level: a child adds one multiple of its level's packed
-coefficients, and a node reads the one centre it needs with a shift and
-a mask.  Both widths come from bounds on every coordinate and every
-centre the tree can reach, proved together from the form in O(n^2)
-integer operations; the coordinate fields are 8 or 16 bits on the
-bundled fixtures.  The walk counts its nodes in a local total and
-charges it once, at its end or at the node that crosses the budget.
-Leaves are bucketed by norm, and each bucket is sorted as ints, which is
-the order of their coordinates, and decoded to tuples once, in place.
-So a listing is sorted one norm at a time and its pairs share one int
-per norm.  Listings carry each norm as its integer numerator over one
-denominator per lattice; callers turn into fractions only the norms
-they keep.
+integer arithmetic alone: the centre at each level is an integer over a
+known minor, the weight of each level an integer share of one common
+``weight`` (``_weights``), and the admissible interval comes from an
+integer square root, so no vector is ever lost to rounding.  A parent
+tests each child's interval before it builds the child's vector or calls
+it; the leaves are listed in the loop over level 1.  Each partial vector
+and each leaf is one int that holds the coordinates in fixed-width
+fields, so a step down the tree is one integer addition and a leaf's
+sign is one comparison.  The centres of the lower levels go down the
+tree the same way, in one int per child with a field per level: a child
+adds one multiple of its level's packed coefficients, and a node reads
+the one centre it needs with a shift and a mask.  Both widths come from
+bounds on every coordinate and every centre the tree can reach, proved
+together from the form in O(n^2) integer operations; the coordinate
+fields are 8 or 16 bits on the bundled fixtures.  The walk counts its
+nodes in a local total and charges it once, at its end or at the node
+that crosses the budget.  Leaves are bucketed by norm, and each bucket
+is sorted as ints, which is the order of their coordinates, and decoded
+to tuples once, in place.  So a listing is sorted one norm at a time and
+its pairs share one int per norm.  Listings carry each norm in the scale
+of the lattice's integral form, as the integer v (scale G) v^T; callers
+turn into fractions only the norms they keep.
 
 The context also keeps the minima ball: the listing at the largest
 diagonal entry of the reduced Gram matrix, with the nodes it cost and
@@ -97,15 +96,13 @@ class ShellListing:
 class _Context:
     """All a lattice keeps for its listings; ``_context`` makes it.
 
-    The LLL reduction, the denominator ``weight * scale`` of the listed
-    norms, the largest and least reduced diagonal entries and, once
-    ``_ball`` has listed it, the minima ball at ``radius``: its pairs,
-    node cost and frame, and the frame's norms as numerators over
-    ``denominator``, which only ``_ball`` writes.
+    The LLL reduction, the largest and least reduced diagonal entries
+    and, once ``_ball`` has listed it, the minima ball at ``radius``:
+    its pairs, node cost and frame, and the frame's norms as integers
+    v (scale G) v^T, which only ``_ball`` writes.
     """
 
     reduced: ReducedBasis
-    denominator: int
     radius: Fraction
     least: Fraction
     pairs: tuple[tuple[int, LatVec], ...] | None = None
@@ -119,8 +116,7 @@ def _context(L: GramLattice) -> _Context:
     if L._context is None:
         reduced, scale = lll(L), L._form.scale
         object.__setattr__(L, "_context", _Context(
-            reduced, _weights(reduced.minors)[0] * scale,
-            Fraction(max(reduced.diagonal), scale), Fraction(min(reduced.diagonal), scale)))
+            reduced, Fraction(max(reduced.diagonal), scale), Fraction(min(reduced.diagonal), scale)))
     return L._context
 
 
@@ -196,10 +192,12 @@ def _enumerate(reduced: ReducedBasis, bound: Fraction,
                counter: _Counter) -> dict[int, list[LatVec]]:
     """Nonzero solutions of y G y^T <= bound, one per +- pair, bucketed by norm.
 
-    Returns a dict from each norm numerator, over ``weight * scale`` (see
-    ``_weights``), to the sorted coords of its vectors, in the original
-    basis with their first nonzero entry positive.  Levels are visited
-    top down and the integers of each level in increasing order.
+    Returns a dict from each norm, as the integer y (scale G) y^T, to
+    the sorted coords of its vectors, in the original basis with their
+    first nonzero entry positive.  Levels are visited top down and the
+    integers of each level in increasing order.  The walk keys its
+    buckets by ``weight`` times the norm (see ``_weights``) and divides
+    each key by ``weight``, exactly, once at its end.
 
     Partial vectors and leaves are packed ints: coordinate i sits in
     field n-1-i of W bits, offset by 2^(W-1), where W is the least width
@@ -301,18 +299,20 @@ def _enumerate(reduced: ReducedBasis, bound: Fraction,
         def decode(raw):
             return tuple([int.from_bytes(raw[i:i + step], "big", signed=True)
                           for i in range(0, size, step)])
-    for vectors in buckets.values():
+    listing = {}
+    for num, vectors in buckets.items():
         vectors.sort()
         for k, p in enumerate(vectors):
             vectors[k] = decode((p ^ zero).to_bytes(size, "big"))
-    return buckets
+        listing[num // weight] = vectors
+    return listing
 
 
 def _listing(L: GramLattice, bound: Fraction,
              counter: _Counter) -> list[tuple[int, LatVec]]:
     """Sorted (norm, coords) pairs for nonzero vectors of norm <= bound.
 
-    Each norm is its integer numerator over the context's ``denominator``.
+    Each norm is the integer v (scale G) v^T of the lattice's integral form.
     """
     buckets = _enumerate(_context(L).reduced, Fraction(bound), counter)
     # norm by norm, so each pair shares its norm's one int object
@@ -342,7 +342,7 @@ def _ball(L: GramLattice, counter: _Counter) -> _Context:
     pairs = tuple(_listing(L, context.radius, counter))
     echelon: dict[int, list[int]] = {}
     values, vectors = zip(*islice(((x, v) for x, v in pairs if _insert(echelon, v)), L.n))
-    norms = tuple(Fraction(x, context.denominator) for x in values)
+    norms = tuple(Fraction(x, L._form.scale) for x in values)
     context.pairs, context.nodes, context.minima = pairs, counter.nodes - start, values
     context.frame = Frame(vectors=vectors, norms=norms)
     return context
@@ -373,7 +373,7 @@ def _minimum(L: GramLattice, counter: _Counter) -> tuple[Fraction, ShellListing]
     pairs = _listing(L, context.least, counter)
     top = pairs[0][0]
     shell = tuple(v for value, v in pairs if value == top)
-    best = Fraction(top, context.denominator)
+    best = Fraction(top, L._form.scale)
     return best, ShellListing(bound=best, vectors=shell)
 
 

@@ -164,7 +164,7 @@ def _root_index(shells, a, det_a: int) -> int | None:
     return math.isqrt(dets * least**n // (det_a << n))
 
 
-def _first_frame(m: int, shells, room, counter: _Counter):
+def _first_frame(m: int, shells, tail, det_a: int, counter: _Counter):
     """The first frame of index at least ``m`` in the frame tree's order, or None.
 
     ``shells`` is laid out as ``_shells`` lays it out, but each vector
@@ -174,21 +174,22 @@ def _first_frame(m: int, shells, room, counter: _Counter):
     children by decreasing leading minor, then by listing order.  That
     order depends on the prefix alone, so a prune that cuts only subtrees
     holding no frame of index at least m leaves the first such frame
-    where it was.  The one prune is the Hadamard bound: with the Gram
-    matrix cleared as ``scale * G``, a prefix of k + 1 vectors with Gram
-    determinant minor / scale**(k+1) has completions of index m only if
-    minor * tail[k+1] >= m**2 * det(L) * scale**(k+1), with tail[k+1]
-    the product of the minima still to place, i.e. when minor >= m**2 *
-    room[k] for ``room[k] = det(L) * scale**(k+1) / tail[k+1]``.  Each
-    leading minor computed is counted as a node.  Every leaf has index
-    at least m.
+    where it was.  The one prune is the Hadamard bound, counted in the
+    cleared form ``scale * G``: a prefix of k + 1 vectors has leading
+    minor scale**(k+1) times its Gram determinant, ``tail[k+1]`` is the
+    product of the minima still to place, each as v (scale G) v^T, and
+    ``det_a`` is det(scale G).  The scales cancel, so the prefix has
+    completions of index m only if minor * tail[k+1] >= m**2 * det_a,
+    i.e. when minor > ceil(m**2 * det_a / tail[k+1]) - 1.  Each leading
+    minor computed is counted as a node.  Every leaf has index at least
+    m.
     """
     # position k draws from ``pools[k][0]``, after the last pick when it
     # is not the first position of its shell
     pools = [(shell, i) for count, shell in shells for i in range(count)]
     n = len(pools)
-    # minor > limits[k] exactly when minor >= m**2 * room[k]
-    limits = [-(-m * m * x.numerator // x.denominator) - 1 for x in room]
+    # minor > limits[k] exactly when minor * tail[k+1] >= m**2 * det_a
+    limits = [-(-m * m * det_a // x) - 1 for x in tail[1:]]
     chosen: list[tuple[int, ...]] = []
     minors, coeffs = [1], []
     spend = counter.spend

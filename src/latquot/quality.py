@@ -105,17 +105,17 @@ def _cleared(cols, tail):
     return out
 
 
-def _parity_bound(pairs, n: int, missing: int) -> int:
-    """A lower bound on the norm product of every basis, over D^n.
+def _parity_bound(pairs, n: int) -> int:
+    """A lower bound on the norm product of every basis, over scale^n.
 
     A basis of L maps to a basis of L/2L, so its product is at least the
     least product of class minima over the bases of L/2L, which a greedy
     walk finds because those bases form a matroid.  ``pairs`` is a
     sorted listing in L's own coordinates, so a vector's class is its
     coordinate parities; the walk multiplies the norms of the vectors
-    that raise the GF(2) rank.  A class without a listed vector has
-    minimum above the listing's bound, and each such factor counts as
-    ``missing``, that bound's numerator rounded down.
+    that raise the GF(2) rank.  Every listing the search makes holds
+    the minima ball, and so the reduced basis, so the walk reaches rank
+    n.
     """
     rows: dict[int, int] = {}
     product = 1
@@ -123,8 +123,8 @@ def _parity_bound(pairs, n: int, missing: int) -> int:
         if _insert2(rows, sum((x & 1) << i for i, x in enumerate(v))):
             product *= value
             if len(rows) == n:
-                return product
-    return product * missing ** (n - len(rows))
+                break
+    return product
 
 
 def _search(L: GramLattice, counter: _Counter, context: _Context):
@@ -138,22 +138,23 @@ def _search(L: GramLattice, counter: _Counter, context: _Context):
     already paid for the ball; running out anywhere downgrades the
     result to an uncertified upper bound instead of raising.
 
-    The tree runs in integers: listed norms are numerators over the
-    lattice's ``D = context.denominator``, a product of k of them is
-    kept over D^k and the incumbent over D^n, and a Fraction is made only
-    when a basis is recorded.  Each tree level holds the columns k..n-1 of the
+    The tree runs in integers: listed norms are the integers v (scale G)
+    v^T of the lattice's integral form, a product of k of them is kept
+    over scale^k and the incumbent over scale^n, which is the product of
+    the reduced diagonal itself, and a Fraction is made only when a
+    basis is recorded.  Each tree level holds the columns k..n-1 of the
     completion W of its prefix.  A candidate costs n - k inner products
     and one gcd; only a candidate that passes pays for the column
     operations of the next level, and the columns of a level are dropped
     when it returns.
     """
     n = L.n
-    reduced, denominator, base = context.reduced, context.denominator, context.frame
+    reduced, base = context.reduced, context.frame
+    scale = reduced.scale
     inc_num = math.prod(reduced.diagonal)
-    inc_prod = Fraction(inc_num, reduced.scale**n)
+    inc_prod = Fraction(inc_num, scale**n)
 
-    best = {"num": inc_num * (denominator // reduced.scale)**n, "prod": inc_prod,
-            "rows": reduced.transform}
+    best = {"num": inc_num, "prod": inc_prod, "rows": reduced.transform}
 
     target = math.prod(context.minima)
     if best["num"] == target:
@@ -165,7 +166,7 @@ def _search(L: GramLattice, counter: _Counter, context: _Context):
         """Exhaust all bases drawn from the listed candidates.
 
         Returns True as soon as a recorded basis reaches ``target``, a
-        lower bound on every basis product over D^n.
+        lower bound on every basis product over scale^n.
         """
         norms = [p[0] for p in pairs]
         vecs = [p[1] for p in pairs]
@@ -184,7 +185,7 @@ def _search(L: GramLattice, counter: _Counter, context: _Context):
             k = len(chosen)
             if k == n:
                 best["num"] = prod
-                best["prod"] = Fraction(prod, denominator**n)
+                best["prod"] = Fraction(prod, scale**n)
                 best["rows"] = tuple(chosen)
                 return prod <= target
             need = n - k
@@ -231,12 +232,11 @@ def _search(L: GramLattice, counter: _Counter, context: _Context):
     # the lower bound ``target``: the larger of the minima product and
     # the parity bound of the listing.
     bound, pairs = context.radius, context.pairs
-    lam_head = Fraction(target, denominator**n) / base.norms[-1]
+    lam_head = Fraction(target, scale**n) / base.norms[-1]
     done = Fraction(0)
     try:
         while True:
-            missing = bound.numerator * denominator // bound.denominator
-            target = max(target, _parity_bound(pairs, n, missing))
+            target = max(target, _parity_bound(pairs, n))
             if (best["num"] <= target or run_pass(pairs, target)
                     or bound >= best["prod"] / lam_head):
                 return best["prod"], best["rows"], True, None
@@ -248,7 +248,7 @@ def _search(L: GramLattice, counter: _Counter, context: _Context):
         # the incumbent owns a vector longer than that, plus n-1 more no
         # shorter than the first n-1 successive minima.  The target of
         # the last complete listing bounds every basis.
-        frontier = max(min(best["prod"], done * lam_head), Fraction(target, denominator**n))
+        frontier = max(min(best["prod"], done * lam_head), Fraction(target, scale**n))
         return best["prod"], best["rows"], False, frontier
 
 

@@ -32,8 +32,9 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
-from .core import HERMITE_POWER, GramLattice, determinant, qform
+from .core import HERMITE_POWER, GramLattice, qform
 from .enumeration import Frame, _Counter, _ball, _times
 from .errors import DependentFrame, DimensionMismatch, ResourceExceeded
 from .frames import _first_frame, _orthogonal_seed, _root_index, _shells
@@ -220,16 +221,14 @@ def maximal_index(L: GramLattice, budget: int | None = None) -> IndexReport:
     counter = _Counter(budget)
     context = _ball(L, counter)
     base = context.frame
-    lam = base.norms
-    n = L.n
-    scale, a, minors, _ = L._form
+    _, a, minors, _ = L._form
+    det_a = minors[-1]
     shells = _shells(context)
 
-    tail = [Fraction(1)] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        tail[i] = tail[i + 1] * lam[i]
-    det_l = determinant(L)
-    hadamard = math.isqrt(math.floor(tail[0] / det_l))
+    # tail[k] is the product of the minima k..n-1, each as v (scale G)
+    # v^T; over det_a = det(scale G) the scales cancel
+    tail = list(accumulate(reversed(context.minima), operator.mul, initial=1))[::-1]
+    hadamard = math.isqrt(tail[0] // det_a)
 
     incumbent, best_rows = abs(det_int(base.vectors)), base.vectors
     if incumbent < hadamard:
@@ -241,25 +240,24 @@ def maximal_index(L: GramLattice, budget: int | None = None) -> IndexReport:
 
     candidates = list(range(hadamard, incumbent, -1))
     if candidates:
-        root = _root_index(shells, a, minors[n])
+        root = _root_index(shells, a, det_a)
         if root is not None:
             candidates = [root] if root > incumbent else []
     exhaustive = True
     if candidates:
-        room = [det_l * scale ** (k + 1) / tail[k + 1] for k in range(n)]
         # the tree's shells pair each vector with its row of inner
         # products, built only when the tree runs
         paired = [(count, [(v, _times(v, a)) for v in shell]) for count, shell in shells]
         try:
             for m in candidates:
-                rows = _first_frame(m, paired, room, counter)
+                rows = _first_frame(m, paired, tail, det_a, counter)
                 if rows is not None:
                     best_rows = rows
                     break
         except ResourceExceeded:
             exhaustive = False
 
-    frame = Frame(vectors=best_rows, norms=lam)
+    frame = Frame(vectors=best_rows, norms=base.norms)
     structure = quotient_structure(L, best_rows)
     return IndexReport(
         max_index=structure.index,

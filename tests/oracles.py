@@ -708,7 +708,7 @@ def reference_frame(L: GramLattice) -> Frame:
             if len(vectors) == L.n:
                 break
     return Frame(vectors=tuple(vectors),
-                 norms=tuple(Fraction(x, context.denominator) for x in norms))
+                 norms=tuple(Fraction(x, L._form.scale) for x in norms))
 
 
 def _canonical_sign(v: tuple[int, ...]) -> tuple[int, ...]:
@@ -798,10 +798,10 @@ def reference_maximal_index(L: GramLattice, budget: int | None = None) -> IndexR
     n = L.n
     scale, a, _, _ = L._form
     # The shells come from the minima ball ``successive_minima`` has
-    # just listed, keyed by its norm numerators: the ball reaches past
-    # lam[-1] and is sorted as a listing at lam[-1] would be.
+    # just listed, keyed by its norms as v (scale G) v^T: the ball
+    # reaches past lam[-1] and is sorted as a listing at lam[-1] would be.
     context = _context(L)
-    keys = [int(value * context.denominator) for value in lam]
+    keys = [int(value * scale) for value in lam]
     wanted = set(keys)
     shells: dict[int, list[tuple[tuple[int, ...], list[int]]]] = {}
     for value, v in context.pairs:

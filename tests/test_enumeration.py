@@ -20,6 +20,8 @@ from latquot.construct import (
 from latquot.core import GramLattice, _integral, _pivot_row, determinant, norm, validate
 from latquot.enumeration import (
     _context,
+    _dot,
+    _times,
     _weights,
     invariant_report,
     is_well_rounded,
@@ -494,8 +496,11 @@ def test_the_kernel_matches_the_reference_kernel(node_tally):
     # and buckets its leaves by norm; the kernel it replaced walks the
     # same tree on coordinate tuples.  Both must list the same pairs for
     # the same nodes, and stop at the same node one short of the total.
-    # The largest of these listings is liftc12 at 3, 9,472 vectors; the
-    # lattices of ``_width_corpus`` fill each field width and pass 2^64.
+    # The listing counts each norm as v (scale G) v^T, the reference
+    # over ``weight * scale``, so its numerators are divided by
+    # ``weight`` first.  The largest of these listings is liftc12 at 3,
+    # 9,472 vectors; the lattices of ``_width_corpus`` fill each field
+    # width and pass 2^64.
     #
     # The kernel counts its nodes itself and charges them at once, where
     # the reference charges each child range as it reaches it.  So on
@@ -511,11 +516,16 @@ def test_the_kernel_matches_the_reference_kernel(node_tally):
         for bound in (rho, 3 * rho / 2, 2 * rho):
             charges = _Charges()
             centres = []
-            expected = sorted(reference_enumerate(reduced, bound, charges, centres))
+            weight = _weights(reduced.minors)[0]
+            reference = reference_enumerate(reduced, bound, charges, centres)
+            assert all(x % weight == 0 for x, _ in reference), (L.label, bound)
+            expected = sorted((x // weight, v) for x, v in reference)
             nodes = charges.nodes
             fresh = GramLattice(L.n, L.gram, L.label)
             pairs = enumeration._listing(fresh, bound, enumeration._Counter(None))
             assert list(pairs) == expected, (L.label, bound)
+            a = L._form.gram
+            assert all(x == _dot(v, _times(v, a)) for x, v in pairs), (L.label, bound)
             # the proven bounds hold every listed coordinate and every
             # centre the walk reaches, partial sums included
             reach = max((abs(x) for _, v in pairs for x in v), default=0)

@@ -258,6 +258,19 @@ def test_no_module_in_src_reads_the_environment():
     assert readers == []
 
 
+def test_only_reduction_and_enumeration_name_the_level_weights():
+    # ``_weights`` scales the Fincke-Pohst levels to one common weight;
+    # reduction reads its diagonal off them and the kernel walks its tree
+    # in them.  Every other module counts a norm as the integer
+    # v (scale G) v^T of the lattice's integral form.
+    names = sorted(
+        path.stem for path, tree in _sources().items() if path.parent == SRC
+        if any("_weights" in {getattr(node, "id", None), getattr(node, "attr", None),
+                              getattr(node, "name", None)} for node in ast.walk(tree))
+    )
+    assert names == ["enumeration", "reduction"]
+
+
 def _command_lines():
     """Lines of CI's workflow and of README's command line block, by the subcommand each runs."""
     readme = (ROOT / "README.md").read_text(encoding="utf-8")

@@ -13,7 +13,7 @@ from latquot import quality
 from latquot.construct import centred_cubic, code_lift, fixture_inventory, named, search_corpus, zn
 from latquot.codes import c8, c9, c10, classify_binary, code_qb_bound, g12
 from latquot.core import GramLattice, determinant, norm
-from latquot.enumeration import _Counter, _context, _listing, _times, successive_minima, vectors_up_to
+from latquot.enumeration import _Counter, _listing, _times, successive_minima, vectors_up_to
 from latquot.errors import ResourceExceeded
 from latquot.linalg import det_int, hnf_rows, identity_rows, is_primitive
 from latquot.quality import _cleared, _generates, _parity_bound, hermite_Hb, qb
@@ -73,7 +73,7 @@ def test_budget_downgrades_to_an_upper_bound():
     # not.  The parity bound would certify the lift in its first pass, so
     # it is set to 0 here.
     L = code_lift(c10())
-    with patch.object(quality, "_parity_bound", lambda pairs, n, missing: 0):
+    with patch.object(quality, "_parity_bound", lambda pairs, n: 0):
         report = qb(L, budget=2000)
     assert not report.certified
     assert report.frontier is not None
@@ -284,22 +284,35 @@ def test_the_basis_search_runs_past_its_first_basis(node_tally):
             assert node_tally[0] == nodes, L.label
 
 
+def _qb_outcome(L, budget, node_tally):
+    """What ``qb`` reports or raises on ``L`` under ``budget``, with the nodes it spent."""
+    node_tally[0] = 0
+    try:
+        r = qb(L, budget)
+        outcome = (r.M, r.Hb, r.Qb, r.best_basis, r.certified, r.frontier)
+    except ResourceExceeded as err:
+        outcome = ("raised", err.nodes, err.budget)
+    return outcome, node_tally[0]
+
+
 def test_qb_is_invariant_under_scaling(node_tally):
-    # Scaling the form by a non-integral rational changes the common
-    # denominator of the listed norms, over which the basis search keeps
-    # its integer products, and nothing else.
+    # Scaling the form by a non-integral rational changes the scale of
+    # its integral form, in which the listings count their norms and the
+    # basis search keeps its integer products, and nothing else.  At
+    # budget 50 most of these searches stop in the minima ball.  Without
+    # the parity bound A74 and the C9 lift stop in their trees at 500,
+    # so the frontier is compared as well.
     rand = random.Random(89)
     lattices = [named("A74").lattice, code_lift(c9()), centred_cubic(6)]
     lattices += [perturbed(rand, search_corpus(n)[t]) for n in range(4, 9) for t in range(2)]
     for L in lattices:
         c = Fraction(rand.randint(1, 40), rand.choice((7, 11, 13)))
         dilated = scaled(L, c if c.denominator > 1 else c / 17)
-        seen = []
-        for lattice in (L, dilated):
-            node_tally[0] = 0
-            r = qb(lattice)
-            seen.append((r.M, r.Hb, r.Qb, r.best_basis, r.certified, r.frontier, node_tally[0]))
-        assert seen[0] == seen[1], L.label
+        for budget in (None, 50, 500):
+            assert (_qb_outcome(L, budget, node_tally)
+                    == _qb_outcome(dilated, budget, node_tally)), (L.label, budget)
+        with patch.object(quality, "_parity_bound", lambda pairs, n: 0):
+            assert _qb_outcome(L, 500, node_tally) == _qb_outcome(dilated, 500, node_tally), L.label
 
 
 def _copies(rand, L):
@@ -319,10 +332,8 @@ def test_the_parity_bound_matches_the_class_minima_oracle():
         expected = parity_product(base.gram)
         cover = parity_cover(base.gram)
         for L, c in _copies(rand, base):
-            # the listing reaches full rank, so the missing factor, here
-            # 0, never enters
-            got = _parity_bound(_listing(L, cover * c, _Counter(None)), n, 0)
-            assert Fraction(got, _context(L).denominator ** n) == expected * c**n, base.label
+            got = _parity_bound(_listing(L, cover * c, _Counter(None)), n)
+            assert Fraction(got, L._form.scale ** n) == expected * c**n, base.label
 
 
 @lru_cache(maxsize=None)
@@ -341,19 +352,19 @@ def test_the_parity_bound_never_exceeds_the_optimum(seed, copy):
     L, _ = _copies(rand, rand.choice(_searched_lattices()))[copy]
     bounds = []
 
-    def recording(pairs, n, missing):
-        bounds.append(_parity_bound(pairs, n, missing))
+    def recording(pairs, n):
+        bounds.append(_parity_bound(pairs, n))
         return bounds[-1]
 
     with patch.object(quality, "_parity_bound", recording):
         report = qb(L)
     assert report.certified
     optimum = report.Hb * determinant(L)
-    assert all(Fraction(b, _context(L).denominator ** L.n) <= optimum for b in bounds)
+    assert all(Fraction(b, L._form.scale ** L.n) <= optimum for b in bounds)
     # With the parity bound at 0 only the minima product can end the
     # search early.  Where it then finishes within a small budget, every
     # field of the report agrees.
-    with patch.object(quality, "_parity_bound", lambda pairs, n, missing: 0):
+    with patch.object(quality, "_parity_bound", lambda pairs, n: 0):
         exhaustive = qb(L, budget=20000)
     assert not exhaustive.certified or exhaustive == report
 

@@ -220,16 +220,25 @@ def test_pivot_rows_match_the_rational_gram_determinant():
             lam.append(row)
 
 
-def test_maximal_index_is_invariant_under_scaling():
+def test_maximal_index_is_invariant_under_scaling(node_tally):
+    # At budgets 300 and 600 A74 and D6+ stop in the frame tree, so the
+    # scaled copies must stop at the same node with the same incumbent.
     for L, c in ((named("E7").lattice, Fraction(3, 7)), (named("A74").lattice, Fraction(5, 2)),
                  (named("D6+").lattice, Fraction(1, 6)), (e6(), Fraction(7, 3)),
                  (named("D9").lattice, Fraction(2, 5))):
-        plain, dilated = maximal_index(L), maximal_index(scaled(L, c))
-        assert dilated.max_index == plain.max_index
-        assert dilated.witness_frame.vectors == plain.witness_frame.vectors
-        assert dilated.witness_frame.norms == tuple(c * x for x in plain.witness_frame.norms)
-        assert dilated.witness_structure == plain.witness_structure
-        assert dilated.exhaustive and plain.exhaustive
+        for budget in (None, 300, 600):
+            node_tally[0] = 0
+            plain = maximal_index(L, budget)
+            nodes = node_tally[0]
+            node_tally[0] = 0
+            dilated = maximal_index(scaled(L, c), budget)
+            assert node_tally[0] == nodes, (L.label, budget)
+            assert dilated.max_index == plain.max_index
+            assert dilated.witness_frame.vectors == plain.witness_frame.vectors
+            assert dilated.witness_frame.norms == tuple(c * x for x in plain.witness_frame.norms)
+            assert dilated.witness_structure == plain.witness_structure
+            assert dilated.exhaustive == plain.exhaustive
+            assert dilated.exhaustive or budget is not None
 
 
 def test_the_d6plus_and_a7_frame_searches_run_to_exhaustion():
