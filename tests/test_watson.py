@@ -221,11 +221,13 @@ def test_pivot_rows_match_the_rational_gram_determinant():
 
 
 def test_maximal_index_is_invariant_under_scaling(node_tally):
-    # At budgets 300 and 600 A74 and D6+ stop in the frame tree, so the
-    # scaled copies must stop at the same node with the same incumbent.
-    for L, c in ((named("E7").lattice, Fraction(3, 7)), (named("A74").lattice, Fraction(5, 2)),
-                 (named("D6+").lattice, Fraction(1, 6)), (e6(), Fraction(7, 3)),
-                 (named("D9").lattice, Fraction(2, 5))):
+    # At budgets 300 and 600 A74, D6+ and E6 stop in the frame tree, so
+    # the scaled copies must stop at the same node with the same incumbent.
+    for L, c, stops in ((named("E7").lattice, Fraction(3, 7), False),
+                        (named("A74").lattice, Fraction(5, 2), True),
+                        (named("D6+").lattice, Fraction(1, 6), True),
+                        (e6(), Fraction(7, 3), True),
+                        (named("D9").lattice, Fraction(2, 5), False)):
         for budget in (None, 300, 600):
             node_tally[0] = 0
             plain = maximal_index(L, budget)
@@ -237,8 +239,8 @@ def test_maximal_index_is_invariant_under_scaling(node_tally):
             assert dilated.witness_frame.vectors == plain.witness_frame.vectors
             assert dilated.witness_frame.norms == tuple(c * x for x in plain.witness_frame.norms)
             assert dilated.witness_structure == plain.witness_structure
-            assert dilated.exhaustive == plain.exhaustive
-            assert dilated.exhaustive or budget is not None
+            assert dilated.exhaustive == plain.exhaustive == (budget is None or not stops)
+            assert plain.exhaustive or nodes == budget + 1, (L.label, budget)
 
 
 def test_the_d6plus_and_a7_frame_searches_run_to_exhaustion():
