@@ -7,6 +7,7 @@ import math
 import pickle
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -490,10 +491,37 @@ class _Charges(enumeration._Counter):
         self.totals.append(self.nodes)
 
 
-def test_the_kernel_matches_the_reference_kernel(node_tally):
+def _intervals(monkeypatch, call):
+    """``call()`` and the intervals the kernel computed in it, one integer square root each."""
+    calls = [0]
+    real = enumeration.isqrt
+
+    def counting(x):
+        calls[0] += 1
+        return real(x)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(enumeration, "isqrt", counting)
+        result = call()
+    return result, calls[0]
+
+
+def _stopped_in_a_replay(err):
+    """Whether the walk raising ``err`` ran inside a subtree whose state the kernel had recorded."""
+    tb = err.tb
+    while tb is not None:
+        frame = tb.tb_frame
+        if frame.f_code.co_name == "visit" and frame.f_locals.get("entry") is not None:
+            return True
+        tb = tb.tb_next
+    return False
+
+
+def test_the_kernel_matches_the_reference_kernel(node_tally, monkeypatch):
     # The kernel prunes each child in its parent, carries the centres
-    # down, packs each partial vector and the centres into one int each
-    # and buckets its leaves by norm; the kernel it replaced walks the
+    # down, packs each partial vector and the centres into one int each,
+    # buckets its leaves by norm and replays each subtree of its lowest
+    # levels that it has walked before; the kernel it replaced walks the
     # same tree on coordinate tuples.  Both must list the same pairs for
     # the same nodes, and stop at the same node one short of the total.
     # The listing counts each norm as v (scale G) v^T, the reference
@@ -502,6 +530,10 @@ def test_the_kernel_matches_the_reference_kernel(node_tally):
     # 9,472 vectors; the lattices of ``_width_corpus`` fill each field
     # width and pass 2^64.
     #
+    # A full walk computes one interval per node above level 0, which
+    # are the reference's centres, one for the top level and one per
+    # level in ``_bounds``; a replayed subtree computes none.
+    #
     # The kernel counts its nodes itself and charges them at once, where
     # the reference charges each child range as it reaches it.  So on
     # every listing of at most 2,000 nodes, under every budget short of
@@ -509,7 +541,12 @@ def test_the_kernel_matches_the_reference_kernel(node_tally):
     # kernel must stop where the reference does: at the first of the
     # reference's running totals past what is left, having charged up to
     # it.  The reference's stops are read off its running totals, as its
-    # walk does not depend on the budget until it stops.
+    # walk does not depend on the budget until it stops.  Some of these
+    # listings replay subtrees (the ball of centred_cubic(9), 805 nodes,
+    # reaches 6 states of the lowest three levels 69 times), and some
+    # budgets run out inside a subtree the kernel has recorded, which it
+    # then walks instead of replaying.
+    replayed = stopped_in_replay = 0
     for L in _kernel_corpus() + _width_corpus():
         context = _context(L)
         reduced, rho = context.reduced, context.radius
@@ -536,13 +573,17 @@ def test_the_kernel_matches_the_reference_kernel(node_tally):
             assert len({id(x) for x, _ in pairs}) == len({x for x, _ in pairs})
             # a walk that completes charges exactly its total
             node_tally[0] = 0
-            enumeration._enumerate(reduced, bound, enumeration._Counter(None))
+            _, intervals = _intervals(monkeypatch, lambda: enumeration._enumerate(
+                reduced, bound, enumeration._Counter(None)))
             assert node_tally[0] == nodes, (L.label, bound)
+            walked = 1 + L.n + len(centres)
+            assert intervals <= walked, (L.label, bound)
             assert (_stops_at(enumeration._enumerate, reduced, bound, nodes - 1)
                     == _stops_at(reference_enumerate, reduced, bound, nodes - 1)
                     == (nodes, nodes - 1)), (L.label, bound)
             if nodes > 2000:
                 continue
+            replayed += intervals < walked
             for budget in range(nodes):
                 counter = enumeration._Counter(budget)
                 counter.nodes = spent = budget // 2
@@ -551,6 +592,43 @@ def test_the_kernel_matches_the_reference_kernel(node_tally):
                 crossing = charges.totals[bisect.bisect_right(charges.totals, budget - spent)]
                 assert (err.value.nodes, err.value.budget, counter.nodes) == (
                     budget + 1, budget, spent + crossing), (L.label, bound, budget)
+                stopped_in_replay += _stopped_in_a_replay(err)
+    assert replayed and stopped_in_replay
+
+
+def test_replays_cut_the_intervals_of_symmetric_listings(monkeypatch, node_tally):
+    # The kernel walks each distinct subtree of its lowest three levels
+    # once per listing and replays it at every other visit, computing
+    # no interval there.  A full walk computes 20,919 intervals on the
+    # liftc12 listing and 477 on the ball of centred_cubic(9), and spends
+    # the same nodes on the same listings.
+    lift12, cubic = fixture_inventory()["liftc12"], centred_cubic(9)
+    cases = (
+        (lift12, 3, 10705, 30379, 9472),
+        (cubic, _context(cubic).radius, 203, 805, 337),
+    )
+    for L, bound, intervals, nodes, count in cases:
+        fresh = GramLattice(L.n, L.gram, L.label)
+        _context(fresh)
+        node_tally[0] = 0
+        listing, computed = _intervals(monkeypatch, lambda: vectors_up_to(fresh, bound))
+        assert (computed, node_tally[0], len(listing)) == (intervals, nodes, count), L.label
+
+
+def test_the_kernel_holds_little_more_than_its_listing():
+    # The recorded subtrees hold their leaves once per state, and they
+    # are dropped before the leaves are decoded, so the kernel's peak is
+    # what the listing it returns holds.  Records kept through the
+    # decoding would read 1.13 times the listing.
+    reduced = _context(fixture_inventory()["liftc12"]).reduced
+    tracemalloc.start()
+    try:
+        listing = enumeration._enumerate(reduced, Fraction(3), enumeration._Counter(None))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(map(len, listing.values())) == 9472
+    assert peak <= 1.05 * held, (peak, held)
 
 
 def test_listing_node_totals_are_pinned(node_tally):
