@@ -53,7 +53,7 @@ def _shells(context: _Context) -> list[tuple[int, list[tuple[int, ...]]]]:
 
 
 def _orthogonal_seed(shells, a):
-    """Best-effort frame preferring pairwise orthogonal vectors.
+    """A greedy frame of minima preferring pairwise orthogonal vectors.
 
     A pairwise orthogonal frame attains the Hadamard bound, and a seed
     that reaches the bound settles ``maximal_index`` with no search at
@@ -62,10 +62,12 @@ def _orthogonal_seed(shells, a):
     takes the first vector of the shell whose integral inner products
     with the vectors already chosen all vanish, which makes it
     independent of them.  Failing that, it takes the first vector of the
-    shell independent of them.  Only a chosen vector is multiplied by
-    ``a``: each shell is narrowed, in listing order, to the vectors
-    orthogonal to every pick so far, once per pick.  Returns None when
-    the greedy pass dead-ends.
+    shell independent of them, which exists: the vectors up to the
+    shell's norm span more dimensions than the picks so far, and the
+    shorter ones lie in the span of the earlier shells' picks.  Only a
+    chosen vector is multiplied by ``a``: each shell is narrowed, in
+    listing order, to the vectors orthogonal to every pick so far, once
+    per pick.
     """
     chosen: list[tuple[int, ...]] = []
     picked: list[list[int]] = []
@@ -83,8 +85,6 @@ def _orthogonal_seed(shells, a):
                 for v in shell:
                     if _insert(echelon, v):
                         break
-                else:
-                    return None
             chosen.append(v)
             picked.append(_times(v, a))
     return tuple(chosen)

@@ -21,8 +21,10 @@ walk over the sorted listing finds that product.  The bound settles the
 well-rounded code lifts, whose trees would otherwise walk the n-subsets
 of their minimal vectors.
 
-A pass after the minima ball walks its tree only when its listing
-generates the lattice, which one Hermite form of the listing decides.
+Every pass lists to at least the ball's radius, the largest reduced
+diagonal entry, so each listing holds the reduced basis and generates
+the lattice, and each starts with the ball: the parity bound of the
+ball is the parity bound of every later listing.
 
 Primitivity is read off a unimodular completion carried down the tree
 (Cohen, GTM 138, Sec. 2.4): a unimodular W with the chosen prefix times
@@ -42,8 +44,8 @@ from math import gcd
 from .core import GramLattice, LatVec, Rational, determinant
 from .enumeration import _Context, _Counter, _ball, _context, _listing, _times
 from .errors import ResourceExceeded
-from .linalg import _insert2, _xgcd, hnf_rows, identity_rows
-from .linalg import is_primitive  # noqa: F401  uncalled; perfbench's tracer wraps this name
+from .linalg import _insert2, _xgcd, identity_rows
+from .linalg import hnf_rows, is_primitive  # noqa: F401  uncalled; perfbench's tracer wraps these names
 
 __all__ = ["QualityReport", "hermite_Hb", "qb"]
 
@@ -62,24 +64,6 @@ class QualityReport:
     best_basis: tuple[LatVec, ...]
     certified: bool
     frontier: Rational | None = None
-
-
-def _generates(vecs, n: int) -> bool:
-    """Whether the integer row span of the vectors is all of Z^n.
-
-    The rows are folded into a running Hermite form a chunk at a time,
-    so the working set never exceeds n + chunk rows no matter how long
-    the listing is, and the fold stops as soon as the form reaches the
-    identity.
-    """
-    state: list[list[int]] = []
-    step = 4 * n
-    for start in range(0, len(vecs), step):
-        rows = state + [list(v) for v in vecs[start:start + step]]
-        state = hnf_rows(rows)
-        if len(state) == n and all(state[i][i] == 1 for i in range(n)):
-            return True
-    return False
 
 
 def _cleared(cols, tail):
@@ -113,9 +97,9 @@ def _parity_bound(pairs, n: int) -> int:
     walk finds because those bases form a matroid.  ``pairs`` is a
     sorted listing in L's own coordinates, so a vector's class is its
     coordinate parities; the walk multiplies the norms of the vectors
-    that raise the GF(2) rank.  Every listing the search makes holds
-    the minima ball, and so the reduced basis, so the walk reaches rank
-    n.
+    that raise the GF(2) rank.  The minima ball holds the reduced
+    basis, so the walk reaches rank n inside it; a later listing starts
+    with the ball in the same order, so its walk is the ball's.
     """
     rows: dict[int, int] = {}
     product = 1
@@ -171,15 +155,8 @@ def _search(L: GramLattice, counter: _Counter, context: _Context):
         norms = [p[0] for p in pairs]
         vecs = [p[1] for p in pairs]
         total = len(pairs)
-        # When every listed vector lies in a proper sublattice, as the
-        # short vectors of a Watson lattice do, no subset is a basis and
-        # the whole tree would be walked just to learn that.  One check
-        # of the stacked listing settles it up front.  The ball needs
-        # none: its radius is the largest reduced diagonal entry, so it
-        # holds the reduced basis.
+        # the charge for the root of the pass's tree
         counter.spend()
-        if pairs is not context.pairs and not _generates(vecs, n):
-            return False
 
         def descend(start: int, prod: int, cols) -> bool:
             k = len(chosen)
@@ -230,13 +207,13 @@ def _search(L: GramLattice, counter: _Counter, context: _Context):
     # n-1 members cost at least prod(lam_i, i < n), so members are
     # bounded by the quotient below), or as soon as the incumbent reaches
     # the lower bound ``target``: the larger of the minima product and
-    # the parity bound of the listing.
+    # the parity bound, which every listing shares with the ball.
     bound, pairs = context.radius, context.pairs
     lam_head = Fraction(target, scale**n) / base.norms[-1]
+    target = max(target, _parity_bound(pairs, n))
     done = Fraction(0)
     try:
         while True:
-            target = max(target, _parity_bound(pairs, n))
             if (best["num"] <= target or run_pass(pairs, target)
                     or bound >= best["prod"] / lam_head):
                 return best["prod"], best["rows"], True, None
@@ -246,8 +223,8 @@ def _search(L: GramLattice, counter: _Counter, context: _Context):
     except ResourceExceeded:
         # Passes up to `done` were exhaustive, so any basis still beating
         # the incumbent owns a vector longer than that, plus n-1 more no
-        # shorter than the first n-1 successive minima.  The target of
-        # the last complete listing bounds every basis.
+        # shorter than the first n-1 successive minima, and ``target``
+        # bounds every basis.
         frontier = max(min(best["prod"], done * lam_head), Fraction(target, scale**n))
         return best["prod"], best["rows"], False, frontier
 

@@ -193,9 +193,10 @@ def maximal_index(L: GramLattice, budget: int | None = None) -> IndexReport:
     Every frame F has [L:F] <= H, the Hadamard bound floor(sqrt(prod
     lam_i / det L)).  The incumbent is the frame of ``successive_minima``
     or, if it falls short of H and the seed beats it, the frame of
-    ``_orthogonal_seed``; when it reaches H the search is over before it
-    starts and no shell vector meets the Gram matrix.  Otherwise the index
-    is decided over the candidates m in (incumbent, H].  When the minima
+    ``_orthogonal_seed``, a greedy frame of minima that always completes;
+    when it reaches H the search is over before it starts and no shell
+    vector meets the Gram matrix.  Otherwise the index is decided over
+    the candidates m in (incumbent, H].  When the minima
     form a root system, ``_root_index`` gives the index m* in closed form
     and the candidates are m* alone if it beats the incumbent, and none
     otherwise.  Every other lattice's candidates are tried largest first
@@ -233,10 +234,9 @@ def maximal_index(L: GramLattice, budget: int | None = None) -> IndexReport:
     incumbent, best_rows = abs(det_int(base.vectors)), base.vectors
     if incumbent < hadamard:
         seed = _orthogonal_seed(shells, a)
-        if seed is not None:
-            seed_index = abs(det_int(seed))
-            if seed_index > incumbent:
-                incumbent, best_rows = seed_index, seed
+        seed_index = abs(det_int(seed))
+        if seed_index > incumbent:
+            incumbent, best_rows = seed_index, seed
 
     candidates = list(range(hadamard, incumbent, -1))
     if candidates:

@@ -13,10 +13,10 @@ from latquot import quality
 from latquot.construct import centred_cubic, code_lift, fixture_inventory, named, search_corpus, zn
 from latquot.codes import c8, c9, c10, classify_binary, code_qb_bound, g12
 from latquot.core import GramLattice, determinant, norm
-from latquot.enumeration import _Counter, _listing, _times, successive_minima, vectors_up_to
+from latquot.enumeration import _Counter, _ball, _listing, _times, successive_minima, vectors_up_to
 from latquot.errors import ResourceExceeded
 from latquot.linalg import det_int, hnf_rows, identity_rows, is_primitive
-from latquot.quality import _cleared, _generates, _parity_bound, hermite_Hb, qb
+from latquot.quality import _cleared, _parity_bound, hermite_Hb, qb
 from latquot.sampling import perturbed
 from oracles import (
     brute_Hb_product, conjugate, narrow_random_gram, parity_cover, parity_product,
@@ -109,18 +109,6 @@ def test_qb_raises_at_the_budget_its_minima_exceed(node_tally):
         assert value >= hermite_Hb(L)[0]
 
 
-def _folds_to_identity(vecs, n):
-    """Generation by one Hermite form of every row, no chunks and no parities."""
-    return hnf_rows(vecs) == identity_rows(n)
-
-
-def _checked_generation(vecs, n):
-    """A stand-in for ``quality._generates`` that checks each answer against the fold."""
-    answer = _generates(vecs, n)
-    assert answer == _folds_to_identity(vecs, n)
-    return answer
-
-
 def _ternary_glue():
     """Z^15 glued by a/3 and b/3, a = 1^10 0^5 and b = 0^5 1^10.
 
@@ -135,73 +123,41 @@ def _ternary_glue():
     return GramLattice.from_rows(gram, label="Z15 + (a, b)/3")
 
 
-def test_only_later_passes_check_generation():
-    # The first pass of the basis search lists the minima ball, whose
-    # radius is the largest reduced diagonal entry: it holds the reduced
-    # basis, so it generates Z^n and is not checked.  Every check must
-    # come right after the listing of a later pass, and answer as the
-    # Hermite fold does.  Every fixture, on its own basis and on three
-    # seeded conjugates, then a lattice that runs a second pass.
-    events = []
+def test_every_pass_of_the_basis_search_holds_the_reduced_basis():
+    # Every pass after the minima ball lists to a bound past the ball's
+    # radius, the largest reduced diagonal entry: its listing holds the
+    # reduced basis up to sign, so it generates the lattice, and it
+    # starts with the ball, so its parity bound is the ball's.  Every
+    # fixture, on its own basis and on three seeded conjugates, then a
+    # lattice that runs a second pass.
+    later = []
     listing = quality._listing
 
     def listed(L, bound, counter):
-        events.append("listing")
-        return listing(L, bound, counter)
+        pairs = listing(L, bound, counter)
+        later.append((L, bound, pairs))
+        return pairs
 
-    def checked(vecs, n):
-        assert events[-1:] == ["listing"], "generation checked on the ball pass"
-        answer = _checked_generation(vecs, n)
-        events.append(("generates", answer))
-        return answer
+    def check():
+        for L, bound, pairs in later:
+            context = _ball(L, _Counter(None))
+            assert bound > context.radius, L.label
+            held = {v for _, v in pairs}
+            for row in context.reduced.transform:
+                assert tuple(row) in held or tuple(-x for x in row) in held, L.label
+            assert _parity_bound(pairs, L.n) == _parity_bound(context.pairs, L.n), L.label
+        later.clear()
 
     rand = random.Random(47)
-    with patch.object(quality, "_listing", listed), patch.object(quality, "_generates", checked):
+    with patch.object(quality, "_listing", listed):
         for L in fixture_inventory().values():
             for M in [L] + [conjugate(L, random_unimodular(rand, L.n)) for _ in range(3)]:
-                events.clear()
                 qb(M)
-        events.clear()
+                check()
         report = qb(_ternary_glue())
-    assert events == ["listing", ("generates", True)]
+        assert later
+        check()
     assert report.Qb == Fraction(100, 81) and report.certified
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2**32), st.integers(5, 8))
-def test_random_lattices_decide_generation_as_the_hermite_fold_does(seed, n):
-    # Only a pass after the minima ball checks generation, and random
-    # lattices of these ranks seldom run one (none of 3,000 tried).
-    with patch.object(quality, "_generates", _checked_generation):
-        qb(narrow_random_gram(random.Random(seed), n))
-
-
-def test_generation_over_a_frame_agrees_with_the_hermite_fold():
-    # Sets that hold a frame F and otherwise lie in a lattice S between F
-    # and Z^n: F scales some rows of a unimodular matrix by d, and S
-    # scales some of those same rows by d, or none of them.  Both answers
-    # occur.
-    rand = random.Random(53)
-    outcomes = set()
-    for _ in range(300):
-        n, d = rand.randint(2, 6), rand.choice((2, 3, 4, 6))
-        u = random_unimodular(rand, n)
-        scale = [rand.choice((1, d)) for _ in range(n)]
-        if rand.random() < 0.5:
-            scale_s = [1] * n
-        else:
-            scale_s = [rand.choice((1, e)) for e in scale]
-        frame = [[e * x for x in row] for e, row in zip(scale, u)]
-        between = [[e * x for x in row] for e, row in zip(scale_s, u)]
-        vecs = frame[:]
-        for _ in range(rand.randint(0, 2 * n)):
-            coeffs = [rand.randint(-2, 2) for _ in range(n)]
-            vecs.append([sum(c * row[j] for c, row in zip(coeffs, between)) for j in range(n)])
-        rand.shuffle(vecs)
-        answer = _generates(vecs, n)
-        assert answer == _folds_to_identity(vecs, n)
-        outcomes.add(answer)
-    assert outcomes == {True, False}
 
 
 def test_the_completion_agrees_with_the_smith_form_test():

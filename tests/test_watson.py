@@ -403,29 +403,32 @@ def _positions(shells, a):
 def test_the_seed_matches_the_full_scan():
     # The seed multiplies only the vectors it picks by the Gram matrix
     # and narrows each shell once per pick; the reference scans every
-    # pool vector's inner products for every position.  Every fixture and
-    # named lattice up to rank 9, each on its own basis and on three
-    # seeded conjugates.
+    # pool vector's inner products for every position.  Every seed is a
+    # frame of minima: n independent vectors whose norms are the minima.
+    # Every fixture and named lattice up to rank 9, each on its own basis
+    # and on three seeded conjugates.
     rand = random.Random(31)
     lattices = list(fixture_inventory().values()) + [named(x).lattice for x in NAMED_UP_TO_9]
     for L in lattices:
         for M in [L] + [conjugate(L, random_unimodular(rand, L.n)) for _ in range(3)]:
-            shells = _shells(_ball(M, _Counter(None)))
+            context = _ball(M, _Counter(None))
+            shells = _shells(context)
             a = M._form[1]
-            expected = reference_orthogonal_seed(_positions(shells, a))
-            assert _orthogonal_seed(shells, a) == expected, M.label
+            seed = _orthogonal_seed(shells, a)
+            assert seed == reference_orthogonal_seed(_positions(shells, a)), M.label
+            assert len(seed) == M.n and det_int(seed) != 0, M.label
+            assert tuple(_dot(v, _times(v, a)) for v in seed) == context.minima, M.label
 
 
-def test_the_seed_falls_back_and_dead_ends_as_the_full_scan_does():
+def test_the_seed_falls_back_as_the_full_scan_does():
     # Hand-made shells over Z^2 and Z^3 with the identity Gram matrix: a
     # pick with no orthogonal vector left falls back to the first
-    # independent one, a shell with no independent vector ends the pass,
-    # and a shell first met after two picks is narrowed by both.
+    # independent one, and a shell first met after two picks is narrowed
+    # by both.
     a2, a3 = identity_rows(2), identity_rows(3)
     shared = [(1, 1, 0), (1, 0, 0), (0, 1, 1)]
     for shells, a, seed in (
         ([(1, [(1, 0), (1, 1)]), (1, [(2, 0), (1, 1)])], a2, ((1, 0), (1, 1))),
-        ([(1, [(1, 0)]), (1, [(2, 0)])], a2, None),
         ([(3, shared)], a3, ((1, 1, 0), (1, 0, 0), (0, 1, 1))),
         ([(1, [(1, 0, 0)]), (1, [(0, 1, 0)]), (1, [(0, 1, 1), (0, 0, 1)])], a3,
          ((1, 0, 0), (0, 1, 0), (0, 0, 1))),
