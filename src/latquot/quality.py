@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .core import GramLattice, LatVec, Rational, determinant
+from .core import GramLattice, LatVec, Rational
 from .enumeration import _Context, _Counter, _ball, _context, _listing, _times
 from .errors import ResourceExceeded
 from .linalg import _insert2, _xgcd, identity_rows
@@ -55,7 +55,7 @@ class QualityReport:
     """Everything qb() measures, with the witness basis.
 
     ``frontier`` is a proven lower bound on Hb; it is None when the
-    search ran to exhaustion (then Hb itself is exact and certified).
+    result is certified (then Hb itself is exact).
     """
 
     M: Rational
@@ -116,85 +116,68 @@ def _search(L: GramLattice, counter: _Counter, context: _Context):
 
     ``context`` is what ``_ball`` returned: the reduction, the frame of
     successive minima and the minima ball, whose pairs are the first
-    pass.  Returns (product, rows, certified, frontier product).
-    Every later listing and every tree node spends from ``counter``, the
-    one counter of the calling ``qb`` or ``hermite_Hb``, which has
-    already paid for the ball; running out anywhere downgrades the
-    result to an uncertified upper bound instead of raising.
+    pass.  Returns (product, rows, certified, frontier product), the
+    product and the frontier over scale^n.  Every later listing and
+    every tree node spends from ``counter``, the one counter of the
+    calling ``qb`` or ``hermite_Hb``, which has already paid for the
+    ball; running out anywhere downgrades the result to an uncertified
+    upper bound instead of raising.
 
-    The tree runs in integers: listed norms are the integers v (scale G)
-    v^T of the lattice's integral form, a product of k of them is kept
+    The search runs in integers: listed norms are the integers v (scale
+    G) v^T of the lattice's integral form, a product of k of them is kept
     over scale^k and the incumbent over scale^n, which is the product of
-    the reduced diagonal itself, and a Fraction is made only when a
-    basis is recorded.  Each tree level holds the columns k..n-1 of the
-    completion W of its prefix.  A candidate costs n - k inner products
-    and one gcd; only a candidate that passes pays for the column
-    operations of the next level, and the columns of a level are dropped
-    when it returns.
+    the reduced diagonal itself, and no Fraction is made until the
+    report.  Each tree level holds the columns k..n-1 of the completion
+    W of its prefix.  A candidate costs n - k inner products and one
+    gcd; only a candidate that passes pays for the column operations of
+    the next level, and the columns of a level are dropped when it
+    returns.
     """
     n = L.n
-    reduced, base = context.reduced, context.frame
-    scale = reduced.scale
-    inc_num = math.prod(reduced.diagonal)
-    inc_prod = Fraction(inc_num, scale**n)
-
-    best = {"num": inc_num, "prod": inc_prod, "rows": reduced.transform}
-
+    reduced = context.reduced
+    best, rows = math.prod(reduced.diagonal), reduced.transform
     target = math.prod(context.minima)
-    if best["num"] == target:
-        return inc_prod, best["rows"], True, None
+    if best == target:
+        return best, rows, True, None
 
     chosen: list[LatVec] = []
+    norms: list[int] = []
+    vecs: list[LatVec] = []
 
-    def run_pass(pairs, target: int) -> bool:
-        """Exhaust all bases drawn from the listed candidates.
+    def descend(start: int, prod: int, cols) -> bool:
+        """Exhaust the bases that extend ``chosen`` from the listed candidates.
 
         Returns True as soon as a recorded basis reaches ``target``, a
         lower bound on every basis product over scale^n.
         """
-        norms = [p[0] for p in pairs]
-        vecs = [p[1] for p in pairs]
-        total = len(pairs)
-        # the charge for the root of the pass's tree
-        counter.spend()
-
-        def descend(start: int, prod: int, cols) -> bool:
-            k = len(chosen)
-            if k == n:
-                best["num"] = prod
-                best["prod"] = Fraction(prod, scale**n)
-                best["rows"] = tuple(chosen)
-                return prod <= target
-            need = n - k
-            # The cheapest completion from index i is the product of the
-            # next `need` norms.  Slide that window along instead of
-            # storing cumulative products, whose bit size would grow
-            # linearly along a long listing and swamp memory.
-            window = 1
-            for x in norms[start:start + need]:
-                window *= x
-            for i in range(start, total - need + 1):
-                counter.spend()
-                if prod * window >= best["num"]:
-                    break
-                v = vecs[i]
-                tail = _times(v, cols)
-                if gcd(*tail) == 1:
-                    chosen.append(v)
-                    settled = descend(i + 1, prod * norms[i], _cleared(cols, tail))
-                    chosen.pop()
-                    if settled:
-                        return True
-                if i + need < total:
-                    window = window * norms[i + need] // norms[i]
-            return False
-
-        try:
-            return descend(0, 1, identity_rows(n))
-        finally:
-            # ``descend`` refers to itself; break the cycle so the pass's
-            # lists are freed on return
-            descend = None
+        nonlocal best, rows
+        k = len(chosen)
+        if k == n:
+            best, rows = prod, tuple(chosen)
+            return prod <= target
+        need, total = n - k, len(norms)
+        # The cheapest completion from index i is the product of the
+        # next `need` norms.  Slide that window along instead of
+        # storing cumulative products, whose bit size would grow
+        # linearly along a long listing and swamp memory.
+        window = 1
+        for x in norms[start:start + need]:
+            window *= x
+        for i in range(start, total - need + 1):
+            counter.spend()
+            if prod * window >= best:
+                break
+            v = vecs[i]
+            tail = _times(v, cols)
+            if gcd(*tail) == 1:
+                chosen.append(v)
+                settled = descend(i + 1, prod * norms[i], _cleared(cols, tail))
+                chosen.pop()
+                if settled:
+                    return True
+            if i + need < total:
+                window = window * norms[i + need] // norms[i]
+        return False
 
     # Iterative deepening: a poor initial incumbent would force one huge
     # enumeration, so grow the candidate bound geometrically from the
@@ -204,29 +187,37 @@ def _search(L: GramLattice, counter: _Counter, context: _Context):
     # lam_i, so the incumbent's cap below starts at or above the radius.
     # Certification happens on the pass whose listing provably covers
     # every member of any basis that would beat the incumbent (the other
-    # n-1 members cost at least prod(lam_i, i < n), so members are
-    # bounded by the quotient below), or as soon as the incumbent reaches
-    # the lower bound ``target``: the larger of the minima product and
-    # the parity bound, which every listing shares with the ball.
+    # n-1 members cost at least the first n-1 minima, whose product is
+    # ``head`` over scale^n, so members are bounded by best / head), or
+    # as soon as the incumbent reaches the lower bound ``target``: the
+    # larger of the minima product and the parity bound, which every
+    # listing shares with the ball.
     bound, pairs = context.radius, context.pairs
-    lam_head = Fraction(target, scale**n) / base.norms[-1]
+    head = reduced.scale * math.prod(context.minima[:-1])
     target = max(target, _parity_bound(pairs, n))
-    done = Fraction(0)
+    done = 0
     try:
         while True:
-            if (best["num"] <= target or run_pass(pairs, target)
-                    or bound >= best["prod"] / lam_head):
-                return best["prod"], best["rows"], True, None
+            if best <= target:
+                return best, rows, True, None
+            norms, vecs = [p[0] for p in pairs], [p[1] for p in pairs]
+            # the charge for the root of the pass's tree
+            counter.spend()
+            if descend(0, 1, identity_rows(n)) or bound >= Fraction(best, head):
+                return best, rows, True, None
             done = bound
-            bound = min(2 * bound, best["prod"] / lam_head)
+            bound = min(2 * bound, Fraction(best, head))
             pairs = _listing(L, bound, counter)
     except ResourceExceeded:
         # Passes up to `done` were exhaustive, so any basis still beating
         # the incumbent owns a vector longer than that, plus n-1 more no
         # shorter than the first n-1 successive minima, and ``target``
         # bounds every basis.
-        frontier = max(min(best["prod"], done * lam_head), Fraction(target, scale**n))
-        return best["prod"], best["rows"], False, frontier
+        return best, rows, False, max(min(best, done * head), target)
+    finally:
+        # ``descend`` refers to itself; break the cycle so the listings
+        # are freed on return
+        descend = norms = vecs = None
 
 
 def hermite_Hb(L: GramLattice, budget: int | None = None):
@@ -238,15 +229,14 @@ def hermite_Hb(L: GramLattice, budget: int | None = None):
     the minima ball itself cannot be listed, that witness is the reduced
     basis.
     """
-    counter = _Counter(budget)
+    counter, det = _Counter(budget), L._form.minors[-1]
     try:
         context = _ball(L, counter)
     except ResourceExceeded:
         reduced = _context(L).reduced
-        prod = Fraction(math.prod(reduced.diagonal), reduced.scale**L.n)
-        return prod / determinant(L), reduced.transform, False
-    prod, rows, certified, _ = _search(L, counter, context)
-    return prod / determinant(L), rows, certified
+        return Fraction(math.prod(reduced.diagonal), det), reduced.transform, False
+    best, rows, certified, _ = _search(L, counter, context)
+    return Fraction(best, det), rows, certified
 
 
 def qb(L: GramLattice, budget: int | None = None) -> QualityReport:
@@ -260,14 +250,13 @@ def qb(L: GramLattice, budget: int | None = None) -> QualityReport:
     """
     counter = _Counter(budget)
     context = _ball(L, counter)
-    prod, rows, certified, frontier = _search(L, counter, context)
-    floor_prod = math.prod(context.frame.norms)
-    det = determinant(L)
+    best, rows, certified, frontier = _search(L, counter, context)
+    floor, det = math.prod(context.minima), L._form.minors[-1]
     return QualityReport(
-        M=floor_prod / det,
-        Hb=prod / det,
-        Qb=prod / floor_prod,
+        M=Fraction(floor, det),
+        Hb=Fraction(best, det),
+        Qb=Fraction(best, floor),
         best_basis=tuple(rows),
         certified=certified,
-        frontier=None if frontier is None else frontier / det,
+        frontier=None if frontier is None else Fraction(frontier, det),
     )

@@ -186,6 +186,29 @@ def test_every_name_in_src_has_a_caller_outside_the_tests():
     assert sorted(uncalled) == sorted(UNCALLED)
 
 
+def test_every_import_in_src_is_used():
+    # Each name a module of src/latquot imports is read somewhere in that
+    # module.  Only an import line marked ``# noqa: F401`` is exempt: it
+    # keeps a name bound for perfbench's tracer to wrap.
+    unused, exempt = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        lines = text.splitlines()
+        tree = ast.parse(text)
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", "") == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if "# noqa: F401" in lines[node.lineno - 1]:
+                    exempt.add(name)
+                elif name not in read:
+                    unused.append(f"{path.name}: {name}")
+    assert unused == []
+    assert exempt == {"hnf_rows", "is_primitive", "det_rational", "matmul"}
+
+
 # Default-valued parameters of src/latquot that no call in src/ or
 # perfbench/ passes, each with the reason it stays, as ``function.name``.
 UNSET = {

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from latquot import quality
-from latquot.construct import centred_cubic, code_lift, fixture_inventory, named, search_corpus, zn
-from latquot.codes import c8, c9, c10, classify_binary, code_qb_bound, g12
+from latquot.construct import centred_cubic, code_lift, fixture_inventory, named, search_corpus, zd_lift, zn
+from latquot.codes import Code, c8, c9, c10, classify_binary, code_qb_bound, g12
 from latquot.core import GramLattice, determinant, norm
 from latquot.enumeration import _Counter, _ball, _listing, _times, successive_minima, vectors_up_to
 from latquot.errors import ResourceExceeded
@@ -238,6 +238,27 @@ def test_the_basis_search_runs_past_its_first_basis(node_tally):
             node_tally[0] = 0
             assert qb(L).certified
             assert node_tally[0] == nodes, L.label
+
+
+def test_budget_stops_before_and_in_the_later_pass(node_tally):
+    # The ternary lift certifies only in the pass after its minima ball,
+    # with its real parity bound.  Its minima are the 15 unit vectors, so
+    # M = 81.  A stop in the ball's tree leaves the frontier at M; a stop
+    # after the ball's pass leaves rho * lam_1 ... lam_14 / det = 90 with
+    # rho = 10/9, the radius that pass exhausted.  The search certifies
+    # at the first budget that covers its later listing and tree.
+    L = zd_lift(Code(d=3, n=15, k=2, gen=((2,) * 10 + (0,) * 5, (0,) * 5 + (2,) * 10)))
+    for budget, frontier in ((300, 81), (600, 90), (828, 90)):
+        report = qb(L, budget)
+        assert not report.certified, budget
+        assert (report.M, report.Hb, report.frontier) == (81, 100, frontier), budget
+    node_tally[0] = 0
+    report = qb(L, 829)
+    assert report.certified and report.frontier is None
+    assert (report.Hb, report.Qb) == (100, Fraction(100, 81))
+    assert node_tally[0] == 829
+    assert hermite_Hb(L, 828)[::2] == (100, False)
+    assert hermite_Hb(L, 829)[::2] == (100, True)
 
 
 def _qb_outcome(L, budget, node_tally):
