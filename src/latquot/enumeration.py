@@ -25,31 +25,38 @@ nodes in a local total and charges it once, at its end or at the node
 that crosses the budget.
 
 Symmetric lattices repeat their subtrees, and the walk does each
-distinct subtree of its lowest three levels once per listing.  The
-subtree below a node of level 3 is fixed by a small state: what the
-levels above leave of the bound and the centres of the levels below.
-The first visit of a state walks it and records its node count and its
-leaves relative to the vector above; a later visit adds the nodes to the
-count and that vector to each leaf.  A visit whose recorded nodes would
-pass the budget walks the subtree instead, so every charge and every
-stop is a walk's.  On the liftc12 listing to norm 3 this computes 10,705
-of a walk's 20,919 intervals.  The records belong to the one listing and
-are dropped before its leaves are decoded.
+distinct subtree of its lowest three levels once per listing, and from
+rank 9 on each distinct subtree of its lowest six levels too.  The
+subtree below a node of level 3, or 6, is fixed by a small state: what
+the levels above leave of the bound and the centres of the levels below.
+The first visit of a state walks it and records its node count, its
+leaves and the vector above them; a later visit adds the nodes to the
+count and the step from that vector to its own to each leaf.  A record
+holds the leaves the listing holds, not copies, and a subtree of the
+lowest three levels met while one of the lowest six is recorded joins
+that record.  A visit whose recorded nodes would pass the budget walks
+the subtree instead, so every charge and every stop is a walk's.  On
+the liftc12 listing to norm 3 this computes 6,227 of a walk's 20,919
+intervals (10,705 with the lowest three levels alone).  Which levels
+replay is set once per listing, from its rank, so a rank 8 tree pays
+nothing for the deeper records.  The records belong to the one listing
+and are dropped before its leaves are decoded.
 
 Leaves are bucketed by norm; each bucket is made positive, one sign
 comparison a leaf, sorted as ints, which is the order of their
 coordinates, and decoded to tuples once, in place.  So a listing is
-sorted one norm at a time and its pairs share one int per norm.
-Listings carry each norm in the scale of the lattice's integral form,
-as the integer v (scale G) v^T; callers turn into fractions only the
-norms they keep.
+sorted one norm at a time.  ``_listing`` hands it to its callers as two
+columns, the norms and the vectors, where the vectors of one norm share
+its one int.  Listings carry each norm in the scale of the lattice's
+integral form, as the integer v (scale G) v^T; callers turn into
+fractions only the norms they keep.
 
 The context also keeps the minima ball: the listing at the largest
 diagonal entry of the reduced Gram matrix, with the nodes it cost and
 the frame an integer echelon on coordinates chooses from it.  ``_ball``
 alone lists, keeps and charges it, and it is enumerated once:
 ``successive_minima``, ``qb``, ``hermite_Hb`` and ``maximal_index`` read
-the frame and the pairs from the context it returns.  A later call
+the frame and the listing from the context it returns.  A later call
 spends the nodes the listing cost, so every result, node total and
 budget failure is what a fresh lattice would give, whatever ran before.
 No other listing is kept: ``vectors_up_to`` and ``minimum`` walk the
@@ -66,11 +73,12 @@ from __future__ import annotations
 
 import math
 import struct
+from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from itertools import islice, repeat, zip_longest
+from itertools import chain, islice, repeat, zip_longest
 from operator import lshift, mul
 
 from .core import GramLattice, InvariantReport, LatVec, _exact, determinant
@@ -80,12 +88,16 @@ from .reduction import ReducedBasis, _weights, lll
 
 DEFAULT_NODE_BUDGET = 10**9
 
-# The level whose subtrees ``_enumerate`` replays: the subtree below a
-# node of level 3 spans levels 2, 1 and 0.  Replaying at level 3 instead
-# is as fast on the liftc12 listings to norms 3 and 4 and records twice
-# as much; replaying at levels 1, 2 and 3 at once slows the listings of
-# perturbed rank 8 lattices, whose subtrees seldom repeat.
-_REPLAYED = 2
+# The levels whose subtrees ``_enumerate`` replays, each with the least
+# rank that replays it: the subtree below a node of level 3 spans levels
+# 2, 1 and 0, and the one below a node of level 6 levels 5 to 0.  A tree
+# replays level 5 only with three levels or more above it, as the code
+# lifts of ranks 9-12 have.  At rank 7 replaying it slows the listings
+# of perturbed lattices, whose subtrees seldom repeat, by about 3 %; at
+# rank 8 it moves them by under 2 %, and the benchmark's rank 8 trials
+# keep the level 2 path.  Replaying level 4 instead of 5, or level 8 as
+# well, is no faster on the liftc12 listings.
+_REPLAYED = ((2, 4), (5, 9))
 
 
 @dataclass(frozen=True)
@@ -114,20 +126,43 @@ class ShellListing:
         return iter(self.vectors)
 
 
+class _Columns:
+    """A sorted listing: ``vectors[i]`` has the norm ``norms[i]``, as v (scale G) v^T.
+
+    Its length and its iteration, (norm, vector) pairs in order, are
+    those of the listing.  A plain class: a dataclass would add half a
+    millisecond to importing the package.
+    """
+
+    __slots__ = ("norms", "vectors")
+
+    def __init__(self, norms: tuple[int, ...], vectors: tuple[LatVec, ...]):
+        self.norms, self.vectors = norms, vectors
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, _Columns) and (self.norms, self.vectors) == (other.norms, other.vectors)
+
+    def __len__(self) -> int:
+        return len(self.vectors)
+
+    def __iter__(self):
+        return zip(self.norms, self.vectors)
+
+
 @dataclass
 class _Context:
     """All a lattice keeps for its listings; ``_context`` makes it.
 
     The LLL reduction, the largest and least reduced diagonal entries
     and, once ``_ball`` has listed it, the minima ball at ``radius``:
-    its pairs, node cost and frame, and the frame's norms as integers
+    its listing, node cost and frame, and the frame's norms as integers
     v (scale G) v^T, which only ``_ball`` writes.
     """
 
     reduced: ReducedBasis
     radius: Fraction
     least: Fraction
-    pairs: tuple[tuple[int, LatVec], ...] | None = None
+    ball: _Columns | None = None
     nodes: int = 0
     frame: Frame | None = None
     minima: tuple[int, ...] | None = None
@@ -235,20 +270,27 @@ def _enumerate(reduced: ReducedBasis, bound: Fraction,
     row.  The walk counts its nodes itself and charges the counter once,
     at its end or at the node that crosses the budget.
 
-    The subtree below a node of level ``_REPLAYED`` + 1 is fixed by
-    what the levels above leave of ``top``, which is all of it exactly
-    when every level above is zero, and by fields 0..``_REPLAYED`` of the
-    packed centres, which hold the centres of the levels below; its
-    leaves are the vector above plus leaves of that state alone, with the
-    same keys.  One dict per call maps each such state the walk meets to
-    the nodes of its subtree and its leaves from the partial vector 0,
-    grouped by key.  A state's first visit walks the subtree with the
-    same ``descend``, charged and stopped like any walk, and records it;
-    a later visit adds the recorded nodes to the count when they fit in
-    what is left of the budget, and the vector above to each recorded
+    The subtree below a node of level r + 1 is fixed by what the levels
+    above leave of ``top``, which is all of it exactly when every level
+    above is zero, and by fields 0..r of the packed centres, which hold
+    the centres of the levels below; its leaves are the vector above plus
+    leaves of that state alone, with the same keys.  Each level r of
+    ``_REPLAYED`` that the rank reaches gets one dict per call, which
+    maps each such state the walk meets to the nodes of its subtree, its
+    leaves, grouped by key, and the vector above them; the table of
+    levels, made once per call, names the ``visit`` of that dict as the
+    child of level r + 1, and ``descend`` as the child of every other
+    level.  A state's first visit walks the subtree with the same
+    ``descend``, charged and stopped like any walk, into a sink of its
+    own, records it and moves its leaves, the same int objects, to the
+    sink it was called from; a later visit adds the recorded nodes to
+    the count when they fit in what is left of the budget, and the
+    difference of its vector above and the recorded one to each recorded
     leaf, and otherwise walks the subtree to the node that crosses the
-    budget.  A leaf's sign depends on the vector above, so the leaves
-    are made positive at the end, before they are sorted.
+    budget.  Visits write to the current sink, so a level 2 subtree met
+    while a level 5 subtree is recorded joins that record.  A leaf's sign
+    depends on the vector above, so the leaves are made positive at the
+    end, before they are sorted.
     """
     scale, d, lam = reduced.scale, reduced.minors, reduced.lam
     n = len(d) - 1
@@ -263,31 +305,19 @@ def _enumerate(reduced: ReducedBasis, bound: Fraction,
     bits = centres.bit_length() + 1
     half, mask = 1 << (bits - 1), (1 << bits) - 1
     cshifts = range(0, bits * (n - 1), bits)
-    # level l >= 1: d[l+1], w[l], d[l], w[l-1], lam[l][l-1], the shift of
-    # centre l-1, rows[l] and the packed lam[l]
-    levels = [None] + list(zip(d[2:], w[1:], d[1:], w, [row[-1] for row in lam[1:]], cshifts,
-                               rows[1:], [sum(map(lshift, row, cshifts)) for row in lam[1:]]))
-    # what a node of level _REPLAYED + 1 leaves of ``top``, never negative,
-    # and the fields 0.._REPLAYED of the packed centres fix the subtree
-    # below it; ``visit`` keys it by both in one int, split at bit ``kept``
-    kept = bits * (_REPLAYED + 1)
-    low = (1 << kept) - 1
     buckets: defaultdict[int, list] = defaultdict(list)
     sink = buckets
-    memo = {}
     d1, w0, row0 = d[1], w[0], rows[0]
     left = counter.budget - counter.nodes
 
     def descend(level, lo, hi, rem, centre, cen, above, top_zero, count):
         # The values [lo, hi] of ``level`` >= 1, already in ``count``,
         # below the y_j of the levels j above: ``above`` is sum y_j *
-        # rows[j] plus the packed zero vector, or plus 0 in a subtree
-        # being recorded, ``rem`` what their weight leaves of ``top``,
-        # ``centre`` this level's centre and field i of ``cen`` holds
-        # half + sum lam[j][i] * y_j.  Returns ``count`` with the nodes
-        # below added.
-        dl, wl, dc, wc, coeff, shift, row, lam_row = levels[level]
-        below = visit if level == _REPLAYED + 1 else descend
+        # rows[j] plus the packed zero vector, ``rem`` what their weight
+        # leaves of ``top``, ``centre`` this level's centre and field i of
+        # ``cen`` holds half + sum lam[j][i] * y_j.  Returns ``count`` with
+        # the nodes below added.
+        dl, wl, dc, wc, coeff, shift, row, lam_row, below = levels[level]
         t = dl * lo + centre
         cc = ((cen >> shift) & mask) - half
         for value in range(lo, hi + 1):
@@ -321,30 +351,47 @@ def _enumerate(reduced: ReducedBasis, bound: Fraction,
                 leaf += row0
         return count
 
-    def visit(level, lo, hi, rem, centre, cen, above, top_zero, count):
-        # ``descend`` for a subtree below level _REPLAYED + 1, replayed
-        # from its record when its state has been met before
-        nonlocal sink
-        key = rem << kept | cen & low
-        entry = memo.get(key)
-        if entry is None:
-            outer, sink = sink, defaultdict(list)
-            start = count
-            count = descend(level, lo, hi, rem, centre, cen, 0, top_zero, count)
-            groups = tuple(sink.items())
-            memo[key] = (count - start, groups)
-            sink = outer
-        else:
-            nodes, groups = entry
+    def replayer(kept):
+        # ``descend`` for the subtrees whose state is what their parent
+        # leaves of ``top`` and the fields of the packed centres below bit
+        # ``kept``, keyed by both in one int and replayed from the record
+        # of the state's first visit
+        low = (1 << kept) - 1
+        memo = {}
+
+        def visit(level, lo, hi, rem, centre, cen, above, top_zero, count):
+            nonlocal sink
+            key = rem << kept | cen & low
+            entry = memo.get(key)
+            if entry is None:
+                outer, sink = sink, defaultdict(list)
+                start = count
+                count = descend(level, lo, hi, rem, centre, cen, above, top_zero, count)
+                groups = tuple(sink.items())
+                memo[key] = (count - start, groups, above)
+                sink = outer
+                for r, leaves in groups:
+                    sink[r] += leaves
+                return count
+            nodes, groups, first = entry
             if count + nodes > left:
                 # the budget runs out inside: walk to the node that crosses it
                 return descend(level, lo, hi, rem, centre, cen, above, top_zero, count)
-            count += nodes
-        add = above.__add__
-        for r, leaves in groups:
-            buckets[r].extend(map(add, leaves))
-        return count
+            add = (above - first).__add__
+            for r, leaves in groups:
+                sink[r].extend(map(add, leaves))
+            return count + nodes
+        return visit
 
+    # level l >= 1: d[l+1], w[l], d[l], w[l-1], lam[l][l-1], the shift of
+    # centre l-1, rows[l], the packed lam[l] and the child it calls
+    below = [descend] * n
+    for r, rank in _REPLAYED:
+        if n >= rank:
+            below[r + 1] = replayer(bits * (r + 1))
+    levels = [None] + list(zip(d[2:], w[1:], d[1:], w, [row[-1] for row in lam[1:]], cshifts,
+                               rows[1:], [sum(map(lshift, row, cshifts)) for row in lam[1:]],
+                               below[1:]))
     hi = isqrt(top // w[n - 1]) // d[n]
     count = hi + 1
     if count > left:
@@ -357,10 +404,11 @@ def _enumerate(reduced: ReducedBasis, bound: Fraction,
             for y in range(1, hi + 1):
                 buckets[top - w0 * (d1 * y) ** 2].append(zero + y * row0)
     finally:
-        # ``descend`` and ``visit`` refer to each other; break the cycle so
-        # that a dropped listing is freed at once, not at the next full
-        # collection.  The recorded subtrees go before the decoding.
-        descend = visit = memo = sink = None
+        # ``descend`` and the visits refer to each other through
+        # ``levels``; break the cycle so that a dropped listing is freed
+        # at once, not at the next full collection.  The recorded subtrees
+        # go with the visits, before the decoding.
+        descend = levels = below = sink = None
     counter.spend(count)
     # Each field of ``p ^ zero`` holds its coordinate in two's complement.
     size = n * width // 8
@@ -383,25 +431,23 @@ def _enumerate(reduced: ReducedBasis, bound: Fraction,
     return listing
 
 
-def _listing(L: GramLattice, bound: Fraction,
-             counter: _Counter) -> list[tuple[int, LatVec]]:
-    """Sorted (norm, coords) pairs for nonzero vectors of norm <= bound.
+def _listing(L: GramLattice, bound: Fraction, counter: _Counter) -> _Columns:
+    """The nonzero vectors of norm <= bound, sorted, as two columns.
 
-    Each norm is the integer v (scale G) v^T of the lattice's integral form.
+    Each norm is the integer v (scale G) v^T of the lattice's integral
+    form, and the vectors of one norm share its one int object.
     """
     buckets = _enumerate(_context(L).reduced, Fraction(bound), counter)
-    # norm by norm, so each pair shares its norm's one int object
-    pairs = []
-    for num in sorted(buckets):
-        pairs += [(num, v) for v in buckets.pop(num)]
-    return pairs
+    order = sorted(buckets)
+    norms = tuple(chain.from_iterable([repeat(num, len(buckets[num])) for num in order]))
+    return _Columns(norms, tuple(chain.from_iterable(map(buckets.pop, order))))
 
 
 def _ball(L: GramLattice, counter: _Counter) -> _Context:
     """The lattice's context holding its minima ball, paid for from ``counter``.
 
     The ball is the listing at the context's ``radius``.  The first call
-    lists it and keeps its pairs, the nodes they cost and the frame of
+    lists it and keeps its listing, the nodes it cost and the frame of
     successive minima: each ball vector independent of those before it,
     as an integer echelon on coordinates tells, joins the frame, so ties
     go to the least coordinate vector with positive first nonzero entry.
@@ -410,15 +456,15 @@ def _ball(L: GramLattice, counter: _Counter) -> _Context:
     instead, so the call stops at the node where a fresh walk stops.
     """
     context = _context(L)
-    if context.pairs is not None and context.nodes <= counter.budget - counter.nodes:
+    if context.ball is not None and context.nodes <= counter.budget - counter.nodes:
         counter.spend(context.nodes)
         return context
     start = counter.nodes
-    pairs = tuple(_listing(L, context.radius, counter))
+    ball = _listing(L, context.radius, counter)
     echelon: dict[int, list[int]] = {}
-    values, vectors = zip(*islice(((x, v) for x, v in pairs if _insert(echelon, v)), L.n))
+    values, vectors = zip(*islice(((x, v) for x, v in ball if _insert(echelon, v)), L.n))
     norms = tuple(Fraction(x, L._form.scale) for x in values)
-    context.pairs, context.nodes, context.minima = pairs, counter.nodes - start, values
+    context.ball, context.nodes, context.minima = ball, counter.nodes - start, values
     context.frame = Frame(vectors=vectors, norms=norms)
     return context
 
@@ -429,8 +475,7 @@ def vectors_up_to(L: GramLattice, bound: Fraction,
     bound = _exact(bound)
     if bound <= 0:
         raise ValueError("bound must be positive")
-    pairs = _listing(L, bound, _Counter(budget))
-    return ShellListing(bound=bound, vectors=tuple(v for _, v in pairs))
+    return ShellListing(bound=bound, vectors=_listing(L, bound, _Counter(budget)).vectors)
 
 
 def minimum(L: GramLattice, budget: int | None = None) -> tuple[Fraction, ShellListing]:
@@ -444,10 +489,9 @@ def minimum(L: GramLattice, budget: int | None = None) -> tuple[Fraction, ShellL
 
 def _minimum(L: GramLattice, counter: _Counter) -> tuple[Fraction, ShellListing]:
     """``minimum``, paid for from ``counter``."""
-    context = _context(L)
-    pairs = _listing(L, context.least, counter)
-    top = pairs[0][0]
-    shell = tuple(v for value, v in pairs if value == top)
+    listing = _listing(L, _context(L).least, counter)
+    top = listing.norms[0]
+    shell = listing.vectors[:bisect_right(listing.norms, top)]
     best = Fraction(top, L._form.scale)
     return best, ShellListing(bound=best, vectors=shell)
 

@@ -22,33 +22,29 @@ fraction-free pivot rows (Cohen, GTM 138, Alg. 2.6.7).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from collections import Counter
-from itertools import groupby
-from operator import itemgetter
 
 from .core import _pivot_row
 from .enumeration import _Context, _Counter, _dot, _times
 from .linalg import _insert
 
 
-def _shells(context: _Context) -> list[tuple[int, list[tuple[int, ...]]]]:
+def _shells(context: _Context) -> list[tuple[int, tuple[tuple[int, ...], ...]]]:
     """The minima ball of ``context`` (see ``_ball``) as the frame search reads it.
 
     One (count, vectors) pair per distinct successive minimum, in
     increasing norm: ``count`` is how many of the minima take that norm
     and ``vectors`` are the ball's coordinate vectors of that norm, in
-    listing order.  The ball reaches past the last minimum and is sorted
-    as a listing at it would be, so the walk stops at the first norm past
-    it.
+    listing order.  The ball's norms are sorted, so each shell is the
+    slice of its vectors between two bisections of them.
     """
-    counts = Counter(context.minima)
-    last = context.minima[-1]
-    shells = []
-    for value, group in groupby(context.pairs, key=itemgetter(0)):
-        if value > last:
-            break
-        if value in counts:
-            shells.append((counts[value], [v for _, v in group]))
+    norms, vectors = context.ball.norms, context.ball.vectors
+    shells, end = [], 0
+    for value, count in Counter(context.minima).items():
+        start = bisect_left(norms, value, end)
+        end = bisect_right(norms, value, start)
+        shells.append((count, vectors[start:end]))
     return shells
 
 

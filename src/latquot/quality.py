@@ -115,7 +115,7 @@ def _search(L: GramLattice, counter: _Counter, context: _Context):
     """Branch-and-bound for the minimal basis norm product.
 
     ``context`` is what ``_ball`` returned: the reduction, the frame of
-    successive minima and the minima ball, whose pairs are the first
+    successive minima and the minima ball, whose listing is the first
     pass.  Returns (product, rows, certified, frontier product), the
     product and the frontier over scale^n.  Every later listing and
     every tree node spends from ``counter``, the one counter of the
@@ -192,22 +192,22 @@ def _search(L: GramLattice, counter: _Counter, context: _Context):
     # as soon as the incumbent reaches the lower bound ``target``: the
     # larger of the minima product and the parity bound, which every
     # listing shares with the ball.
-    bound, pairs = context.radius, context.pairs
+    bound, listing = context.radius, context.ball
     head = reduced.scale * math.prod(context.minima[:-1])
-    target = max(target, _parity_bound(pairs, n))
+    target = max(target, _parity_bound(listing, n))
     done = 0
     try:
         while True:
             if best <= target:
                 return best, rows, True, None
-            norms, vecs = [p[0] for p in pairs], [p[1] for p in pairs]
+            norms, vecs = listing.norms, listing.vectors
             # the charge for the root of the pass's tree
             counter.spend()
             if descend(0, 1, identity_rows(n)) or bound >= Fraction(best, head):
                 return best, rows, True, None
             done = bound
             bound = min(2 * bound, Fraction(best, head))
-            pairs = _listing(L, bound, counter)
+            listing = _listing(L, bound, counter)
     except ResourceExceeded:
         # Passes up to `done` were exhaustive, so any basis still beating
         # the incumbent owns a vector longer than that, plus n-1 more no

@@ -804,7 +804,7 @@ def reference_maximal_index(L: GramLattice, budget: int | None = None) -> IndexR
     keys = [int(value * scale) for value in lam]
     wanted = set(keys)
     shells: dict[int, list[tuple[tuple[int, ...], list[int]]]] = {}
-    for value, v in context.pairs:
+    for value, v in context.ball:
         if value > keys[-1]:
             break
         if value in wanted:

@@ -126,7 +126,7 @@ def test_the_cached_context_is_not_part_of_the_lattice_value():
     minimum(L)
     assert L._context is not None and twin._context is None
     successive_minima(L)
-    assert L._context.pairs is not None and L._context.frame is not None
+    assert L._context.ball is not None and L._context.frame is not None
     assert (repr(L), hash(L)) == before
     assert L == twin
     copy = pickle.loads(pickle.dumps(L))
@@ -266,7 +266,7 @@ def test_a_kept_ball_does_not_change_any_call(node_tally):
                 fresh = GramLattice(L.n, L.gram, L.label)
                 kept = _outcome(call, L, budget, node_tally)
                 assert kept == _outcome(call, fresh, budget, node_tally), (L.label, budget)
-        assert _context(L).pairs is not None
+        assert _context(L).ball is not None
 
 
 def _lift_over(L, budget):
@@ -506,15 +506,17 @@ def _intervals(monkeypatch, call):
     return result, calls[0]
 
 
-def _stopped_in_a_replay(err):
-    """Whether the walk raising ``err`` ran inside a subtree whose state the kernel had recorded."""
+def _replays_stopped_in(err):
+    """The levels of the subtrees, among those the walk raising ``err``
+    ran inside, whose state the kernel had recorded."""
+    levels = set()
     tb = err.tb
     while tb is not None:
         frame = tb.tb_frame
         if frame.f_code.co_name == "visit" and frame.f_locals.get("entry") is not None:
-            return True
+            levels.add(frame.f_locals["level"])
         tb = tb.tb_next
-    return False
+    return levels
 
 
 def test_the_kernel_matches_the_reference_kernel(node_tally, monkeypatch):
@@ -543,10 +545,10 @@ def test_the_kernel_matches_the_reference_kernel(node_tally, monkeypatch):
     # it.  The reference's stops are read off its running totals, as its
     # walk does not depend on the budget until it stops.  Some of these
     # listings replay subtrees (the ball of centred_cubic(9), 805 nodes,
-    # reaches 6 states of the lowest three levels 69 times), and some
-    # budgets run out inside a subtree the kernel has recorded, which it
-    # then walks instead of replaying.
-    replayed = stopped_in_replay = 0
+    # replays the subtrees below levels 3 and 6), and some budgets run
+    # out inside a subtree of either kind that the kernel has recorded,
+    # which it then walks instead of replaying.
+    replayed, stopped_in_replay = 0, set()
     for L in _kernel_corpus() + _width_corpus():
         context = _context(L)
         reduced, rho = context.reduced, context.radius
@@ -592,34 +594,42 @@ def test_the_kernel_matches_the_reference_kernel(node_tally, monkeypatch):
                 crossing = charges.totals[bisect.bisect_right(charges.totals, budget - spent)]
                 assert (err.value.nodes, err.value.budget, counter.nodes) == (
                     budget + 1, budget, spent + crossing), (L.label, bound, budget)
-                stopped_in_replay += _stopped_in_a_replay(err)
-    assert replayed and stopped_in_replay
+                stopped_in_replay |= _replays_stopped_in(err)
+    assert replayed and stopped_in_replay == {2, 5}
 
 
 def test_replays_cut_the_intervals_of_symmetric_listings(monkeypatch, node_tally):
-    # The kernel walks each distinct subtree of its lowest three levels
-    # once per listing and replays it at every other visit, computing
-    # no interval there.  A full walk computes 20,919 intervals on the
-    # liftc12 listing and 477 on the ball of centred_cubic(9), and spends
-    # the same nodes on the same listings.
+    # The kernel walks each distinct subtree below levels 3 and 6 once
+    # per listing and replays it at every other visit, computing no
+    # interval there; it replays below level 6 from rank 9 on.  A full
+    # walk computes 20,919 intervals on the liftc12 listing and 477 on
+    # the ball of centred_cubic(9), and spends the same nodes on the
+    # same listings; replaying below level 3 alone computes 10,705 and
+    # 203, and on E8, of rank 8, as many as the kernel.
     lift12, cubic = fixture_inventory()["liftc12"], centred_cubic(9)
     cases = (
-        (lift12, 3, 10705, 30379, 9472),
-        (cubic, _context(cubic).radius, 203, 805, 337),
+        (lift12, 3, 6227, 30379, 9472, 10705),
+        (cubic, _context(cubic).radius, 134, 805, 337, 203),
+        (fixture_inventory()["liftc10"], 3, 539, 4735, 1764, 1173),
+        (named("E8").lattice, 6, 2337, 9185, 4560, 2337),
     )
-    for L, bound, intervals, nodes, count in cases:
-        fresh = GramLattice(L.n, L.gram, L.label)
-        _context(fresh)
-        node_tally[0] = 0
-        listing, computed = _intervals(monkeypatch, lambda: vectors_up_to(fresh, bound))
-        assert (computed, node_tally[0], len(listing)) == (intervals, nodes, count), L.label
+    both = enumeration._REPLAYED
+    for L, bound, intervals, nodes, count, lowest in cases:
+        for replayed, expected in ((both, intervals), (((2, 4),), lowest)):
+            monkeypatch.setattr(enumeration, "_REPLAYED", replayed)
+            fresh = GramLattice(L.n, L.gram, L.label)
+            _context(fresh)
+            node_tally[0] = 0
+            listing, computed = _intervals(monkeypatch, lambda: vectors_up_to(fresh, bound))
+            assert (computed, node_tally[0], len(listing)) == (expected, nodes, count), L.label
 
 
 def test_the_kernel_holds_little_more_than_its_listing():
-    # The recorded subtrees hold their leaves once per state, and they
-    # are dropped before the leaves are decoded, so the kernel's peak is
-    # what the listing it returns holds.  Records kept through the
-    # decoding would read 1.13 times the listing.
+    # The recorded subtrees hold the listing's own leaves, not copies,
+    # and they are dropped before the leaves are decoded, so the kernel's
+    # peak is what the listing it returns holds.  Records kept through
+    # the decoding would keep the raw leaves too and read 1.31 times the
+    # listing.
     reduced = _context(fixture_inventory()["liftc12"]).reduced
     tracemalloc.start()
     try:

@@ -17,6 +17,11 @@ import pytest
 
 import latquot
 from latquot.cli import build_parser
+from latquot.construct import centred_cubic, fixture_inventory, named
+from latquot.core import GramLattice
+from latquot.enumeration import vectors_up_to
+from latquot.quality import qb
+from latquot.watson import maximal_index
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -73,17 +78,44 @@ def test_the_readme_quick_start_runs_and_states_its_values():
     assert stated == [Fraction(3, 2), True, Fraction(9, 4), 4, (2, 2)]
 
 
-def test_every_tracer_span_keeps_a_binding():
-    # The traced benchmark run wraps the names perfbench/tracer.py lists;
-    # a span none of whose names resolves reports null metrics.
+def _tracer():
+    """perfbench/tracer.py, loaded by path."""
     spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_every_tracer_span_keeps_a_binding():
+    # The traced benchmark run wraps the names perfbench/tracer.py lists;
+    # a span none of whose names resolves reports null metrics.
+    tracer = _tracer()
     bound: dict[str, list] = {}
     for module, attr, span in tracer.ENTRY_POINTS:
         fn = getattr(importlib.import_module(module), attr, None)
         bound.setdefault(span, []).extend([f"{module}.{attr}"] if callable(fn) else [])
     assert [span for span, names in bound.items() if not names] == []
+
+
+def test_the_tracer_counts_the_listings_it_wraps():
+    # The traced run counts each listing and its vectors through the
+    # length and the (norm, vector) pairs of what ``_listing`` returns:
+    # the liftc12 listing to norm 3, the minima ball of centred_cubic(9),
+    # which settles its basis search, and the 120 pairs of roots of E8.
+    def fresh(L):
+        return GramLattice(L.n, L.gram, L.label)
+
+    tracer = _tracer().Tracer()
+    tracer.install()
+    try:
+        vectors_up_to(fresh(fixture_inventory()["liftc12"]), 3)
+        qb(fresh(centred_cubic(9)))
+        maximal_index(fresh(named("E8").lattice))
+    finally:
+        tracer.uninstall()
+    summary = tracer.summary(1.0)
+    assert summary["enumeration.listing.calls"] == 3
+    assert summary["enumeration.vectors_listed"] == 9472 + 337 + 120
 
 
 # Names of src/latquot that nothing in src/ or perfbench/ calls, each with

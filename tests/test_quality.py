@@ -145,7 +145,7 @@ def test_every_pass_of_the_basis_search_holds_the_reduced_basis():
             held = {v for _, v in pairs}
             for row in context.reduced.transform:
                 assert tuple(row) in held or tuple(-x for x in row) in held, L.label
-            assert _parity_bound(pairs, L.n) == _parity_bound(context.pairs, L.n), L.label
+            assert _parity_bound(pairs, L.n) == _parity_bound(context.ball, L.n), L.label
         later.clear()
 
     rand = random.Random(47)
