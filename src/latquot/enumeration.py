@@ -25,22 +25,21 @@ nodes in a local total and charges it once, at its end or at the node
 that crosses the budget.
 
 Symmetric lattices repeat their subtrees, and the walk does each
-distinct subtree of its lowest three levels once per listing, and from
-rank 9 on each distinct subtree of its lowest six levels too.  The
-subtree below a node of level 3, or 6, is fixed by a small state: what
-the levels above leave of the bound and the centres of the levels below.
-The first visit of a state walks it and records its node count, its
-leaves and the vector above them; a later visit adds the nodes to the
-count and the step from that vector to its own to each leaf.  A record
-holds the leaves the listing holds, not copies, and a subtree of the
-lowest three levels met while one of the lowest six is recorded joins
-that record.  A visit whose recorded nodes would pass the budget walks
-the subtree instead, so every charge and every stop is a walk's.  On
-the liftc12 listing to norm 3 this computes 6,227 of a walk's 20,919
-intervals (10,705 with the lowest three levels alone).  Which levels
-replay is set once per listing, from its rank, so a rank 8 tree pays
-nothing for the deeper records.  The records belong to the one listing
-and are dropped before its leaves are decoded.
+distinct subtree of its lowest three levels, and of its lowest six,
+once per listing.  The subtree below a node of level 3, or 6, is fixed
+by a small state: what the levels above leave of the bound and the
+centres of the levels below.  The first visit of a state walks it and
+records its node count, its leaves and the vector above them; a later
+visit adds the nodes to the count and the step from that vector to its
+own to each leaf.  A record holds the leaves the listing holds, not
+copies, and a subtree of the lowest three levels met while one of the
+lowest six is recorded joins that record.  A visit whose recorded nodes
+would pass the budget walks the subtree instead, so every charge and
+every stop is a walk's.  On the liftc12 listing to norm 3 this computes
+6,227 of a walk's 20,919 intervals (10,705 with the lowest three levels
+alone).  Which levels replay is set once per listing, so a tree too
+short for the deeper records pays nothing for them.  The records belong
+to the one listing and are dropped before its leaves are decoded.
 
 Leaves are bucketed by norm; each bucket is made positive, one sign
 comparison a leaf, sorted as ints, which is the order of their
@@ -88,16 +87,12 @@ from .reduction import ReducedBasis, _weights, lll
 
 DEFAULT_NODE_BUDGET = 10**9
 
-# The levels whose subtrees ``_enumerate`` replays, each with the least
-# rank that replays it: the subtree below a node of level 3 spans levels
-# 2, 1 and 0, and the one below a node of level 6 levels 5 to 0.  A tree
-# replays level 5 only with three levels or more above it, as the code
-# lifts of ranks 9-12 have.  At rank 7 replaying it slows the listings
-# of perturbed lattices, whose subtrees seldom repeat, by about 3 %; at
-# rank 8 it moves them by under 2 %, and the benchmark's rank 8 trials
-# keep the level 2 path.  Replaying level 4 instead of 5, or level 8 as
-# well, is no faster on the liftc12 listings.
-_REPLAYED = ((2, 4), (5, 9))
+# The levels whose subtrees ``_enumerate`` replays, wherever they lie
+# below the top level: the subtree below a node of level 3 spans levels
+# 2, 1 and 0, and the one below a node of level 6 levels 5 to 0.
+# Replaying level 4 instead of 5, or level 8 as well, is no faster on
+# the liftc12 listings.
+_REPLAYED = (2, 5)
 
 
 @dataclass(frozen=True)
@@ -275,8 +270,8 @@ def _enumerate(reduced: ReducedBasis, bound: Fraction,
     above is zero, and by fields 0..r of the packed centres, which hold
     the centres of the levels below; its leaves are the vector above plus
     leaves of that state alone, with the same keys.  Each level r of
-    ``_REPLAYED`` that the rank reaches gets one dict per call, which
-    maps each such state the walk meets to the nodes of its subtree, its
+    ``_REPLAYED`` below the top level gets one dict per call, which maps
+    each such state the walk meets to the nodes of its subtree, its
     leaves, grouped by key, and the vector above them; the table of
     levels, made once per call, names the ``visit`` of that dict as the
     child of level r + 1, and ``descend`` as the child of every other
@@ -367,10 +362,13 @@ def _enumerate(reduced: ReducedBasis, bound: Fraction,
                 outer, sink = sink, defaultdict(list)
                 start = count
                 count = descend(level, lo, hi, rem, centre, cen, above, top_zero, count)
-                groups = tuple(sink.items())
-                memo[key] = (count - start, groups, above)
-                sink = outer
-                for r, leaves in groups:
+                # a list, not a tuple: the tuples' free list would keep the
+                # last records allocated after the listing, scattered among
+                # the freed leaves, and the process could not reuse those
+                # pages for other sizes
+                memo[key] = [count - start, sink, above]
+                groups, sink = sink, outer
+                for r, leaves in groups.items():
                     sink[r] += leaves
                 return count
             nodes, groups, first = entry
@@ -378,7 +376,7 @@ def _enumerate(reduced: ReducedBasis, bound: Fraction,
                 # the budget runs out inside: walk to the node that crosses it
                 return descend(level, lo, hi, rem, centre, cen, above, top_zero, count)
             add = (above - first).__add__
-            for r, leaves in groups:
+            for r, leaves in groups.items():
                 sink[r].extend(map(add, leaves))
             return count + nodes
         return visit
@@ -386,8 +384,8 @@ def _enumerate(reduced: ReducedBasis, bound: Fraction,
     # level l >= 1: d[l+1], w[l], d[l], w[l-1], lam[l][l-1], the shift of
     # centre l-1, rows[l], the packed lam[l] and the child it calls
     below = [descend] * n
-    for r, rank in _REPLAYED:
-        if n >= rank:
+    for r in _REPLAYED:
+        if n >= r + 2:
             below[r + 1] = replayer(bits * (r + 1))
     levels = [None] + list(zip(d[2:], w[1:], d[1:], w, [row[-1] for row in lam[1:]], cshifts,
                                rows[1:], [sum(map(lshift, row, cshifts)) for row in lam[1:]],

@@ -76,11 +76,6 @@ def lll(lattice: GramLattice) -> ReducedBasis:
     k = 1
     while k < n:
         lk = lam[k]
-        # Row k is size-reduced against row k-1, tested, and against rows
-        # k-2..0 only once the test passes (Alg. 2.6.7, step 3).  The test
-        # reads only the minors and lam[k][k-1], which the other rows leave
-        # alone, so the decisions, and the rows that pass, are those of
-        # reducing fully before every test.
         for j in range(k - 1, -1, -1):
             dj = d[j + 1]
             m = (2 * lk[j] + dj) // (2 * dj)
@@ -90,11 +85,8 @@ def lll(lattice: GramLattice) -> ReducedBasis:
                 r[k] = [x - m * y for x, y in zip(r[k], r[j])]
                 lk[:j] = [x - m * y for x, y in zip(lk, lam[j])]
                 lk[j] -= m * dj
-            if j == k - 1:
-                t = lk[j]
-                if q * (d[k + 1] * d[k - 1] + t * t) < p * d[k] * d[k]:
-                    break
-        else:
+        t = lk[k - 1]
+        if q * (d[k + 1] * d[k - 1] + t * t) >= p * d[k] * d[k]:
             k += 1
             continue
         # exchange basis vectors k-1 and k (Alg. 2.6.7, step SWAPI);

@@ -53,11 +53,9 @@ def test_lovasz_and_size_reduction_hold():
 def test_lll_matches_the_from_scratch_reference():
     # The integral reduction must take exactly the decisions of the
     # reference, which recomputes a Fraction Gram-Schmidt after every
-    # swap and reduces each row fully before every Lovasz test, where
-    # the reduction reduces against the row below first and against the
-    # others once the test passes: on the fixtures and perturbed corpus
-    # lattices of ranks 2-10, on copies scaled by a non-integral rational
-    # (so that denominators are cleared), and on exact half-ties.
+    # swap: on the fixtures and perturbed corpus lattices of ranks 2-10,
+    # on copies scaled by a non-integral rational (so that denominators
+    # are cleared), and on exact half-ties.
     lattices = list(fixture_inventory().values())
     rand = random.Random(15)
     for n in (6, 7, 8):
