@@ -52,8 +52,9 @@ fractions only the norms they keep.
 
 The context also keeps the minima ball: the listing at the largest
 diagonal entry of the reduced Gram matrix, with the nodes it cost and
-the frame an integer echelon on coordinates chooses from it.  ``_ball``
-alone lists, keeps and charges it, and it is enumerated once:
+the frame chosen from it by ``linalg._insert``, the rank test over Q
+on coordinates, which keeps the annihilator of the frame's span.
+``_ball`` alone lists, keeps and charges it, and it is enumerated once:
 ``successive_minima``, ``qb``, ``hermite_Hb`` and ``maximal_index`` read
 the frame and the listing from the context it returns.  A later call
 spends the nodes the listing cost, so every result, node total and
@@ -77,12 +78,12 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from itertools import chain, islice, repeat, zip_longest
+from itertools import chain, islice, repeat
 from operator import lshift, mul
 
 from .core import GramLattice, InvariantReport, LatVec, _exact, determinant
 from .errors import ResourceExceeded
-from .linalg import _insert
+from .linalg import _insert, identity_rows
 from .reduction import ReducedBasis, _weights, lll
 
 DEFAULT_NODE_BUDGET = 10**9
@@ -218,17 +219,21 @@ def _bounds(reduced: ReducedBasis, w: list[int], top: int) -> tuple[int, int]:
     * |rows[j][i]|.  Returns that bound and the largest R[j], in O(n^2)
     integer operations.
     """
-    d = reduced.minors
+    d, lam = reduced.minors, reduced.lam
     n = len(d) - 1
     ys = [0] * n
-    # column j of lam: lam[k][j] for the k > j, padded with 0; ys[k] is 0 until the loop sets it
-    columns = list(zip_longest(*reduced.lam, fillvalue=0)) + [()]
     centres = 0
     for j in reversed(range(n)):
-        reach = sum(map(mul, ys, map(abs, columns[j])))
-        centres = max(centres, reach)
+        reach = 0
+        for k in range(j + 1, n):
+            reach += abs(lam[k][j]) * ys[k]
+        if reach > centres:
+            centres = reach
         ys[j] = (isqrt(top // w[j]) + reach) // d[j + 1]
-    return max(sum(map(mul, ys, map(abs, col))) for col in zip(*reduced.transform)), centres
+    coords = [0] * n
+    for y, row in zip(ys, reduced.transform):
+        coords = [c + y * abs(x) for c, x in zip(coords, row)]
+    return max(coords), centres
 
 
 def _field_width(bound: int) -> int:
@@ -446,9 +451,12 @@ def _ball(L: GramLattice, counter: _Counter) -> _Context:
 
     The ball is the listing at the context's ``radius``.  The first call
     lists it and keeps its listing, the nodes it cost and the frame of
-    successive minima: each ball vector independent of those before it,
-    as an integer echelon on coordinates tells, joins the frame, so ties
-    go to the least coordinate vector with positive first nonzero entry.
+    successive minima: each ball vector independent of those before it
+    joins the frame, so ties go to the least coordinate vector with
+    positive first nonzero entry.  A vector is independent when some
+    row of the span's annihilator, kept by ``linalg._insert``, is not
+    orthogonal to it, so a dependent one costs a dot product per row.
+    Equal norms of the frame share one Fraction.
     A later call spends the kept nodes in one step.  When they exceed
     what is left of the counter's budget the tree is walked again
     instead, so the call stops at the node where a fresh walk stops.
@@ -459,9 +467,10 @@ def _ball(L: GramLattice, counter: _Counter) -> _Context:
         return context
     start = counter.nodes
     ball = _listing(L, context.radius, counter)
-    echelon: dict[int, list[int]] = {}
-    values, vectors = zip(*islice(((x, v) for x, v in ball if _insert(echelon, v)), L.n))
-    norms = tuple(Fraction(x, L._form.scale) for x in values)
+    annihilator = identity_rows(L.n)
+    values, vectors = zip(*islice(((x, v) for x, v in ball if _insert(annihilator, v)), L.n))
+    fractions = {x: Fraction(x, L._form.scale) for x in set(values)}
+    norms = tuple(map(fractions.__getitem__, values))
     context.ball, context.nodes, context.minima = ball, counter.nodes - start, values
     context.frame = Frame(vectors=vectors, norms=norms)
     return context

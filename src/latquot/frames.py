@@ -14,9 +14,10 @@ tree keeps every vector's inner products, so only its shells pair each
 vector with the vector times the cleared Gram matrix; the seed
 multiplies just the vectors it picks, and the root system test each
 vector once in turn.
-Everything is exact: independence comes from an integer echelon on
-coordinates (``linalg._insert``) and Gram determinants from
-fraction-free pivot rows (Cohen, GTM 138, Alg. 2.6.7).
+Everything is exact: independence comes from the annihilator of the
+span of the picks, integer rows orthogonal to them on coordinates
+(``linalg._insert``), and Gram determinants from fraction-free pivot
+rows (Cohen, GTM 138, Alg. 2.6.7).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from collections import Counter
 
 from .core import _pivot_row
 from .enumeration import _Context, _Counter, _dot, _times
-from .linalg import _insert
+from .linalg import _insert, identity_rows
 
 
 def _shells(context: _Context) -> list[tuple[int, tuple[tuple[int, ...], ...]]]:
@@ -67,7 +68,7 @@ def _orthogonal_seed(shells, a):
     """
     chosen: list[tuple[int, ...]] = []
     picked: list[list[int]] = []
-    echelon: dict[int, list[int]] = {}
+    annihilator = identity_rows(len(a))
     for count, shell in shells:
         left, seen = shell, 0
         for _ in range(count):
@@ -76,10 +77,10 @@ def _orthogonal_seed(shells, a):
             seen = len(picked)
             if left:
                 v = left[0]
-                _insert(echelon, v)
+                _insert(annihilator, v)
             else:
                 for v in shell:
-                    if _insert(echelon, v):
+                    if _insert(annihilator, v):
                         break
             chosen.append(v)
             picked.append(_times(v, a))
@@ -145,16 +146,16 @@ def _root_index(shells, a, det_a: int) -> int | None:
         if start in seen:
             continue
         seen.add(start)
-        stack, echelon, pairs = [start], {}, 0
+        stack, annihilator, pairs = [start], identity_rows(n), 0
         while stack:
             i = stack.pop()
             pairs += 1
-            _insert(echelon, shell[i])
+            _insert(annihilator, shell[i])
             for j in links[i]:
                 if j not in seen:
                     seen.add(j)
                     stack.append(j)
-        dets *= _subsystem_det(len(echelon), pairs)
+        dets *= _subsystem_det(n - len(annihilator), pairs)
     # [L:F]^2 = prod d_c / det(L * 2/min), and det(L * 2/min) is
     # det_a * 2^n / least^n with least = scale * min
     return math.isqrt(dets * least**n // (det_a << n))

@@ -1,16 +1,17 @@
 """Exact matrix helpers over Q, Z and GF(2); GF(2) rows are bit masks.
 
-Each ring has one elimination: ``_insert`` builds an echelon form over Q
-a row at a time, ``_hermite`` the Hermite normal form over Z, on which
-``hnf_rows``, ``det_int`` and the Smith form stand, and ``_insert2`` a
-reduced echelon form over GF(2).  The Smith form yields the invariant
-factors alone; no transform is kept.
+Each ring has one elimination: ``_insert`` keeps the annihilator of a
+span over Q a vector at a time, ``_hermite`` the Hermite normal form
+over Z, on which ``hnf_rows``, ``det_int`` and the Smith form stand, and
+``_insert2`` a reduced echelon form over GF(2).  The Smith form yields
+the invariant factors alone; no transform is kept.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, prod
+from operator import mul
 from typing import Sequence
 
 
@@ -168,24 +169,32 @@ def _insert2(rows: dict[int, int], mask: int) -> bool:
     return True
 
 
-def _insert(rows: dict[int, list[int]], v: Sequence[int]) -> bool:
-    """Add one integer row to an echelon form over Q; whether the rank rose.
+def _insert(rows: list[list[int]], v: Sequence[int]) -> bool:
+    """Add one integer vector to a span over Q; whether the rank rose.
 
-    The integer counterpart of ``_insert2``: ``rows`` maps the pivot
-    column of each row to the row, and each row is zero at the pivots of
-    the rows inserted before it.  So reducing ``v`` against the rows in
-    that order, without fractions, clears every pivot, and a nonzero
-    remainder, divided by its content, becomes a row with its first
-    nonzero column as pivot.
+    ``rows`` is the span's annihilator: integer rows orthogonal, in
+    coordinates, to every vector inserted so far, which start as
+    ``identity_rows(n)``, so the rank is n minus their number.  ``v`` is
+    in the span exactly when every row is orthogonal to it, which costs a
+    dot product a row and builds no list.  Otherwise the first row c with
+    c.v != 0 leaves, and each later row r with r.v != 0 becomes
+    (c.v) r - (r.v) c, divided by its content: the rows left span, over
+    Q, the vectors orthogonal to the old span and to ``v``.
     """
-    for col, row in rows.items():
-        x = v[col]
-        if x:
-            v = [row[col] * a - x * b for a, b in zip(v, row)]
-    g = gcd(*v)
-    if not g:
+    for i, c in enumerate(rows):
+        cv = sum(map(mul, c, v))
+        if cv:
+            break
+    else:
         return False
-    rows[next(i for i, x in enumerate(v) if x)] = [x // g for x in v]
+    del rows[i]
+    for j in range(i, len(rows)):
+        r = rows[j]
+        rv = sum(map(mul, r, v))
+        if rv:
+            r = [cv * a - rv * b for a, b in zip(r, c)]
+            g = gcd(*r)
+            rows[j] = [x // g for x in r] if g > 1 else r
     return True
 
 

@@ -684,11 +684,13 @@ def test_calls_leave_no_reference_cycles():
         gc.enable()
 
 
-def test_the_echelon_frame_matches_the_pivot_row_reference():
-    # The frame takes each ball vector that raises the rank of an integer
-    # echelon on coordinates; the reference tests the same vectors by
-    # pivot rows over the Gram matrix.  Both must pick the same frame,
-    # also where the short vectors are dependent (A9^2, D6+, A5^3).
+def test_the_annihilator_frame_matches_the_pivot_row_reference():
+    # The frame takes each ball vector that some row of the span's
+    # annihilator, over Q on coordinates, does not annihilate; the
+    # reference tests the same vectors by pivot rows over the Gram
+    # matrix.  Both must pick the same frame, also where the short
+    # vectors are dependent (A9^2, D6+, A5^3), and on the shells mix:
+    # the rank 8 corpus taken in turn, 40 perturbed draws at seeds 1 and 7.
     lattices = list(fixture_inventory().values())
     lattices += [scaled(L, Fraction(3, 7)) for L in lattices]
     for seed in (1, 2, 3):
@@ -697,6 +699,10 @@ def test_the_echelon_frame_matches_the_pivot_row_reference():
             corpus = search_corpus(n)
             lattices += [perturbed(rand, corpus[t % len(corpus)]) for t in range(len(corpus))]
         lattices += [random_gram(rand, n) for n in range(2, 7)]
+    corpus = search_corpus(8)
+    for seed in (1, 7):
+        rand = random.Random(seed)
+        lattices += [perturbed(rand, corpus[t % len(corpus)]) for t in range(40)]
     lattices += [named(name).lattice for name in ("A9^2", "D6+", "A5^3")]
     for L in lattices:
         expected = reference_frame(GramLattice(L.n, L.gram, L.label))

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -50,9 +51,10 @@ def test_det_int_matches_rational_determinant():
 
 
 def test_the_echelon_decides_singularity_as_the_determinant_does():
-    # random_basis calls a square matrix nonsingular
-    # when every row raises the rank of the echelon form over Q; the
-    # Bareiss determinant must agree, sizes 0 to 8, singular ones included
+    # A square matrix is nonsingular when every row raises the rank of
+    # the span over Q, each row inserted into the annihilator of those
+    # before it, which starts as the identity; the Bareiss determinant
+    # must agree, sizes 0 to 8, singular ones included
     rand = random.Random(6)
     singular = 0
     for n in range(9):
@@ -63,11 +65,54 @@ def test_the_echelon_decides_singularity_as_the_determinant_does():
                 i, *others = rand.sample(range(n), min(n, 3))
                 coeffs = [rand.randint(-2, 2) for _ in others]
                 rows[i] = [sum(c * rows[o][j] for c, o in zip(coeffs, others)) for j in range(n)]
-            echelon: dict = {}
-            nonsingular = all(_insert(echelon, row) for row in rows)
+            annihilator = identity_rows(n)
+            nonsingular = all(_insert(annihilator, row) for row in rows)
             assert nonsingular == (bareiss_det(rows) != 0), rows
             singular += not nonsingular
     assert singular > 50
+
+
+def test_the_annihilator_ranks_every_prefix_as_the_rational_oracle_does():
+    # Seeded vectors of lengths 0 to 12 spanning every rank up to their
+    # length, mixed with planted combinations of each other and zero
+    # vectors, entries up to 10^6 and sparse ones.  After each insertion
+    # the rank is n minus the number of rows, as ``rank_rational`` finds
+    # it on the prefix, and the rows are a primitive basis over Q of the
+    # vectors orthogonal to the prefix.  The walk must also meet vectors
+    # that the first row annihilates but a later one does not, and
+    # combinations whose content is above 1, so that the division runs.
+    rand = random.Random(55)
+    later_first = divided = 0
+    for n in range(13):
+        for rank in range(n + 1):
+            for size in (1, 10, 10**6):
+                basis = [[rand.randint(-size, size) if rand.random() < 0.6 else 0
+                          for _ in range(n)] for _ in range(rank)]
+                planted = [[sum(c * b[j] for c, b in zip(coeffs, basis)) for j in range(n)]
+                           for coeffs in ([rand.randint(-3, 3) for _ in basis] for _ in range(3))]
+                vectors = basis + planted + [[0] * n]
+                rand.shuffle(vectors)
+                rows = identity_rows(n)
+                for k, v in enumerate(vectors):
+                    dots = [sum(a * b for a, b in zip(r, v)) for r in rows]
+                    hit = next((i for i, x in enumerate(dots) if x), None)
+                    if hit:
+                        later_first += 1
+                    if hit is not None:
+                        c = rows[hit]
+                        divided += any(
+                            gcd(*(dots[hit] * a - x * b for a, b in zip(r, c))) > 1
+                            for r, x in zip(rows[hit + 1:], dots[hit + 1:]) if x)
+                    before = n - len(rows)
+                    rose = _insert(rows, v)
+                    prefix = [list(u) for u in vectors[:k + 1]]
+                    assert n - len(rows) == rank_rational(prefix), (n, prefix)
+                    assert rose == (n - len(rows) > before)
+                    assert rank_rational(rows) == len(rows)
+                    for r in rows:
+                        assert gcd(*r) == 1, r
+                        assert all(sum(a * b for a, b in zip(r, u)) == 0 for u in prefix), r
+    assert later_first > 100 and divided > 100, (later_first, divided)
 
 
 def test_inverse_rational_inverts():
