@@ -28,18 +28,18 @@ Symmetric lattices repeat their subtrees, and the walk does each
 distinct subtree of its lowest three levels, and of its lowest six,
 once per listing.  The subtree below a node of level 3, or 6, is fixed
 by a small state: what the levels above leave of the bound and the
-centres of the levels below.  The first visit of a state walks it and
-records its node count, its leaves and the vector above them; a later
-visit adds the nodes to the count and the step from that vector to its
-own to each leaf.  A record holds the leaves the listing holds, not
-copies, and a subtree of the lowest three levels met while one of the
-lowest six is recorded joins that record.  A visit whose recorded nodes
-would pass the budget walks the subtree instead, so every charge and
-every stop is a walk's.  On the liftc12 listing to norm 3 this computes
-6,227 of a walk's 20,919 intervals (10,705 with the lowest three levels
-alone).  Which levels replay is set once per listing, so a tree too
-short for the deeper records pays nothing for them.  The records belong
-to the one listing and are dropped before its leaves are decoded.
+centres of the levels below.  The walk writes every leaf to one output
+in walk order, so a subtree's leaves are one range of it.  The first
+visit of a state walks it and records its node count, its range and the
+vector above it; a later visit adds the nodes to the count and appends
+the range again, each leaf shifted by the step from that vector to its
+own.  Ranges nest, so a subtree of the lowest three levels replayed
+inside one of the lowest six is copied with it.  A visit whose recorded
+nodes would pass the budget walks the subtree instead, so every charge
+and every stop is a walk's.  On the liftc12 listing to norm 3 this
+computes 6,227 of a walk's 20,919 intervals (10,705 with the lowest
+three levels alone).  Which levels replay is set once per listing, so a
+tree too short for the deeper records pays nothing for them.
 
 Leaves are bucketed by norm; each bucket is made positive, one sign
 comparison a leaf, sorted as ints, which is the order of their
@@ -270,27 +270,28 @@ def _enumerate(reduced: ReducedBasis, bound: Fraction,
     row.  The walk counts its nodes itself and charges the counter once,
     at its end or at the node that crosses the budget.
 
-    The subtree below a node of level r + 1 is fixed by what the levels
+    The leaves go to one output of two lists in walk order: ``leaves``
+    holds each packed leaf and ``keys`` what it leaves of ``top``.  The
+    subtree below a node of level r + 1 is fixed by what the levels
     above leave of ``top``, which is all of it exactly when every level
     above is zero, and by fields 0..r of the packed centres, which hold
     the centres of the levels below; its leaves are the vector above plus
     leaves of that state alone, with the same keys.  Each level r of
     ``_REPLAYED`` below the top level gets one dict per call, which maps
-    each such state the walk meets to the nodes of its subtree, its
-    leaves, grouped by key, and the vector above them; the table of
-    levels, made once per call, names the ``visit`` of that dict as the
-    child of level r + 1, and ``descend`` as the child of every other
-    level.  A state's first visit walks the subtree with the same
-    ``descend``, charged and stopped like any walk, into a sink of its
-    own, records it and moves its leaves, the same int objects, to the
-    sink it was called from; a later visit adds the recorded nodes to
-    the count when they fit in what is left of the budget, and the
-    difference of its vector above and the recorded one to each recorded
-    leaf, and otherwise walks the subtree to the node that crosses the
-    budget.  Visits write to the current sink, so a level 2 subtree met
-    while a level 5 subtree is recorded joins that record.  A leaf's sign
-    depends on the vector above, so the leaves are made positive at the
-    end, before they are sorted.
+    each such state the walk meets to the nodes of its subtree, the range
+    of the output its first visit wrote and the vector above them; the
+    table of levels, made once per call, names the ``visit`` of that dict
+    as the child of level r + 1, and ``descend`` as the child of every
+    other level.  A state's first visit walks the subtree with the same
+    ``descend``, charged and stopped like any walk, and records it; a
+    later visit adds the recorded nodes to the count when they fit in
+    what is left of the budget, and appends the recorded range again,
+    the keys as they are and each leaf plus the difference of its vector
+    above and the recorded one, and otherwise walks the subtree to the
+    node that crosses the budget.  The output is bucketed by key once,
+    after the walk, and dropped, so the buckets alone hold the leaves
+    through the decoding.  A leaf's sign depends on the vector above, so
+    the leaves are made positive at the end, before they are sorted.
     """
     scale, d, lam = reduced.scale, reduced.minors, reduced.lam
     n = len(d) - 1
@@ -305,8 +306,7 @@ def _enumerate(reduced: ReducedBasis, bound: Fraction,
     bits = centres.bit_length() + 1
     half, mask = 1 << (bits - 1), (1 << bits) - 1
     cshifts = range(0, bits * (n - 1), bits)
-    buckets: defaultdict[int, list] = defaultdict(list)
-    sink = buckets
+    keys, leaves = [], []
     d1, w0, row0 = d[1], w[0], rows[0]
     left = counter.budget - counter.nodes
 
@@ -346,7 +346,8 @@ def _enumerate(reduced: ReducedBasis, bound: Fraction,
             t0 = d1 * child_lo + centre
             leaf = v + child_lo * row0
             for _ in range(child_lo, child_hi + 1):
-                sink[r - w0 * t0 * t0].append(leaf)
+                keys.append(r - w0 * t0 * t0)
+                leaves.append(leaf)
                 t0 += d1
                 leaf += row0
         return count
@@ -354,35 +355,26 @@ def _enumerate(reduced: ReducedBasis, bound: Fraction,
     def replayer(kept):
         # ``descend`` for the subtrees whose state is what their parent
         # leaves of ``top`` and the fields of the packed centres below bit
-        # ``kept``, keyed by both in one int and replayed from the record
-        # of the state's first visit
+        # ``kept``, keyed by both in one int; a state's record is its
+        # nodes, the range of the output its first visit wrote and the
+        # vector above that range
         low = (1 << kept) - 1
         memo = {}
 
         def visit(level, lo, hi, rem, centre, cen, above, top_zero, count):
-            nonlocal sink
             key = rem << kept | cen & low
             entry = memo.get(key)
             if entry is None:
-                outer, sink = sink, defaultdict(list)
-                start = count
+                start, spent = len(leaves), count
                 count = descend(level, lo, hi, rem, centre, cen, above, top_zero, count)
-                # a list, not a tuple: the tuples' free list would keep the
-                # last records allocated after the listing, scattered among
-                # the freed leaves, and the process could not reuse those
-                # pages for other sizes
-                memo[key] = [count - start, sink, above]
-                groups, sink = sink, outer
-                for r, leaves in groups.items():
-                    sink[r] += leaves
+                memo[key] = (count - spent, start, len(leaves), above)
                 return count
-            nodes, groups, first = entry
+            nodes, start, end, first = entry
             if count + nodes > left:
                 # the budget runs out inside: walk to the node that crosses it
                 return descend(level, lo, hi, rem, centre, cen, above, top_zero, count)
-            add = (above - first).__add__
-            for r, leaves in groups.items():
-                sink[r].extend(map(add, leaves))
+            keys.extend(keys[start:end])
+            leaves.extend(map((above - first).__add__, leaves[start:end]))
             return count + nodes
         return visit
 
@@ -405,14 +397,19 @@ def _enumerate(reduced: ReducedBasis, bound: Fraction,
                             zero, True, count)
         else:
             for y in range(1, hi + 1):
-                buckets[top - w0 * (d1 * y) ** 2].append(zero + y * row0)
+                keys.append(top - w0 * (d1 * y) ** 2)
+                leaves.append(zero + y * row0)
     finally:
         # ``descend`` and the visits refer to each other through
         # ``levels``; break the cycle so that a dropped listing is freed
-        # at once, not at the next full collection.  The recorded subtrees
-        # go with the visits, before the decoding.
-        descend = levels = below = sink = None
+        # at once, not at the next full collection
+        descend = levels = below = None
     counter.spend(count)
+    buckets: defaultdict[int, list] = defaultdict(list)
+    for r, leaf in zip(keys, leaves):
+        buckets[r].append(leaf)
+    # the buckets alone hold the leaves through the decoding
+    del keys[:], leaves[:]
     # Each field of ``p ^ zero`` holds its coordinate in two's complement.
     size = n * width // 8
     if width in _FIELD_CODES:

@@ -17,8 +17,9 @@ Fincke-Pohst kernel as first written (a centre loop per node, a sign
 test per leaf, one sort), frames of successive minima by fraction-free
 pivot rows over the Gram matrix, the greedy frame of the index
 search by scanning every pool vector's inner products, the index of
-every frame of the minima by listing every frame, and the index
-ceiling floor(gamma_n^(n/2)) by squaring candidates.  Slow on purpose;
+every frame of the minima by listing every frame, the index
+ceiling floor(gamma_n^(n/2)) by squaring candidates, and the shells of
+E8 by the divisor sums of its theta series.  Slow on purpose;
 the tests only feed these small instances.
 
 ``_below``, ``random_unimodular``, ``narrow_random_gram``,
@@ -134,6 +135,11 @@ def reference_index_bound(n: int) -> int:
     while Fraction((k + 1) ** 2) <= HERMITE_POWER[n]:
         k += 1
     return k
+
+
+def divisor_sigma(k: int, m: int) -> int:
+    """The sum of d^k over the positive divisors d of m, by trial division."""
+    return sum(d**k for d in range(1, m + 1) if m % d == 0)
 
 
 def box_vectors(gram, bound: Fraction):

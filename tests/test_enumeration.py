@@ -37,8 +37,8 @@ from latquot.reduction import lll
 from latquot.sampling import perturbed, random_gram
 from latquot.watson import maximal_index
 from oracles import (
-    box_vectors, brute_minima, brute_minimum, kept_pivots, narrow_random_gram, rank_rational,
-    reduced_gram, reference_enumerate, reference_frame, scaled,
+    box_vectors, brute_minima, brute_minimum, divisor_sigma, kept_pivots, narrow_random_gram,
+    rank_rational, reduced_gram, reference_enumerate, reference_frame, scaled,
 )
 
 
@@ -601,34 +601,59 @@ def test_the_kernel_matches_the_reference_kernel(node_tally, monkeypatch):
 def test_replays_cut_the_intervals_of_symmetric_listings(monkeypatch, node_tally):
     # The kernel walks each distinct subtree below levels 3 and 6 once
     # per listing and replays it at every other visit, computing no
-    # interval there.  A full walk computes 20,919 intervals on the
-    # liftc12 listing and 477 on the ball of centred_cubic(9), and spends
-    # the same nodes on the same listings; replaying below level 3 alone
-    # computes 10,705 and 203.
+    # interval there.  A full walk, ``_REPLAYED = ()``, computes 20,919
+    # intervals on the liftc12 listing and 477 on the ball of
+    # centred_cubic(9); replaying below level 3 alone computes 10,705
+    # and 203.  Every setting spends the same nodes on the same listing.
+    # E8 to norm 6 replays subtrees below level 3 inside recorded ones
+    # below level 6, beyond the bounds of the kernel reference gate.
     lift12, cubic = fixture_inventory()["liftc12"], centred_cubic(9)
     cases = (
-        (lift12, 3, 6227, 30379, 9472, 10705),
-        (cubic, _context(cubic).radius, 134, 805, 337, 203),
-        (fixture_inventory()["liftc10"], 3, 539, 4735, 1764, 1173),
-        (named("E8").lattice, 6, 2081, 9185, 4560, 2337),
+        (lift12, 3, 6227, 30379, 9472, 10705, 20919),
+        (cubic, _context(cubic).radius, 134, 805, 337, 203, 477),
+        (fixture_inventory()["liftc10"], 3, 539, 4735, 1764, 1173, 2981),
+        (named("E8").lattice, 6, 2081, 9185, 4560, 2337, 4633),
     )
     both = enumeration._REPLAYED
-    for L, bound, intervals, nodes, count, lowest in cases:
-        for replayed, expected in ((both, intervals), ((2,), lowest)):
+    for L, bound, intervals, nodes, count, lowest, walked in cases:
+        listings = set()
+        for replayed, expected in ((both, intervals), ((2,), lowest), ((), walked)):
             monkeypatch.setattr(enumeration, "_REPLAYED", replayed)
             fresh = GramLattice(L.n, L.gram, L.label)
             _context(fresh)
             node_tally[0] = 0
             listing, computed = _intervals(monkeypatch, lambda: vectors_up_to(fresh, bound))
             assert (computed, node_tally[0], len(listing)) == (expected, nodes, count), L.label
+            listings.add(listing.vectors)
+        assert len(listings) == 1, L.label
+
+
+def test_the_e8_shells_hold_the_theta_series_counts(monkeypatch):
+    # E8's theta series is the Eisenstein series 1 + 240 sum sigma_3(m)
+    # q^m, so its shell of norm 2m holds 120 sigma_3(m) +- pairs: 120,
+    # 1,080, 3,360 and 8,760 up to norm 8.  The norms are recomputed
+    # from the Gram matrix and the divisor sums by trial division.  This
+    # listing replays subtrees below levels 3 and 6, and must equal the
+    # listing of the full walk.
+    L = named("E8").lattice
+    gram = tuple(tuple(map(int, row)) for row in L.gram)
+    assert gram == L.gram
+    listing = vectors_up_to(L, 8)
+    shells = {}
+    for v in listing:
+        x = sum(a * g * b for a, row in zip(v, gram) for g, b in zip(row, v))
+        shells[x] = shells.get(x, 0) + 1
+    assert shells == {2 * m: 120 * divisor_sigma(3, m) for m in range(1, 5)}
+    monkeypatch.setattr(enumeration, "_REPLAYED", ())
+    assert vectors_up_to(GramLattice(L.n, L.gram, L.label), 8) == listing
 
 
 def test_the_kernel_holds_little_more_than_its_listing():
-    # The recorded subtrees hold the listing's own leaves, not copies,
-    # and they are dropped before the leaves are decoded, so the kernel's
-    # peak is what the listing it returns holds.  Records kept through
-    # the decoding would keep the raw leaves too and read 1.31 times the
-    # listing.
+    # The walk's output lists, the leaves and their keys, are dropped
+    # once the leaves are bucketed, before they are decoded, so the
+    # kernel's peak is what the listing it returns holds.  Output lists
+    # kept through the decoding would keep the raw leaves too and read
+    # 1.51 times the listing.
     reduced = _context(fixture_inventory()["liftc12"]).reduced
     tracemalloc.start()
     try:
