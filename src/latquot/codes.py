@@ -22,7 +22,7 @@ from operator import index
 
 from .enumeration import _Counter
 from .errors import CodeTooLight
-from .linalg import _insert2, _rref2, hnf_rows
+from .linalg import _greedy2, _rref2, hnf_rows
 
 
 @dataclass(frozen=True)
@@ -201,21 +201,15 @@ def classify_binary(n: int, k: int, min_w: int,
 def code_qb_bound(c: Code) -> Fraction:
     """Minimum of wt(a_1)...wt(a_k)/4^k over bases of a binary code.
 
-    The bases of the code form a matroid, so one greedy walk finds the
-    least product: over the nonzero words sorted by (weight, mask), it
-    multiplies the weights of the words that raise the GF(2) rank.
+    The bases of the code form a matroid, so ``linalg._greedy2`` over
+    the nonzero words sorted by (weight, mask) finds the least product.
     """
     if c.d != 2:
         raise ValueError("the bound is defined for binary codes only")
     words = sorted((w.bit_count(), w) for w in _binary_words(c.masks()))
     if words[0][0] < 4:
         raise CodeTooLight("minimum weight below 4")
-    rows: dict[int, int] = {}
-    best = 1
-    for weight, w in words:
-        if _insert2(rows, w):
-            best *= weight
-    return Fraction(best, 4**c.k)
+    return Fraction(_greedy2(words, c.k), 4**c.k)
 
 
 def c8() -> Code:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -217,7 +218,14 @@ class InvariantReport:
 
 
 def parse_rational(token: str) -> Fraction:
+    """The exact value of an integer, "p/q" or decimal token."""
+    # 10^e has e + 1 digits, so an exponent past the interpreter's limit
+    # on integer digits is refused, as an integer of that many digits is
+    _, e, exponent = token.lower().partition("e")
+    limit = sys.get_int_max_str_digits()
     try:
+        if e and limit and abs(int(exponent)) > limit:
+            raise ValueError(f"exponent past {limit} digits")
         return Fraction(token)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad rational {token!r}") from exc
@@ -275,9 +283,12 @@ def parse_lattice_text(text: str) -> GramLattice:
 
 def parse_lattice_json(text: str) -> GramLattice:
     try:
-        data = json.loads(text)
+        # a number with a fraction or an exponent is read from its text, not through a float
+        data = json.loads(text, parse_float=parse_rational)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.lineno, exc.msg)
+    except ValueError as exc:
+        raise ParseError(1, str(exc))
     if not isinstance(data, dict) or "gram" not in data:
         raise ParseError(1, "expected an object with a 'gram' field")
     gram, label = data["gram"], data.get("label")
@@ -289,7 +300,7 @@ def parse_lattice_json(text: str) -> GramLattice:
     if isinstance(n, bool) or not isinstance(n, int):
         raise ParseError(1, "'n' must be an integer")
     try:
-        rows = tuple(tuple(parse_rational(str(x)) for x in row) for row in gram)
+        rows = tuple(tuple(x if isinstance(x, Fraction) else parse_rational(str(x)) for x in r) for r in gram)
     except (ValueError, TypeError) as exc:
         raise ParseError(1, f"bad gram entry: {exc}")
     if not rows:

@@ -252,10 +252,12 @@ def _enumerate(reduced: ReducedBasis, bound: Fraction,
     Returns a dict from each norm, as the integer y (scale G) y^T, to
     the sorted coords of its vectors, in the original basis with their
     first nonzero entry positive.  Levels are visited top down and the
-    integers of each level in increasing order.  The walk keys its
-    buckets by what a leaf leaves of ``top``, the bound over ``weight *
-    scale`` (see ``_weights``), and turns each key into the norm, with
-    one exact division by ``weight``, once at its end.
+    integers of each level in increasing order, from level n above the
+    top, which takes only the value 0 and weighs nothing, so ``descend``
+    computes every interval and lists every leaf, a rank 1 tree's too.
+    The walk keys its buckets by what a leaf leaves of ``top``, the bound
+    over ``weight * scale`` (see ``_weights``), and turns each key into
+    the norm, with one exact division by ``weight``, once at its end.
 
     Partial vectors and leaves are packed ints: coordinate i sits in
     field n-1-i of W bits, offset by 2^(W-1), where W is the least width
@@ -305,18 +307,18 @@ def _enumerate(reduced: ReducedBasis, bound: Fraction,
     rows = [sum(map(lshift, row, shifts)) for row in reduced.transform]
     bits = centres.bit_length() + 1
     half, mask = 1 << (bits - 1), (1 << bits) - 1
-    cshifts = range(0, bits * (n - 1), bits)
+    cshifts = range(0, bits * n, bits)
     keys, leaves = [], []
     d1, w0, row0 = d[1], w[0], rows[0]
     left = counter.budget - counter.nodes
 
-    def descend(level, lo, hi, rem, centre, cen, above, top_zero, count):
-        # The values [lo, hi] of ``level`` >= 1, already in ``count``,
-        # below the y_j of the levels j above: ``above`` is sum y_j *
-        # rows[j] plus the packed zero vector, ``rem`` what their weight
-        # leaves of ``top``, ``centre`` this level's centre and field i of
-        # ``cen`` holds half + sum lam[j][i] * y_j.  Returns ``count`` with
-        # the nodes below added.
+    def descend(level, lo, hi, rem, centre, cen, above, count):
+        # The values [lo, hi] of ``level`` in 1..n, in ``count`` but for the
+        # root at level n, below the y_j of the levels j above: ``above`` is
+        # sum y_j * rows[j] plus the packed zero vector, ``rem`` what their
+        # weight leaves of ``top``, ``centre`` this level's centre and field
+        # i of ``cen`` holds half + sum lam[j][i] * y_j.  Returns ``count``
+        # with the nodes below added.
         dl, wl, dc, wc, coeff, shift, row, lam_row, below = levels[level]
         t = dl * lo + centre
         cc = ((cen >> shift) & mask) - half
@@ -327,7 +329,7 @@ def _enumerate(reduced: ReducedBasis, bound: Fraction,
             centre = cc + value * coeff
             s = isqrt(r // wc)
             child_hi = (s - centre) // dc
-            zero_above = top_zero and not value
+            zero_above = not value and above == zero
             child_lo = 0 if zero_above else -((s + centre) // dc)
             if child_hi < child_lo:
                 continue
@@ -337,7 +339,7 @@ def _enumerate(reduced: ReducedBasis, bound: Fraction,
             v = above + value * row
             if level > 1:
                 count = below(level - 1, child_lo, child_hi, r, centre,
-                              cen + value * lam_row, v, zero_above, count)
+                              cen + value * lam_row, v, count)
                 continue
             # the leaves v + y * rows[0]; below an all-zero prefix the
             # first, y = 0, is the zero vector
@@ -361,25 +363,26 @@ def _enumerate(reduced: ReducedBasis, bound: Fraction,
         low = (1 << kept) - 1
         memo = {}
 
-        def visit(level, lo, hi, rem, centre, cen, above, top_zero, count):
+        def visit(level, lo, hi, rem, centre, cen, above, count):
             key = rem << kept | cen & low
             entry = memo.get(key)
             if entry is None:
                 start, spent = len(leaves), count
-                count = descend(level, lo, hi, rem, centre, cen, above, top_zero, count)
+                count = descend(level, lo, hi, rem, centre, cen, above, count)
                 memo[key] = (count - spent, start, len(leaves), above)
                 return count
             nodes, start, end, first = entry
             if count + nodes > left:
                 # the budget runs out inside: walk to the node that crosses it
-                return descend(level, lo, hi, rem, centre, cen, above, top_zero, count)
+                return descend(level, lo, hi, rem, centre, cen, above, count)
             keys.extend(keys[start:end])
             leaves.extend(map((above - first).__add__, leaves[start:end]))
             return count + nodes
         return visit
 
     # level l >= 1: d[l+1], w[l], d[l], w[l-1], lam[l][l-1], the shift of
-    # centre l-1, rows[l], the packed lam[l] and the child it calls
+    # centre l-1, rows[l], the packed lam[l] and the child it calls; level
+    # n, above the top, has no weight, no row and its one value 0
     below = [descend] * n
     for r in _REPLAYED:
         if n >= r + 2:
@@ -387,18 +390,9 @@ def _enumerate(reduced: ReducedBasis, bound: Fraction,
     levels = [None] + list(zip(d[2:], w[1:], d[1:], w, [row[-1] for row in lam[1:]], cshifts,
                                rows[1:], [sum(map(lshift, row, cshifts)) for row in lam[1:]],
                                below[1:]))
-    hi = isqrt(top // w[n - 1]) // d[n]
-    count = hi + 1
-    if count > left:
-        counter.spend(count)
+    levels.append((0, 0, d[n], w[n - 1], 0, cshifts[n - 1], 0, 0, descend))
     try:
-        if n > 1:
-            count = descend(n - 1, 0, hi, top, 0, sum(map(lshift, repeat(half, n - 1), cshifts)),
-                            zero, True, count)
-        else:
-            for y in range(1, hi + 1):
-                keys.append(top - w0 * (d1 * y) ** 2)
-                leaves.append(zero + y * row0)
+        count = descend(n, 0, 0, top, 0, sum(map(lshift, repeat(half, n), cshifts)), zero, 0)
     finally:
         # ``descend`` and the visits refer to each other through
         # ``levels``; break the cycle so that a dropped listing is freed

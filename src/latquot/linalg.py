@@ -3,8 +3,10 @@
 Each ring has one elimination: ``_insert`` keeps the annihilator of a
 span over Q a vector at a time, ``_hermite`` the Hermite normal form
 over Z, on which ``hnf_rows``, ``det_int`` and the Smith form stand, and
-``_insert2`` a reduced echelon form over GF(2).  The Smith form yields
-the invariant factors alone; no transform is kept.
+``_insert2`` a reduced echelon form over GF(2), on which ``_greedy2``,
+the one greedy walk over a GF(2) matroid, finds the parity bound of
+``quality`` and the code bound of ``codes``.  The Smith form yields the
+invariant factors alone; no transform is kept.
 """
 
 from __future__ import annotations
@@ -167,6 +169,23 @@ def _insert2(rows: dict[int, int], mask: int) -> bool:
             rows[pivot] = row ^ mask
     rows[low] = mask
     return True
+
+
+def _greedy2(pairs, rank: int) -> int:
+    """The least product of values over the bases of the span of the masks.
+
+    ``pairs`` are (value, mask) in increasing value.  The bases form a
+    matroid, so the greedy walk finds that product: it multiplies the
+    values whose mask raises the GF(2) rank, and stops at ``rank``.
+    """
+    rows: dict[int, int] = {}
+    product = 1
+    for value, mask in pairs:
+        if _insert2(rows, mask):
+            product *= value
+            if len(rows) == rank:
+                break
+    return product
 
 
 def _insert(rows: list[list[int]], v: Sequence[int]) -> bool:

@@ -16,10 +16,10 @@ The search is certified once its incumbent reaches a proven lower
 bound, even if trees are left.  Besides the product of the successive
 minima, each listing yields a parity bound: a basis of L maps to a basis
 of L/2L = F_2^n, so its product is at least the least product of class
-minima over the bases of L/2L.  Those bases form a matroid, so one greedy
-walk over the sorted listing finds that product.  The bound settles the
-well-rounded code lifts, whose trees would otherwise walk the n-subsets
-of their minimal vectors.
+minima over the bases of L/2L, which form a matroid, so the greedy walk
+``linalg._greedy2`` over the sorted listing finds it.  The bound settles
+the well-rounded code lifts, whose trees would otherwise walk the
+n-subsets of their minimal vectors.
 
 Every pass lists to at least the ball's radius, the largest reduced
 diagonal entry, so each listing holds the reduced basis and generates
@@ -44,7 +44,7 @@ from math import gcd
 from .core import GramLattice, LatVec, Rational
 from .enumeration import _Context, _Counter, _ball, _context, _listing, _times
 from .errors import ResourceExceeded
-from .linalg import _insert2, _xgcd, identity_rows
+from .linalg import _greedy2, _xgcd, identity_rows
 from .linalg import hnf_rows, is_primitive  # noqa: F401  uncalled; perfbench's tracer wraps these names
 
 __all__ = ["QualityReport", "hermite_Hb", "qb"]
@@ -93,22 +93,14 @@ def _parity_bound(pairs, n: int) -> int:
     """A lower bound on the norm product of every basis, over scale^n.
 
     A basis of L maps to a basis of L/2L, so its product is at least the
-    least product of class minima over the bases of L/2L, which a greedy
-    walk finds because those bases form a matroid.  ``pairs`` is a
-    sorted listing in L's own coordinates, so a vector's class is its
-    coordinate parities; the walk multiplies the norms of the vectors
-    that raise the GF(2) rank.  The minima ball holds the reduced
-    basis, so the walk reaches rank n inside it; a later listing starts
-    with the ball in the same order, so its walk is the ball's.
+    least product of class minima over the bases of L/2L, which
+    ``linalg._greedy2`` finds; ``pairs`` is a sorted listing in L's own
+    coordinates, so a vector's class is its coordinate parities.  The
+    minima ball holds the reduced basis, so the walk reaches rank n in it;
+    a later listing starts with the ball in the same order, so its walk
+    is the ball's.
     """
-    rows: dict[int, int] = {}
-    product = 1
-    for value, v in pairs:
-        if _insert2(rows, sum((x & 1) << i for i, x in enumerate(v))):
-            product *= value
-            if len(rows) == n:
-                break
-    return product
+    return _greedy2(((x, sum((c & 1) << i for i, c in enumerate(v))) for x, v in pairs), n)
 
 
 def _search(L: GramLattice, counter: _Counter, context: _Context):
@@ -119,9 +111,9 @@ def _search(L: GramLattice, counter: _Counter, context: _Context):
     pass.  Returns (product, rows, certified, frontier product), the
     product and the frontier over scale^n.  Every later listing and
     every tree node spends from ``counter``, the one counter of the
-    calling ``qb`` or ``hermite_Hb``, which has already paid for the
-    ball; running out anywhere downgrades the result to an uncertified
-    upper bound instead of raising.
+    calling ``qb``, which has already paid for the ball; running out
+    anywhere downgrades the result to an uncertified upper bound instead
+    of raising.
 
     The search runs in integers: listed norms are the integers v (scale
     G) v^T of the lattice's integral form, a product of k of them is kept
@@ -223,20 +215,17 @@ def _search(L: GramLattice, counter: _Counter, context: _Context):
 def hermite_Hb(L: GramLattice, budget: int | None = None):
     """Minimal basis norm product over det, with witness basis.
 
-    Returns (value, basis rows, certified).  The minima and the search
-    spend one budget.  When it runs out the value is still a true upper
-    bound with a valid witness, only the certificate flag drops; when
-    the minima ball itself cannot be listed, that witness is the reduced
-    basis.
+    Returns (value, basis rows, certified), the ``Hb``, ``best_basis``
+    and ``certified`` of ``qb``: an upper bound with its witness when the
+    budget runs out, and the reduced basis, uncertified, when the minima
+    ball itself cannot be listed.
     """
-    counter, det = _Counter(budget), L._form.minors[-1]
     try:
-        context = _ball(L, counter)
+        report = qb(L, budget)
     except ResourceExceeded:
         reduced = _context(L).reduced
-        return Fraction(math.prod(reduced.diagonal), det), reduced.transform, False
-    best, rows, certified, _ = _search(L, counter, context)
-    return Fraction(best, det), rows, certified
+        return Fraction(math.prod(reduced.diagonal), L._form.minors[-1]), reduced.transform, False
+    return report.Hb, report.best_basis, report.certified
 
 
 def qb(L: GramLattice, budget: int | None = None) -> QualityReport:

@@ -12,6 +12,7 @@ was exhaustive.  Each public call gets the suite's whole node budget.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,7 +34,6 @@ from .codes import (
     classify_binary,
     code_qb_bound,
     g12,
-    min_weight_support,
     weight_distribution,
 )
 from .construct import centred_cubic, named, zd_lift, zn
@@ -236,44 +236,23 @@ def suite_codes(budget: int | None):
 
 
 def _lift12_certificate(budget: int | None = None):
-    """Exact value of H_b for the rank 12 lift, from its structure.
+    """Exact value of H_b for the rank 12 lift, by the basis splitting argument.
 
-    The construction basis splits as eight unit vectors and four rows of
-    norm 3/2, so its norm product is 81/16 and H_b <= (81/16) / det.
-    For the lower bound: the lattice contains the cubic lattice with
-    index 16 and the quotient is generated by the classes of the code
-    words, all of order 2, so it is (2, 2, 2, 2) and any basis has at
-    least four members off the cubic sublattice.  Each of those lies in
-    a nonzero coset, where every vector has a half integral coordinate
-    for each coordinate in the word's support; its norm is therefore at
-    least a quarter of the minimum weight, which is 3/2 here.  The other
-    members have norm at least the minimum, 1, so no basis beats the
-    witness and the witness value is exact.  Each premise is checked
-    and the function returns None when one fails.
+    The lift L = Z^n + C/2 of a binary [n, k] code C maps onto L/Z^n = C,
+    so any basis of L has k members whose classes form a basis of C.  Each
+    has a half integral coordinate on the support of its word, so norm at
+    least a quarter of its weight, and the k multiply to at least
+    ``code_qb_bound(C)``; the others have norm at least the minimum.  So
+    when the minimum is 1 and the construction basis multiplies to
+    ``code_qb_bound(C)``, its product over det is H_b; else this is None.
     """
     code = g12()
     lattice = zd_lift(code)
-    witness = Fraction(1)
-    for i in range(lattice.n):
-        witness *= lattice.gram[i][i]
-    if witness != Fraction(81, 16):
-        return None
-    if sorted(lattice.gram[i][i] for i in range(lattice.n)) != (
-        [Fraction(1)] * 8 + [Fraction(3, 2)] * 4
-    ):
-        return None
-    if (code.d, code.k) != (2, 4):
-        return None
-    w, _, _ = min_weight_support(code)
-    if Fraction(w, 4) < Fraction(3, 2):
-        return None
-    det = determinant(lattice)
-    if det != Fraction(1, 256):
-        return None
+    witness = math.prod(lattice.gram[i][i] for i in range(lattice.n))
     low, _ = minimum(lattice, budget)
-    if low != 1:
+    if witness != code_qb_bound(code) or low != 1:
         return None
-    return witness / det
+    return witness / determinant(lattice)
 
 
 def suite_all(budget: int | None):

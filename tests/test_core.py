@@ -1,6 +1,7 @@
 """Gram matrix container, parsing, and exact scalar types."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from latquot.core import (
     norm,
     parse_lattice_json,
     parse_lattice_text,
+    parse_rational,
     qform,
 )
 from latquot.errors import DimensionMismatch, NotPositiveDefinite, NotSymmetric, ParseError
@@ -193,6 +195,40 @@ def test_json_parse_rejects_rank_zero():
 def test_parse_rejects_wrong_row_count():
     with pytest.raises(ParseError):
         parse_lattice_text("3\n1 0\n0 1\n")
+
+
+def test_json_numbers_are_read_from_their_text_not_through_a_float():
+    # a float would round the entry to 1, and the determinant with it
+    L = parse_lattice_json('{"gram": [[1.00000000000000000001]]}')
+    assert L.gram == ((Fraction(10**20 + 1, 10**20),),)
+    # a number of at most 15 significant digits survives a float, and
+    # reads as it did through one
+    for token in ("0.5", "2.25", "1.23456789012345", "123456789012345.0", "1E+2", "2.5e-3", "7e-15"):
+        entry = parse_lattice_json(f'{{"gram": [[{token}]]}}').gram[0][0]
+        assert entry == Fraction(repr(float(token))), token
+    # a number with a fraction is still no label
+    with pytest.raises(ParseError, match="label"):
+        parse_lattice_json('{"gram": [[2]], "label": 5.0}')
+
+
+def test_a_number_past_the_digit_limit_is_refused_in_both_formats():
+    # The interpreter refuses an integer of more digits than its limit;
+    # a decimal exponent would build one from a short token, so an
+    # exponent past the limit is refused as well, in text and in JSON,
+    # and a JSON number json cannot read is a ParseError too.
+    limit = sys.get_int_max_str_digits()
+    assert parse_rational(f"1e{limit}") == 10**limit
+    for token in (f"1e{limit + 1}", f"1e-{limit + 1}", f"2.5E+{limit + 1}", "1e50000000"):
+        with pytest.raises(ValueError):
+            parse_rational(token)
+        with pytest.raises(ParseError):
+            parse_lattice_text(f"1\n{token}\n")
+        with pytest.raises(ParseError):
+            parse_lattice_json(f'{{"gram": [["{token}"]]}}')
+        with pytest.raises(ParseError):
+            parse_lattice_json(f'{{"gram": [[{token}]]}}')
+    with pytest.raises(ParseError):
+        parse_lattice_json(f'{{"gram": [[1{"0" * limit}]]}}')
 
 
 def _inexact_inputs():
