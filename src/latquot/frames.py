@@ -8,10 +8,11 @@ ball's coordinate vectors of that norm, in listing order.  A frame takes
 shells: ``_orthogonal_seed``, a greedy frame that prefers orthogonal
 vectors; ``_root_index``, which gives the largest index of a frame in
 closed form when the minima form a root system, from the types of its
-irreducible components; and ``_first_frame``, the frame tree, which
-finds the first frame of index at least m in one fixed order.  Only the
-tree keeps every vector's inner products, so only its shells pair each
-vector with the vector times the cleared Gram matrix; the seed
+irreducible components; and ``_frames``, the frame tree, which yields
+every frame of index at least m in one fixed order and charges a node
+only when the walk reaches it, so a reader pays for what it reads.  Only
+the tree keeps every vector's inner products, so only its shells pair
+each vector with the vector times the cleared Gram matrix; the seed
 multiplies just the vectors it picks, and the root system test each
 vector once in turn.
 Everything is exact: independence comes from the annihilator of the
@@ -161,25 +162,25 @@ def _root_index(shells, a, det_a: int) -> int | None:
     return math.isqrt(dets * least**n // (det_a << n))
 
 
-def _first_frame(m: int, shells, tail, det_a: int, counter: _Counter):
-    """The first frame of index at least ``m`` in the frame tree's order, or None.
+def _frames(m: int, shells, tail, det_a: int, counter: _Counter):
+    """Yield every frame of index at least ``m``, in the frame tree's order.
 
     ``shells`` is laid out as ``_shells`` lays it out, but each vector
     comes paired with the vector times the cleared Gram matrix.  The
     tree fills the ``count`` positions of a shell in turn with vectors of
-    that shell, in strictly increasing listing order, and takes a node's
-    children by decreasing leading minor, then by listing order.  That
-    order depends on the prefix alone, so a prune that cuts only subtrees
-    holding no frame of index at least m leaves the first such frame
-    where it was.  The one prune is the Hadamard bound, counted in the
-    cleared form ``scale * G``: a prefix of k + 1 vectors has leading
-    minor scale**(k+1) times its Gram determinant, ``tail[k+1]`` is the
-    product of the minima still to place, each as v (scale G) v^T, and
-    ``det_a`` is det(scale G).  The scales cancel, so the prefix has
-    completions of index m only if minor * tail[k+1] >= m**2 * det_a,
-    i.e. when minor > ceil(m**2 * det_a / tail[k+1]) - 1.  Each leading
-    minor computed is counted as a node.  Every leaf has index at least
-    m.
+    that shell, in strictly increasing listing order, so it meets each
+    frame once, and takes a node's children by decreasing leading minor,
+    then by listing order.  That order depends on the prefix alone, so a
+    prune that cuts only subtrees holding no frame of index at least m
+    keeps those frames in their order.  The one prune is the Hadamard
+    bound in the cleared form ``scale * G``: a prefix of k + 1 vectors
+    has leading minor scale**(k+1) times its Gram determinant,
+    ``tail[k+1]`` is the product of the minima still to place, each as
+    v (scale G) v^T, and ``det_a`` is det(scale G).  The scales cancel:
+    the prefix has completions of index m only if minor > limits[k] =
+    ceil(m**2 * det_a / tail[k+1]) - 1.  Each minor is a node, charged
+    when the walk reaches it, so a reader that stops at a frame pays for
+    no node past it.
     """
     # position k draws from ``pools[k][0]``, after the last pick when it
     # is not the first position of its shell
@@ -193,7 +194,8 @@ def _first_frame(m: int, shells, tail, det_a: int, counter: _Counter):
 
     def descend(k: int, last: int):
         if k == n:
-            return tuple(chosen)
+            yield tuple(chosen)
+            return
         pool, i = pools[k]
         start = last + 1 if i else 0
         limit = limits[k]
@@ -209,17 +211,14 @@ def _first_frame(m: int, shells, tail, det_a: int, counter: _Counter):
             chosen.append(pool[j][0])
             minors.append(-negminor)
             coeffs.append(row[:-1])
-            found = descend(k + 1, j)
-            if found is not None:
-                return found
+            yield from descend(k + 1, j)
             chosen.pop()
             minors.pop()
             coeffs.pop()
-        return None
 
     try:
-        return descend(0, -1)
+        yield from descend(0, -1)
     finally:
         # ``descend`` refers to itself; break the cycle so the shells are
-        # freed on return
+        # freed when the reader drops the walk
         descend = None

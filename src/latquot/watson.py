@@ -37,7 +37,7 @@ from itertools import accumulate
 from .core import HERMITE_POWER, GramLattice, qform
 from .enumeration import Frame, _Counter, _ball, _times
 from .errors import DependentFrame, DimensionMismatch, ResourceExceeded
-from .frames import _first_frame, _orthogonal_seed, _root_index, _shells
+from .frames import _frames, _orthogonal_seed, _root_index, _shells
 from .linalg import det_int, smith_invariants
 from .linalg import det_rational, matmul  # noqa: F401  uncalled; perfbench's tracer wraps these names
 
@@ -207,8 +207,8 @@ def maximal_index(L: GramLattice, budget: int | None = None) -> IndexReport:
 
     The witness is the one the plain branch and bound has always
     returned: the incumbent when it reaches the index, and otherwise the
-    first frame of maximal index in the tree's fixed order
-    (``_first_frame``), which its Hadamard prune leaves in place.
+    first frame of maximal index in the tree's fixed order, the first
+    one ``_frames`` yields, which its Hadamard prune leaves in place.
 
     The seed, the root system test and the tree read the minima ball as
     ``frames._shells`` lays it out; only the tree pairs each vector with
@@ -250,7 +250,7 @@ def maximal_index(L: GramLattice, budget: int | None = None) -> IndexReport:
         paired = [(count, [(v, _times(v, a)) for v in shell]) for count, shell in shells]
         try:
             for m in candidates:
-                rows = _first_frame(m, paired, tail, det_a, counter)
+                rows = next(_frames(m, paired, tail, det_a, counter), None)
                 if rows is not None:
                     best_rows = rows
                     break

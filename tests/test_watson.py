@@ -1,7 +1,9 @@
 """Coset vectors, quotient structure and the maximal-index search."""
 
+import operator
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
@@ -12,7 +14,7 @@ from latquot.construct import (
 from latquot.core import GramLattice, _integral, _pivot_row, inner
 from latquot.enumeration import _Counter, _ball, _dot, _times
 from latquot.errors import DependentFrame, DimensionMismatch, ResourceExceeded
-from latquot.frames import _orthogonal_seed, _root_index, _shells
+from latquot.frames import _frames, _orthogonal_seed, _root_index, _shells
 from latquot.linalg import det_int, det_rational, identity_rows, matmul, transpose
 from latquot.sampling import perturbed, random_coset, random_gram
 from latquot.watson import (
@@ -392,6 +394,37 @@ def test_the_frame_lister_refuses_before_listing():
     shells = _shells(_ball(named("A7").lattice, _Counter(None)))
     with pytest.raises(ValueError):
         reference_frame_indices(shells)
+
+
+def test_the_frame_walk_yields_every_frame():
+    # The tree walked to its end yields, for each index m the lister
+    # finds, every frame of index at least m once and no other frame.
+    # Every fixture and named lattice up to rank 9 whose frames the lister
+    # can list, each on its own basis; A6 has the most, 16,807 frames.
+    # Their minima are one shell each, so Z + D4, whose minima are two
+    # shells, is added.  Conjugates are left out: the change-of-basis
+    # tests of ``maximal_index`` cover them.
+    d4 = named("D4").lattice.gram
+    z_d4 = GramLattice.from_rows([[1, 0, 0, 0, 0]] + [[0, *row] for row in d4], label="Z+D4")
+    lattices = list(fixture_inventory().values()) + [named(x).lattice for x in NAMED_UP_TO_9] + [z_d4]
+    listed, pairs = 0, 0
+    for L in lattices:
+        context = _ball(L, _Counter(None))
+        shells = _shells(context)
+        try:
+            indices = reference_frame_indices(shells)
+        except ValueError:
+            continue
+        listed += 1
+        _, a, minors, _ = L._form
+        paired = [(count, [(v, _times(v, a)) for v in shell]) for count, shell in shells]
+        tail = list(accumulate(reversed(context.minima), operator.mul, initial=1))[::-1]
+        for m in sorted(set(indices)):
+            frames = list(_frames(m, paired, tail, minors[-1], _Counter(None)))
+            assert len(set(frames)) == len(frames) == sum(x >= m for x in indices), (L.label, m)
+            assert all(abs(det_int(rows)) >= m for rows in frames), (L.label, m)
+            pairs += 1
+    assert (listed, pairs) == (34, 45)
 
 
 def _positions(shells, a):
