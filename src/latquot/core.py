@@ -232,7 +232,14 @@ def parse_rational(token: str) -> Fraction:
 
 
 def format_rational(x: Fraction) -> str:
-    return str(Fraction(x))
+    try:
+        return str(Fraction(x))
+    except ValueError:
+        # past the interpreter's limit on integer digits, which does not
+        # bind a Decimal made from an integer
+        from decimal import Decimal
+        p, q = (str(Decimal(k)) for k in Fraction(x).as_integer_ratio())
+        return p if q == "1" else f"{p}/{q}"
 
 
 def parse_lattice_text(text: str) -> GramLattice:

@@ -6,11 +6,12 @@ branch-and-bound over short vectors: every member of an optimal basis
 is shorter than the incumbent product allows, so a single enumeration
 yields the complete candidate pool, and partial selections are pruned
 by product bounds and by primitivity (a vector family extends to a
-basis if and only if its span is a primitive sublattice).  The search
-deepens through listings at growing bounds.  Its first pass is the
-lattice's minima ball, which ``_ball`` lists and charges once for the
-minima and the pass together, so a search that settles there walks no
-node beyond the ball.
+basis if and only if its span is a primitive sublattice).  Its first
+pass is the lattice's minima ball, which ``_ball`` lists and charges
+once for the minima and the pass together, so a search that settles
+there walks no node beyond the ball; otherwise one listing to the
+incumbent's cap holds every member of a better basis, and its pass ends
+the search.
 
 The search is certified once its incumbent reaches a proven lower
 bound, even if trees are left.  Besides the product of the successive
@@ -21,10 +22,10 @@ minima over the bases of L/2L, which form a matroid, so the greedy walk
 the well-rounded code lifts, whose trees would otherwise walk the
 n-subsets of their minimal vectors.
 
-Every pass lists to at least the ball's radius, the largest reduced
-diagonal entry, so each listing holds the reduced basis and generates
-the lattice, and each starts with the ball: the parity bound of the
-ball is the parity bound of every later listing.
+The second pass lists past the ball's radius, the largest reduced
+diagonal entry, so its listing holds the reduced basis and generates
+the lattice, and it starts with the ball: the parity bound of the ball
+is the parity bound of that listing.
 
 Primitivity is read off a unimodular completion carried down the tree
 (Cohen, GTM 138, Sec. 2.4): a unimodular W with the chosen prefix times
@@ -97,8 +98,8 @@ def _parity_bound(pairs, n: int) -> int:
     ``linalg._greedy2`` finds; ``pairs`` is a sorted listing in L's own
     coordinates, so a vector's class is its coordinate parities.  The
     minima ball holds the reduced basis, so the walk reaches rank n in it;
-    a later listing starts with the ball in the same order, so its walk
-    is the ball's.
+    the second pass's listing starts with the ball in the same order, so
+    its walk is the ball's.
     """
     return _greedy2(((x, sum((c & 1) << i for i, c in enumerate(v))) for x, v in pairs), n)
 
@@ -109,8 +110,8 @@ def _search(L: GramLattice, counter: _Counter, context: _Context):
     ``context`` is what ``_ball`` returned: the reduction, the frame of
     successive minima and the minima ball, whose listing is the first
     pass.  Returns (product, rows, certified, frontier product), the
-    product and the frontier over scale^n.  Every later listing and
-    every tree node spends from ``counter``, the one counter of the
+    product and the frontier over scale^n.  The second pass's listing
+    and every tree node spend from ``counter``, the one counter of the
     calling ``qb``, which has already paid for the ball; running out
     anywhere downgrades the result to an uncertified upper bound instead
     of raising.
@@ -171,40 +172,33 @@ def _search(L: GramLattice, counter: _Counter, context: _Context):
                 window = window * norms[i + need] // norms[i]
         return False
 
-    # Iterative deepening: a poor initial incumbent would force one huge
-    # enumeration, so grow the candidate bound geometrically from the
-    # minima ball's radius and let each pass tighten the incumbent first.
-    # The first pass is the ball itself, already paid for: the i-th
-    # smallest diagonal entry of the reduced Gram matrix is at least
-    # lam_i, so the incumbent's cap below starts at or above the radius.
-    # Certification happens on the pass whose listing provably covers
-    # every member of any basis that would beat the incumbent (the other
-    # n-1 members cost at least the first n-1 minima, whose product is
-    # ``head`` over scale^n, so members are bounded by best / head), or
-    # as soon as the incumbent reaches the lower bound ``target``: the
-    # larger of the minima product and the parity bound, which every
-    # listing shares with the ball.
-    bound, listing = context.radius, context.ball
+    def walk(listing) -> bool:
+        """Walk one pass's tree over ``listing``, charging a node for its root."""
+        nonlocal norms, vecs
+        norms, vecs = listing.norms, listing.vectors
+        counter.spend()
+        return descend(0, 1, identity_rows(n))
+
+    # A basis that beats the incumbent has n-1 members no shorter than the
+    # first n-1 minima, whose product is ``head`` over scale^n, so each of
+    # its members is shorter than best / head.  The first pass is the
+    # minima ball, already paid for; if it neither reaches ``target``, the
+    # larger of the minima product and the parity bound, nor covers
+    # best / head, one listing to best / head holds every member of every
+    # better basis and its pass certifies.
     head = reduced.scale * math.prod(context.minima[:-1])
-    target = max(target, _parity_bound(listing, n))
+    target = max(target, _parity_bound(context.ball, n))
     done = 0
     try:
-        while True:
-            if best <= target:
-                return best, rows, True, None
-            norms, vecs = listing.norms, listing.vectors
-            # the charge for the root of the pass's tree
-            counter.spend()
-            if descend(0, 1, identity_rows(n)) or bound >= Fraction(best, head):
-                return best, rows, True, None
-            done = bound
-            bound = min(2 * bound, Fraction(best, head))
-            listing = _listing(L, bound, counter)
+        if best > target and not walk(context.ball) and context.radius < Fraction(best, head):
+            done = context.radius
+            walk(_listing(L, Fraction(best, head), counter))
+        return best, rows, True, None
     except ResourceExceeded:
-        # Passes up to `done` were exhaustive, so any basis still beating
-        # the incumbent owns a vector longer than that, plus n-1 more no
-        # shorter than the first n-1 successive minima, and ``target``
-        # bounds every basis.
+        # The pass over the ball was exhaustive when `done` is its radius,
+        # so any basis still beating the incumbent owns a vector longer
+        # than that, plus n-1 more no shorter than the first n-1
+        # successive minima, and ``target`` bounds every basis.
         return best, rows, False, max(min(best, done * head), target)
     finally:
         # ``descend`` refers to itself; break the cycle so the listings

@@ -7,23 +7,22 @@ and the identity and condition that constrain the norms of coset
 vectors.
 
 The central search is ``maximal_index``: the largest quotient order over
-all frames of successive minima.  It is decided over the candidate
-orders m up to the Hadamard bound H = floor(sqrt(prod lam_i / det L)),
-largest first, and stops at once when the frame of minima, or failing
-that a greedy frame, already reaches H.
-When the minimal vectors form a root system the index is read off its
-irreducible components in closed form, and only a frame of that index
-is left to find; otherwise a frame tree that only looks for frames of
-index at least m rules out each candidate in turn.  The tree is also
-the witness finder: its children are ordered by their prefix alone, and
-its one prune only cuts subtrees without a frame of a candidate index,
-so the witness is the first frame of maximal index in one fixed order,
-the frame a plain branch and bound returns.  The seed, the root system
-test and the tree live in ``latquot.frames``.  They run in integers: the
-Gram matrix is cleared of denominators once, each tree node carries the
-fraction-free Gram-Schmidt pivots of its prefix (Cohen, GTM 138, Alg.
-2.6.7), and a candidate costs one new pivot row instead of a fresh Gram
-determinant.
+all frames of successive minima.  It stops at once when the frame of
+minima, or failing that a greedy frame, already reaches the Hadamard
+bound H = floor(sqrt(prod lam_i / det L)).  Otherwise a frame tree that
+only looks for frames of index at least m walks the orders m above that
+incumbent, largest first, from H or, when the minimal vectors form a
+root system, from the index read off its irreducible components in
+closed form; the first m at which it finds a frame is the index.  The
+tree is also the witness finder: its children are ordered by their
+prefix alone, and its one prune only cuts subtrees without a frame of a
+candidate index, so the witness is the first frame of maximal index in
+one fixed order, the frame a plain branch and bound returns.  The seed,
+the root system test and the tree live in ``latquot.frames``.  They run
+in integers: the Gram matrix is cleared of denominators once, each tree
+node carries the fraction-free Gram-Schmidt pivots of its prefix (Cohen,
+GTM 138, Alg. 2.6.7), and a candidate costs one new pivot row instead of
+a fresh Gram determinant.
 """
 
 from __future__ import annotations
@@ -195,15 +194,15 @@ def maximal_index(L: GramLattice, budget: int | None = None) -> IndexReport:
     or, if it falls short of H and the seed beats it, the frame of
     ``_orthogonal_seed``, a greedy frame of minima that always completes;
     when it reaches H the search is over before it starts and no shell
-    vector meets the Gram matrix.  Otherwise the index is decided over
-    the candidates m in (incumbent, H].  When the minima
-    form a root system, ``_root_index`` gives the index m* in closed form
-    and the candidates are m* alone if it beats the incumbent, and none
-    otherwise.  Every other lattice's candidates are tried largest first
-    by a frame-tree walk that finds no frame of index at least m, which
-    rules out m and every larger one.  The first candidate at which the
-    tree finds a frame is the index: a frame of index at least m has
-    index m, since every larger candidate is ruled out.
+    vector meets the Gram matrix.  Otherwise the candidates m in
+    (incumbent, top] are tried largest first, where top is H, or the
+    index m* that ``_root_index`` gives in closed form when the minima
+    form a root system.  A frame-tree walk that finds no frame of index
+    at least m rules out m and every larger one.  The first candidate at
+    which the tree finds a frame is the index: a frame of index at least
+    m has index m, since every larger candidate is ruled out.  On a root
+    system that is m* itself, the first candidate, which the simple
+    roots of a subsystem attain.
 
     The witness is the one the plain branch and bound has always
     returned: the incumbent when it reaches the index, and otherwise the
@@ -238,18 +237,17 @@ def maximal_index(L: GramLattice, budget: int | None = None) -> IndexReport:
         if seed_index > incumbent:
             incumbent, best_rows = seed_index, seed
 
-    candidates = list(range(hadamard, incumbent, -1))
-    if candidates:
-        root = _root_index(shells, a, det_a)
-        if root is not None:
-            candidates = [root] if root > incumbent else []
+    top = hadamard
+    if incumbent < hadamard:
+        # an index is at least 1, so only None falls back to H
+        top = _root_index(shells, a, det_a) or hadamard
     exhaustive = True
-    if candidates:
+    if top > incumbent:
         # the tree's shells pair each vector with its row of inner
         # products, built only when the tree runs
         paired = [(count, [(v, _times(v, a)) for v in shell]) for count, shell in shells]
         try:
-            for m in candidates:
+            for m in range(top, incumbent, -1):
                 rows = next(_frames(m, paired, tail, det_a, counter), None)
                 if rows is not None:
                     best_rows = rows

@@ -94,6 +94,23 @@ def test_info_missing_file(capsys, tmp_path):
         assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_info_prints_values_past_the_digit_limit(capsys, tmp_path):
+    # 10^4300 is read, since its exponent is within the interpreter's
+    # limit on integer digits, and a 3,001-digit entry is read as it
+    # stands; the report then prints integers of 4,301 and 6,001 digits,
+    # past that limit, exactly
+    ten = "1" + "0" * 3000
+    for text, det in (
+        ('{"gram": [[1e4300]]}', "1" + "0" * 4300),
+        (f'{{"gram": [[{ten}, 0], [0, {ten}]]}}', "1" + "0" * 6000),
+    ):
+        path = tmp_path / "lattice.json"
+        path.write_text(text)
+        code, out, _ = run(capsys, "info", "--json", str(path))
+        assert code == PASS
+        assert json.loads(out)["det"] == det
+
+
 def test_info_tiny_budget(capsys):
     code, _, err = run(capsys, "info", str(fixture_path("e7")), "--budget", "3")
     assert code == BUDGET

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from latquot import quality
 from latquot.construct import centred_cubic, code_lift, fixture_inventory, named, search_corpus, zd_lift, zn
-from latquot.codes import Code, c8, c9, c10, classify_binary, code_qb_bound, g12
+from latquot.codes import Code, c8, c9, c10, c11, classify_binary, code_qb_bound, g12
 from latquot.core import GramLattice, determinant, norm
 from latquot.enumeration import _Counter, _ball, _listing, _times, successive_minima, vectors_up_to
 from latquot.errors import ResourceExceeded
@@ -124,12 +124,12 @@ def _ternary_glue():
 
 
 def test_every_pass_of_the_basis_search_holds_the_reduced_basis():
-    # Every pass after the minima ball lists to a bound past the ball's
+    # The pass after the minima ball lists to a bound past the ball's
     # radius, the largest reduced diagonal entry: its listing holds the
     # reduced basis up to sign, so it generates the lattice, and it
     # starts with the ball, so its parity bound is the ball's.  Every
-    # fixture, on its own basis and on three seeded conjugates, then a
-    # lattice that runs a second pass.
+    # fixture, on its own basis and on three seeded conjugates, settles
+    # in its ball; the ternary lift lists past it once, at best / head.
     later = []
     listing = quality._listing
 
@@ -146,17 +146,18 @@ def test_every_pass_of_the_basis_search_holds_the_reduced_basis():
             for row in context.reduced.transform:
                 assert tuple(row) in held or tuple(-x for x in row) in held, L.label
             assert _parity_bound(pairs, L.n) == _parity_bound(context.ball, L.n), L.label
+        bounds = [bound for _, bound, _ in later]
         later.clear()
+        return bounds
 
     rand = random.Random(47)
     with patch.object(quality, "_listing", listed):
         for L in fixture_inventory().values():
             for M in [L] + [conjugate(L, random_unimodular(rand, L.n)) for _ in range(3)]:
                 qb(M)
-                check()
+                assert check() == [], M.label
         report = qb(_ternary_glue())
-        assert later
-        check()
+        assert check() == [Fraction(100, 81)]
     assert report.Qb == Fraction(100, 81) and report.certified
 
 
@@ -226,18 +227,31 @@ def test_the_basis_search_runs_past_its_first_basis(node_tally):
     # Without the parity bound the search certifies only by exhausting
     # its tree or by reaching the minima product, so these totals are
     # those of a search that keeps descending after its first complete
-    # basis; one that stopped there would spend far fewer nodes.
+    # basis; one that stopped there would spend far fewer nodes.  A search
+    # that the ball does not settle lists once past it, straight to
+    # best / head, the bound that certifies.
     cases = (
-        (named("A74").lattice, 22361),
-        (code_lift(c9()), 1453),
-        (code_lift(c10()), 39939),
-        (centred_cubic(9), 1545),
+        (named("A74").lattice, 22361, []),
+        (code_lift(c9()), 1453, [Fraction(9, 4)]),
+        (code_lift(c10()), 39939, [Fraction(21, 8)]),
+        (centred_cubic(9), 1545, []),
+        (code_lift(c11()), 18371, [Fraction(27, 8)]),
+        (code_lift(g12()), 436021, [Fraction(81, 16)]),
     )
-    with patch.object(quality, "_parity_bound", lambda *args: 0):
-        for L, nodes in cases:
+    bounds = []
+    listing = quality._listing
+
+    def listed(L, bound, counter):
+        bounds.append(bound)
+        return listing(L, bound, counter)
+
+    with patch.object(quality, "_parity_bound", lambda *args: 0), patch.object(quality, "_listing", listed):
+        for L, nodes, later in cases:
             node_tally[0] = 0
+            bounds.clear()
             assert qb(L).certified
             assert node_tally[0] == nodes, L.label
+            assert bounds == later, L.label
 
 
 def test_budget_stops_before_and_in_the_later_pass(node_tally):
