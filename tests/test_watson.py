@@ -3,7 +3,7 @@
 import operator
 import random
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, combinations
 
 import pytest
 
@@ -396,6 +396,15 @@ def test_the_frame_lister_refuses_before_listing():
         reference_frame_indices(shells)
 
 
+def _walk_input(L):
+    """The shells, tail and determinant ``_frames`` reads, built as ``maximal_index`` builds them."""
+    context = _ball(L, _Counter(None))
+    _, a, minors, _ = L._form
+    paired = [(count, [(v, _times(v, a)) for v in shell]) for count, shell in _shells(context)]
+    tail = list(accumulate(reversed(context.minima), operator.mul, initial=1))[::-1]
+    return paired, tail, minors[-1]
+
+
 def test_the_frame_walk_yields_every_frame():
     # The tree walked to its end yields, for each index m the lister
     # finds, every frame of index at least m once and no other frame.
@@ -416,15 +425,34 @@ def test_the_frame_walk_yields_every_frame():
         except ValueError:
             continue
         listed += 1
-        _, a, minors, _ = L._form
-        paired = [(count, [(v, _times(v, a)) for v in shell]) for count, shell in shells]
-        tail = list(accumulate(reversed(context.minima), operator.mul, initial=1))[::-1]
+        paired, tail, det_a = _walk_input(L)
         for m in sorted(set(indices)):
-            frames = list(_frames(m, paired, tail, minors[-1], _Counter(None)))
+            frames = list(_frames(m, paired, tail, det_a, _Counter(None)))
             assert len(set(frames)) == len(frames) == sum(x >= m for x in indices), (L.label, m)
             assert all(abs(det_int(rows)) >= m for rows in frames), (L.label, m)
             pairs += 1
     assert (listed, pairs) == (34, 45)
+
+
+def test_the_hadamard_prune_is_reached_at_its_boundary():
+    # D4's walk at index 2.  Its minima are 12 pairs of roots of norm 2,
+    # so tail = (16, 8, 4, 2, 1) and det_a = 4, and a prefix of two roots
+    # survives only if its minor exceeds ceil(2**2 * 4 / 4) - 1 = 3.  Two
+    # roots at inner product +-1 have minor 2 * 2 - 1 = 3, the limit
+    # itself: a prune loosened by one would keep them and walk below
+    # them, and a tightened one would lose the orthogonal pairs, minor 4.
+    # A seeded search over small integer Gram matrices of rank 2-4, at
+    # every index up to one past the Hadamard bound, found the boundary
+    # reached by a walk that yields a frame only on bases of D4.
+    paired, tail, det_a = _walk_input(named("D4").lattice)
+    assert (tail, det_a) == ([16, 8, 4, 2, 1], 4)
+    ((_, shell),) = paired
+    pairs = {_dot(u, ua) * _dot(v, va) - _dot(u, va) ** 2 for (u, ua), (v, va) in combinations(shell, 2)}
+    assert pairs == {3, 4}
+    counter = _Counter(None)
+    frames = list(_frames(2, paired, tail, det_a, counter))
+    assert [abs(det_int(rows)) for rows in frames] == [2, 2, 2]
+    assert counter.nodes == 155
 
 
 def _positions(shells, a):
