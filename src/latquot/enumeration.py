@@ -135,9 +135,6 @@ class _Columns:
     def __init__(self, norms: tuple[int, ...], vectors: tuple[LatVec, ...]):
         self.norms, self.vectors = norms, vectors
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, _Columns) and (self.norms, self.vectors) == (other.norms, other.vectors)
-
     def __len__(self) -> int:
         return len(self.vectors)
 

@@ -9,8 +9,8 @@ shells: ``_orthogonal_seed``, a greedy frame that prefers orthogonal
 vectors; ``_root_index``, which gives the largest index of a frame in
 closed form when the minima form a root system, from the types of its
 irreducible components; and ``_frames``, the frame tree, which yields
-every frame of index at least m in one fixed order and charges a node
-only when the walk reaches it, so a reader pays for what it reads.  Only
+every frame of index at least a bar that its reader may raise, in one
+fixed order, and charges a node only when the walk reaches it.  Only
 the tree keeps every vector's inner products, so only its shells pair
 each vector with the vector times the cleared Gram matrix; the seed
 multiplies just the vectors it picks, and the root system test each
@@ -162,32 +162,32 @@ def _root_index(shells, a, det_a: int) -> int | None:
     return math.isqrt(dets * least**n // (det_a << n))
 
 
-def _frames(m: int, shells, tail, det_a: int, counter: _Counter):
-    """Yield every frame of index at least ``m``, in the frame tree's order.
+def _frames(bar: list[int], shells, tail, det_a: int, counter: _Counter):
+    """Yield every frame of index at least ``bar[0]``, in the frame tree's order.
 
-    ``shells`` is laid out as ``_shells`` lays it out, but each vector
-    comes paired with the vector times the cleared Gram matrix.  The
-    tree fills the ``count`` positions of a shell in turn with vectors of
-    that shell, in strictly increasing listing order, so it meets each
-    frame once, and takes a node's children by decreasing leading minor,
-    then by listing order.  That order depends on the prefix alone, so a
-    prune that cuts only subtrees holding no frame of index at least m
-    keeps those frames in their order.  The one prune is the Hadamard
-    bound in the cleared form ``scale * G``: a prefix of k + 1 vectors
-    has leading minor scale**(k+1) times its Gram determinant,
-    ``tail[k+1]`` is the product of the minima still to place, each as
-    v (scale G) v^T, and ``det_a`` is det(scale G).  The scales cancel:
-    the prefix has completions of index m only if minor > limits[k] =
-    ceil(m**2 * det_a / tail[k+1]) - 1.  Each minor is a node, charged
-    when the walk reaches it, so a reader that stops at a frame pays for
-    no node past it.
+    The reader may raise ``bar[0]`` between yields; one that never does
+    gets every frame of index at least its first value.  ``shells`` is
+    laid out as ``_shells`` lays it out, but each vector comes paired
+    with the vector times the cleared Gram matrix.  The tree fills the
+    ``count`` positions of a shell in turn with vectors of that shell, in
+    strictly increasing listing order, so it meets each frame once, and
+    takes a node's children by decreasing leading minor, then by listing
+    order.  That order depends on the prefix alone, so a prune that cuts
+    only subtrees holding no frame of index at least the bar keeps those
+    frames in their order.  The one prune is the Hadamard bound in the
+    cleared form ``scale * G``: a prefix of k + 1 vectors has leading
+    minor scale**(k+1) times its Gram determinant, ``tail[k+1]`` is the
+    product of the minima still to place, each as v (scale G) v^T, and
+    ``det_a`` is det(scale G).  The scales cancel: the prefix has
+    completions of index m only if minor > ceil(m**2 * det_a /
+    tail[k+1]) - 1.  A node stops at its first child that fails the bar
+    as it then stands; the rest have smaller minors.  Each minor is a
+    node, charged when the walk reaches it.
     """
     # position k draws from ``pools[k][0]``, after the last pick when it
     # is not the first position of its shell
     pools = [(shell, i) for count, shell in shells for i in range(count)]
     n = len(pools)
-    # minor > limits[k] exactly when minor * tail[k+1] >= m**2 * det_a
-    limits = [-(-m * m * det_a // x) - 1 for x in tail[1:]]
     chosen: list[tuple[int, ...]] = []
     minors, coeffs = [1], []
     spend = counter.spend
@@ -198,16 +198,18 @@ def _frames(m: int, shells, tail, det_a: int, counter: _Counter):
             return
         pool, i = pools[k]
         start = last + 1 if i else 0
-        limit = limits[k]
         ranked = []
         for j in range(start, len(pool)):
             spend()
             v, va = pool[j]
             row = _pivot_row([_dot(va, w) for w in chosen] + [_dot(va, v)], minors, coeffs)
-            if row[-1] > limit:
-                ranked.append((-row[-1], j, row))
+            ranked.append((-row[-1], j, row))
         ranked.sort()
         for negminor, j, row in ranked:
+            # minor > limit exactly when minor * tail[k+1] >= bar**2 * det_a
+            limit = -(-bar[0] ** 2 * det_a // tail[k + 1]) - 1
+            if -negminor <= limit:
+                break
             chosen.append(pool[j][0])
             minors.append(-negminor)
             coeffs.append(row[:-1])

@@ -9,20 +9,20 @@ vectors.
 The central search is ``maximal_index``: the largest quotient order over
 all frames of successive minima.  It stops at once when the frame of
 minima, or failing that a greedy frame, already reaches the Hadamard
-bound H = floor(sqrt(prod lam_i / det L)).  Otherwise a frame tree that
-only looks for frames of index at least m walks the orders m above that
-incumbent, largest first, from H or, when the minimal vectors form a
-root system, from the index read off its irreducible components in
-closed form; the first m at which it finds a frame is the index.  The
-tree is also the witness finder: its children are ordered by their
-prefix alone, and its one prune only cuts subtrees without a frame of a
-candidate index, so the witness is the first frame of maximal index in
-one fixed order, the frame a plain branch and bound returns.  The seed,
-the root system test and the tree live in ``latquot.frames``.  They run
-in integers: the Gram matrix is cleared of denominators once, each tree
-node carries the fraction-free Gram-Schmidt pivots of its prefix (Cohen,
-GTM 138, Alg. 2.6.7), and a candidate costs one new pivot row instead of
-a fresh Gram determinant.
+bound H = floor(sqrt(prod lam_i / det L)).  Otherwise it is one branch
+and bound over a frame tree, which looks for frames of index at least a
+bar: the bar starts one above that incumbent and rises past each frame
+the walk meets, until it passes H.  When the minimal vectors form a
+root system the index is read off its irreducible components in closed
+form, and the walk starts there and stops at its first frame.  The
+tree's children are ordered by their prefix alone, and its one prune
+only cuts subtrees without a frame of index at least the bar, so the
+witness is the first frame of maximal index in one fixed order.
+The seed, the root system test and the tree live in ``latquot.frames``.
+They run in integers: the Gram matrix is cleared of denominators once,
+each tree node carries the fraction-free Gram-Schmidt pivots of its
+prefix (Cohen, GTM 138, Alg. 2.6.7), and a candidate costs one new
+pivot row instead of a fresh Gram determinant.
 """
 
 from __future__ import annotations
@@ -194,29 +194,29 @@ def maximal_index(L: GramLattice, budget: int | None = None) -> IndexReport:
     or, if it falls short of H and the seed beats it, the frame of
     ``_orthogonal_seed``, a greedy frame of minima that always completes;
     when it reaches H the search is over before it starts and no shell
-    vector meets the Gram matrix.  Otherwise the candidates m in
-    (incumbent, top] are tried largest first, where top is H, or the
-    index m* that ``_root_index`` gives in closed form when the minima
-    form a root system.  A frame-tree walk that finds no frame of index
-    at least m rules out m and every larger one.  The first candidate at
-    which the tree finds a frame is the index: a frame of index at least
-    m has index m, since every larger candidate is ruled out.  On a root
-    system that is m* itself, the first candidate, which the simple
-    roots of a subsystem attain.
+    vector meets the Gram matrix.  Otherwise one ``_frames`` walk is a
+    branch and bound up to top, where top is H, or the index m* that
+    ``_root_index`` gives in closed form when the minima form a root
+    system.  Its bar starts one above the incumbent, or at m*, which the
+    simple roots of a subsystem attain; at each frame of index d that the
+    walk yields the bar rises to d + 1.  The walk ends when the bar passes
+    top or the tree is spent, and its last frame, if any, has the index.
 
-    The witness is the one the plain branch and bound has always
-    returned: the incumbent when it reaches the index, and otherwise the
-    first frame of maximal index in the tree's fixed order, the first
-    one ``_frames`` yields, which its Hadamard prune leaves in place.
+    The witness is the incumbent when it reaches the index, and
+    otherwise the first frame of maximal index in the tree's fixed
+    order: that order depends on the prefix alone, and the bar stays at
+    most the index until the walk reaches that frame, so the prune
+    leaves it in place.
 
     The seed, the root system test and the tree read the minima ball as
     ``frames._shells`` lays it out; only the tree pairs each vector with
     its row of inner products.
 
     The minima ball and the tree nodes spend one budget; the root system
-    test charges nothing.  If the budget runs out in the tree the
-    incumbent is returned with ``exhaustive=False``; in the ball this
-    raises ``ResourceExceeded``.
+    test charges nothing.  If the budget runs out in the tree the best
+    frame found so far, the incumbent or the walk's last frame, is
+    returned with ``exhaustive=False``; in the ball this raises
+    ``ResourceExceeded``.
     """
     counter = _Counter(budget)
     context = _ball(L, counter)
@@ -237,20 +237,20 @@ def maximal_index(L: GramLattice, budget: int | None = None) -> IndexReport:
         if seed_index > incumbent:
             incumbent, best_rows = seed_index, seed
 
-    top = hadamard
-    if incumbent < hadamard:
-        # an index is at least 1, so only None falls back to H
-        top = _root_index(shells, a, det_a) or hadamard
+    # an index is at least 1, so only None falls back to H
+    root = _root_index(shells, a, det_a) if incumbent < hadamard else None
+    top = root or hadamard
     exhaustive = True
     if top > incumbent:
         # the tree's shells pair each vector with its row of inner
         # products, built only when the tree runs
         paired = [(count, [(v, _times(v, a)) for v in shell]) for count, shell in shells]
+        bar = [root or incumbent + 1]
         try:
-            for m in range(top, incumbent, -1):
-                rows = next(_frames(m, paired, tail, det_a, counter), None)
-                if rows is not None:
-                    best_rows = rows
+            for rows in _frames(bar, paired, tail, det_a, counter):
+                best_rows = rows
+                bar[0] = abs(det_int(rows)) + 1
+                if bar[0] > top:
                     break
         except ResourceExceeded:
             exhaustive = False

@@ -141,8 +141,12 @@ def test_the_cached_context_is_not_part_of_the_lattice_value():
     other = GramLattice(L.n, L.gram, L.label)
     object.__setattr__(other, "_form", validate(zn(5).gram))
     assert other == L and hash(other) == hash(L) and repr(other) == repr(L)
-    # so does the context, the reduction and the minima ball in one
-    assert copy._context == L._context and copy._context is not L._context
+    # so does the context, the reduction and the minima ball in one; the
+    # ball's two columns are compared as the listing they hold
+    ours, theirs = L._context, copy._context
+    assert theirs is not ours and theirs.ball is not ours.ball
+    assert (theirs.ball.norms, theirs.ball.vectors) == (ours.ball.norms, ours.ball.vectors)
+    assert dataclasses.replace(theirs, ball=None) == dataclasses.replace(ours, ball=None)
     # and it is the one cache the lattice declares
     private = [f.name for f in dataclasses.fields(GramLattice) if f.name.startswith("_")]
     assert private == ["_form", "_context"]
