@@ -131,7 +131,7 @@ def _gl2(k: int) -> tuple[tuple[int, ...], ...]:
         tuple(sum(((row & v).bit_count() & 1) << i for i, row in enumerate(rows))
               for v in range(1 << k))
         for rows in product(range(1, 1 << k), repeat=k)
-        if len(_rref2(rows)[0]) == k
+        if len(_rref2(rows)) == k
     )
 
 

@@ -101,8 +101,7 @@ def _code_rows(c: Code) -> Sequence[Sequence[int]]:
     """The rows a lift of ``c`` glues: a binary code's reduced rows, else its generators."""
     if c.d != 2:
         return c.gen
-    _, masks = _rref2(c.masks())
-    return [[m >> j & 1 for j in range(c.n)] for m in masks]
+    return [[m >> j & 1 for j in range(c.n)] for m in _rref2(c.masks())]
 
 
 def code_lift(c: Code) -> GramLattice:

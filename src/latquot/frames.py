@@ -9,12 +9,11 @@ shells: ``_orthogonal_seed``, a greedy frame that prefers orthogonal
 vectors; ``_root_index``, which gives the largest index of a frame in
 closed form when the minima form a root system, from the types of its
 irreducible components; and ``_frames``, the frame tree, which yields
-every frame of index at least a bar that its reader may raise, in one
-fixed order, and charges a node only when the walk reaches it.  Only
-the tree keeps every vector's inner products, so only its shells pair
-each vector with the vector times the cleared Gram matrix; the seed
-multiplies just the vectors it picks, and the root system test each
-vector once in turn.
+every frame of index at least a bar that its reader may raise, with its
+index, in one fixed order, and charges a node only when the walk
+reaches it.  The seed multiplies just the vectors it picks by the
+cleared Gram matrix; the root system test and the tree read shells that
+pair each vector with the vector times that matrix, built once.
 Everything is exact: independence comes from the annihilator of the
 span of the picks, integer rows orthogonal to them on coordinates
 (``linalg._insert``), and Gram determinants from fraction-free pivot
@@ -110,33 +109,33 @@ def _subsystem_det(r: int, p: int) -> int:
     return _EXCEPTIONAL[r, p]
 
 
-def _root_index(shells, a, det_a: int) -> int | None:
+def _root_index(shells, det_a: int) -> int | None:
     """The maximal index over frames of minima when the minima form a root system, else None.
 
-    ``shells`` is laid out as ``_shells`` lays it out, ``a`` is the
-    cleared Gram matrix and ``det_a`` its determinant.  The minima form
-    a root system when they are one shell and 2(u.v)/min is an integer
-    for every pair u, v of minimal vectors: then, scaled to norm 2, they
-    are the roots of a simply laced system, since u - v or u + v is
-    again minimal whenever u.v is nonzero.  A frame of minima spans the
-    root lattice of the roots its span holds, a full-rank subsystem, and
-    the simple roots of any full-rank subsystem form a frame, so the
-    largest index is sqrt(prod d_c / det L) with L scaled to minimum 2,
-    where d_c is ``_subsystem_det`` of each irreducible component c: the
-    connected components of the graph on the minimal vectors joined by a
-    nonzero inner product, typed by their rank and their number of
-    pairs.  The test stops at the first pair that fails it; it reads
-    only the shell and charges no nodes.
+    ``shells`` is laid out as ``_frames`` reads it, each vector paired
+    with the vector times the cleared Gram matrix, and ``det_a`` is that
+    matrix's determinant.  The minima form a root system when they are
+    one shell and 2(u.v)/min is an integer for every pair u, v of
+    minimal vectors: then, scaled to norm 2, they are the roots of a
+    simply laced system, since u - v or u + v is again minimal whenever
+    u.v is nonzero.  A frame of minima spans the root lattice of the
+    roots its span holds, a full-rank subsystem, and the simple roots of
+    any full-rank subsystem form a frame, so the largest index is
+    sqrt(prod d_c / det L) with L scaled to minimum 2, where d_c is
+    ``_subsystem_det`` of each irreducible component c: the connected
+    components of the graph on the minimal vectors joined by a nonzero
+    inner product, typed by their rank and their number of pairs.  The
+    test stops at the first pair that fails it; it reads only the shell
+    and charges no nodes.
     """
     if len(shells) > 1:
         return None
     ((n, shell),) = shells
-    least = _dot(shell[0], _times(shell[0], a))
+    least = _dot(*shell[0])
     links: list[list[int]] = [[] for _ in shell]
-    for i, v in enumerate(shell):
-        va = _times(v, a)
+    for i, (_, va) in enumerate(shell):
         for j in range(i):
-            x = _dot(shell[j], va)
+            x = _dot(shell[j][0], va)
             if 2 * x % least:
                 return None
             if x:
@@ -151,7 +150,7 @@ def _root_index(shells, a, det_a: int) -> int | None:
         while stack:
             i = stack.pop()
             pairs += 1
-            _insert(annihilator, shell[i])
+            _insert(annihilator, shell[i][0])
             for j in links[i]:
                 if j not in seen:
                     seen.add(j)
@@ -163,17 +162,19 @@ def _root_index(shells, a, det_a: int) -> int | None:
 
 
 def _frames(bar: list[int], shells, tail, det_a: int, counter: _Counter):
-    """Yield every frame of index at least ``bar[0]``, in the frame tree's order.
+    """Yield (index, frame) for each frame of index at least ``bar[0]``, in the tree's order.
 
     The reader may raise ``bar[0]`` between yields; one that never does
-    gets every frame of index at least its first value.  ``shells`` is
-    laid out as ``_shells`` lays it out, but each vector comes paired
-    with the vector times the cleared Gram matrix.  The tree fills the
-    ``count`` positions of a shell in turn with vectors of that shell, in
-    strictly increasing listing order, so it meets each frame once, and
-    takes a node's children by decreasing leading minor, then by listing
-    order.  That order depends on the prefix alone, so a prune that cuts
-    only subtrees holding no frame of index at least the bar keeps those
+    gets every frame of index at least its first value.  A leaf's minor
+    det(F (scale G) F^T) is the frame's index squared times ``det_a``,
+    so no frame is reduced again.  ``shells`` is laid out as ``_shells``
+    lays it out, but each vector comes paired with the vector times the
+    cleared Gram matrix.  The tree fills the ``count`` positions of a
+    shell in turn with vectors of that shell, in strictly increasing
+    listing order, so it meets each frame once, and takes a node's
+    children by decreasing leading minor, then by listing order.  That
+    order depends on the prefix alone, so a prune that cuts only
+    subtrees holding no frame of index at least the bar keeps those
     frames in their order.  The one prune is the Hadamard bound in the
     cleared form ``scale * G``: a prefix of k + 1 vectors has leading
     minor scale**(k+1) times its Gram determinant, ``tail[k+1]`` is the
@@ -194,7 +195,7 @@ def _frames(bar: list[int], shells, tail, det_a: int, counter: _Counter):
 
     def descend(k: int, last: int):
         if k == n:
-            yield tuple(chosen)
+            yield math.isqrt(minors[-1] // det_a), tuple(chosen)
             return
         pool, i = pools[k]
         start = last + 1 if i else 0

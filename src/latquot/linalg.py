@@ -217,15 +217,13 @@ def _insert(rows: list[list[int]], v: Sequence[int]) -> bool:
     return True
 
 
-def _rref2(masks) -> tuple[list[int], list[int]]:
+def _rref2(masks) -> list[int]:
     """Reduced row echelon form over GF(2) of rows given as bit masks.
 
-    Returns the pivot columns in ascending order and the nonzero reduced
-    rows, the row with pivot ``pivots[i]`` at position i; the number of
-    pivots is the rank.
+    Returns the nonzero reduced rows in ascending order of their pivots,
+    each row's pivot being its lowest set bit; their number is the rank.
     """
     rows: dict[int, int] = {}
     for mask in masks:
         _insert2(rows, mask)
-    pivots = sorted(rows)
-    return [p.bit_length() - 1 for p in pivots], [rows[p] for p in pivots]
+    return [rows[p] for p in sorted(rows)]

@@ -21,8 +21,8 @@ witness is the first frame of maximal index in one fixed order.
 The seed, the root system test and the tree live in ``latquot.frames``.
 They run in integers: the Gram matrix is cleared of denominators once,
 each tree node carries the fraction-free Gram-Schmidt pivots of its
-prefix (Cohen, GTM 138, Alg. 2.6.7), and a candidate costs one new
-pivot row instead of a fresh Gram determinant.
+prefix (Cohen, GTM 138, Alg. 2.6.7): a candidate costs one new pivot
+row, and a leaf's last pivot is its frame's index squared times det_a.
 """
 
 from __future__ import annotations
@@ -209,8 +209,11 @@ def maximal_index(L: GramLattice, budget: int | None = None) -> IndexReport:
     leaves it in place.
 
     The seed, the root system test and the tree read the minima ball as
-    ``frames._shells`` lays it out; only the tree pairs each vector with
-    its row of inner products.
+    ``frames._shells`` lays it out.  The seed multiplies only its picks
+    by the cleared Gram matrix; once the incumbent falls short of H each
+    shell vector is multiplied once, and the root system test and the
+    tree read those pairs.  The walk yields each frame with its index,
+    read from the tree's last pivot.
 
     The minima ball and the tree nodes spend one budget; the root system
     test charges nothing.  If the budget runs out in the tree the best
@@ -223,7 +226,6 @@ def maximal_index(L: GramLattice, budget: int | None = None) -> IndexReport:
     base = context.frame
     _, a, minors, _ = L._form
     det_a = minors[-1]
-    shells = _shells(context)
 
     # tail[k] is the product of the minima k..n-1, each as v (scale G)
     # v^T; over det_a = det(scale G) the scales cancel
@@ -232,28 +234,28 @@ def maximal_index(L: GramLattice, budget: int | None = None) -> IndexReport:
 
     incumbent, best_rows = abs(det_int(base.vectors)), base.vectors
     if incumbent < hadamard:
+        shells = _shells(context)
         seed = _orthogonal_seed(shells, a)
         seed_index = abs(det_int(seed))
         if seed_index > incumbent:
             incumbent, best_rows = seed_index, seed
 
-    # an index is at least 1, so only None falls back to H
-    root = _root_index(shells, a, det_a) if incumbent < hadamard else None
-    top = root or hadamard
     exhaustive = True
-    if top > incumbent:
-        # the tree's shells pair each vector with its row of inner
-        # products, built only when the tree runs
+    if incumbent < hadamard:
         paired = [(count, [(v, _times(v, a)) for v in shell]) for count, shell in shells]
-        bar = [root or incumbent + 1]
-        try:
-            for rows in _frames(bar, paired, tail, det_a, counter):
-                best_rows = rows
-                bar[0] = abs(det_int(rows)) + 1
-                if bar[0] > top:
-                    break
-        except ResourceExceeded:
-            exhaustive = False
+        # an index is at least 1, so only None falls back to H
+        root = _root_index(paired, det_a)
+        top = root or hadamard
+        if top > incumbent:
+            bar = [root or incumbent + 1]
+            try:
+                for index, rows in _frames(bar, paired, tail, det_a, counter):
+                    best_rows = rows
+                    bar[0] = index + 1
+                    if bar[0] > top:
+                        break
+            except ResourceExceeded:
+                exhaustive = False
 
     frame = Frame(vectors=best_rows, norms=base.norms)
     structure = quotient_structure(L, best_rows)

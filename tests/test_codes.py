@@ -199,7 +199,8 @@ def test_the_gf2_echelon_form_against_the_rank_oracle():
         rows: dict[int, int] = {}
         for i, m in enumerate(masks):
             assert _insert2(rows, m) == (_gf2_rank(masks[:i + 1]) > _gf2_rank(masks[:i]))
-        pivots, reduced = _rref2(masks)
+        reduced = _rref2(masks)
+        pivots = [(row & -row).bit_length() - 1 for row in reduced]
         assert pivots == sorted(pivots)
         assert len(pivots) == _gf2_rank(masks) == _gf2_rank(reduced + masks)
         for p, row in zip(pivots, reduced):

@@ -2,6 +2,7 @@
 
 import operator
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, combinations
 
@@ -316,6 +317,34 @@ def test_frame_search_node_totals_are_pinned(node_tally):
         assert node_tally[0] == nodes, name
 
 
+def test_each_minimal_vector_meets_the_gram_matrix_once(monkeypatch):
+    # Besides the seed's picks, maximal_index multiplies each vector of
+    # the shells by the cleared Gram matrix once, when the incumbent falls
+    # short of H; the root system test and the tree read those products.
+    # E7 and E8 settle at the seed, which multiplies only its picks.
+    cases = ((e6(), 42), (named("A74").lattice, 24), (named("D6+").lattice, 22),
+             (named("A5^2").lattice, 15), (named("A5^3").lattice, 20), (named("A8").lattice, 44),
+             (named("E7").lattice, 7), (named("E8").lattice, 8))
+    for L, total in cases:
+        _, a, _, _ = L._form
+        shells = _shells(_ball(L, _Counter(None)))
+        seed = _orthogonal_seed(shells, a)
+        calls = Counter()
+
+        def times(v, cols):
+            calls[v] += 1
+            return _times(v, cols)
+
+        monkeypatch.setattr("latquot.frames._times", times)
+        monkeypatch.setattr("latquot.watson._times", times)
+        maximal_index(L)
+        monkeypatch.undo()
+        # the seed makes n products, so a larger total means the shells were paired
+        paired = Counter(v for _, shell in shells for v in shell) if total > L.n else Counter()
+        assert calls == Counter(seed) + paired, L.label
+        assert sum(calls.values()) == total, L.label
+
+
 # Every named lattice of rank at most 9.
 NAMED_UP_TO_9 = (
     [f"A{n}" for n in range(1, 10)] + [f"D{n}" for n in range(3, 10)]
@@ -324,9 +353,9 @@ NAMED_UP_TO_9 = (
 
 
 def _root(L):
-    """``_root_index`` on the shells of the lattice's minima ball."""
-    _, a, minors, _ = L._form
-    return _root_index(_shells(_ball(L, _Counter(None))), a, minors[-1])
+    """``_root_index`` on the paired shells of the lattice's minima ball."""
+    paired, _, det_a = _walk_input(L)
+    return _root_index(paired, det_a)
 
 
 # The named lattices of rank at most 8 whose minima form a root system.
@@ -408,7 +437,7 @@ def test_the_frame_lister_refuses_before_listing():
 
 
 def _walk_input(L):
-    """The shells, tail and determinant ``_frames`` reads, built as ``maximal_index`` builds them."""
+    """The paired shells, tail and det_a that ``_frames`` reads, as ``maximal_index`` builds them."""
     context = _ball(L, _Counter(None))
     _, a, minors, _ = L._form
     paired = [(count, [(v, _times(v, a)) for v in shell]) for count, shell in _shells(context)]
@@ -438,9 +467,10 @@ def test_the_frame_walk_yields_every_frame():
         listed += 1
         paired, tail, det_a = _walk_input(L)
         for m in sorted(set(indices)):
-            frames = list(_frames([m], paired, tail, det_a, _Counter(None)))
+            walk = list(_frames([m], paired, tail, det_a, _Counter(None)))
+            frames = [rows for _, rows in walk]
             assert len(set(frames)) == len(frames) == sum(x >= m for x in indices), (L.label, m)
-            assert all(abs(det_int(rows)) >= m for rows in frames), (L.label, m)
+            assert all(index == abs(det_int(rows)) >= m for index, rows in walk), (L.label, m)
             pairs += 1
     assert (listed, pairs) == (34, 45)
 
@@ -461,8 +491,9 @@ def test_the_hadamard_prune_is_reached_at_its_boundary():
     pairs = {_dot(u, ua) * _dot(v, va) - _dot(u, va) ** 2 for (u, ua), (v, va) in combinations(shell, 2)}
     assert pairs == {3, 4}
     counter = _Counter(None)
-    frames = list(_frames([2], paired, tail, det_a, counter))
-    assert [abs(det_int(rows)) for rows in frames] == [2, 2, 2]
+    walk = list(_frames([2], paired, tail, det_a, counter))
+    assert [index for index, _ in walk] == [2, 2, 2]
+    assert all(index == abs(det_int(rows)) for index, rows in walk)
     assert counter.nodes == 155
 
 
