@@ -30,8 +30,8 @@ _EXPORTS = {
         "min_weight_support", "weight_distribution",
     ),
     "construct": (
-        "NamedLattice", "centred_cubic", "code_lift", "fixture_inventory",
-        "fixture_path", "named", "search_corpus", "zd_lift", "zn",
+        "centred_cubic", "code_lift", "fixture_inventory", "fixture_path",
+        "named", "search_corpus", "zd_lift", "zn",
     ),
     "core": (
         "GramLattice", "HERMITE_POWER", "InvariantReport", "determinant",

@@ -220,7 +220,8 @@ def cmd_watson(args) -> int:
     lhs, rhs = watson_identity(lattice, coset)
     condition = watson_condition(coset, lattice.n)
     norms = [lattice.gram[i][i] for i in range(lattice.n)]
-    bound = crude_bound(norms, coset)
+    # the bound takes the frame's norms as its successive minima, in order
+    ordered = norms == sorted(norms)
     data = {
         "d": coset.d,
         "a": list(coset.a),
@@ -229,7 +230,7 @@ def cmd_watson(args) -> int:
         "identity_rhs": format_rational(rhs),
         "identity_holds": lhs == rhs,
         "condition": condition,
-        "norm_bound": format_rational(bound),
+        "norm_bound": format_rational(crude_bound(norms, coset)) if ordered else None,
     }
     lines = [
         f"coset ({', '.join(str(x) for x in coset.a)}) / {coset.d}",
@@ -237,7 +238,7 @@ def cmd_watson(args) -> int:
         f"  identity       {data['identity_lhs']} = {data['identity_rhs']}"
         f"  ({'holds' if data['identity_holds'] else 'FAILS'})",
         f"  A = 2d, full   {condition}",
-        f"  N(e) bound     {data['norm_bound']}",
+        f"  N(e) bound     {data['norm_bound'] or 'none, the frame norms decrease'}",
     ]
     try:
         # one budget for the base's and the lift's minima, each listed once

@@ -1,7 +1,9 @@
 """Constructors for the lattices the package works with.
 
 Everything is produced as a :class:`~latquot.core.GramLattice`, i.e. a
-Gram matrix of an explicit basis.  The centred cubic lattices, the code
+Gram matrix of an explicit basis, and so is each catalogue lattice that
+``named`` looks up in one table, ``_CATALOGUE``, one line per name or
+rank family.  The centred cubic lattices, the code
 lifts and the glue superlattices of the catalogue have one shape, a base
 lattice extended by glue vectors r/d, and ``_glue`` builds them all.
 Its basis depends only on the rows r.  If each row has a unit pivot, a
@@ -14,7 +16,6 @@ scaled by 1/d.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
@@ -33,7 +34,6 @@ if TYPE_CHECKING:
     from .codes import Code
 
 __all__ = [
-    "NamedLattice",
     "zn",
     "centred_cubic",
     "code_lift",
@@ -156,17 +156,10 @@ def _checked_lift(c: Code, base: GramLattice | None,
     return lifted, got
 
 
-@dataclass(frozen=True)
-class NamedLattice:
-    """A catalogue lattice: its canonical name, Gram matrix and a note."""
-
-    name: str
-    lattice: GramLattice
-    note: str
-
-
 def _an(n: int) -> GramLattice:
     """A_n in its dense form: diagonal 2, all off-diagonal entries 1."""
+    if n < 1:
+        raise UnknownLattice(f"A{n} needs rank at least 1")
     gram = [[2 if i == j else 1 for j in range(n)] for i in range(n)]
     return GramLattice.from_rows(gram, label=f"A{n}")
 
@@ -185,14 +178,10 @@ def _dn(n: int) -> GramLattice:
     return _cartan(n, edges, f"D{n}")
 
 
-def _e7() -> GramLattice:
-    edges = [(0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 3)]
-    return _cartan(7, edges, "E7")
-
-
-def _e8() -> GramLattice:
-    edges = [(0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (1, 3)]
-    return _cartan(8, edges, "E8")
+def _en(n: int) -> GramLattice:
+    """E_n from its Cartan matrix in Bourbaki's numbering: the chain 1-3-4-...-n and 2-4."""
+    edges = [(0, 2), (1, 3)] + [(i, i + 1) for i in range(2, n - 1)]
+    return _cartan(n, edges, f"E{n}")
 
 
 def _a5_cubed() -> GramLattice:
@@ -248,51 +237,37 @@ _A74_ROWS = (
     (4, 0, 0, 0, 0, 0, 8),
 )
 
+# The catalogue: a pattern for each name and its constructor, called
+# with the rank a family's pattern captures.  The patterns are tried in
+# this order, so A73 is the frame lattice and not A_73.  A family's
+# constructor refuses the ranks it lacks.
+_CATALOGUE = (
+    (r"A5\^3", _a5_cubed),
+    (r"D6\+", _d6_plus),
+    (r"E([678])", _en),
+    (r"A73", lambda: GramLattice.from_rows(_A73_ROWS, label="A7,3")),
+    (r"A74", lambda: GramLattice.from_rows(_A74_ROWS, label="A7,4")),
+    (r"A(\d+)", _an),
+    (r"A(\d+)\^2", _an_squared),
+    (r"D(\d+)", _dn),
+)
 
-def named(name: str) -> NamedLattice:
-    """Look up a catalogue lattice by name.
+
+def named(name: str) -> GramLattice:
+    """The catalogue lattice of a name, read regardless of case, spaces and commas.
 
     Recognized names: ``An`` and ``Dn`` with a numeric rank (A5, D6),
-    ``E7``, ``E8``, the glue constructions ``A5^3`` and ``An^2`` for odd
-    n, ``D6+``, and the two dimension-7 matrices ``A73`` and ``A74``
-    realizing cyclic quotients of order 3 and 4.
+    ``E6``, ``E7`` and ``E8``, the glue constructions ``A5^3`` and
+    ``An^2`` for odd n, ``D6+``, and the two dimension-7 matrices
+    ``A73`` and ``A74``, labelled ``A7,3`` and ``A7,4``, realizing
+    cyclic quotients of order 3 and 4.  Any other name, or a rank its
+    family lacks, raises ``UnknownLattice``.
     """
     key = name.strip().upper().replace(" ", "").replace(",", "")
-    if key == "A5^3":
-        return NamedLattice("A5^3", _a5_cubed(), "glue superlattice of A5, index 3")
-    m = re.fullmatch(r"A(\d+)\^2", key)
-    if m:
-        n = int(m.group(1))
-        return NamedLattice(
-            f"A{n}^2", _an_squared(n), "glue superlattice of An, index 2"
-        )
-    if key == "D6+":
-        return NamedLattice("D6+", _d6_plus(), "minimum-3 copy, det 64, N(e) = 12")
-    if key == "E7":
-        return NamedLattice("E7", _e7(), "root lattice, det 2, 63 minimal pairs")
-    if key == "E8":
-        return NamedLattice("E8", _e8(), "root lattice, det 1, 120 minimal pairs")
-    if key == "A73":
-        return NamedLattice(
-            "A73",
-            GramLattice.from_rows(_A73_ROWS, label="A7,3"),
-            "order-3 cyclic quotient with Hb/M = 22/18",
-        )
-    if key == "A74":
-        return NamedLattice(
-            "A74",
-            GramLattice.from_rows(_A74_ROWS, label="A7,4"),
-            "order-4 cyclic quotient with Hb/M = 9/8",
-        )
-    m = re.fullmatch(r"A(\d+)", key)
-    if m:
-        n = int(m.group(1))
-        if n < 1:
-            raise UnknownLattice(name)
-        return NamedLattice(f"A{n}", _an(n), "root lattice, det n+1")
-    m = re.fullmatch(r"D(\d+)", key)
-    if m:
-        return NamedLattice(f"D{int(m.group(1))}", _dn(int(m.group(1))), "root lattice, det 4")
+    for pattern, build in _CATALOGUE:
+        m = re.fullmatch(pattern, key)
+        if m:
+            return build(*map(int, m.groups()))
     raise UnknownLattice(name)
 
 
@@ -314,7 +289,7 @@ def fixture_inventory() -> dict[str, GramLattice]:
     inv.update({f"liftc{c.n}": code_lift(c) for c in (c8(), c9(), c10(), c11(), g12())})
     for name in ("A5", "A7", "D4", "D6", "E7", "E8", "A5^3", "A7^2", "D6+", "A73", "A74"):
         stem = name.lower().replace("^", "").replace("+", "plus")
-        inv[stem] = named(name).lattice
+        inv[stem] = named(name)
     return inv
 
 
@@ -336,9 +311,9 @@ def search_corpus(n: int) -> list[GramLattice]:
     if n >= 4:
         candidates.append(centred_cubic(n))
     if n == 7:
-        candidates.append(named("E7").lattice)
+        candidates.append(named("E7"))
     if n == 8:
-        candidates.append(named("E8").lattice)
+        candidates.append(named("E8"))
     if n in (8, 9, 10):
         candidates.append(load_lattice(fixture_path(f"liftc{n}")))
     return candidates

@@ -13,7 +13,8 @@ every frame of index at least a bar that its reader may raise, with its
 index, in one fixed order, and charges a node only when the walk
 reaches it.  The seed multiplies just the vectors it picks by the
 cleared Gram matrix; the root system test and the tree read shells that
-pair each vector with the vector times that matrix, built once.
+pair each vector with the vector times that matrix, built once, and the
+seed's picks there carry the products the seed formed.
 Everything is exact: independence comes from the annihilator of the
 span of the picks, integer rows orthogonal to them on coordinates
 (``linalg._insert``), and Gram determinants from fraction-free pivot
@@ -64,7 +65,8 @@ def _orthogonal_seed(shells, a):
     shorter ones lie in the span of the earlier shells' picks.  Only a
     chosen vector is multiplied by ``a``: each shell is narrowed, in
     listing order, to the vectors orthogonal to every pick so far, once
-    per pick.
+    per pick.  Returns the frame and a dict from each pick to its
+    product with ``a``, for the pairing to reuse.
     """
     chosen: list[tuple[int, ...]] = []
     picked: list[list[int]] = []
@@ -84,7 +86,7 @@ def _orthogonal_seed(shells, a):
                         break
             chosen.append(v)
             picked.append(_times(v, a))
-    return tuple(chosen)
+    return tuple(chosen), dict(zip(chosen, picked))
 
 
 # The largest determinant of a full-rank subsystem of E6, E7 and E8,

@@ -176,7 +176,7 @@ def suite_dim7(budget: int | None):
     """The two rank 7 frame lattices and their neighbours."""
     cases = []
     for d, low, value in ((3, 18, Fraction(11, 9)), (4, 8, Fraction(9, 8))):
-        L, what = named(f"A7{d}").lattice, f"the index {d} frame lattice"
+        L, what = named(f"A7{d}"), f"the index {d} frame lattice"
         cases += [
             _case(f"d7-frame{d}-min", f"{what} has minimum {low}",
                   Fraction(low), invariant_report(L, budget).min),
@@ -189,7 +189,7 @@ def suite_dim7(budget: int | None):
         _qb_case("d7-cubic-qb", "the rank 7 centred cubic lattice has quotient quality 7/4",
                  centred_cubic(7), Fraction(7, 4), budget),
         _index_case("d7-e7-iota", "E7 has maximal index 8 with quotient (2, 2, 2)",
-                    named("E7").lattice, 8, (2, 2, 2), budget),
+                    named("E7"), 8, (2, 2, 2), budget),
     ]
     return cases
 
@@ -277,7 +277,7 @@ def suite_all(budget: int | None):
             zd_lift(code), value, budget,
         ))
 
-    e8 = named("E8").lattice
+    e8 = named("E8")
     rep = invariant_report(e8, budget)
     cases.append(_case(
         "q-e8-invariants", "E8 has minimum 2, determinant 1 and 120 short pairs",

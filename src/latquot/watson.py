@@ -211,8 +211,9 @@ def maximal_index(L: GramLattice, budget: int | None = None) -> IndexReport:
     The seed, the root system test and the tree read the minima ball as
     ``frames._shells`` lays it out.  The seed multiplies only its picks
     by the cleared Gram matrix; once the incumbent falls short of H each
-    shell vector is multiplied once, and the root system test and the
-    tree read those pairs.  The walk yields each frame with its index,
+    other shell vector is multiplied once, so that every shell vector
+    meets the matrix once, and the root system test and the tree read
+    those pairs.  The walk yields each frame with its index,
     read from the tree's last pivot.
 
     The minima ball and the tree nodes spend one budget; the root system
@@ -235,14 +236,15 @@ def maximal_index(L: GramLattice, budget: int | None = None) -> IndexReport:
     incumbent, best_rows = abs(det_int(base.vectors)), base.vectors
     if incumbent < hadamard:
         shells = _shells(context)
-        seed = _orthogonal_seed(shells, a)
+        seed, products = _orthogonal_seed(shells, a)
         seed_index = abs(det_int(seed))
         if seed_index > incumbent:
             incumbent, best_rows = seed_index, seed
 
     exhaustive = True
     if incumbent < hadamard:
-        paired = [(count, [(v, _times(v, a)) for v in shell]) for count, shell in shells]
+        paired = [(count, [(v, products[v] if v in products else _times(v, a)) for v in shell])
+                  for count, shell in shells]
         # an index is at least 1, so only None falls back to H
         root = _root_index(paired, det_a)
         top = root or hadamard

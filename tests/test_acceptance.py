@@ -72,8 +72,8 @@ def test_criterion_04_lifted_eight_column_code():
 
 
 def test_criterion_05_dimension_seven_frames():
-    a73 = named("A73").lattice
-    a74 = named("A74").lattice
+    a73 = named("A73")
+    a74 = named("A74")
     r3, r4 = qb(a73), qb(a74)
     ok = (
         minimum(a73)[0] == 18
@@ -140,7 +140,7 @@ def test_criterion_08_code_classification():
 
 
 def test_criterion_09_index_of_e7():
-    report = maximal_index(named("E7").lattice)
+    report = maximal_index(named("E7"))
     if not report.exhaustive:
         log.warning(
             "E7 index search hit the node budget; %d is a lower bound only",

@@ -229,6 +229,22 @@ def test_watson_json_of_a_coset_with_no_unit_pivot(capsys):
     assert digest == "6b38ce7be2c9773029973f59e0ae8acfec5f56f86d21b84fec08e9f86f33f98c"
 
 
+def test_watson_on_a_frame_whose_norms_decrease(capsys):
+    # A73's basis has norms 22 then 18, so the N(e) bound, which takes the
+    # frame's norms as its successive minima in order, is not given; the
+    # identity is still checked.
+    code, out, _ = run(capsys, "watson", str(fixture_path("a73")),
+                       "--coset", "3:1,1,1,1,1,1,1", "--json")
+    assert code == PASS
+    data = json.loads(out)
+    assert (data["identity_lhs"], data["identity_rhs"]) == ("298/9", "298/9")
+    assert data["identity_holds"] is True
+    assert data["norm_bound"] is None
+    code, out, _ = run(capsys, "watson", str(fixture_path("a73")), "--coset", "3:1,1,1,1,1,1,1")
+    assert code == PASS
+    assert "N(e) bound     none, the frame norms decrease" in out
+
+
 def test_watson_coset_length_mismatch(capsys):
     code, _, err = run(
         capsys, "watson", str(fixture_path("zn4")), "--coset", "2:1,1"

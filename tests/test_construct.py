@@ -34,6 +34,7 @@ CATALOGUE = {
     "A5": (5, 6, 2, 15),
     "D4": (4, 4, 2, 12),
     "D6": (6, 4, 2, 30),
+    "E6": (6, 3, 2, 36),
     "E7": (7, 2, 2, 63),
     "E8": (8, 1, 2, 120),
     "A5^3": (5, Fraction(2, 3), Fraction(4, 3), 15),
@@ -50,7 +51,7 @@ CATALOGUE = {
 
 def test_catalogue_invariants():
     for name, (n, det, low, s) in CATALOGUE.items():
-        L = named(name).lattice
+        L = named(name)
         rep = invariant_report(L)
         assert (L.n, rep.det, rep.min, rep.s) == (n, det, low, s), name
 
@@ -58,21 +59,26 @@ def test_catalogue_invariants():
 def test_the_an_glue_vector_has_the_stated_products():
     # The basis is (u_2, ..., u_n, h) with h = (u_1 + ... + u_n)/2.
     for n in range(3, 12, 2):
-        L = named(f"A{n}^2").lattice
+        L = named(f"A{n}^2")
         assert L.gram[-1][:-1] == (Fraction(n + 1, 2),) * (n - 1), n
         assert L.gram[-1][-1] == Fraction(n * (n + 1), 4), n
         assert determinant(L) == Fraction(n + 1, 4), n
 
 
 def test_name_lookup_is_forgiving():
-    assert named("a5 ^3").lattice.gram == named("A5^3").lattice.gram
-    assert named("d6+").name == "D6+"
-    with pytest.raises(UnknownLattice):
-        named("B3")
-    with pytest.raises(UnknownLattice):
-        named("A0")
-    with pytest.raises(UnknownLattice):
-        named("A4^2")
+    assert named("a5 ^3").gram == named("A5^3").gram
+    assert named("d6+").label == "D6+"
+    # the frame lattices keep the labels their fixture files carry
+    assert named("a7,3").label == "A7,3"
+    # E6 from its Cartan matrix in Bourbaki's numbering: the chain 1-3-4-5-6 and 2-4
+    edges = {(1, 3), (3, 4), (4, 5), (5, 6), (2, 4)}
+    cartan = [[2 if i == j else -int((i, j) in edges or (j, i) in edges) for j in range(1, 7)]
+              for i in range(1, 7)]
+    e6 = named("e6")
+    assert (e6.gram, e6.label) == (GramLattice.from_rows(cartan).gram, "E6")
+    for name in ("B3", "A0", "A4^2", "D2", "A1^2", "A2^2"):
+        with pytest.raises(UnknownLattice):
+            named(name)
 
 
 def test_repetition_lift_is_the_centred_cubic():

@@ -91,24 +91,24 @@ def test_successive_minima_match_the_box_oracle():
 def test_minkowski_product_on_known_lattices():
     assert minkowski_M(zn(5)) == 1
     assert minkowski_M(centred_cubic(9)) == 4
-    assert minkowski_M(named("E7").lattice) == 64
-    assert minkowski_M(named("E8").lattice) == 256
+    assert minkowski_M(named("E7")) == 64
+    assert minkowski_M(named("E8")) == 256
 
 
 def test_invariant_report_for_e8():
-    rep = invariant_report(named("E8").lattice)
+    rep = invariant_report(named("E8"))
     assert (rep.min, rep.det, rep.gamma_n_power, rep.s) == (2, 1, 256, 120)
 
 
 def test_well_rounded_detection():
     assert is_well_rounded(zn(4))
-    assert is_well_rounded(named("D4").lattice)
+    assert is_well_rounded(named("D4"))
     skew = GramLattice.from_rows([[1, 0], [0, 5]])
     assert not is_well_rounded(skew)
 
 
 def test_budget_exhaustion_raises():
-    L = named("E8").lattice
+    L = named("E8")
     with pytest.raises(ResourceExceeded) as err:
         successive_minima(L, budget=5)
     assert (err.value.nodes, err.value.budget) == (6, 5)
@@ -161,7 +161,7 @@ def test_each_lattice_is_reduced_once(monkeypatch):
         return real(lattice, *args)
 
     monkeypatch.setattr(enumeration, "lll", counting)
-    L = named("D4").lattice
+    L = named("D4")
     minimum(L)
     assert len(calls) == 1
     successive_minima(L)
@@ -181,7 +181,7 @@ def test_each_lattice_lists_its_minima_ball_once(monkeypatch):
         return real(reduced, bound, counter)
 
     monkeypatch.setattr(enumeration, "_enumerate", counting)
-    L = GramLattice.from_rows(named("D4").lattice.gram)
+    L = GramLattice.from_rows(named("D4").gram)
     rho = _context(L).radius
     frame = successive_minima(L)
     qb(L)
@@ -200,8 +200,8 @@ def test_each_lattice_lists_its_minima_ball_once(monkeypatch):
     # The basis search deepens from the ball and the frame search reads
     # its shells from it, also where lam_n lies below rho or more than
     # one pass runs.
-    cases = [(qb, L) for L in (centred_cubic(9), code_lift(c9()), code_lift(c10()), named("A74").lattice)]
-    cases += [(maximal_index, named(name).lattice) for name in ("A73", "A74")]
+    cases = [(qb, L) for L in (centred_cubic(9), code_lift(c9()), code_lift(c10()), named("A74"))]
+    cases += [(maximal_index, named(name)) for name in ("A73", "A74")]
     for call, lattice in cases:
         bounds.clear()
         fresh = GramLattice.from_rows(lattice.gram)
@@ -347,7 +347,7 @@ def test_each_lattice_clears_its_denominators_once(monkeypatch):
             return real(*args)
         return wrapped
 
-    L = named("D4").lattice
+    L = named("D4")
     for module in [m for name, m in sys.modules.items() if name.startswith("latquot")]:
         for name in ("_integral", "_leading_minors"):
             if hasattr(module, name):
@@ -439,7 +439,7 @@ def _width_corpus():
     """
     skewed = [_skewed(sign * (c - 1)) for c, _ in BOUNDARIES for sign in (1, -1)]
     return skewed + [GramLattice.from_rows(SKEWED_A3), _conjugated_z3(2**70 + 3),
-                     scaled(named("A3").lattice, 2**129)]
+                     scaled(named("A3"), 2**129)]
 
 
 def _bounds(L, bound):
@@ -475,7 +475,7 @@ def test_the_field_width_is_the_least_that_holds_the_proven_bound():
     # Its reduced basis is orthogonal, so its centres are 0; A3 scaled by
     # 2^129 has centres past 2^128, whose fields are wider than 64 bits.
     assert _bounds(wide, 2)[1] == 0
-    dilated = scaled(named("A3").lattice, 2**129)
+    dilated = scaled(named("A3"), 2**129)
     centres = []
     reference_enumerate(_context(dilated).reduced, Fraction(2**130), enumeration._Counter(None),
                         centres)
@@ -616,7 +616,7 @@ def test_replays_cut_the_intervals_of_symmetric_listings(monkeypatch, node_tally
         (lift12, 3, 6227, 30379, 9472, 10705, 20919),
         (cubic, _context(cubic).radius, 134, 805, 337, 203, 477),
         (fixture_inventory()["liftc10"], 3, 539, 4735, 1764, 1173, 2981),
-        (named("E8").lattice, 6, 2081, 9185, 4560, 2337, 4633),
+        (named("E8"), 6, 2081, 9185, 4560, 2337, 4633),
     )
     both = enumeration._REPLAYED
     for L, bound, intervals, nodes, count, lowest, walked in cases:
@@ -639,7 +639,7 @@ def test_the_e8_shells_hold_the_theta_series_counts(monkeypatch):
     # from the Gram matrix and the divisor sums by trial division.  This
     # listing replays subtrees below levels 3 and 6, and must equal the
     # listing of the full walk.
-    L = named("E8").lattice
+    L = named("E8")
     gram = tuple(tuple(map(int, row)) for row in L.gram)
     assert gram == L.gram
     listing = vectors_up_to(L, 8)
@@ -676,7 +676,7 @@ def test_listing_node_totals_are_pinned(node_tally):
         (centred_cubic(9), 4, 5494, 1690),
         (GramLattice.from_rows([[Fraction(3, 2)]]), 7, 3, 2),
         # bounds below the minimum
-        (named("E8").lattice, Fraction(3, 2), 107, 0),
+        (named("E8"), Fraction(3, 2), 107, 0),
         (lift12, Fraction(1, 2), 26, 0),
     )
     for L, bound, nodes, count in cases:
@@ -732,7 +732,7 @@ def test_the_annihilator_frame_matches_the_pivot_row_reference():
     for seed in (1, 7):
         rand = random.Random(seed)
         lattices += [perturbed(rand, corpus[t % len(corpus)]) for t in range(40)]
-    lattices += [named(name).lattice for name in ("A9^2", "D6+", "A5^3")]
+    lattices += [named(name) for name in ("A9^2", "D6+", "A5^3")]
     for L in lattices:
         expected = reference_frame(GramLattice(L.n, L.gram, L.label))
         assert successive_minima(L) == expected, L.label

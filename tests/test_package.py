@@ -110,7 +110,7 @@ def test_the_tracer_counts_the_listings_it_wraps():
     try:
         vectors_up_to(fresh(fixture_inventory()["liftc12"]), 3)
         qb(fresh(centred_cubic(9)))
-        maximal_index(fresh(named("E8").lattice))
+        maximal_index(fresh(named("E8")))
     finally:
         tracer.uninstall()
     summary = tracer.summary(1.0)

@@ -51,13 +51,13 @@ def test_cubic_lattice_report():
 def test_known_quality_ratios():
     assert qb(centred_cubic(6)).Qb == Fraction(3, 2)
     assert qb(code_lift(c8())).Qb == Fraction(25, 16)
-    report = qb(named("A73").lattice)
+    report = qb(named("A73"))
     assert report.Qb == Fraction(11, 9)
     assert report.certified
 
 
 def test_witness_is_a_basis_with_the_reported_product():
-    L = named("A74").lattice
+    L = named("A74")
     report = qb(L)
     assert report.Qb == Fraction(9, 8)
     assert report.certified
@@ -211,7 +211,7 @@ def test_basis_search_node_totals_are_pinned(node_tally):
     # and the first pass together, and ends as soon as its incumbent
     # reaches the parity bound from L/2L.
     cases = (
-        (named("A74").lattice, 145),
+        (named("A74"), 145),
         (code_lift(c9()), 338),
         (code_lift(c10()), 647),
         (centred_cubic(9), 888),
@@ -231,7 +231,7 @@ def test_the_basis_search_runs_past_its_first_basis(node_tally):
     # that the ball does not settle lists once past it, straight to
     # best / head, the bound that certifies.
     cases = (
-        (named("A74").lattice, 22361, []),
+        (named("A74"), 22361, []),
         (code_lift(c9()), 1453, [Fraction(9, 4)]),
         (code_lift(c10()), 39939, [Fraction(21, 8)]),
         (centred_cubic(9), 1545, []),
@@ -294,7 +294,7 @@ def test_qb_is_invariant_under_scaling(node_tally):
     # the parity bound A74 and the C9 lift stop in their trees at 500,
     # so the frontier is compared as well.
     rand = random.Random(89)
-    lattices = [named("A74").lattice, code_lift(c9()), centred_cubic(6)]
+    lattices = [named("A74"), code_lift(c9()), centred_cubic(6)]
     lattices += [perturbed(rand, search_corpus(n)[t]) for n in range(4, 9) for t in range(2)]
     for L in lattices:
         c = Fraction(rand.randint(1, 40), rand.choice((7, 11, 13)))
@@ -316,7 +316,7 @@ def test_the_parity_bound_matches_the_class_minima_oracle():
     # The bound is an invariant of the lattice, so the oracle runs on the
     # given basis only: its box would blow up on a conjugated one.
     rand = random.Random(97)
-    lattices = [zn(4), centred_cubic(4), named("D4").lattice]
+    lattices = [zn(4), centred_cubic(4), named("D4")]
     lattices += [narrow_random_gram(rand, rand.randint(2, 4)) for _ in range(12)]
     for base in lattices:
         n = base.n
@@ -332,7 +332,7 @@ def _searched_lattices():
     """Lattices whose basis search mostly runs at least one pass."""
     codes = [c for n in range(4, 10) for k in (1, 2, 3) for c in classify_binary(n, k, 4)]
     pool = [code_lift(c) for c in codes] + [centred_cubic(n) for n in range(4, 10)]
-    pool += [named(x).lattice for x in ("A73", "A74", "A7^2", "A5^3", "E7", "D6+")]
+    pool += [named(x) for x in ("A73", "A74", "A7^2", "A5^3", "E7", "D6+")]
     return pool
 
 

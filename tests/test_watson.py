@@ -33,14 +33,6 @@ from oracles import (
 )
 
 
-def e6():
-    """E6 from its Cartan matrix, in Bourbaki's numbering: the chain 1-3-4-5-6 and 2-4."""
-    edges = {(1, 3), (3, 4), (4, 5), (5, 6), (2, 4)}
-    gram = [[2 if i == j else -int((i, j) in edges or (j, i) in edges) for j in range(1, 7)]
-            for i in range(1, 7)]
-    return GramLattice.from_rows(gram, label="E6")
-
-
 def frame_gram(L, rows):
     """The sublattice spanned by the rows, as a lattice in its own right."""
     gram = [[inner(L, u, v) for v in rows] for u in rows]
@@ -166,17 +158,17 @@ def test_code_lift_quotient_recovers_the_code_parameters():
 
 
 def test_maximal_index_of_the_root_lattices():
-    e7 = maximal_index(named("E7").lattice)
+    e7 = maximal_index(named("E7"))
     assert e7.max_index == 8
     assert e7.witness_structure.invariant_factors == (2, 2, 2)
     assert e7.exhaustive
     assert abs(det_int(e7.witness_frame.vectors)) == 8
 
-    a73 = maximal_index(named("A73").lattice)
+    a73 = maximal_index(named("A73"))
     assert (a73.max_index, a73.witness_structure.invariant_factors) == (3, (3,))
     assert a73.exhaustive
 
-    a74 = maximal_index(named("A74").lattice)
+    a74 = maximal_index(named("A74"))
     assert (a74.max_index, a74.witness_structure.invariant_factors) == (4, (4,))
     assert a74.exhaustive
 
@@ -184,13 +176,13 @@ def test_maximal_index_of_the_root_lattices():
 def test_budget_exhaustion_downgrades_to_a_lower_bound():
     # A74's minima ball costs 126 nodes and its frame search 519 more, so
     # at budget 300 the listing completes and the search stops short.
-    report = maximal_index(named("A74").lattice, budget=300)
+    report = maximal_index(named("A74"), budget=300)
     assert not report.exhaustive
     assert report.max_index >= 1
     assert report.witness_structure.index == report.max_index
     # the listing honours the budget too: E7's ball costs 178 nodes
     with pytest.raises(ResourceExceeded):
-        maximal_index(named("E7").lattice, budget=3)
+        maximal_index(named("E7"), budget=3)
 
 
 def test_a_budget_run_out_keeps_the_best_frame_found():
@@ -199,7 +191,7 @@ def test_a_budget_run_out_keeps_the_best_frame_found():
     # nodes D6+ (decided at 797) and A74 (at 645) have met a frame of
     # their maximal index, 2 and 4, but not ruled out a larger one.
     for name, index in (("D6+", 2), ("A74", 4)):
-        report = maximal_index(named(name).lattice, budget=500)
+        report = maximal_index(named(name), budget=500)
         assert (report.max_index, report.exhaustive) == (index, False), name
         assert abs(det_int(report.witness_frame.vectors)) == index, name
 
@@ -237,11 +229,11 @@ def test_pivot_rows_match_the_rational_gram_determinant():
 def test_maximal_index_is_invariant_under_scaling(node_tally):
     # At budgets 300 and 600 A74, D6+ and E6 stop in the frame tree, so
     # the scaled copies must stop at the same node with the same incumbent.
-    for L, c, stops in ((named("E7").lattice, Fraction(3, 7), False),
-                        (named("A74").lattice, Fraction(5, 2), True),
-                        (named("D6+").lattice, Fraction(1, 6), True),
-                        (e6(), Fraction(7, 3), True),
-                        (named("D9").lattice, Fraction(2, 5), False)):
+    for L, c, stops in ((named("E7"), Fraction(3, 7), False),
+                        (named("A74"), Fraction(5, 2), True),
+                        (named("D6+"), Fraction(1, 6), True),
+                        (named("E6"), Fraction(7, 3), True),
+                        (named("D9"), Fraction(2, 5), False)):
         for budget in (None, 300, 600):
             node_tally[0] = 0
             plain = maximal_index(L, budget)
@@ -258,9 +250,9 @@ def test_maximal_index_is_invariant_under_scaling(node_tally):
 
 
 def test_the_d6plus_and_a7_frame_searches_run_to_exhaustion():
-    d6plus = maximal_index(named("D6+").lattice)
+    d6plus = maximal_index(named("D6+"))
     assert (d6plus.max_index, d6plus.exhaustive) == (2, True)
-    a7 = maximal_index(named("A7").lattice)
+    a7 = maximal_index(named("A7"))
     assert (a7.max_index, a7.exhaustive) == (1, True)
     assert a7.witness_structure.invariant_factors == ()
 
@@ -270,7 +262,7 @@ def test_a8_is_decided_exhaustively(node_tally):
     # A8, whose one full-rank subsystem is A8 itself, so the frame of
     # minima's index 1 is the index and no tree is walked: the total is
     # the minima ball's alone.
-    report = maximal_index(named("A8").lattice)
+    report = maximal_index(named("A8"))
     assert (report.max_index, report.exhaustive) == (1, True)
     assert report.witness_structure.invariant_factors == ()
     assert node_tally[0] == 128
@@ -313,22 +305,23 @@ def test_frame_search_node_totals_are_pinned(node_tally):
     for name, nodes in (("E8", 368), ("A74", 645), ("E7", 178), ("D6+", 797),
                         ("A5^3", 106), ("A7", 91)):
         node_tally[0] = 0
-        assert maximal_index(named(name).lattice).exhaustive
+        assert maximal_index(named(name)).exhaustive
         assert node_tally[0] == nodes, name
 
 
 def test_each_minimal_vector_meets_the_gram_matrix_once(monkeypatch):
-    # Besides the seed's picks, maximal_index multiplies each vector of
-    # the shells by the cleared Gram matrix once, when the incumbent falls
-    # short of H; the root system test and the tree read those products.
-    # E7 and E8 settle at the seed, which multiplies only its picks.
-    cases = ((e6(), 42), (named("A74").lattice, 24), (named("D6+").lattice, 22),
-             (named("A5^2").lattice, 15), (named("A5^3").lattice, 20), (named("A8").lattice, 44),
-             (named("E7").lattice, 7), (named("E8").lattice, 8))
+    # The seed multiplies its picks by the cleared Gram matrix; when the
+    # incumbent falls short of H, maximal_index multiplies each other
+    # vector of the shells once, and the root system test and the tree
+    # read those products with the seed's.  E7 and E8 settle at the seed,
+    # which multiplies only its picks.
+    cases = ((named("E6"), 36), (named("A74"), 17), (named("D6+"), 16),
+             (named("A5^2"), 10), (named("A5^3"), 15), (named("A8"), 36),
+             (named("E7"), 7), (named("E8"), 8))
     for L, total in cases:
         _, a, _, _ = L._form
         shells = _shells(_ball(L, _Counter(None)))
-        seed = _orthogonal_seed(shells, a)
+        seed, _ = _orthogonal_seed(shells, a)
         calls = Counter()
 
         def times(v, cols):
@@ -340,8 +333,8 @@ def test_each_minimal_vector_meets_the_gram_matrix_once(monkeypatch):
         maximal_index(L)
         monkeypatch.undo()
         # the seed makes n products, so a larger total means the shells were paired
-        paired = Counter(v for _, shell in shells for v in shell) if total > L.n else Counter()
-        assert calls == Counter(seed) + paired, L.label
+        once = Counter(v for _, shell in shells for v in shell) if total > L.n else Counter(seed)
+        assert calls == once, L.label
         assert sum(calls.values()) == total, L.label
 
 
@@ -375,13 +368,13 @@ def test_the_root_path_matches_the_reference_search():
     # stops at the Hadamard bound before the test is reached.  The
     # reference runs out of its 100,000 nodes on A7, A8, D7 and E6, and
     # must then still have found the same first frame of maximal index.
-    lattices = [named(x).lattice for x in NAMED_UP_TO_9 if named(x).lattice.n <= 8]
+    lattices = [named(x) for x in NAMED_UP_TO_9 if named(x).n <= 8]
     roots = [L for L in lattices if _root(L) is not None]
-    assert [L.label for L in roots] == [named(x).lattice.label for x in ROOT_TYPE_UP_TO_8]
+    assert [L.label for L in roots] == [named(x).label for x in ROOT_TYPE_UP_TO_8]
     lifts = [code_lift(c) for n in range(4, 11) for k in range(1, 5) for c in classify_binary(n, k, 4)]
     assert len(lifts) == 85
     undecided = []
-    for L in roots + [e6()] + lifts:
+    for L in roots + [named("E6")] + lifts:
         expected = reference_maximal_index(L, 100_000)
         report = maximal_index(L)
         assert report.exhaustive, L.label
@@ -393,17 +386,16 @@ def test_the_root_path_matches_the_reference_search():
             assert root == expected.max_index, L.label
         if not expected.exhaustive:
             undecided.append(L.label)
-    assert undecided == [named(x).lattice.label for x in ("A7", "A8", "D7")] + ["E6"]
+    assert undecided == [named(x).label for x in ("A7", "A8", "D7")] + ["E6"]
     assert sum(_root(L) is not None for L in lifts) == 63
 
 
 def test_the_root_path_decides_the_rank_9_and_10_root_lattices():
     # Each takes a few milliseconds; the tree had not decided the first
-    # four after 300,000 nodes.  E6 has no catalogue name and comes from
-    # its Cartan matrix.
-    for L, index, factors in ((named("A9").lattice, 1, ()), (named("A9^2").lattice, 2, (2,)),
-                              (named("D9").lattice, 8, (2, 2, 2)), (named("A10").lattice, 1, ()),
-                              (named("D10").lattice, 16, (2, 2, 2, 2)), (e6(), 3, (3,))):
+    # four after 300,000 nodes.
+    for L, index, factors in ((named("A9"), 1, ()), (named("A9^2"), 2, (2,)),
+                              (named("D9"), 8, (2, 2, 2)), (named("A10"), 1, ()),
+                              (named("D10"), 16, (2, 2, 2, 2)), (named("E6"), 3, (3,))):
         report = maximal_index(L)
         assert (report.max_index, report.exhaustive) == (index, True), L.label
         assert report.witness_structure.invariant_factors == factors, L.label
@@ -423,7 +415,7 @@ def test_the_index_is_the_largest_index_of_every_listed_frame(name):
     # Every frame of the minima listed: the search's index is the largest
     # of their indices, and the closed form gives it wherever the minima
     # form a root system; it refuses on the rest, which the tree decides.
-    L = named(name).lattice
+    L = named(name)
     largest = max(reference_frame_indices(_shells(_ball(L, _Counter(None)))))
     assert maximal_index(L).max_index == largest
     assert _root(L) == (None if name in NO_ROOT_SYSTEM else largest)
@@ -431,7 +423,7 @@ def test_the_index_is_the_largest_index_of_every_listed_frame(name):
 
 def test_the_frame_lister_refuses_before_listing():
     # A7 has C(28, 7) = 1,184,040 choices, past the lister's limit.
-    shells = _shells(_ball(named("A7").lattice, _Counter(None)))
+    shells = _shells(_ball(named("A7"), _Counter(None)))
     with pytest.raises(ValueError):
         reference_frame_indices(shells)
 
@@ -453,9 +445,9 @@ def test_the_frame_walk_yields_every_frame():
     # Their minima are one shell each, so Z + D4, whose minima are two
     # shells, is added.  Conjugates are left out: the change-of-basis
     # tests of ``maximal_index`` cover them.
-    d4 = named("D4").lattice.gram
+    d4 = named("D4").gram
     z_d4 = GramLattice.from_rows([[1, 0, 0, 0, 0]] + [[0, *row] for row in d4], label="Z+D4")
-    lattices = list(fixture_inventory().values()) + [named(x).lattice for x in NAMED_UP_TO_9] + [z_d4]
+    lattices = list(fixture_inventory().values()) + [named(x) for x in NAMED_UP_TO_9] + [z_d4]
     listed, pairs = 0, 0
     for L in lattices:
         context = _ball(L, _Counter(None))
@@ -485,7 +477,7 @@ def test_the_hadamard_prune_is_reached_at_its_boundary():
     # A seeded search over small integer Gram matrices of rank 2-4, at
     # every index up to one past the Hadamard bound, found the boundary
     # reached by a walk that yields a frame only on bases of D4.
-    paired, tail, det_a = _walk_input(named("D4").lattice)
+    paired, tail, det_a = _walk_input(named("D4"))
     assert (tail, det_a) == ([16, 8, 4, 2, 1], 4)
     ((_, shell),) = paired
     pairs = {_dot(u, ua) * _dot(v, va) - _dot(u, va) ** 2 for (u, ua), (v, va) in combinations(shell, 2)}
@@ -511,15 +503,16 @@ def test_the_seed_matches_the_full_scan():
     # Every fixture and named lattice up to rank 9, each on its own basis
     # and on three seeded conjugates.
     rand = random.Random(31)
-    lattices = list(fixture_inventory().values()) + [named(x).lattice for x in NAMED_UP_TO_9]
+    lattices = list(fixture_inventory().values()) + [named(x) for x in NAMED_UP_TO_9]
     for L in lattices:
         for M in [L] + [conjugate(L, random_unimodular(rand, L.n)) for _ in range(3)]:
             context = _ball(M, _Counter(None))
             shells = _shells(context)
             a = M._form[1]
-            seed = _orthogonal_seed(shells, a)
+            seed, products = _orthogonal_seed(shells, a)
             assert seed == reference_orthogonal_seed(_positions(shells, a)), M.label
             assert len(seed) == M.n and det_int(seed) != 0, M.label
+            assert products == {v: _times(v, a) for v in seed}, M.label
             assert tuple(_dot(v, _times(v, a)) for v in seed) == context.minima, M.label
 
 
@@ -537,7 +530,7 @@ def test_the_seed_falls_back_as_the_full_scan_does():
          ((1, 0, 0), (0, 1, 0), (0, 0, 1))),
     ):
         assert reference_orthogonal_seed(_positions(shells, a)) == seed
-        assert _orthogonal_seed(shells, a) == seed
+        assert _orthogonal_seed(shells, a)[0] == seed
 
 
 def test_the_maximal_index_is_invariant_under_a_change_of_basis():
@@ -546,7 +539,7 @@ def test_the_maximal_index_is_invariant_under_a_change_of_basis():
     # conjugates.  The quotient structure of the witness is left out: it
     # may depend on the basis.
     rand = random.Random(12)
-    lattices = sorted(fixture_inventory().items()) + [(x, named(x).lattice) for x in ("A9^2", "D9")]
+    lattices = sorted(fixture_inventory().items()) + [(x, named(x)) for x in ("A9^2", "D9")]
     for name, L in lattices:
         plain = maximal_index(L)
         for _ in range(3):
